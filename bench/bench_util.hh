@@ -70,7 +70,7 @@ fmtU(uint64_t v)
  * them as `BENCH_<name>.json` into `$XPC_BENCH_DIR` (default: the
  * working directory) when write() is called or the report is
  * destroyed. tools/stats_diff.py compares two such files and fails
- * on regressions.
+ * on any difference.
  *
  * Host wall-clock goes to a *sidecar* file, `HOST_<name>.json`:
  * hostMark() attributes the ms since the previous mark (or

@@ -1,5 +1,7 @@
 #include "cache.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace xpc::mem {
@@ -15,6 +17,8 @@ Cache::Cache(const CacheParams &p, Cache *n, Cycles mem_latency)
     numSets = uint32_t(total_lines / p.assoc);
     panic_if((numSets & (numSets - 1)) != 0,
              "cache set count must be a power of two, got %u", numSets);
+    lineShift = uint32_t(std::countr_zero(p.lineBytes));
+    setShift = uint32_t(std::countr_zero(numSets));
     lines.resize(total_lines);
     stats.addCounter("hits", &hits);
     stats.addCounter("misses", &misses);
@@ -24,9 +28,9 @@ Cache::Cache(const CacheParams &p, Cache *n, Cycles mem_latency)
 Cycles
 Cache::accessLine(uint64_t line_addr, bool is_write)
 {
-    uint64_t line_num = line_addr / params.lineBytes;
+    uint64_t line_num = line_addr >> lineShift;
     uint64_t set_idx = line_num & (numSets - 1);
-    uint64_t tag = line_num / numSets;
+    uint64_t tag = line_num >> setShift;
     Line *ways = &lines[set_idx * params.assoc];
 
     for (uint32_t i = 0; i < params.assoc; i++) {
@@ -55,8 +59,8 @@ Cache::accessLine(uint64_t line_addr, bool is_write)
     Cycles cost = params.hitLatency;
     if (victim->valid && victim->dirty) {
         writebacks.inc();
-        uint64_t victim_addr =
-            (victim->tag * numSets + set_idx) * params.lineBytes;
+        uint64_t victim_addr = ((victim->tag << setShift) | set_idx)
+                               << lineShift;
         cost += next ? next->access(victim_addr, params.lineBytes, true)
                      : memLatency;
     }
@@ -72,11 +76,11 @@ Cache::access(PAddr paddr, uint64_t len, bool is_write)
 {
     if (len == 0)
         return Cycles(0);
-    uint64_t first = paddr / params.lineBytes;
-    uint64_t last = (paddr + len - 1) / params.lineBytes;
+    uint64_t first = paddr >> lineShift;
+    uint64_t last = (paddr + len - 1) >> lineShift;
     Cycles total(0);
     for (uint64_t line = first; line <= last; line++)
-        total += accessLine(line * params.lineBytes, is_write);
+        total += accessLine(line << lineShift, is_write);
     return total;
 }
 

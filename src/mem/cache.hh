@@ -77,6 +77,9 @@ class Cache
     Cache *next;
     Cycles memLatency;
     uint32_t numSets;
+    /** log2 of the line size and of the set count (both powers of 2). */
+    uint32_t lineShift;
+    uint32_t setShift;
     uint64_t clock = 0;
     std::vector<Line> lines;
 

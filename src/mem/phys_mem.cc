@@ -9,6 +9,7 @@ namespace xpc::mem {
 PhysMem::PhysMem(uint64_t size_bytes) : memSize(size_bytes)
 {
     panic_if(!pageAligned(size_bytes), "PhysMem size must be page aligned");
+    frames.resize(size_bytes >> pageShift);
 }
 
 void
@@ -23,14 +24,10 @@ PhysMem::checkRange(PAddr addr, uint64_t len) const
 uint8_t *
 PhysMem::framePtr(PAddr addr) const
 {
-    uint64_t frame = addr >> pageShift;
-    auto it = frames.find(frame);
-    if (it == frames.end()) {
-        auto mem = std::make_unique<uint8_t[]>(pageSize);
-        std::memset(mem.get(), 0, pageSize);
-        it = frames.emplace(frame, std::move(mem)).first;
-    }
-    return it->second.get();
+    auto &frame = frames[addr >> pageShift];
+    if (!frame)
+        frame = std::make_unique<uint8_t[]>(pageSize); // zero-filled
+    return frame.get();
 }
 
 void
@@ -68,8 +65,10 @@ PhysMem::read64(PAddr addr) const
 {
     panic_if(addr % 8 != 0, "unaligned read64 at %#lx",
              (unsigned long)addr);
+    checkRange(addr, sizeof(uint64_t));
+    // Aligned, so the word never straddles a frame.
     uint64_t value;
-    read(addr, &value, sizeof(value));
+    std::memcpy(&value, framePtr(addr) + (addr & pageMask), sizeof(value));
     return value;
 }
 
@@ -78,7 +77,8 @@ PhysMem::write64(PAddr addr, uint64_t value)
 {
     panic_if(addr % 8 != 0, "unaligned write64 at %#lx",
              (unsigned long)addr);
-    write(addr, &value, sizeof(value));
+    checkRange(addr, sizeof(uint64_t));
+    std::memcpy(framePtr(addr) + (addr & pageMask), &value, sizeof(value));
 }
 
 void

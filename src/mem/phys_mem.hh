@@ -21,7 +21,11 @@
 
 namespace xpc::mem {
 
-/** Functional backing store for simulated DRAM. */
+/**
+ * Functional backing store for simulated DRAM: a flat table of frame
+ * pointers indexed by frame number (8 B of host memory per 4 KiB
+ * frame), whose frames are allocated and zero-filled on first touch.
+ */
 class PhysMem
 {
   public:
@@ -47,8 +51,8 @@ class PhysMem
 
   private:
     uint64_t memSize;
-    /** Lazily allocated 4 KiB frames keyed by frame number. */
-    mutable std::map<uint64_t, std::unique_ptr<uint8_t[]>> frames;
+    /** Lazily allocated 4 KiB frames indexed by frame number. */
+    mutable std::vector<std::unique_ptr<uint8_t[]>> frames;
 
     uint8_t *framePtr(PAddr addr) const;
     void checkRange(PAddr addr, uint64_t len) const;

@@ -34,7 +34,7 @@ Tlb::lookup(Asid asid, VAddr vaddr)
         // kernel flushes on every space switch, so a mismatched entry
         // could never be observed; comparing here keeps the
         // functional model correct even mid-copy between spaces.
-        if (e.valid && e.vpn == vpn && e.asid == asid) {
+        if (valid(e) && e.vpn == vpn && e.asid == asid) {
             e.lruStamp = ++clock;
             hits.inc();
             return &e;
@@ -53,7 +53,7 @@ Tlb::insert(Asid asid, VAddr vaddr, PAddr paddr, Perms perms)
     // set never holds two entries for one (asid, vpn).
     for (uint32_t i = 0; i < assoc; i++) {
         TlbEntry &e = ways[i];
-        if (e.valid && e.vpn == vpn && e.asid == asid) {
+        if (valid(e) && e.vpn == vpn && e.asid == asid) {
             e.ppn = paddr >> pageShift;
             e.perms = perms;
             e.lruStamp = ++clock;
@@ -63,22 +63,21 @@ Tlb::insert(Asid asid, VAddr vaddr, PAddr paddr, Perms perms)
     TlbEntry *victim = &ways[0];
     for (uint32_t i = 0; i < assoc; i++) {
         TlbEntry &e = ways[i];
-        if (!e.valid) {
+        if (!valid(e)) {
             victim = &e;
             break;
         }
         if (e.lruStamp < victim->lruStamp)
             victim = &e;
     }
-    *victim = TlbEntry{true, asid, vpn, paddr >> pageShift, perms,
+    *victim = TlbEntry{epoch, asid, vpn, paddr >> pageShift, perms,
                        ++clock};
 }
 
 void
 Tlb::flushAll()
 {
-    for (auto &e : entriesVec)
-        e.valid = false;
+    epoch++;
     flushes.inc();
 }
 
@@ -86,8 +85,8 @@ void
 Tlb::flushAsid(Asid asid)
 {
     for (auto &e : entriesVec) {
-        if (e.valid && e.asid == asid)
-            e.valid = false;
+        if (valid(e) && e.asid == asid)
+            e.epoch = 0;
     }
     flushes.inc();
 }
@@ -99,8 +98,8 @@ Tlb::flushPage(Asid asid, VAddr vaddr)
     TlbEntry *ways = set(vpn);
     for (uint32_t i = 0; i < assoc; i++) {
         TlbEntry &e = ways[i];
-        if (e.valid && e.vpn == vpn && e.asid == asid)
-            e.valid = false;
+        if (valid(e) && e.vpn == vpn && e.asid == asid)
+            e.epoch = 0;
     }
 }
 

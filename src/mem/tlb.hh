@@ -25,7 +25,9 @@ namespace xpc::mem {
 /** One cached translation. */
 struct TlbEntry
 {
-    bool valid = false;
+    /** The entry is valid only while this equals its Tlb's flush
+     *  epoch, which starts at 1, so 0 marks an entry invalid. */
+    uint64_t epoch = 0;
     Asid asid = 0;
     uint64_t vpn = 0;
     uint64_t ppn = 0;
@@ -55,7 +57,8 @@ class Tlb
     /** Install a translation after a successful page walk. */
     void insert(Asid asid, VAddr vaddr, PAddr paddr, Perms perms);
 
-    /** Drop every entry (untagged address-space switch). */
+    /** Drop every entry (untagged address-space switch) in O(1), by
+     *  advancing the flush epoch. */
     void flushAll();
 
     /** Drop entries belonging to @p asid (unmap/shootdown). */
@@ -76,9 +79,11 @@ class Tlb
     uint32_t assoc;
     bool isTagged;
     uint64_t clock = 0;
+    uint64_t epoch = 1;
     std::vector<TlbEntry> entriesVec;
 
     TlbEntry *set(uint64_t vpn);
+    bool valid(const TlbEntry &e) const { return e.epoch == epoch; }
 };
 
 } // namespace xpc::mem

@@ -1,8 +1,9 @@
 /**
  * @file
- * CRC-32 (IEEE, reflected, table-driven) shared by the WAL codec and
- * the transport-level xcall envelope. One table, one polynomial: a
- * checksum mismatch means the same thing everywhere in the tree.
+ * CRC-32 (IEEE, reflected, slicing-by-8) shared by the WAL codec and
+ * the transport-level xcall envelope. One implementation, one
+ * polynomial: a checksum mismatch means the same thing everywhere in
+ * the tree.
  */
 
 #ifndef XPC_SIM_CRC_HH

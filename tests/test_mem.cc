@@ -54,11 +54,49 @@ TEST(PhysMemTest, ZeroInitialized)
     EXPECT_EQ(pm.read64(0x8000), 0u);
 }
 
+TEST(PhysMemTest, LastWordOfDram)
+{
+    PhysMem pm(1 << 20);
+    PAddr last = pm.size() - 8;
+    EXPECT_EQ(pm.read64(last), 0u);
+    pm.write64(last, 0x0123456789abcdefULL);
+    EXPECT_EQ(pm.read64(last), 0x0123456789abcdefULL);
+    uint64_t via_read = 0;
+    pm.read(last, &via_read, sizeof(via_read));
+    EXPECT_EQ(via_read, 0x0123456789abcdefULL);
+    pm.clear(last, 8);
+    EXPECT_EQ(pm.read64(last), 0u);
+}
+
 TEST(PhysMemDeathTest, OutOfRangePanics)
 {
     PhysMem pm(1 << 20);
     uint8_t b;
     EXPECT_DEATH(pm.read((1 << 20) - 1, &b, 2), "outside DRAM");
+}
+
+TEST(PhysMemDeathTest, WordAccessAtOrPastEndPanics)
+{
+    // With a flat frame table a missed range check would index past
+    // its end, so every entry point must refuse first.
+    PhysMem pm(1 << 20);
+    const PAddr end = pm.size();
+    EXPECT_DEATH(pm.read64(end), "outside DRAM");
+    EXPECT_DEATH(pm.read64(end + pageSize), "outside DRAM");
+    EXPECT_DEATH(pm.write64(end, 1), "outside DRAM");
+    EXPECT_DEATH(pm.write64(end + 8 * pageSize, 1), "outside DRAM");
+    // A word whose end wraps the address space is out of range too.
+    EXPECT_DEATH(pm.read64(~uint64_t(7)), "outside DRAM");
+    EXPECT_DEATH(pm.write64(~uint64_t(7), 1), "outside DRAM");
+}
+
+TEST(PhysMemDeathTest, ClearAtOrPastEndPanics)
+{
+    PhysMem pm(1 << 20);
+    const PAddr end = pm.size();
+    EXPECT_DEATH(pm.clear(end, 1), "outside DRAM");
+    EXPECT_DEATH(pm.clear(end - 4, 8), "outside DRAM");
+    EXPECT_DEATH(pm.clear(end + pageSize, pageSize), "outside DRAM");
 }
 
 TEST(PhysAllocatorTest, AllocateAndFreeCoalesces)

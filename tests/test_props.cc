@@ -66,6 +66,152 @@ TEST_P(CacheSweep, ThrashingWorkingSetMostlyMisses)
     EXPECT_GT(miss_rate, 0.95);
 }
 
+/**
+ * Reference model: mem::Cache as it was before set and tag came from
+ * shifts. Every probe divides by the line size and the set count; the
+ * real cache must agree with it cycle for cycle.
+ */
+class RefCache
+{
+  public:
+    RefCache(const mem::CacheParams &p, RefCache *n, Cycles mem_latency)
+        : params(p), next(n), memLatency(mem_latency),
+          numSets(uint32_t(p.sizeBytes / p.lineBytes / p.assoc)),
+          lines(p.sizeBytes / p.lineBytes)
+    {}
+
+    Cycles
+    access(PAddr paddr, uint64_t len, bool is_write)
+    {
+        if (len == 0)
+            return Cycles(0);
+        uint64_t first = paddr / params.lineBytes;
+        uint64_t last = (paddr + len - 1) / params.lineBytes;
+        Cycles total(0);
+        for (uint64_t line = first; line <= last; line++)
+            total += accessLine(line * params.lineBytes, is_write);
+        return total;
+    }
+
+    void
+    invalidateAll()
+    {
+        for (auto &l : lines)
+            l = Line{};
+    }
+
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t writebacks = 0;
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        bool dirty = false;
+        uint64_t tag = 0;
+        uint64_t lruStamp = 0;
+    };
+
+    mem::CacheParams params;
+    RefCache *next;
+    Cycles memLatency;
+    uint32_t numSets;
+    uint64_t clock = 0;
+    std::vector<Line> lines;
+
+    Cycles
+    accessLine(uint64_t line_addr, bool is_write)
+    {
+        uint64_t line_num = line_addr / params.lineBytes;
+        uint64_t set_idx = line_num & (numSets - 1);
+        uint64_t tag = line_num / numSets;
+        Line *ways = &lines[set_idx * params.assoc];
+        for (uint32_t i = 0; i < params.assoc; i++) {
+            Line &l = ways[i];
+            if (l.valid && l.tag == tag) {
+                hits++;
+                l.lruStamp = ++clock;
+                l.dirty |= is_write;
+                return params.hitLatency;
+            }
+        }
+        misses++;
+        Line *victim = &ways[0];
+        for (uint32_t i = 0; i < params.assoc; i++) {
+            Line &l = ways[i];
+            if (!l.valid) {
+                victim = &l;
+                break;
+            }
+            if (l.lruStamp < victim->lruStamp)
+                victim = &l;
+        }
+        Cycles cost = params.hitLatency;
+        if (victim->valid && victim->dirty) {
+            writebacks++;
+            uint64_t victim_addr =
+                (victim->tag * numSets + set_idx) * params.lineBytes;
+            cost += next ? next->access(victim_addr, params.lineBytes, true)
+                         : memLatency;
+        }
+        cost += next ? next->access(line_addr, params.lineBytes, false)
+                     : memLatency;
+        *victim = Line{true, is_write, tag, ++clock};
+        return cost;
+    }
+};
+
+TEST_P(CacheSweep, MatchesDividingReferenceModel)
+{
+    CacheGeom g = GetParam();
+    // The swept geometry is the L1 over a 4-way L2 four times its size.
+    mem::CacheParams l1p{g.size, g.line, g.assoc, Cycles(2)};
+    mem::CacheParams l2p{4 * g.size, g.line, 4, Cycles(14)};
+    mem::Cache l2(l2p, nullptr, Cycles(60));
+    mem::Cache l1(l1p, &l2, Cycles(60));
+    RefCache ref_l2(l2p, nullptr, Cycles(60));
+    RefCache ref_l1(l1p, &ref_l2, Cycles(60));
+
+    Rng rng(g.size + g.line + g.assoc);
+    for (int i = 0; i < 20000; i++) {
+        uint64_t op = rng.nextBounded(100);
+        if (op == 0) {
+            l1.invalidateAll();
+            ref_l1.invalidateAll();
+            continue;
+        }
+        if (op == 1) {
+            l2.invalidateAll();
+            ref_l2.invalidateAll();
+            continue;
+        }
+        // Mostly short accesses that straddle lines, some page-sized
+        // ones, and the odd empty one, over a footprint 8x the L1.
+        PAddr addr = rng.nextBounded(8 * g.size);
+        uint64_t len = op < 10   ? rng.nextBounded(2 * pageSize)
+                       : op < 12 ? 0
+                                 : 1 + rng.nextBounded(3 * g.line);
+        bool is_write = rng.nextBounded(2) == 0;
+        Cycles got = l1.access(addr, len, is_write);
+        Cycles want = ref_l1.access(addr, len, is_write);
+        ASSERT_EQ(got.value(), want.value())
+            << "access " << i << " at " << addr << " len " << len;
+        ASSERT_EQ(l1.hits.value(), ref_l1.hits) << "access " << i;
+        ASSERT_EQ(l1.misses.value(), ref_l1.misses) << "access " << i;
+        ASSERT_EQ(l1.writebacks.value(), ref_l1.writebacks)
+            << "access " << i;
+        ASSERT_EQ(l2.hits.value(), ref_l2.hits) << "access " << i;
+        ASSERT_EQ(l2.misses.value(), ref_l2.misses) << "access " << i;
+        ASSERT_EQ(l2.writebacks.value(), ref_l2.writebacks)
+            << "access " << i;
+    }
+    // The stream must have exercised every path it compares.
+    EXPECT_GT(ref_l1.hits, 0u);
+    EXPECT_GT(ref_l1.writebacks, 0u);
+    EXPECT_GT(ref_l2.hits, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheSweep,
     ::testing::Values(CacheGeom{1024, 32, 1}, CacheGeom{4096, 64, 2},
@@ -114,6 +260,169 @@ TEST_P(TlbSweep, NeverReturnsAWrongTranslation)
             EXPECT_EQ(e->ppn << pageShift, it->second);
         }
     }
+}
+
+/**
+ * Reference model: the TLB whose flushAll swept every entry, which the
+ * real TLB's flush epoch replaced. Lookups, LRU victims and counters
+ * must agree with it after any mix of inserts and flushes.
+ */
+class RefTlb
+{
+  public:
+    RefTlb(uint32_t entries, uint32_t a)
+        : numSets(entries / a), assoc(a), entriesVec(entries)
+    {}
+
+    const mem::TlbEntry *
+    lookup(Asid asid, VAddr vaddr)
+    {
+        uint64_t vpn = vaddr >> pageShift;
+        Entry *ways = set(vpn);
+        for (uint32_t i = 0; i < assoc; i++) {
+            Entry &e = ways[i];
+            if (e.valid && e.t.vpn == vpn && e.t.asid == asid) {
+                e.t.lruStamp = ++clock;
+                hits++;
+                return &e.t;
+            }
+        }
+        misses++;
+        return nullptr;
+    }
+
+    void
+    insert(Asid asid, VAddr vaddr, PAddr paddr, mem::Perms perms)
+    {
+        uint64_t vpn = vaddr >> pageShift;
+        Entry *ways = set(vpn);
+        for (uint32_t i = 0; i < assoc; i++) {
+            Entry &e = ways[i];
+            if (e.valid && e.t.vpn == vpn && e.t.asid == asid) {
+                e.t.ppn = paddr >> pageShift;
+                e.t.perms = perms;
+                e.t.lruStamp = ++clock;
+                return;
+            }
+        }
+        Entry *victim = &ways[0];
+        for (uint32_t i = 0; i < assoc; i++) {
+            Entry &e = ways[i];
+            if (!e.valid) {
+                victim = &e;
+                break;
+            }
+            if (e.t.lruStamp < victim->t.lruStamp)
+                victim = &e;
+        }
+        victim->valid = true;
+        victim->t.asid = asid;
+        victim->t.vpn = vpn;
+        victim->t.ppn = paddr >> pageShift;
+        victim->t.perms = perms;
+        victim->t.lruStamp = ++clock;
+    }
+
+    void
+    flushAll()
+    {
+        for (auto &e : entriesVec)
+            e.valid = false;
+        flushes++;
+    }
+
+    void
+    flushAsid(Asid asid)
+    {
+        for (auto &e : entriesVec) {
+            if (e.valid && e.t.asid == asid)
+                e.valid = false;
+        }
+        flushes++;
+    }
+
+    void
+    flushPage(Asid asid, VAddr vaddr)
+    {
+        uint64_t vpn = vaddr >> pageShift;
+        Entry *ways = set(vpn);
+        for (uint32_t i = 0; i < assoc; i++) {
+            Entry &e = ways[i];
+            if (e.valid && e.t.vpn == vpn && e.t.asid == asid)
+                e.valid = false;
+        }
+    }
+
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t flushes = 0;
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        mem::TlbEntry t;
+    };
+
+    uint32_t numSets;
+    uint32_t assoc;
+    uint64_t clock = 0;
+    std::vector<Entry> entriesVec;
+
+    Entry *
+    set(uint64_t vpn)
+    {
+        return &entriesVec[(vpn & (numSets - 1)) * assoc];
+    }
+};
+
+TEST_P(TlbSweep, MatchesSweepFlushReferenceModel)
+{
+    TlbGeom g = GetParam();
+    mem::Tlb tlb(g.entries, g.assoc, g.tagged);
+    RefTlb ref(g.entries, g.assoc);
+    Rng rng(g.entries * 3 + g.assoc);
+    uint64_t both_hit = 0;
+    for (int i = 0; i < 20000; i++) {
+        Asid asid = Asid(rng.nextBounded(4));
+        // Four pages per entry: enough reuse to hit, enough conflict
+        // to evict.
+        VAddr va = (rng.nextBounded(uint64_t(g.entries) * 4)
+                    << pageShift) |
+                   rng.nextBounded(pageSize);
+        uint64_t op = rng.nextBounded(100);
+        if (op < 40) {
+            PAddr pa = pageAlignDown(rng.nextBounded(1 << 26));
+            mem::Perms perms = rng.nextBounded(2) ? mem::permsRW
+                                                  : mem::permsRO;
+            tlb.insert(asid, va, pa, perms);
+            ref.insert(asid, va, pa, perms);
+        } else if (op < 92) {
+            const mem::TlbEntry *got = tlb.lookup(asid, va);
+            const mem::TlbEntry *want = ref.lookup(asid, va);
+            ASSERT_EQ(got != nullptr, want != nullptr) << "op " << i;
+            if (got) {
+                both_hit++;
+                EXPECT_EQ(got->asid, want->asid);
+                EXPECT_EQ(got->vpn, want->vpn);
+                EXPECT_EQ(got->ppn, want->ppn);
+                EXPECT_EQ(got->perms, want->perms);
+            }
+        } else if (op < 95) {
+            tlb.flushAll();
+            ref.flushAll();
+        } else if (op < 97) {
+            tlb.flushAsid(asid);
+            ref.flushAsid(asid);
+        } else {
+            tlb.flushPage(asid, va);
+            ref.flushPage(asid, va);
+        }
+        ASSERT_EQ(tlb.hits.value(), ref.hits) << "op " << i;
+        ASSERT_EQ(tlb.misses.value(), ref.misses) << "op " << i;
+        ASSERT_EQ(tlb.flushes.value(), ref.flushes) << "op " << i;
+    }
+    EXPECT_GT(both_hit, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

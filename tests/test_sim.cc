@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the sim substrate: types, RNG, Zipfian, statistics.
+ * Unit tests for the sim substrate: types, RNG, Zipfian, statistics,
+ * crc32.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +10,9 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <vector>
 
+#include "sim/crc.hh"
 #include "sim/phase.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
@@ -338,6 +341,76 @@ TEST(PhaseStatsTest, PhaseNamesCoverTheTaxonomy)
     for (uint32_t i = 0; i < phaseCount; i++)
         names.insert(phaseName(Phase(i)));
     EXPECT_EQ(names.size(), phaseCount); // all distinct
+}
+
+/** Bytewise, bit-at-a-time IEEE CRC-32: the reference crc32 must match. */
+uint32_t
+referenceCrc32(const uint8_t *p, size_t len, uint32_t seed)
+{
+    uint32_t c = seed ^ 0xffffffffu;
+    for (size_t i = 0; i < len; i++) {
+        c ^= p[i];
+        for (int k = 0; k < 8; k++)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+}
+
+std::vector<uint8_t>
+randomBytes(size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<uint8_t> buf(n);
+    for (auto &b : buf)
+        b = uint8_t(rng.next());
+    return buf;
+}
+
+TEST(Crc32Test, KnownAnswer)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset)
+{
+    std::vector<uint8_t> buf = randomBytes(4096 + 8, 11);
+    std::vector<size_t> lengths;
+    for (size_t n = 0; n <= 72; n++)
+        lengths.push_back(n);
+    lengths.push_back(4096);
+    for (size_t off = 0; off < 8; off++) {
+        for (size_t n : lengths) {
+            const uint8_t *p = buf.data() + off;
+            ASSERT_EQ(crc32(p, n), referenceCrc32(p, n, 0))
+                << "offset " << off << " length " << n;
+        }
+    }
+}
+
+TEST(Crc32Test, ChainedNonZeroSeedsMatchReference)
+{
+    std::vector<uint8_t> buf = randomBytes(4096 + 512, 12);
+    for (uint32_t seed : {1u, 0xdeadbeefu, 0xffffffffu}) {
+        for (size_t n : {size_t(1), size_t(7), size_t(8), size_t(9),
+                         size_t(64), size_t(4096)}) {
+            ASSERT_EQ(crc32(buf.data() + 3, n, seed),
+                      referenceCrc32(buf.data() + 3, n, seed))
+                << "seed " << seed << " length " << n;
+        }
+    }
+    // Chaining chunk by chunk, each chunk seeded with the running crc,
+    // equals one pass over the whole buffer.
+    uint32_t chained = 0, ref = 0;
+    size_t pos = 0;
+    for (size_t n : {size_t(5), size_t(8), size_t(13), size_t(64),
+                     size_t(4096), size_t(3)}) {
+        chained = crc32(buf.data() + pos, n, chained);
+        ref = referenceCrc32(buf.data() + pos, n, ref);
+        ASSERT_EQ(chained, ref) << "after " << pos + n << " bytes";
+        pos += n;
+    }
+    EXPECT_EQ(chained, crc32(buf.data(), pos));
 }
 
 } // namespace

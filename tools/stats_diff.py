@@ -1,28 +1,19 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_*.json reports and fail on regressions.
+"""Compare two BENCH_*.json reports and fail on any difference.
 
 Usage:
-    stats_diff.py [--threshold PCT] [--all-metrics] BASELINE CURRENT
+    stats_diff.py BASELINE CURRENT
 
 Both inputs are files written by xpc::bench::BenchReport (or
 directories holding several of them, compared pairwise by file name).
-Every numeric entry under "metrics" and "phases" is compared; an entry
-counts as a regression when the current value is worse than the
-baseline by more than --threshold percent (default 0: the simulator is
-deterministic, so any drift is a real change).
+The simulator is deterministic, so a report either repeats exactly or
+something changed: every leaf under "metrics", "phases" and
+"distributions" must be equal, a change in either direction counts,
+and a key present on only one side is a difference. For directories,
+a BENCH file present on only one side is a difference too.
+Non-finite values must match as well (NaN equals NaN).
 
-"Worse" is direction-aware: throughput-like keys (containing ops,
-MBps, rps, per_sec, throughput, speedup, normalized) regress when they
-shrink, everything else (cycles, latency, us, ms) regresses when it
-grows. Keys present on only one side are reported but are not
-failures, so adding a metric does not break the gate.
-
-Non-finite values (NaN/Infinity leak through from empty
-distributions; Python's json accepts those tokens) are skipped with a
-warning rather than compared: NaN != NaN would otherwise count every
-empty-stat entry as a change, and inf deltas are meaningless.
-
-Exit status: 0 = no regression, 1 = regression, 2 = usage/IO error.
+Exit status: 0 = identical, 1 = any difference, 2 = usage/IO error.
 """
 
 import argparse
@@ -31,53 +22,42 @@ import math
 import os
 import sys
 
-HIGHER_IS_BETTER = ("ops", "mbps", "rps", "per_sec", "throughput",
-                    "speedup", "normalized", "share")
+SECTIONS = ("metrics", "phases", "distributions")
 
 
-def flatten(report, origin="?"):
-    """Numeric leaves of the comparable sections, as {path: value}."""
-    out = {}
-    for section in ("metrics", "phases"):
-        for key, val in report.get(section, {}).items():
-            if isinstance(val, (int, float)) and val is not True \
-                    and val is not False:
-                if not math.isfinite(val):
-                    print(f"stats_diff: warning: skipping non-finite "
-                          f"{section}.{key} = {val} in {origin}",
-                          file=sys.stderr)
-                    continue
-                out[f"{section}.{key}"] = float(val)
+def leaves(node, path, out):
+    """Every leaf under @p node as {dotted.path: value}, dicts walked."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            leaves(val, f"{path}.{key}", out)
+    else:
+        out[path] = node
     return out
 
 
-def higher_is_better(key):
-    low = key.lower()
-    return any(tag in low for tag in HIGHER_IS_BETTER)
+def same(a, b):
+    """Equal, where NaN counts as equal to NaN."""
+    if isinstance(a, float) and isinstance(b, float):
+        if math.isnan(a) and math.isnan(b):
+            return True
+    return a == b
 
 
-def compare(base, cur, threshold_pct):
-    """@return (regressions, improvements, missing) lists of text."""
-    regressions, improvements, missing = [], [], []
-    for key in sorted(set(base) | set(cur)):
-        if key not in base:
-            missing.append(f"  only in current:  {key}")
-            continue
-        if key not in cur:
-            missing.append(f"  only in baseline: {key}")
-            continue
-        b, c = base[key], cur[key]
-        if b == c:
-            continue
-        delta = c - b
-        pct = (delta / abs(b) * 100.0) if b != 0 else float("inf")
-        worse = -pct if higher_is_better(key) else pct
-        line = f"  {key}: {b:g} -> {c:g} ({pct:+.2f}%)"
-        if worse > threshold_pct:
-            regressions.append(line)
-        else:
-            improvements.append(line)
-    return regressions, improvements, missing
+def compare(base, cur):
+    """@return one line of text per difference, in either direction."""
+    b, c = {}, {}
+    for section in SECTIONS:
+        leaves(base.get(section, {}), section, b)
+        leaves(cur.get(section, {}), section, c)
+    diffs = []
+    for key in sorted(set(b) | set(c)):
+        if key not in b:
+            diffs.append(f"  only in current:  {key}")
+        elif key not in c:
+            diffs.append(f"  only in baseline: {key}")
+        elif not same(b[key], c[key]):
+            diffs.append(f"  {key}: {b[key]!r} -> {c[key]!r}")
+    return diffs
 
 
 def load(path):
@@ -89,60 +69,57 @@ def load(path):
         sys.exit(2)
 
 
-def pair_up(base, cur):
-    """Yield (name, base_path, cur_path) for files or directories."""
-    if os.path.isfile(base) and os.path.isfile(cur):
-        yield os.path.basename(cur), base, cur
-        return
-    if not (os.path.isdir(base) and os.path.isdir(cur)):
+def bench_files(directory):
+    return {n for n in os.listdir(directory)
+            if n.startswith("BENCH_") and n.endswith(".json")}
+
+
+def report(base_arg, cur_arg):
+    """Print every difference; @return True when there is any."""
+    if os.path.isfile(base_arg) and os.path.isfile(cur_arg):
+        pairs = [(os.path.basename(cur_arg), base_arg, cur_arg)]
+    elif os.path.isdir(base_arg) and os.path.isdir(cur_arg):
+        base_names = bench_files(base_arg)
+        cur_names = bench_files(cur_arg)
+        if not base_names | cur_names:
+            print(f"stats_diff: no BENCH_*.json under {base_arg} or "
+                  f"{cur_arg}", file=sys.stderr)
+            sys.exit(2)
+        pairs = [(n, os.path.join(base_arg, n), os.path.join(cur_arg, n))
+                 for n in sorted(base_names | cur_names)]
+    else:
         print("stats_diff: arguments must both be files or both be "
               "directories", file=sys.stderr)
         sys.exit(2)
-    names = sorted(n for n in os.listdir(base)
-                   if n.startswith("BENCH_") and n.endswith(".json"))
-    if not names:
-        print(f"stats_diff: no BENCH_*.json under {base}",
-              file=sys.stderr)
-        sys.exit(2)
-    for name in names:
-        cur_path = os.path.join(cur, name)
+
+    failed = False
+    for name, base_path, cur_path in pairs:
+        if not os.path.exists(base_path):
+            failed = True
+            print(f"{name}: only in current")
+            continue
         if not os.path.exists(cur_path):
-            print(f"stats_diff: {name} missing from {cur}",
-                  file=sys.stderr)
-            sys.exit(2)
-        yield name, os.path.join(base, name), cur_path
+            failed = True
+            print(f"{name}: only in baseline")
+            continue
+        diffs = compare(load(base_path), load(cur_path))
+        if diffs:
+            failed = True
+            print(f"{name}: {len(diffs)} difference(s):")
+            print("\n".join(diffs))
+        else:
+            print(f"{name}: identical")
+    return failed
 
 
 def main():
     ap = argparse.ArgumentParser(
-        description="Compare two BenchReport JSON files/directories.")
+        description="Fail on any difference between two BenchReport "
+                    "JSON files or directories.")
     ap.add_argument("baseline")
     ap.add_argument("current")
-    ap.add_argument("--threshold", type=float, default=0.0,
-                    metavar="PCT",
-                    help="tolerated regression in percent (default 0)")
     args = ap.parse_args()
-
-    failed = False
-    for name, base_path, cur_path in pair_up(args.baseline,
-                                             args.current):
-        regs, imps, miss = compare(flatten(load(base_path), base_path),
-                                   flatten(load(cur_path), cur_path),
-                                   args.threshold)
-        if regs:
-            failed = True
-            print(f"{name}: {len(regs)} regression(s) beyond "
-                  f"{args.threshold:g}%:")
-            print("\n".join(regs))
-        elif imps or miss:
-            print(f"{name}: no regressions "
-                  f"({len(imps)} other change(s))")
-        else:
-            print(f"{name}: identical")
-        for block in (imps, miss):
-            if block:
-                print("\n".join(block))
-    sys.exit(1 if failed else 0)
+    sys.exit(1 if report(args.baseline, args.current) else 0)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Determinism gate: run a bench twice into two report directories and
-# require the BENCH_*.json reports to be identical (0% threshold -
-# the simulator is deterministic, so any drift is a real change).
+# require the BENCH_*.json reports to be identical (stats_diff.py
+# fails on any difference in either direction - the simulator is
+# deterministic, so any drift is a real change).
 #
 # Usage: stats_diff_check.sh BENCH_BINARY [BENCH_BINARY...]
 set -eu
@@ -19,4 +20,4 @@ for bench in "$@"; do
         > /dev/null
 done
 
-python3 "$here/stats_diff.py" --threshold 0 "$work/a" "$work/b"
+python3 "$here/stats_diff.py" "$work/a" "$work/b"
