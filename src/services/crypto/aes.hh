@@ -3,9 +3,16 @@
  * AES-128 (FIPS-197): key expansion, block encrypt/decrypt, and
  * CBC-mode helpers. This is a complete software implementation used
  * by the crypto service of the paper's web-server experiment; the
- * bytes are computed for real (validated against the FIPS-197 and
- * NIST SP 800-38A vectors in the tests) and the simulated compute
- * cost is charged per byte by the caller.
+ * bytes are computed for real and the simulated compute cost is
+ * charged per byte by the caller (costCycles), independent of how
+ * the host computes them.
+ *
+ * Encryption runs on four 32-bit T-tables (4 KiB, built at compile
+ * time from the S-box): each round is 16 lookups and XORs over four
+ * little-endian column words. Its ciphertext is bit-identical to the
+ * byte-wise FIPS-197 rounds, which the tests keep as an independent
+ * reference, alongside the FIPS-197 and NIST SP 800-38A vectors.
+ * Decryption stays byte-wise: no workload decrypts on a hot path.
  */
 
 #ifndef XPC_SERVICES_CRYPTO_AES_HH
@@ -36,8 +43,9 @@ class Aes128
                       uint8_t out[blockBytes]) const;
 
     /**
-     * CBC-encrypt @p len bytes in place. @p len must be a multiple of
-     * the block size (callers zero-pad).
+     * CBC-encrypt @p len bytes in place. Only whole blocks are
+     * encrypted; a trailing partial block is left untouched (callers
+     * zero-pad).
      */
     void encryptCbc(uint8_t *data, size_t len,
                     const uint8_t iv[blockBytes]) const;
@@ -60,6 +68,9 @@ class Aes128
   private:
     static constexpr int rounds = 10;
     std::array<uint32_t, 4 * (rounds + 1)> roundKeys;
+
+    /** Encrypt one block held as four little-endian column words. */
+    void encryptWords(uint32_t w[4]) const;
 };
 
 } // namespace xpc::services::crypto

@@ -1,12 +1,15 @@
 /**
  * @file
- * Tests for the service layer: AES against FIPS/NIST vectors, the
- * xv6 file system (including crash-consistency properties), the TCP
- * stack, and the block/FS/net/web servers over the IPC transports.
+ * Tests for the service layer: AES against FIPS/NIST vectors and a
+ * byte-wise reference cipher, the xv6 file system (including
+ * crash-consistency properties), the TCP stack, and the
+ * block/FS/net/web servers over the IPC transports.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -29,6 +32,163 @@ namespace {
 // AES-128
 // --------------------------------------------------------------------
 
+/**
+ * Byte-wise FIPS-197 AES-128 encryption, written independently of
+ * crypto::Aes128 as the reference for the differential tests below:
+ * the S-box is derived from its definition (GF(2^8) inverse, then the
+ * affine map of FIPS-197 5.1.1) and the rounds follow FIPS-197 5.1
+ * literally, one byte at a time.
+ */
+class RefAes128
+{
+  public:
+    explicit RefAes128(const uint8_t key[16])
+    {
+        const auto &sbox = refSbox();
+        std::memcpy(w, key, 16);
+        uint8_t rcon = 1;
+        for (int i = 4; i < 44; i++) {
+            uint8_t t[4];
+            std::memcpy(t, w + 4 * (i - 1), 4);
+            if (i % 4 == 0) {
+                // RotWord, SubWord, then Rcon into the first byte.
+                uint8_t t0 = t[0];
+                t[0] = uint8_t(sbox[t[1]] ^ rcon);
+                t[1] = sbox[t[2]];
+                t[2] = sbox[t[3]];
+                t[3] = sbox[t0];
+                rcon = xtime(rcon);
+            }
+            for (int j = 0; j < 4; j++)
+                w[4 * i + j] = uint8_t(w[4 * (i - 4) + j] ^ t[j]);
+        }
+    }
+
+    void
+    encrypt(const uint8_t in[16], uint8_t out[16]) const
+    {
+        uint8_t s[16];
+        std::memcpy(s, in, 16);
+        addRoundKey(s, 0);
+        for (int round = 1; round < 10; round++) {
+            subBytes(s);
+            shiftRows(s);
+            mixColumns(s);
+            addRoundKey(s, round);
+        }
+        subBytes(s);
+        shiftRows(s);
+        addRoundKey(s, 10);
+        std::memcpy(out, s, 16);
+    }
+
+    /** CBC over whole blocks; a trailing partial block is untouched. */
+    void
+    encryptCbc(uint8_t *data, size_t len, const uint8_t iv[16]) const
+    {
+        uint8_t chain[16];
+        std::memcpy(chain, iv, 16);
+        for (size_t off = 0; off + 16 <= len; off += 16) {
+            for (int i = 0; i < 16; i++)
+                data[off + i] ^= chain[i];
+            encrypt(data + off, data + off);
+            std::memcpy(chain, data + off, 16);
+        }
+    }
+
+  private:
+    uint8_t w[176] = {}; ///< expanded key, round r at w[16 * r]
+
+    static uint8_t
+    xtime(uint8_t x)
+    {
+        return uint8_t((x << 1) ^ ((x >> 7) * 0x1b));
+    }
+
+    static uint8_t
+    mul(uint8_t a, uint8_t b)
+    {
+        uint8_t p = 0;
+        for (; b; b >>= 1, a = xtime(a))
+            if (b & 1)
+                p ^= a;
+        return p;
+    }
+
+    static const std::array<uint8_t, 256> &
+    refSbox()
+    {
+        static const std::array<uint8_t, 256> box = [] {
+            std::array<uint8_t, 256> b{};
+            for (int x = 0; x < 256; x++) {
+                uint8_t inv = 0; // 0 has no inverse and maps to 0
+                for (int y = 1; y < 256 && x != 0; y++)
+                    if (mul(uint8_t(x), uint8_t(y)) == 1)
+                        inv = uint8_t(y);
+                uint8_t s = 0x63;
+                for (int k = 0; k < 5; k++)
+                    s ^= uint8_t((inv << k) | (inv >> ((8 - k) & 7)));
+                b[x] = s;
+            }
+            return b;
+        }();
+        return box;
+    }
+
+    void
+    addRoundKey(uint8_t s[16], int round) const
+    {
+        for (int i = 0; i < 16; i++)
+            s[i] ^= w[16 * round + i];
+    }
+
+    static void
+    subBytes(uint8_t s[16])
+    {
+        for (int i = 0; i < 16; i++)
+            s[i] = refSbox()[s[i]];
+    }
+
+    /** Byte s[r + 4c] is row r, column c; row r rotates left by r. */
+    static void
+    shiftRows(uint8_t s[16])
+    {
+        uint8_t t[16];
+        std::memcpy(t, s, 16);
+        for (int r = 1; r < 4; r++)
+            for (int c = 0; c < 4; c++)
+                s[r + 4 * c] = t[r + 4 * ((c + r) % 4)];
+    }
+
+    static void
+    mixColumns(uint8_t s[16])
+    {
+        for (int c = 0; c < 4; c++) {
+            uint8_t *col = s + 4 * c;
+            uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
+            col[0] = uint8_t(xtime(a0) ^ xtime(a1) ^ a1 ^ a2 ^ a3);
+            col[1] = uint8_t(a0 ^ xtime(a1) ^ xtime(a2) ^ a2 ^ a3);
+            col[2] = uint8_t(a0 ^ a1 ^ xtime(a2) ^ xtime(a3) ^ a3);
+            col[3] = uint8_t(xtime(a0) ^ a0 ^ a1 ^ a2 ^ xtime(a3));
+        }
+    }
+};
+
+void
+fillRandom(Rng &rng, uint8_t *p, size_t n)
+{
+    for (size_t i = 0; i < n; i++)
+        p[i] = uint8_t(rng.next());
+}
+
+/** A random IV with at least one bit set, so chaining is exercised. */
+void
+randomIv(Rng &rng, uint8_t iv[16])
+{
+    fillRandom(rng, iv, 16);
+    iv[rng.nextBounded(16)] |= uint8_t(1u << rng.nextBounded(8));
+}
+
 TEST(AesTest, Fips197AppendixBVector)
 {
     const uint8_t key[16] = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2,
@@ -47,51 +207,105 @@ TEST(AesTest, Fips197AppendixBVector)
     uint8_t back[16];
     aes.decryptBlock(out, back);
     EXPECT_EQ(std::memcmp(back, plain, 16), 0);
+
+    // The reference the differential tests trust must pass too.
+    uint8_t ref[16];
+    RefAes128(key).encrypt(plain, ref);
+    EXPECT_EQ(std::memcmp(ref, expect, 16), 0);
 }
 
 TEST(AesTest, Nist38aCbcVector)
 {
-    // NIST SP 800-38A F.2.1 CBC-AES128.Encrypt, first two blocks.
+    // NIST SP 800-38A F.2.1 CBC-AES128.Encrypt, all four blocks.
     const uint8_t key[16] = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2,
                              0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
                              0x4f, 0x3c};
     const uint8_t iv[16] = {0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06,
                             0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
                             0x0e, 0x0f};
-    uint8_t data[32] = {0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f,
-                        0x96, 0xe9, 0x3d, 0x7e, 0x11, 0x73, 0x93,
-                        0x17, 0x2a, 0xae, 0x2d, 0x8a, 0x57, 0x1e,
-                        0x03, 0xac, 0x9c, 0x9e, 0xb7, 0x6f, 0xac,
-                        0x45, 0xaf, 0x8e, 0x51};
-    const uint8_t expect[32] = {
+    const uint8_t plain[64] = {
+        0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f, 0x96, 0xe9, 0x3d,
+        0x7e, 0x11, 0x73, 0x93, 0x17, 0x2a, 0xae, 0x2d, 0x8a, 0x57,
+        0x1e, 0x03, 0xac, 0x9c, 0x9e, 0xb7, 0x6f, 0xac, 0x45, 0xaf,
+        0x8e, 0x51, 0x30, 0xc8, 0x1c, 0x46, 0xa3, 0x5c, 0xe4, 0x11,
+        0xe5, 0xfb, 0xc1, 0x19, 0x1a, 0x0a, 0x52, 0xef, 0xf6, 0x9f,
+        0x24, 0x45, 0xdf, 0x4f, 0x9b, 0x17, 0xad, 0x2b, 0x41, 0x7b,
+        0xe6, 0x6c, 0x37, 0x10};
+    const uint8_t expect[64] = {
         0x76, 0x49, 0xab, 0xac, 0x81, 0x19, 0xb2, 0x46, 0xce, 0xe9,
         0x8e, 0x9b, 0x12, 0xe9, 0x19, 0x7d, 0x50, 0x86, 0xcb, 0x9b,
         0x50, 0x72, 0x19, 0xee, 0x95, 0xdb, 0x11, 0x3a, 0x91, 0x76,
-        0x78, 0xb2};
+        0x78, 0xb2, 0x73, 0xbe, 0xd6, 0xb8, 0xe3, 0xc1, 0x74, 0x3b,
+        0x71, 0x16, 0xe6, 0x9e, 0x22, 0x22, 0x95, 0x16, 0x3f, 0xf1,
+        0xca, 0xa1, 0x68, 0x1f, 0xac, 0x09, 0x12, 0x0e, 0xca, 0x30,
+        0x75, 0x86, 0xe1, 0xa7};
     crypto::Aes128 aes(key);
+    uint8_t data[64];
+    std::memcpy(data, plain, sizeof(data));
     aes.encryptCbc(data, sizeof(data), iv);
-    EXPECT_EQ(std::memcmp(data, expect, 32), 0);
+    EXPECT_EQ(std::memcmp(data, expect, sizeof(data)), 0);
     aes.decryptCbc(data, sizeof(data), iv);
-    EXPECT_EQ(data[0], 0x6b);
-    EXPECT_EQ(data[31], 0x51);
+    EXPECT_EQ(std::memcmp(data, plain, sizeof(data)), 0);
 }
 
 TEST(AesTest, CbcRoundTripsRandomData)
 {
     Rng rng(4);
     uint8_t key[16];
-    for (auto &k : key)
-        k = uint8_t(rng.next());
+    fillRandom(rng, key, sizeof(key));
     crypto::Aes128 aes(key);
-    std::vector<uint8_t> data(4096), orig;
-    for (auto &b : data)
-        b = uint8_t(rng.next());
-    orig = data;
-    uint8_t iv[16] = {};
-    aes.encryptCbc(data.data(), data.size(), iv);
-    EXPECT_NE(data, orig);
-    aes.decryptCbc(data.data(), data.size(), iv);
-    EXPECT_EQ(data, orig);
+    // The crypto server's all-zero IV, then a random non-zero one.
+    uint8_t ivs[2][16] = {};
+    randomIv(rng, ivs[1]);
+    for (const auto &iv : ivs) {
+        std::vector<uint8_t> data(4096), orig;
+        fillRandom(rng, data.data(), data.size());
+        orig = data;
+        aes.encryptCbc(data.data(), data.size(), iv);
+        EXPECT_NE(data, orig);
+        aes.decryptCbc(data.data(), data.size(), iv);
+        EXPECT_EQ(data, orig);
+    }
+}
+
+TEST(AesTest, EncryptBlockMatchesBytewiseReference)
+{
+    Rng rng(0xae5);
+    for (int i = 0; i < 2000; i++) {
+        uint8_t key[16], plain[16];
+        fillRandom(rng, key, sizeof(key));
+        fillRandom(rng, plain, sizeof(plain));
+        crypto::Aes128 aes(key);
+        uint8_t expect[16], out[16];
+        RefAes128(key).encrypt(plain, expect);
+
+        aes.encryptBlock(plain, out);
+        ASSERT_EQ(std::memcmp(out, expect, 16), 0) << "pair " << i;
+        // In place: the output overwrites its own input.
+        aes.encryptBlock(plain, plain);
+        ASSERT_EQ(std::memcmp(plain, expect, 16), 0) << "pair " << i;
+    }
+}
+
+TEST(AesTest, EncryptCbcMatchesBytewiseReference)
+{
+    Rng rng(0xcbc);
+    for (size_t len = 0; len <= 20 * 16 + 15; len++) {
+        uint8_t key[16], iv[16];
+        fillRandom(rng, key, sizeof(key));
+        randomIv(rng, iv);
+        std::vector<uint8_t> orig(len);
+        fillRandom(rng, orig.data(), len);
+
+        std::vector<uint8_t> got = orig, expect = orig;
+        crypto::Aes128(key).encryptCbc(got.data(), len, iv);
+        RefAes128(key).encryptCbc(expect.data(), len, iv);
+        ASSERT_EQ(got, expect) << "len " << len;
+        size_t whole = len / 16 * 16;
+        ASSERT_TRUE(std::equal(got.begin() + whole, got.end(),
+                               orig.begin() + whole))
+            << "partial tail touched at len " << len;
+    }
 }
 
 // --------------------------------------------------------------------
