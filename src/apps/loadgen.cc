@@ -375,9 +375,14 @@ LoadGen::issue(kernel::TenantId tenant, uint32_t svc, uint64_t key,
         break;
       }
     }
-    if (ok)
-        return LoadOutcome::Ok;
-    switch (rig_->supervisor().lastStatus) {
+    return ok ? LoadOutcome::Ok
+              : loadOutcomeOf(rig_->supervisor().lastStatus);
+}
+
+LoadOutcome
+loadOutcomeOf(core::TransportStatus status)
+{
+    switch (status) {
       case core::TransportStatus::Overloaded:
         return LoadOutcome::Shed;
       case core::TransportStatus::DeadlineExpired:
@@ -385,16 +390,6 @@ LoadGen::issue(kernel::TenantId tenant, uint32_t svc, uint64_t key,
         return LoadOutcome::Timeout;
       case core::TransportStatus::BreakerOpen:
         return LoadOutcome::Breaker;
-      case core::TransportStatus::RetryBudgetExhausted:
-        // A spent budget is a named, expected failure mode; it rides
-        // the generic error lane so the outcome vector keeps its
-        // historical shape.
-        return LoadOutcome::Error;
-      case core::TransportStatus::IntegrityViolation:
-        // A detected corruption the retry policy could not mask.
-        // Named here so the mapping is explicit; it rides the error
-        // lane for the same historical-shape reason as above.
-        return LoadOutcome::Error;
       default:
         return LoadOutcome::Error;
     }

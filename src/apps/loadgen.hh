@@ -165,6 +165,14 @@ enum class LoadOutcome
 constexpr size_t loadOutcomeCount = 6;
 const char *loadOutcomeName(LoadOutcome o);
 
+/**
+ * The client-observed fate of a request the mesh did not serve, from
+ * the failing call's status. Named failure modes without a lane of
+ * their own (a spent retry budget, a detected integrity violation)
+ * ride the Error lane, so the outcome vector keeps its shape.
+ */
+LoadOutcome loadOutcomeOf(core::TransportStatus status);
+
 struct LoadGenResult
 {
     explicit LoadGenResult(const LoadGenOptions &o);

@@ -37,20 +37,17 @@ System::System(const SystemOptions &options) : opts(options)
 
     switch (opts.flavor) {
       case SystemFlavor::Sel4TwoCopy:
+      case SystemFlavor::Sel4Xpc:
+        kernelPtr = std::make_unique<kernel::Sel4Kernel>(*mach);
+        break;
       case SystemFlavor::Sel4OneCopy:
-      case SystemFlavor::Sel4Xpc: {
-        auto k = std::make_unique<kernel::Sel4Kernel>(*mach);
-        sel4Ptr = k.get();
-        kernelPtr = std::move(k);
+        kernelPtr = std::make_unique<kernel::Sel4Kernel>(
+            *mach, kernel::LongMsgMode::OneCopy);
         break;
-      }
       case SystemFlavor::Zircon:
-      case SystemFlavor::ZirconXpc: {
-        auto k = std::make_unique<kernel::ZirconKernel>(*mach);
-        zirconPtr = k.get();
-        kernelPtr = std::move(k);
+      case SystemFlavor::ZirconXpc:
+        kernelPtr = std::make_unique<kernel::ZirconKernel>(*mach);
         break;
-      }
     }
 
     XpcRuntimeOptions runtime_opts = opts.runtimeOpts;
@@ -69,15 +66,16 @@ System::System(const SystemOptions &options) : opts(options)
 
     switch (opts.flavor) {
       case SystemFlavor::Sel4TwoCopy:
-        transportPtr = std::make_unique<Sel4Transport>(
-            *sel4Ptr, kernel::LongMsgMode::TwoCopy);
+        transportPtr =
+            std::make_unique<CopyingTransport>(*kernelPtr, "sel4-2copy");
         break;
       case SystemFlavor::Sel4OneCopy:
-        transportPtr = std::make_unique<Sel4Transport>(
-            *sel4Ptr, kernel::LongMsgMode::OneCopy);
+        transportPtr =
+            std::make_unique<CopyingTransport>(*kernelPtr, "sel4-1copy");
         break;
       case SystemFlavor::Zircon:
-        transportPtr = std::make_unique<ZirconTransport>(*zirconPtr);
+        transportPtr =
+            std::make_unique<CopyingTransport>(*kernelPtr, "zircon");
         break;
       case SystemFlavor::Sel4Xpc:
       case SystemFlavor::ZirconXpc:

@@ -11,11 +11,12 @@
 
 #include <memory>
 
-#include "core/transport_sel4.hh"
+#include "core/transport_copying.hh"
 #include "core/transport_xpc.hh"
-#include "core/transport_zircon.hh"
 #include "core/xpc_runtime.hh"
 #include "hw/machine.hh"
+#include "kernel/sel4.hh"
+#include "kernel/zircon.hh"
 
 namespace xpc::core {
 
@@ -62,8 +63,6 @@ class System
     hw::Machine &machine() { return *mach; }
     hw::Core &core(CoreId id = 0) { return mach->core(id); }
     kernel::Kernel &kern() { return *kernelPtr; }
-    kernel::Sel4Kernel *sel4() { return sel4Ptr; }
-    kernel::ZirconKernel *zircon() { return zirconPtr; }
     engine::XpcEngine &engine() { return *enginePtr; }
     kernel::XpcManager &manager() { return *managerPtr; }
     XpcRuntime &runtime() { return *runtimePtr; }
@@ -87,8 +86,6 @@ class System
     SystemOptions opts;
     std::unique_ptr<hw::Machine> mach;
     std::unique_ptr<kernel::Kernel> kernelPtr;
-    kernel::Sel4Kernel *sel4Ptr = nullptr;
-    kernel::ZirconKernel *zirconPtr = nullptr;
     std::unique_ptr<engine::XpcEngine> enginePtr;
     std::unique_ptr<kernel::XpcManager> managerPtr;
     std::unique_ptr<XpcRuntime> runtimePtr;

@@ -176,7 +176,10 @@ Transport::scratchCall(hw::Core &core, kernel::Thread &caller,
                        uint64_t reply_cap)
 {
     (void)in_handler;
-    clientWrite(core, caller, 0, req, req_len);
+    // A faulted staging copy leaves the previous request in the area:
+    // calling would hand the callee stale bytes.
+    if (!clientWrite(core, caller, 0, req, req_len))
+        return scratchFailed;
     CallResult r = call(core, caller, svc, opcode, req_len,
                         std::max(req_len, reply_cap));
     if (!r.ok)

@@ -161,18 +161,8 @@ struct ServiceDesc
     bool sharedAcrossTenants = false;
 };
 
-/** Outcome of a client call. */
-struct CallResult
-{
-    bool ok = false;
-    TransportStatus status = TransportStatus::Ok;
-    uint64_t replyLen = 0;
-    Cycles oneWay;
-    Cycles roundTrip;
-    /** Cycles inside the server handler (roundTrip minus these is
-     *  the pure IPC overhead the paper's Figure 1 isolates). */
-    Cycles handlerCycles;
-};
+/** Outcome of a client call, as the kernel or runtime reported it. */
+using CallResult = kernel::CallOutcome;
 
 /** One IPC substrate (seL4 / Zircon / XPC). */
 class Transport
@@ -336,6 +326,37 @@ class Transport
         return res;
     }
 
+    /**
+     * The call skeleton every substrate shares, after its tenancy
+     * gate: seal the staged request (envelope on), run
+     * @p invoke(wire_len) - the substrate's own kernel or engine
+     * call, returning a CallResult - then verify the sealed reply and
+     * count the call. A sealing copy that faults fails the call with
+     * CopyFault without invoking.
+     */
+    template <typename Invoke>
+    CallResult
+    sealedCall(hw::Core &core, kernel::Thread &client, uint64_t req_len,
+               Invoke &&invoke)
+    {
+        uint64_t wire_len = req_len;
+        uint64_t seq = 0;
+        if (envelopeEnabled) {
+            wire_len = sealRequest(core, client, req_len, &seq);
+            if (wire_len == sealFailed) {
+                CallResult res;
+                res.status = TransportStatus::CopyFault;
+                return countCall(res);
+            }
+            sealPending = true;
+        }
+        CallResult res = invoke(wire_len);
+        sealPending = false;
+        if (envelopeEnabled)
+            res = verifySealedReply(core, client, seq, res);
+        return countCall(res);
+    }
+
     ServiceId
     recordDesc(const ServiceDesc &desc)
     {
@@ -425,9 +446,9 @@ class Transport
     /** One integrity violation: count, trace, fail the invocation. */
     void flagViolation(ServerApi &api);
 
-    /** Set by call() just before invoking the kernel so the handler
-     *  wrapper knows this invocation is sealed; consumed at wrapper
-     *  entry, cleared again when the kernel call returns (an
+    /** Set by sealedCall() just before invoking the kernel so the
+     *  handler wrapper knows this invocation is sealed; consumed at
+     *  wrapper entry, cleared again when the kernel call returns (an
      *  invocation aborted before the handler must not leak the flag
      *  into the next, unsealed hop). */
     bool sealPending = false;

@@ -263,8 +263,11 @@ XpcTransport::scratchCall(hw::Core &core, kernel::Thread &caller,
              "scratch slot held a different segment");
     panic_if(req_len > seg.len, "scratch request too large");
 
-    rt.segWrite(core, 0, req, req_len);
-    auto out = rt.callCurrent(core, entryOf(svc), op, req_len);
+    // A faulted staging copy leaves the previous request in the
+    // segment: calling would hand the callee stale bytes.
+    XpcCallOutcome out;
+    if (rt.segWrite(core, 0, req, req_len))
+        out = rt.callCurrent(core, entryOf(svc), op, req_len);
     if (!out.ok) {
         // Restore the previous window before reporting, so an outer
         // xret's seg-reg check still passes.
@@ -289,31 +292,9 @@ XpcTransport::call(hw::Core &core, kernel::Thread &client,
     (void)reply_cap; // replies are in-place; capacity is the segment
     if (!gateCall(client, svc))
         return deniedCall();
-    uint64_t wire_len = req_len;
-    uint64_t seq = 0;
-    if (envelopeEnabled) {
-        wire_len = sealRequest(core, client, req_len, &seq);
-        if (wire_len == sealFailed) {
-            CallResult res;
-            res.ok = false;
-            res.status = TransportStatus::CopyFault;
-            return countCall(res);
-        }
-        sealPending = true;
-    }
-    XpcCallOutcome out =
-        rt.call(core, client, entryIds.at(svc), opcode, wire_len);
-    sealPending = false;
-    CallResult res;
-    res.ok = out.ok;
-    res.status = out.status;
-    res.replyLen = out.replyLen;
-    res.oneWay = out.oneWay;
-    res.roundTrip = out.roundTrip;
-    res.handlerCycles = out.handlerCycles;
-    if (envelopeEnabled)
-        res = verifySealedReply(core, client, seq, res);
-    return countCall(res);
+    return sealedCall(core, client, req_len, [&](uint64_t wire_len) {
+        return rt.call(core, client, entryIds.at(svc), opcode, wire_len);
+    });
 }
 
 } // namespace xpc::core

@@ -286,56 +286,6 @@ XpcRuntime::callCurrent(hw::Core &core, uint64_t entry_id,
                   caller ? caller->tenant : kernel::defaultTenant);
 }
 
-namespace {
-
-/**
- * Closes the outer "xpc.call" span (and the causal flow arc, for the
- * top-level call of a chain) on *every* exit path of doCall - error
- * unwinds, timeouts and crashed servers included - so the profiler
- * always sees a well-bracketed request.
- */
-struct CallSpanCloser
-{
-    trace::Tracer &tr;
-    hw::Core &core;
-    uint32_t lane;
-    uint64_t flowId;
-    bool top;
-    bool active;
-    /** Filled by the time doCall returns; stamped as the request's
-     *  terminal outcome (critpath.py --top groups requests by it). */
-    const XpcCallOutcome *out = nullptr;
-    /** Caller's tenant; stamped (non-default only, so single-tenant
-     *  traces are unchanged) for critpath.py's per-tenant column. */
-    kernel::TenantId tenant = kernel::defaultTenant;
-    /** Caller's criticality tier; stamped (non-default only, so
-     *  untiered traces are unchanged) for the brownout timelines. */
-    req::Criticality tier = req::Criticality::Default;
-
-    ~CallSpanCloser()
-    {
-        if (top && out) {
-            tr.instantNow("xpc", "outcome", lane,
-                          kernel::callStatusName(out->status));
-            if (tenant != kernel::defaultTenant)
-                tr.instantNow("xpc", "tenant", lane,
-                              std::to_string(tenant));
-            if (tier != req::Criticality::Default)
-                tr.instantNow("xpc", "tier", lane,
-                              req::criticalityName(tier));
-        }
-        if (!active)
-            return;
-        uint64_t now = core.now().value();
-        if (top)
-            tr.flow(trace::EventKind::FlowEnd, "xpc", "req", flowId,
-                    now, lane);
-        tr.end("xpc", "call", now, lane);
-    }
-};
-
-} // namespace
-
 XpcCallOutcome
 XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
                    uint64_t req_len, uint32_t caller_lane,
@@ -432,20 +382,8 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
 
     auto &tr = trace::Tracer::global();
     Cycles start = core.now();
-    if (tr.enabled()) {
-        tr.begin("xpc", "call", start.value(), caller_lane);
-        // The flow arc: starts at the chain's first call, steps
-        // through each nested hop, closes where the chain returns.
-        tr.flow(rscope.topLevel() ? trace::EventKind::FlowStart
-                                  : trace::EventKind::FlowStep,
-                "xpc", "req", rscope.id(), start.value(), caller_lane);
-    }
-    CallSpanCloser closer{tr,          core,
-                          caller_lane, rscope.id(),
-                          rscope.topLevel(), tr.enabled(),
-                          &out,        caller_tenant,
-                          req::RequestContext::global()
-                              .currentCriticality()};
+    kernel::CallSpan span("xpc", "call", core, caller_lane, rscope,
+                          caller_tenant, out.status);
 
     if (deadline != 0 && core.now().value() >= deadline) {
         // Already out of budget (an upstream hop burned it all):
@@ -614,18 +552,11 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
     out.handlerCycles = core.now() - h0;
     if (inj)
         inj->clearHandoffMutation();
-    if (tr.enabled()) {
-        // The migrating-thread model: the handler ran on the caller's
-        // core, but it is *server* work - put the span on the server
-        // thread's lane and step the flow arc through it, so Perfetto
-        // renders the hop from client to server.
-        uint32_t hlane = req::threadLane(
-            uint32_t(state.handlerThread->id()));
-        tr.begin("xpc", "handler", h0.value(), hlane);
-        tr.flow(trace::EventKind::FlowStep, "xpc", "req", rscope.id(),
-                h0.value(), hlane);
-        tr.end("xpc", "handler", core.now().value(), hlane);
-    }
+    // The migrating-thread model: the handler ran on the caller's
+    // core, but it is *server* work - its span goes on the server
+    // thread's lane.
+    span.handler(h0, core.now(),
+                 req::threadLane(uint32_t(state.handlerThread->id())));
 
     if (!server_died && deadline != 0 &&
         core.now().value() >= deadline) {

@@ -62,21 +62,12 @@ struct XpcRuntimeOptions
     Cycles deadlineCycles{0};
 };
 
-/** Outcome of one xpcCall. */
-struct XpcCallOutcome
+/** Outcome of one xpcCall: a call outcome plus the engine's view. */
+struct XpcCallOutcome : kernel::CallOutcome
 {
-    bool ok = false;
-    /** Why the call failed (Ok when it did not). */
-    kernel::CallStatus status = kernel::CallStatus::Ok;
     /** The kernel's timeout fired and forced the unwind (6.1). */
     bool timedOut = false;
     engine::XpcException exc = engine::XpcException::None;
-    uint64_t replyLen = 0;
-    /** Cycles until the handler saw the request. */
-    Cycles oneWay;
-    Cycles roundTrip;
-    /** Cycles spent inside the handler (not IPC overhead). */
-    Cycles handlerCycles;
 };
 
 /** Handler signature: runs under the migrating-thread model. */

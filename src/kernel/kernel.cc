@@ -1,8 +1,97 @@
 #include "kernel.hh"
 
+#include <cstring>
+
+#include "sim/fault_injector.hh"
 #include "sim/logging.hh"
 
 namespace xpc::kernel {
+
+CallSpan::CallSpan(const char *cat, const char *name, hw::Core &core,
+                   uint32_t lane, const req::RequestScope &rscope,
+                   TenantId tenant, const CallStatus &status)
+    : tr(trace::Tracer::global()), cat(cat), name(name), core(core),
+      lane(lane), flowId(rscope.id()), top(rscope.topLevel()),
+      active(tr.enabled()), tenant(tenant),
+      tier(req::RequestContext::global().currentCriticality()),
+      status(status)
+{
+    if (!active)
+        return;
+    uint64_t now = core.now().value();
+    tr.begin(cat, name, now, lane);
+    tr.flow(top ? trace::EventKind::FlowStart : trace::EventKind::FlowStep,
+            cat, "req", flowId, now, lane);
+}
+
+CallSpan::~CallSpan()
+{
+    if (top) {
+        tr.instantNow(cat, "outcome", lane, callStatusName(status));
+        if (tenant != defaultTenant)
+            tr.instantNow(cat, "tenant", lane, std::to_string(tenant));
+        if (tier != req::Criticality::Default)
+            tr.instantNow(cat, "tier", lane, req::criticalityName(tier));
+    }
+    if (!active)
+        return;
+    uint64_t now = core.now().value();
+    if (top)
+        tr.flow(trace::EventKind::FlowEnd, cat, "req", flowId, now, lane);
+    tr.end(cat, name, now, lane);
+}
+
+void
+CallSpan::handler(Cycles h0, Cycles end, uint32_t server_lane) const
+{
+    if (!tr.enabled())
+        return;
+    tr.begin(cat, "handler", h0.value(), server_lane);
+    tr.flow(trace::EventKind::FlowStep, cat, "req", flowId, h0.value(),
+            server_lane);
+    tr.end(cat, "handler", end.value(), server_lane);
+}
+
+void
+ServerCall::setReplyLen(uint64_t len)
+{
+    panic_if(len > replyCapacity, "reply longer than client buffer");
+    replyLen = len;
+}
+
+bool
+ServerCall::readServer(VAddr va, void *dst, uint64_t len)
+{
+    if (kern.userRead(coreRef, *server.process(), va, dst, len).ok)
+        return true;
+    std::memset(dst, 0, len);
+    fail(CallStatus::CopyFault);
+    return false;
+}
+
+void
+ServerCall::writeServer(VAddr va, const void *src, uint64_t len)
+{
+    if (!kern.userWrite(coreRef, *server.process(), va, src, len).ok)
+        fail(CallStatus::CopyFault);
+}
+
+void
+ServerCall::fetchRequest(VAddr va, void *dst, uint64_t len)
+{
+    if (!readServer(va, dst, len) || len == 0)
+        return;
+    FaultInjector *inj = kern.machine().faultInjector();
+    if (!inj || !inj->noteServerRead())
+        return;
+    uint64_t n = len < 8 ? len : 8;
+    uint8_t tmp[8];
+    if (!kern.userRead(coreRef, *server.process(), va, tmp, n).ok)
+        return;
+    for (uint64_t i = 0; i < n; i++)
+        tmp[i] ^= 0xA5;
+    kern.userWrite(coreRef, *server.process(), va, tmp, n);
+}
 
 Process::Process(ProcessId id, std::string name, hw::Machine &machine)
     : procId(id), procName(std::move(name)),

@@ -8,53 +8,8 @@
 
 namespace xpc::kernel {
 
-namespace {
-
-/** Closes the outer "sel4.call" span (and, for top-level calls, the
- *  causal flow arc) on every exit path, abort unwinds included. */
-struct Sel4SpanCloser
-{
-    trace::Tracer &tr;
-    hw::Core &core;
-    uint32_t lane;
-    uint64_t flowId;
-    bool top;
-    bool active;
-    /** The request's terminal outcome, stamped as an instant for
-     *  critpath.py's --top outcome column. */
-    const Sel4CallOutcome *out = nullptr;
-    /** Caller's tenant; stamped (non-default only, so single-tenant
-     *  traces are unchanged) for critpath.py's per-tenant column. */
-    TenantId tenant = defaultTenant;
-    /** Caller's criticality tier; stamped (non-default only, so
-     *  untiered traces are unchanged) for the brownout timelines. */
-    req::Criticality tier = req::Criticality::Default;
-
-    ~Sel4SpanCloser()
-    {
-        if (top && out) {
-            tr.instantNow("sel4", "outcome", lane,
-                          callStatusName(out->status));
-            if (tenant != defaultTenant)
-                tr.instantNow("sel4", "tenant", lane,
-                              std::to_string(tenant));
-            if (tier != req::Criticality::Default)
-                tr.instantNow("sel4", "tier", lane,
-                              req::criticalityName(tier));
-        }
-        if (!active)
-            return;
-        uint64_t now = core.now().value();
-        if (top)
-            tr.flow(trace::EventKind::FlowEnd, "sel4", "req", flowId,
-                    now, lane);
-        tr.end("sel4", "call", now, lane);
-    }
-};
-
-} // namespace
-
-Sel4Kernel::Sel4Kernel(hw::Machine &machine) : Kernel(machine)
+Sel4Kernel::Sel4Kernel(hw::Machine &machine, LongMsgMode port_mode)
+    : Kernel(machine), portMode(port_mode)
 {
     stats.setName("sel4");
     stats.addCounter("fastpath_calls", &fastpathCalls);
@@ -116,65 +71,34 @@ Sel4Kernel::sharedFor(Endpoint &ep, Thread &client)
     return ep.shared.emplace(client.id(), buf).first->second;
 }
 
+Sel4ServerCall::Sel4ServerCall(Sel4Kernel &k, hw::Core &c, Thread &s)
+    : ServerCall(k, c, s)
+{
+}
+
+Sel4Kernel &
+Sel4ServerCall::kernel()
+{
+    return static_cast<Sel4Kernel &>(kern);
+}
+
 void
 Sel4ServerCall::readRequest(uint64_t off, void *dst, uint64_t len)
 {
     panic_if(off + len > reqCapacity, "request read out of bounds");
     if (len == 0)
         return; // memcpy on a null dst is UB even for zero bytes
-    switch (mode) {
-      case Mode::Registers:
-        std::memcpy(dst, regs + off, len);
-        hostileRewrite(off, len);
-        return;
-      case Mode::IpcBuffer:
-      case Mode::Shared: {
-        VAddr src = (mode == Mode::Shared &&
-                     longMode == LongMsgMode::OneCopy)
-                        ? sharedVa
-                        : serverBufVa;
-        auto res = owner.userRead(coreRef, *server.process(), src + off,
-                                  dst, len);
-        if (!res.ok) {
-            // Deterministic garbage for the handler; the kernel
-            // aborts the reply once the handler returns.
-            std::memset(dst, 0, len);
-            fail(CallStatus::CopyFault);
-            return;
-        }
-        hostileRewrite(off, len);
-        return;
-      }
-    }
-}
-
-void
-Sel4ServerCall::hostileRewrite(uint64_t off, uint64_t len)
-{
-    FaultInjector *inj = owner.machine().faultInjector();
-    if (!inj || !inj->noteServerRead())
-        return;
-    // The peer rewrites the field the handler just fetched, in the
-    // source representation, so a second fetch of the same bytes
-    // disagrees with the first (the TOCTOU double-fetch hazard).
-    uint64_t n = len < 8 ? len : 8;
     if (mode == Mode::Registers) {
-        for (uint64_t i = 0; i < n; i++)
-            regs[off + i] ^= 0xA5;
+        std::memcpy(dst, regs + off, len);
+        // MutateAfterHandoff in the register file itself.
+        FaultInjector *inj = kern.machine().faultInjector();
+        if (inj && inj->noteServerRead()) {
+            for (uint64_t i = 0; i < len && i < 8; i++)
+                regs[off + i] ^= 0xA5;
+        }
         return;
     }
-    VAddr src =
-        (mode == Mode::Shared && longMode == LongMsgMode::OneCopy)
-            ? sharedVa
-            : serverBufVa;
-    uint8_t tmp[8];
-    auto res = owner.userRead(coreRef, *server.process(), src + off,
-                              tmp, n);
-    if (!res.ok)
-        return;
-    for (uint64_t i = 0; i < n; i++)
-        tmp[i] ^= 0xA5;
-    owner.userWrite(coreRef, *server.process(), src + off, tmp, n);
+    fetchRequest(requestVa() + off, dst, len);
 }
 
 void
@@ -184,23 +108,11 @@ Sel4ServerCall::writeRequest(uint64_t off, const void *src,
     panic_if(off + len > reqCapacity, "request write out of bounds");
     if (len == 0)
         return;
-    switch (mode) {
-      case Mode::Registers:
+    if (mode == Mode::Registers) {
         std::memcpy(regs + off, src, len);
         return;
-      case Mode::IpcBuffer:
-      case Mode::Shared: {
-        VAddr dst = (mode == Mode::Shared &&
-                     longMode == LongMsgMode::OneCopy)
-                        ? sharedVa
-                        : serverBufVa;
-        auto res = owner.userWrite(coreRef, *server.process(),
-                                   dst + off, src, len);
-        if (!res.ok)
-            fail(CallStatus::CopyFault);
-        return;
-      }
     }
+    writeServer(requestVa() + off, src, len);
 }
 
 void
@@ -213,31 +125,17 @@ Sel4ServerCall::writeReply(uint64_t off, const void *src, uint64_t len)
     if (replyLen < off + len)
         replyLen = off + len;
 
-    if (!replyInBuffer && replyLen <= owner.params.regMsgMax) {
+    if (!replyInBuffer && replyLen <= kernel().params.regMsgMax) {
         std::memcpy(regsReply + off, src, len);
         return;
     }
     if (!replyInBuffer) {
         // The reply outgrew the registers: migrate what was staged.
-        if (prev > 0) {
-            auto res = owner.userWrite(coreRef, *server.process(),
-                                       replyDst(), regsReply, prev);
-            if (!res.ok)
-                fail(CallStatus::CopyFault);
-        }
+        if (prev > 0)
+            writeServer(replyDst(), regsReply, prev);
         replyInBuffer = true;
     }
-    auto res = owner.userWrite(coreRef, *server.process(),
-                               replyDst() + off, src, len);
-    if (!res.ok)
-        fail(CallStatus::CopyFault);
-}
-
-void
-Sel4ServerCall::setReplyLen(uint64_t len)
-{
-    panic_if(len > replyCapacity, "reply longer than client buffer");
-    replyLen = len;
+    writeServer(replyDst() + off, src, len);
 }
 
 void
@@ -250,20 +148,15 @@ Sel4ServerCall::readReply(uint64_t off, void *dst, uint64_t len)
         std::memcpy(dst, regsReply + off, len);
         return;
     }
-    auto res = owner.userRead(coreRef, *server.process(),
-                              replyDst() + off, dst, len);
-    if (!res.ok) {
-        std::memset(dst, 0, len);
-        fail(CallStatus::CopyFault);
-    }
+    readServer(replyDst() + off, dst, len);
 }
 
-Sel4CallOutcome
+CallOutcome
 Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
                  uint64_t opcode, VAddr req_va, uint64_t req_len,
                  VAddr reply_va, uint64_t reply_cap, LongMsgMode mode)
 {
-    Sel4CallOutcome out;
+    CallOutcome out;
     panic_if(ep_id >= endpoints.size(), "no such endpoint %lu",
              (unsigned long)ep_id);
     Endpoint &ep = endpoints[ep_id];
@@ -304,18 +197,8 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
     uint32_t clane = req::threadLane(uint32_t(client.id()));
 
     Cycles start = core.now();
-    if (tr.enabled()) {
-        tr.begin("sel4", "call", start.value(), clane);
-        tr.flow(rscope.topLevel() ? trace::EventKind::FlowStart
-                                  : trace::EventKind::FlowStep,
-                "sel4", "req", rscope.id(), start.value(), clane);
-    }
-    Sel4SpanCloser closer{tr,          core,
-                          clane,       rscope.id(),
-                          rscope.topLevel(), tr.enabled(),
-                          &out,        client.tenant,
-                          req::RequestContext::global()
-                              .currentCriticality()};
+    CallSpan span("sel4", "call", core, clane, rscope, client.tenant,
+                  out.status);
 
     // Abandon the call: if the kernel already switched to the server,
     // charge the bare return IPC before surfacing the error.
@@ -349,6 +232,9 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
 
     Sel4Phases phases;
     bool cross_core = ep.server->sched.homeCore != core.id();
+    // A cross-core call runs the handler on the server's home core.
+    hw::Core &handler_core =
+        cross_core ? mach.core(ep.server->sched.homeCore) : core;
     bool medium = req_len > params.regMsgMax &&
                   req_len <= params.ipcBufMax;
     bool large = req_len > params.ipcBufMax;
@@ -361,7 +247,7 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
     // into the shared window; this happens in user mode before the
     // syscall (the paper's "Message Transfer" phase).
     Cycles t0 = core.now();
-    Sel4ServerCall call_ctx(*this, core, *ep.server);
+    Sel4ServerCall call_ctx(*this, handler_core, *ep.server);
     call_ctx.client = &client;
     call_ctx.op = opcode;
     call_ctx.reqLen = req_len;
@@ -497,8 +383,6 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
 
     // Two-copy discipline: in user mode, the server copies the
     // message to private memory before using it.
-    hw::Core &handler_core =
-        cross_core ? mach.core(ep.server->sched.homeCore) : core;
     if (cross_core)
         handler_core.syncTo(core.now());
     t0 = handler_core.now();
@@ -543,11 +427,7 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
             if (call_ctx.mode == Sel4ServerCall::Mode::Registers) {
                 call_ctx.regs[at] ^= flip;
             } else {
-                VAddr va =
-                    (call_ctx.mode == Sel4ServerCall::Mode::Shared &&
-                     mode == LongMsgMode::OneCopy)
-                        ? call_ctx.sharedVa
-                        : call_ctx.serverBufVa;
+                VAddr va = call_ctx.requestVa();
                 uint8_t b = 0;
                 if (userRead(core, *ep.server->process(), va + at, &b,
                              1)
@@ -580,68 +460,28 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
         slow_factor = fault->arg > 1 ? fault->arg : 2;
         inj->recordFired(*fault);
     }
-    auto run_handler = [&](hw::Core &hcore, Sel4ServerCall &ctx) {
+    Cycles h0 = handler_core.now();
+    {
+        req::PhaseScope phase(uint32_t(Phase::Handler));
         if (stall_injected) {
             // Busy-loop past the deadline; no reply is produced.
-            uint64_t now = hcore.now().value();
-            hcore.spend(Cycles(
+            uint64_t now = handler_core.now().value();
+            handler_core.spend(Cycles(
                 (deadline > now ? deadline - now : 0) + 1000));
-            return;
+        } else {
+            ep.handler(call_ctx);
+            if (slow_factor > 1)
+                handler_core.spend((handler_core.now() - h0) *
+                                   (slow_factor - 1));
         }
-        Cycles h0 = hcore.now();
-        ep.handler(ctx);
-        if (slow_factor > 1)
-            hcore.spend((hcore.now() - h0) * (slow_factor - 1));
-    };
-
-    uint32_t hlane = req::threadLane(uint32_t(ep.server->id()));
+    }
+    out.handlerCycles = handler_core.now() - h0;
+    span.handler(h0, handler_core.now(),
+                 req::threadLane(uint32_t(ep.server->id())));
     if (cross_core) {
-        Sel4ServerCall remote(*this, handler_core, *ep.server);
-        remote.client = &client;
-        remote.op = call_ctx.op;
-        remote.reqLen = call_ctx.reqLen;
-        remote.reqCapacity = call_ctx.reqCapacity;
-        remote.replyCapacity = call_ctx.replyCapacity;
-        remote.longMode = call_ctx.longMode;
-        remote.mode = call_ctx.mode;
-        std::memcpy(remote.regs, call_ctx.regs, sizeof(remote.regs));
-        remote.serverBufVa = call_ctx.serverBufVa;
-        remote.sharedVa = call_ctx.sharedVa;
-        remote.replySharedVa = call_ctx.replySharedVa;
-        Cycles h0 = handler_core.now();
-        {
-            req::PhaseScope phase(uint32_t(Phase::Handler));
-            run_handler(handler_core, remote);
-        }
-        out.handlerCycles = handler_core.now() - h0;
-        if (tr.enabled()) {
-            tr.begin("sel4", "handler", h0.value(), hlane);
-            tr.flow(trace::EventKind::FlowStep, "sel4", "req",
-                    rscope.id(), h0.value(), hlane);
-            tr.end("sel4", "handler", handler_core.now().value(),
-                   hlane);
-        }
-        call_ctx.replyLen = remote.replyLen;
-        call_ctx.replyInBuffer = remote.replyInBuffer;
-        call_ctx.failStatus = remote.failStatus;
-        std::memcpy(call_ctx.regsReply, remote.regsReply,
-                    sizeof(remote.regsReply));
         mach.sendIpi(handler_core.id(), core.id());
         core.syncTo(handler_core.now());
         core.spend(costs.remoteWake);
-    } else {
-        Cycles h0 = core.now();
-        {
-            req::PhaseScope phase(uint32_t(Phase::Handler));
-            run_handler(core, call_ctx);
-        }
-        out.handlerCycles = core.now() - h0;
-        if (tr.enabled()) {
-            tr.begin("sel4", "handler", h0.value(), hlane);
-            tr.flow(trace::EventKind::FlowStep, "sel4", "req",
-                    rscope.id(), h0.value(), hlane);
-            tr.end("sel4", "handler", core.now().value(), hlane);
-        }
     }
 
     if (inj)

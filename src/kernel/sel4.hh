@@ -70,67 +70,29 @@ struct Sel4Params
 class Sel4Kernel;
 
 /**
- * The server's view of one in-progress call; passed to the endpoint
- * handler. All request/reply access is charged to the executing core
- * and respects the transfer mode of the message.
+ * The endpoint handler's view of one call. Bytes live in message
+ * registers, the server's IPC buffer or the shared window, depending
+ * on the message size and the long-message discipline.
  */
-class Sel4ServerCall
+class Sel4ServerCall : public ServerCall
 {
   public:
-    uint64_t opcode() const { return op; }
-    uint64_t requestLen() const { return reqLen; }
+    void readRequest(uint64_t off, void *dst, uint64_t len) override;
+    void writeRequest(uint64_t off, const void *src,
+                      uint64_t len) override;
+    void writeReply(uint64_t off, const void *src,
+                    uint64_t len) override;
+    void readReply(uint64_t off, void *dst, uint64_t len) override;
 
-    /** Charged read of request bytes. */
-    void readRequest(uint64_t off, void *dst, uint64_t len);
-    /** Charged in-place update of the request (handover plumbing). */
-    void writeRequest(uint64_t off, const void *src, uint64_t len);
-    /** Charged write of reply bytes. */
-    void writeReply(uint64_t off, const void *src, uint64_t len);
-    void setReplyLen(uint64_t len);
-
-    /** Reply bytes staged so far (envelope sealing reads them back). */
-    uint64_t replyBytes() const { return replyLen; }
-    /** Charged read-back of staged reply bytes (envelope sealing). */
-    void readReply(uint64_t off, void *dst, uint64_t len);
-
-    hw::Core &core() { return coreRef; }
-    Thread &serverThread() { return server; }
-    /** The calling thread (the kernel knows its IPC partner). */
-    Thread *callerThread() { return client; }
-    Sel4Kernel &kernel() { return owner; }
-
-    /**
-     * Mark the whole invocation failed (a nested call the handler
-     * depended on went wrong, or a message access faulted). The
-     * kernel aborts the reply and surfaces @p status to the caller.
-     */
-    void fail(CallStatus status) { failStatus = status; }
-    CallStatus failStatus = CallStatus::Ok;
+    Sel4Kernel &kernel();
 
   private:
     friend class Sel4Kernel;
 
     enum class Mode { Registers, IpcBuffer, Shared };
 
-    Sel4ServerCall(Sel4Kernel &k, hw::Core &c, Thread &s)
-        : owner(k), coreRef(c), server(s)
-    {}
+    Sel4ServerCall(Sel4Kernel &k, hw::Core &c, Thread &s);
 
-    /** MutateAfterHandoff: the hostile peer rewrites the bytes the
-     *  handler just fetched, in the *source* representation. */
-    void hostileRewrite(uint64_t off, uint64_t len);
-
-    Sel4Kernel &owner;
-    hw::Core &coreRef;
-    Thread &server;
-    Thread *client = nullptr;
-    uint64_t op = 0;
-    uint64_t reqLen = 0;
-    /** Writable extent of the request representation (the handler
-     *  may build forwarded messages beyond reqLen, up to here). */
-    uint64_t reqCapacity = 0;
-    uint64_t replyLen = 0;
-    uint64_t replyCapacity = 0;
     Mode mode = Mode::Registers;
     LongMsgMode longMode = LongMsgMode::TwoCopy;
     /** Registers-mode staging (host memory = register file). */
@@ -145,25 +107,20 @@ class Sel4ServerCall
     /** True once the reply outgrew the message registers. */
     bool replyInBuffer = false;
 
+    /** Server VA of the request bytes in the buffer modes. */
+    VAddr
+    requestVa() const
+    {
+        return mode == Mode::Shared && longMode == LongMsgMode::OneCopy
+                   ? sharedVa
+                   : serverBufVa;
+    }
+
     VAddr
     replyDst() const
     {
         return replySharedVa ? replySharedVa : serverBufVa;
     }
-};
-
-/** Outcome of a synchronous call. */
-struct Sel4CallOutcome
-{
-    bool ok = false;
-    CallStatus status = CallStatus::Ok;
-    uint64_t replyLen = 0;
-    /** Cycles from invocation until the server saw the request. */
-    Cycles oneWay;
-    /** Full round-trip cycles on the client core. */
-    Cycles roundTrip;
-    /** Cycles spent inside the server handler (not IPC overhead). */
-    Cycles handlerCycles;
 };
 
 /** seL4-like microkernel personality. */
@@ -172,7 +129,9 @@ class Sel4Kernel : public Kernel
   public:
     using Handler = std::function<void(Sel4ServerCall &)>;
 
-    explicit Sel4Kernel(hw::Machine &machine);
+    /** @param port_mode long-message discipline of callPort. */
+    explicit Sel4Kernel(hw::Machine &machine,
+                        LongMsgMode port_mode = LongMsgMode::TwoCopy);
 
     Sel4Params params;
 
@@ -186,10 +145,31 @@ class Sel4Kernel : public Kernel
      * Synchronous call: request bytes at @p req_va (client VA), reply
      * delivered to @p reply_va (client VA, capacity @p reply_cap).
      */
-    Sel4CallOutcome call(hw::Core &core, Thread &client, uint64_t ep,
-                         uint64_t opcode, VAddr req_va, uint64_t req_len,
-                         VAddr reply_va, uint64_t reply_cap,
-                         LongMsgMode mode = LongMsgMode::TwoCopy);
+    CallOutcome call(hw::Core &core, Thread &client, uint64_t ep,
+                     uint64_t opcode, VAddr req_va, uint64_t req_len,
+                     VAddr reply_va, uint64_t reply_cap,
+                     LongMsgMode mode = LongMsgMode::TwoCopy);
+
+    uint64_t
+    createPort(Thread &server, PortHandler handler) override
+    {
+        return createEndpoint(server, std::move(handler));
+    }
+
+    void
+    grantPort(Thread &client, uint64_t port) override
+    {
+        grantEndpointCap(client, port);
+    }
+
+    CallOutcome
+    callPort(hw::Core &core, Thread &client, uint64_t port,
+             uint64_t opcode, VAddr req_va, uint64_t req_len,
+             VAddr reply_va, uint64_t reply_cap) override
+    {
+        return call(core, client, port, opcode, req_va, req_len,
+                    reply_va, reply_cap, portMode);
+    }
 
     /** Phase breakdown of the most recent fast-path call (Table 1). */
     Sel4Phases lastPhases;
@@ -202,6 +182,8 @@ class Sel4Kernel : public Kernel
     Counter crossCoreCalls;
 
   private:
+    const LongMsgMode portMode;
+
     struct SharedBuf
     {
         VAddr clientVa = 0;
@@ -225,7 +207,6 @@ class Sel4Kernel : public Kernel
     std::map<std::pair<ThreadId, uint64_t>, bool> endpointCaps;
 
     SharedBuf &sharedFor(Endpoint &ep, Thread &client);
-    friend class Sel4ServerCall;
 };
 
 } // namespace xpc::kernel

@@ -39,68 +39,25 @@ struct ZirconParams
 
 class ZirconKernel;
 
-/** Server-side view of one received channel message. */
-class ZirconServerCall
+/** Server-side view of one received channel message: the bytes live
+ *  in the server's private request and reply buffers. */
+class ZirconServerCall : public ServerCall
 {
   public:
-    uint64_t opcode() const { return op; }
-    uint64_t requestLen() const { return reqLen; }
-
-    /** Charged read from the server's private message buffer. */
-    void readRequest(uint64_t off, void *dst, uint64_t len);
-    /** Charged in-place update of the request (handover plumbing). */
-    void writeRequest(uint64_t off, const void *src, uint64_t len);
-    /** Charged write into the server's private reply buffer. */
-    void writeReply(uint64_t off, const void *src, uint64_t len);
-    void setReplyLen(uint64_t len);
-
-    /** Reply bytes staged so far (envelope sealing reads them back). */
-    uint64_t replyBytes() const { return replyLen; }
-    /** Charged read-back of staged reply bytes (envelope sealing). */
-    void readReply(uint64_t off, void *dst, uint64_t len);
-
-    hw::Core &core() { return coreRef; }
-    Thread &serverThread() { return server; }
-    /** The calling thread (channel peer). */
-    Thread *callerThread() { return client; }
-
-    /** Mark the whole invocation failed (see Sel4ServerCall::fail). */
-    void fail(CallStatus status) { failStatus = status; }
-    CallStatus failStatus = CallStatus::Ok;
+    void readRequest(uint64_t off, void *dst, uint64_t len) override;
+    void writeRequest(uint64_t off, const void *src,
+                      uint64_t len) override;
+    void writeReply(uint64_t off, const void *src,
+                    uint64_t len) override;
+    void readReply(uint64_t off, void *dst, uint64_t len) override;
 
   private:
     friend class ZirconKernel;
 
-    ZirconServerCall(ZirconKernel &k, hw::Core &c, Thread &s)
-        : owner(k), coreRef(c), server(s)
-    {}
+    ZirconServerCall(ZirconKernel &k, hw::Core &c, Thread &s);
 
-    /** MutateAfterHandoff: the hostile peer rewrites the bytes the
-     *  handler just fetched, in the server's request buffer. */
-    void hostileRewrite(uint64_t off, uint64_t len);
-
-    ZirconKernel &owner;
-    hw::Core &coreRef;
-    Thread &server;
-    Thread *client = nullptr;
-    uint64_t op = 0;
-    uint64_t reqLen = 0;
-    uint64_t replyLen = 0;
-    uint64_t replyCapacity = 0;
     VAddr reqVa = 0;   ///< server-private request buffer
     VAddr replyVa = 0; ///< server-private reply buffer
-};
-
-/** Outcome of a synchronous (write + wait + read) channel call. */
-struct ZirconCallOutcome
-{
-    bool ok = false;
-    CallStatus status = CallStatus::Ok;
-    uint64_t replyLen = 0;
-    Cycles oneWay;
-    Cycles roundTrip;
-    /** Cycles spent inside the server handler (not IPC overhead). */
-    Cycles handlerCycles;
 };
 
 /** Zircon-like kernel personality. */
@@ -120,10 +77,27 @@ class ZirconKernel : public Kernel
      * Synchronous call over channel @p ch: write request, block on
      * the reply, read it back into @p reply_va.
      */
-    ZirconCallOutcome call(hw::Core &core, Thread &client, uint64_t ch,
-                           uint64_t opcode, VAddr req_va,
-                           uint64_t req_len, VAddr reply_va,
-                           uint64_t reply_cap);
+    CallOutcome call(hw::Core &core, Thread &client, uint64_t ch,
+                     uint64_t opcode, VAddr req_va, uint64_t req_len,
+                     VAddr reply_va, uint64_t reply_cap);
+
+    uint64_t
+    createPort(Thread &server, PortHandler handler) override
+    {
+        return createChannel(server, std::move(handler));
+    }
+
+    /** Holding the channel id is the capability: nothing to grant. */
+    void grantPort(Thread &, uint64_t) override {}
+
+    CallOutcome
+    callPort(hw::Core &core, Thread &client, uint64_t port,
+             uint64_t opcode, VAddr req_va, uint64_t req_len,
+             VAddr reply_va, uint64_t reply_cap) override
+    {
+        return call(core, client, port, opcode, req_va, req_len,
+                    reply_va, reply_cap);
+    }
 
     Counter channelMsgs;
 
@@ -148,8 +122,6 @@ class ZirconKernel : public Kernel
 
     /** One zx_channel syscall's fixed cost. */
     void chargeSyscall(hw::Core &core);
-
-    friend class ZirconServerCall;
 };
 
 } // namespace xpc::kernel

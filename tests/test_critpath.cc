@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "core/system.hh"
 #include "core/transport.hh"
@@ -208,6 +212,149 @@ TEST_F(CritPathTest, TransportCallsCloseOnEveryKernel)
         EXPECT_TRUE(r.flowClosed);
         EXPECT_GE(r.lanes, 2u);
         expectExact(r);
+    }
+}
+
+/**
+ * One scripted scenario through the Transport layer, traced:
+ *   1. a tenant-1 client calls "front" under the Critical tier, and
+ *      front hands bytes [64, 128) of the request over to "back";
+ *   2. tenancy enforcement refuses the client's call into tenant 2;
+ *   3. a call to "slow" overruns the system's deadline budget.
+ * @return the Chrome-trace export without its thread_name metadata,
+ *         which comes from the tracer's process-wide lane map and so
+ *         depends on which tests ran earlier in the process.
+ */
+std::string
+goldenScenarioTrace(core::SystemFlavor flavor)
+{
+    core::SystemOptions opts;
+    opts.flavor = flavor;
+    opts.deadlineCycles = Cycles(200000);
+    core::System sys(opts);
+    core::Transport &tr = sys.transport();
+    tr.enforceTenancy = true;
+
+    kernel::Thread &back_t = sys.spawn("back", 0, 1);
+    kernel::Thread &front_t = sys.spawn("front", 0, 1);
+    kernel::Thread &slow_t = sys.spawn("slow", 0, 1);
+    kernel::Thread &other_t = sys.spawn("other", 0, 2);
+    kernel::Thread &client = sys.spawn("client", 0, 1);
+
+    core::ServiceDesc bd;
+    bd.name = "back";
+    bd.handlerThread = &back_t;
+    core::ServiceId back =
+        tr.registerService(bd, [](core::ServerApi &api) {
+            std::vector<uint8_t> buf(api.requestLen());
+            api.readRequest(0, buf.data(), buf.size());
+            for (auto &b : buf)
+                b = uint8_t(b + 1);
+            api.writeReply(0, buf.data(), buf.size());
+            api.setReplyLen(buf.size());
+        });
+    core::ServiceDesc fd;
+    fd.name = "front";
+    fd.handlerThread = &front_t;
+    fd.callees = {back};
+    core::ServiceId front =
+        tr.registerService(fd, [back](core::ServerApi &api) {
+            api.callService(back, 1, 64, 64);
+            api.replyFromRequest(0, api.requestLen());
+        });
+    core::ServiceDesc sd;
+    sd.name = "slow";
+    sd.handlerThread = &slow_t;
+    core::ServiceId slow =
+        tr.registerService(sd, [](core::ServerApi &api) {
+            api.core().spend(Cycles(400000));
+            api.setReplyLen(0);
+        });
+    core::ServiceDesc od;
+    od.name = "other";
+    od.handlerThread = &other_t;
+    core::ServiceId other = tr.registerService(
+        od, [](core::ServerApi &api) { api.setReplyLen(0); });
+    tr.connect(client, front);
+    tr.connect(front_t, back);
+    tr.connect(client, slow);
+
+    hw::Core &core = sys.core(0);
+    tr.requestArea(core, client, 4096);
+    std::vector<uint8_t> msg(256);
+    for (size_t i = 0; i < msg.size(); i++)
+        msg[i] = uint8_t(i * 7);
+
+    trace::Tracer &tracer = trace::Tracer::global();
+    tracer.clear();
+    req::RequestContext::global().reset();
+    {
+        req::CriticalityScope tier(req::Criticality::Critical);
+        EXPECT_TRUE(
+            tr.clientWrite(core, client, 0, msg.data(), msg.size()));
+        core::CallResult r =
+            tr.call(core, client, front, 0, msg.size(), 4096);
+        EXPECT_TRUE(r.ok);
+        EXPECT_EQ(r.replyLen, msg.size());
+    }
+    core::CallResult denied = tr.call(core, client, other, 0, 0, 64);
+    EXPECT_EQ(denied.status, core::TransportStatus::NoCapability);
+    core::CallResult late = tr.call(core, client, slow, 0, 16, 64);
+    EXPECT_EQ(late.status, core::TransportStatus::DeadlineExpired);
+
+    std::ostringstream os;
+    tracer.exportChromeJson(os);
+    std::istringstream in(os.str());
+    std::string out, line;
+    while (std::getline(in, line)) {
+        if (line.find("\"name\":\"thread_name\"") == std::string::npos)
+            out += line + "\n";
+    }
+    return out;
+}
+
+TEST_F(CritPathTest, CallSpansMatchGoldenOnEveryFlavor)
+{
+    // Byte-for-byte span, flow and instant stream of the scenario
+    // above, pinned per flavor under tests/golden/. A mismatch
+    // writes the new export next to the test binary as
+    // callspan_<flavor>.actual.json; copy it over the golden only
+    // when the change to the trace is intended.
+    const core::SystemFlavor flavors[] = {
+        core::SystemFlavor::Sel4TwoCopy, core::SystemFlavor::Sel4OneCopy,
+        core::SystemFlavor::Sel4Xpc,     core::SystemFlavor::Zircon,
+        core::SystemFlavor::ZirconXpc,
+    };
+    for (auto flavor : flavors) {
+        std::string name = core::systemFlavorName(flavor);
+        SCOPED_TRACE(name);
+        std::string actual = goldenScenarioTrace(flavor);
+
+        std::string path =
+            std::string(XPC_GOLDEN_DIR) + "/callspan_" + name + ".json";
+        std::ifstream gf(path);
+        EXPECT_TRUE(gf.good()) << "missing golden " << path;
+        std::stringstream golden;
+        golden << gf.rdbuf();
+        if (golden.str() == actual)
+            continue;
+
+        std::ofstream("callspan_" + name + ".actual.json") << actual;
+        std::istringstream want(golden.str()), got(actual);
+        std::string w, g;
+        for (int n = 1;; n++) {
+            bool more_w = bool(std::getline(want, w));
+            bool more_g = bool(std::getline(got, g));
+            if (!more_w && !more_g)
+                break;
+            if (more_w != more_g || w != g) {
+                ADD_FAILURE() << path << " line " << n << "\n  golden: "
+                              << (more_w ? w : "<end of file>")
+                              << "\n  actual: "
+                              << (more_g ? g : "<end of file>");
+                break;
+            }
+        }
     }
 }
 

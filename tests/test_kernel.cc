@@ -115,7 +115,7 @@ class Sel4IpcTest : public ::testing::Test
         reply = client_proc.alloc(64 * 1024);
     }
 
-    Sel4CallOutcome
+    CallOutcome
     doCall(uint64_t len, LongMsgMode mode = LongMsgMode::TwoCopy)
     {
         std::vector<uint8_t> data(len);

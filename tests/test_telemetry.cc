@@ -262,6 +262,34 @@ TEST(LoadGenTest, OutcomesPartitionTheSchedule)
     EXPECT_EQ(per_outcome, res.latencyAll.count());
 }
 
+TEST(LoadGenTest, FailureStatusPicksTheOutcomeLane)
+{
+    using apps::LoadOutcome;
+    using core::TransportStatus;
+    // The four statuses with a lane of their own...
+    EXPECT_EQ(apps::loadOutcomeOf(TransportStatus::Overloaded),
+              LoadOutcome::Shed);
+    EXPECT_EQ(apps::loadOutcomeOf(TransportStatus::DeadlineExpired),
+              LoadOutcome::Timeout);
+    EXPECT_EQ(apps::loadOutcomeOf(TransportStatus::Timeout),
+              LoadOutcome::Timeout);
+    EXPECT_EQ(apps::loadOutcomeOf(TransportStatus::BreakerOpen),
+              LoadOutcome::Breaker);
+    // ...and every other failure rides the error lane, detected
+    // corruption and a spent retry budget included.
+    int own_lane = 0;
+    for (auto st = uint32_t(TransportStatus::Ok);
+         st <= uint32_t(TransportStatus::IntegrityViolation); st++) {
+        own_lane += apps::loadOutcomeOf(TransportStatus(st)) !=
+                    LoadOutcome::Error;
+    }
+    EXPECT_EQ(own_lane, 4);
+    EXPECT_EQ(apps::loadOutcomeOf(TransportStatus::IntegrityViolation),
+              LoadOutcome::Error);
+    EXPECT_EQ(apps::loadOutcomeOf(TransportStatus::RetryBudgetExhausted),
+              LoadOutcome::Error);
+}
+
 TEST(LoadGenTest, UnderloadedMeshServesEverything)
 {
     apps::LoadGenOptions o;

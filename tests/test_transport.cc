@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/system.hh"
+#include "sim/fault_injector.hh"
 
 namespace xpc::core {
 namespace {
@@ -21,6 +22,16 @@ allFlavors()
     return {SystemFlavor::Sel4TwoCopy, SystemFlavor::Sel4OneCopy,
             SystemFlavor::Sel4Xpc, SystemFlavor::Zircon,
             SystemFlavor::ZirconXpc};
+}
+
+std::string
+flavorTestName(const ::testing::TestParamInfo<SystemFlavor> &info)
+{
+    std::string n = systemFlavorName(info.param);
+    for (auto &c : n)
+        if (!isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return n;
 }
 
 class TransportAllFlavors
@@ -125,15 +136,131 @@ TEST_P(TransportAllFlavors, TwoHopPipelineDeliversSubrange)
     }
 }
 
+TEST_P(TransportAllFlavors, FaultedScratchStagingDoesNotCall)
+{
+    // A scratch call whose staging copy faults must not reach the
+    // callee: the scratch area still holds the previous request, so
+    // the handler would run on stale bytes.
+    SystemOptions opts;
+    opts.flavor = GetParam();
+    System sys(opts);
+    Transport &tr = sys.transport();
+
+    kernel::Thread &server = sys.spawn("server");
+    kernel::Thread &caller = sys.spawn("caller");
+    int calls = 0;
+    uint8_t seen = 0;
+    ServiceDesc desc;
+    desc.name = "sink";
+    desc.handlerThread = &server;
+    ServiceId svc = tr.registerService(desc, [&](ServerApi &api) {
+        calls++;
+        api.readRequest(0, &seen, 1);
+        api.writeReply(0, &seen, 1);
+        api.setReplyLen(1);
+    });
+    tr.connect(caller, svc);
+    hw::Core &core = sys.core(0);
+    tr.prepareScratch(core, caller, 4096);
+
+    FaultInjector inj(FaultPlan{});
+    sys.machine().setFaultInjector(&inj);
+    uint8_t req = 0x11, reply = 0;
+    ASSERT_EQ(tr.scratchCall(core, caller, false, svc, 0, &req, 1,
+                             &reply, 1),
+              1u);
+    ASSERT_EQ(calls, 1);
+
+    req = 0x22;
+    inj.armMemFault(); // consumed by the staging copy
+    EXPECT_EQ(tr.scratchCall(core, caller, false, svc, 0, &req, 1,
+                             &reply, 1),
+              Transport::scratchFailed);
+    EXPECT_FALSE(inj.memFaultArmed());
+    EXPECT_EQ(calls, 1) << "the callee ran on byte 0x" << std::hex
+                        << int(seen);
+    sys.machine().setFaultInjector(nullptr);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllFlavors, TransportAllFlavors, ::testing::ValuesIn(allFlavors()),
-    [](const ::testing::TestParamInfo<SystemFlavor> &info) {
-        std::string n = systemFlavorName(info.param);
-        for (auto &c : n)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return n;
+    flavorTestName);
+
+class CopyingHandover : public ::testing::TestWithParam<SystemFlavor>
+{
+};
+
+TEST_P(CopyingHandover, FaultedStagingDoesNotCallBack)
+{
+    // The copying handover stages the forwarded window into the
+    // server's own message area before calling. When that staging
+    // faults, the next hop must not run on a zero-filled or stale
+    // stage; the invocation fails with CopyFault instead. A 256-byte
+    // request faults the read of the window; a 32-byte one travels
+    // in seL4's message registers, so there the fault hits the write
+    // into the server's message area.
+    SystemOptions opts;
+    opts.flavor = GetParam();
+    System sys(opts);
+    Transport &tr = sys.transport();
+
+    kernel::Thread &back_t = sys.spawn("back");
+    kernel::Thread &front_t = sys.spawn("front");
+    kernel::Thread &client = sys.spawn("client");
+    FaultInjector inj(FaultPlan{});
+    sys.machine().setFaultInjector(&inj);
+
+    int back_calls = 0;
+    ServiceDesc bd;
+    bd.name = "back";
+    bd.handlerThread = &back_t;
+    ServiceId back = tr.registerService(bd, [&](ServerApi &api) {
+        back_calls++;
+        api.setReplyLen(api.requestLen());
     });
+    bool arm = false;
+    ServiceDesc fd;
+    fd.name = "front";
+    fd.handlerThread = &front_t;
+    fd.callees = {back};
+    ServiceId front = tr.registerService(fd, [&](ServerApi &api) {
+        uint64_t len = api.requestLen();
+        if (arm)
+            inj.armMemFault(); // consumed by the handover staging
+        api.callService(back, 0, len / 4, len / 4);
+        api.replyFromRequest(0, len);
+    });
+    tr.connect(client, front);
+    tr.connect(front_t, back);
+
+    hw::Core &core = sys.core(0);
+    tr.requestArea(core, client, 4096);
+    for (uint64_t len : {256ul, 32ul}) {
+        SCOPED_TRACE(len);
+        std::vector<uint8_t> msg(len, 0x5a);
+        arm = false;
+        ASSERT_TRUE(tr.clientWrite(core, client, 0, msg.data(), len));
+        ASSERT_TRUE(tr.call(core, client, front, 0, len, 4096).ok);
+        int before = back_calls;
+        ASSERT_GT(before, 0);
+
+        arm = true;
+        ASSERT_TRUE(tr.clientWrite(core, client, 0, msg.data(), len));
+        CallResult r = tr.call(core, client, front, 0, len, 4096);
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.status, TransportStatus::CopyFault);
+        EXPECT_FALSE(inj.memFaultArmed());
+        EXPECT_EQ(back_calls, before)
+            << "the next hop ran on a faulted stage";
+    }
+    sys.machine().setFaultInjector(nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Copying, CopyingHandover,
+    ::testing::Values(SystemFlavor::Sel4TwoCopy, SystemFlavor::Sel4OneCopy,
+                      SystemFlavor::Zircon),
+    flavorTestName);
 
 class XpcTransportTest : public ::testing::Test
 {
