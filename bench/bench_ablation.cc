@@ -11,8 +11,6 @@
  *     three message sizes (the Figure 10 taxonomy, measured)
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "sim/logging.hh"
 
@@ -163,28 +161,15 @@ printRelayPtAblation()
                 "alternative pays O(pages) + TLB shootdown)\n");
 }
 
-void
-BM_XcallVariants(benchmark::State &state)
-{
-    for (auto _ : state) {
-        uint64_t c = xcallCost(true, false, true, false);
-        state.counters["cycles"] = double(c);
-        state.SetIterationTime(double(c) / 100e6);
-    }
-}
-BENCHMARK(BM_XcallVariants)->UseManualTime()->Iterations(2);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     BenchReport report("ablation");
     printXcallAblation(report);
     printMessagePathAblation(report);
     printTrampolineAblation();
     printRelayPtAblation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -8,8 +8,6 @@
  *      messages.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "apps/ycsb.hh"
 #include "bench_util.hh"
 #include "sim/stats.hh"
@@ -102,24 +100,11 @@ printTables()
          fmt("%.1f%%", 100.0 * e_result.transferShare)});
 }
 
-void
-BM_Motivation(benchmark::State &state)
-{
-    for (auto _ : state) {
-        Motivation m = measure(YcsbWorkload::E);
-        state.counters["ipc_share"] = m.ipcShare;
-        state.SetIterationTime(1e-3);
-    }
-}
-BENCHMARK(BM_Motivation)->UseManualTime()->Iterations(1);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTables();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

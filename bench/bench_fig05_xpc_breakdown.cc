@@ -13,8 +13,6 @@
  * like real trampoline code so TLB refills are visible.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "sim/logging.hh"
 
@@ -132,29 +130,11 @@ printTable()
     }
 }
 
-void
-BM_XpcOneWay(benchmark::State &state)
-{
-    const Config &cfg = configs[state.range(0)];
-    for (auto _ : state) {
-        Sample s = measure(cfg);
-        state.SetIterationTime(double(s.total) / 100e6);
-        state.counters["cycles"] = double(s.total);
-    }
-    state.SetLabel(cfg.name);
-}
-BENCHMARK(BM_XpcOneWay)
-    ->DenseRange(0, 4)
-    ->UseManualTime()
-    ->Iterations(2);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

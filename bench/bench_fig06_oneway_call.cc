@@ -7,8 +7,6 @@
  * case identical to the same-core one).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 
 using namespace xpc;
@@ -61,36 +59,11 @@ printTable()
     }
 }
 
-void
-BM_OneWay(benchmark::State &state)
-{
-    bool xpc = state.range(0) != 0;
-    uint64_t bytes = uint64_t(state.range(1));
-    core::SystemFlavor flavor = xpc ? core::SystemFlavor::Sel4Xpc
-                                    : core::SystemFlavor::Sel4TwoCopy;
-    for (auto _ : state) {
-        uint64_t cycles = measureOneWay(flavor, bytes, false);
-        state.SetIterationTime(double(cycles) / 100e6);
-        state.counters["cycles"] = double(cycles);
-    }
-    state.SetLabel(std::string(xpc ? "seL4-XPC" : "seL4") + "/" +
-                   std::to_string(bytes) + "B");
-}
-BENCHMARK(BM_OneWay)
-    ->Args({0, 0})
-    ->Args({0, 4096})
-    ->Args({1, 0})
-    ->Args({1, 4096})
-    ->UseManualTime()
-    ->Iterations(2);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,8 +6,6 @@
  * (read, vs Zircon/seL4) and 13.2x/3.0x (write).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "sim/logging.hh"
 
@@ -153,30 +151,11 @@ printTable()
     attachCritPath(report);
 }
 
-void
-BM_FsReadWrite(benchmark::State &state)
-{
-    auto flavor = flavors[state.range(0)];
-    for (auto _ : state) {
-        Throughputs t = measure(flavor, 8192);
-        state.counters["read_MBps"] = t.readMBps;
-        state.counters["write_MBps"] = t.writeMBps;
-        state.SetIterationTime(1e-3);
-    }
-    state.SetLabel(core::systemFlavorName(flavor));
-}
-BENCHMARK(BM_FsReadWrite)
-    ->DenseRange(0, 4)
-    ->UseManualTime()
-    ->Iterations(1);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

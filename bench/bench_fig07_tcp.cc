@@ -6,8 +6,6 @@
  * gap narrowing as batching amortizes the IPC.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "sim/logging.hh"
 
@@ -73,32 +71,11 @@ printTable()
     report.metric("speedup.average", avg);
 }
 
-void
-BM_TcpThroughput(benchmark::State &state)
-{
-    bool xpc = state.range(0) != 0;
-    auto flavor = xpc ? core::SystemFlavor::ZirconXpc
-                      : core::SystemFlavor::Zircon;
-    for (auto _ : state) {
-        double mbps = measure(flavor, 1024);
-        state.counters["MBps"] = mbps;
-        state.SetIterationTime(1e-3);
-    }
-    state.SetLabel(xpc ? "Zircon-XPC" : "Zircon");
-}
-BENCHMARK(BM_TcpThroughput)
-    ->Arg(0)
-    ->Arg(1)
-    ->UseManualTime()
-    ->Iterations(1);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -7,8 +7,6 @@
  * along the http -> cache -> crypto chain.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "sim/logging.hh"
 
@@ -137,36 +135,11 @@ printTable()
     }
 }
 
-void
-BM_HttpGet(benchmark::State &state)
-{
-    bool xpc = state.range(0) != 0;
-    bool enc = state.range(1) != 0;
-    auto flavor = xpc ? core::SystemFlavor::ZirconXpc
-                      : core::SystemFlavor::Zircon;
-    for (auto _ : state) {
-        double ops = measure(flavor, 2048, enc);
-        state.counters["req_per_sec"] = ops;
-        state.SetIterationTime(1e-3);
-    }
-    state.SetLabel(std::string(xpc ? "Zircon-XPC" : "Zircon") +
-                   (enc ? "+AES" : ""));
-}
-BENCHMARK(BM_HttpGet)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->UseManualTime()
-    ->Iterations(1);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

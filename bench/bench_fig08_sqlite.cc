@@ -6,8 +6,6 @@
  * the write-heavy A/F gaining the most and read-only C the least.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "apps/ycsb.hh"
 #include "bench_util.hh"
 
@@ -83,27 +81,11 @@ printTable()
     report.metric("normalized.sel4_avg", ssum / 6.0);
 }
 
-void
-BM_YcsbA(benchmark::State &state)
-{
-    auto flavor = state.range(0) != 0 ? core::SystemFlavor::Sel4Xpc
-                                      : core::SystemFlavor::Sel4TwoCopy;
-    for (auto _ : state) {
-        double ops = throughput(flavor, YcsbWorkload::A);
-        state.counters["ops_per_sec"] = ops;
-        state.SetIterationTime(1e-3);
-    }
-    state.SetLabel(core::systemFlavorName(flavor));
-}
-BENCHMARK(BM_YcsbA)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -11,8 +11,6 @@
  *      (54.2x -> 2.8x); Ashmem-XPC 0.3ms -> 82.0ms (1.6x -> 2.8x).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "binder/binder.hh"
 #include "sim/logging.hh"
@@ -43,8 +41,7 @@ struct Rig
         binder->addService("window", *wm, [this](BinderTxn &txn) {
             // The window manager reads the surface and "draws" it.
             if (txn.code() == 1) {
-                auto blob = txn.data().readBlob();
-                benchmark::DoNotOptimize(blob.data());
+                txn.data().readBlob();
             } else {
                 uint64_t fd = txn.data().readFileDescriptor();
                 int64_t size = txn.data().readInt64();
@@ -156,31 +153,11 @@ printTables()
     }
 }
 
-void
-BM_BinderBuffer(benchmark::State &state)
-{
-    BinderMode mode = state.range(0) != 0 ? BinderMode::XpcCall
-                                          : BinderMode::Baseline;
-    for (auto _ : state) {
-        double us = bufferLatencyUs(mode, 2048);
-        state.SetIterationTime(us / 1e6);
-        state.counters["usec"] = us;
-    }
-    state.SetLabel(binderModeName(mode));
-}
-BENCHMARK(BM_BinderBuffer)
-    ->Arg(0)
-    ->Arg(1)
-    ->UseManualTime()
-    ->Iterations(1);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTables();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -40,8 +40,6 @@
  * timelines for tools/metastable.py to render and gate (--check).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <sstream>
 
 #include "apps/loadgen.hh"
@@ -449,34 +447,11 @@ printTable()
     report.hostMark("replay_check");
 }
 
-void
-BM_Hysteresis(benchmark::State &state)
-{
-    static const double knee = calibrateCapacity();
-    bool trapped = state.range(0) != 0;
-    for (auto _ : state) {
-        apps::LoadGen gen(hysteresisOptions(knee, trapped));
-        const apps::LoadGenResult &res = gen.run();
-        state.counters["goodput_per_mcycle"] = res.goodputPerMcycle();
-        state.counters["metastable_windows"] = double(
-            res.sloAll()->windowsMetastable.value());
-        state.SetIterationTime(1e-3);
-    }
-    state.SetLabel(trapped ? "trapped" : "baseline");
-}
-BENCHMARK(BM_Hysteresis)
-    ->Arg(0)
-    ->Arg(1)
-    ->UseManualTime()
-    ->Iterations(1);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

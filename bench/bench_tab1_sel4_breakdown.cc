@@ -12,8 +12,6 @@
  *   Sum                    664       4804
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "kernel/sel4.hh"
 #include "sim/logging.hh"
@@ -109,37 +107,11 @@ printTable()
     line("Sum", b0.phases.sum(), 664, b4k.phases.sum(), 4804);
 }
 
-void
-BM_Sel4OneWay0B(benchmark::State &state)
-{
-    for (auto _ : state) {
-        Breakdown b = measure(0);
-        state.SetIterationTime(double(b.phases.sum().value()) / 100e6);
-        state.counters["cycles"] =
-            double(b.phases.sum().value());
-    }
-}
-BENCHMARK(BM_Sel4OneWay0B)->UseManualTime()->Iterations(3);
-
-void
-BM_Sel4OneWay4K(benchmark::State &state)
-{
-    for (auto _ : state) {
-        Breakdown b = measure(4096);
-        state.SetIterationTime(double(b.phases.sum().value()) / 100e6);
-        state.counters["cycles"] =
-            double(b.phases.sum().value());
-    }
-}
-BENCHMARK(BM_Sel4OneWay4K)->UseManualTime()->Iterations(3);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

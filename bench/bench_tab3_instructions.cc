@@ -10,8 +10,6 @@
  * stack (the configuration Table 3 assumes), warm caches.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "sim/logging.hh"
 
@@ -92,27 +90,11 @@ printTable()
     report.metric("cycles.swapseg", double(c.swapseg));
 }
 
-void
-BM_Instructions(benchmark::State &state)
-{
-    for (auto _ : state) {
-        Costs c = measure();
-        state.SetIterationTime(double(c.xcall + c.xret + c.swapseg) /
-                               100e6);
-        state.counters["xcall"] = double(c.xcall);
-        state.counters["xret"] = double(c.xret);
-        state.counters["swapseg"] = double(c.swapseg);
-    }
-}
-BENCHMARK(BM_Instructions)->UseManualTime()->Iterations(3);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

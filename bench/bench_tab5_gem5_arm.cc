@@ -7,8 +7,6 @@
  * machine: baseline 66 (+58 TLB) / 79 (+58), XPC 7 (+58) / 10 (+58).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "kernel/sel4.hh"
 #include "sim/logging.hh"
@@ -144,26 +142,12 @@ printTable5()
     report.metric("tlb_flush", double(c.tlbFlush));
 }
 
-void
-BM_ArmXcall(benchmark::State &state)
-{
-    for (auto _ : state) {
-        ArmCosts c = measure();
-        state.counters["xcall"] = double(c.xpcCall);
-        state.counters["xret"] = double(c.xpcRet);
-        state.SetIterationTime(double(c.xpcCall + c.xpcRet) / 2e9);
-    }
-}
-BENCHMARK(BM_ArmXcall)->UseManualTime()->Iterations(2);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable4();
     printTable5();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

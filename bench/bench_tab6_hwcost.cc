@@ -6,8 +6,6 @@
  * calibrated against the paper's published Vivado report.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "hwcost/resource_model.hh"
 
@@ -58,27 +56,11 @@ printTable()
                   ResourceModel::overheadPercent(base.dsp, with.dsp));
 }
 
-void
-BM_Estimate(benchmark::State &state)
-{
-    for (auto _ : state) {
-        auto est =
-            ResourceModel::estimate(ResourceModel::defaultEngine());
-        benchmark::DoNotOptimize(est);
-        state.counters["lut_delta"] = double(est.lut);
-        state.counters["ff_delta"] = double(est.ff);
-        state.SetIterationTime(1e-6);
-    }
-}
-BENCHMARK(BM_Estimate)->UseManualTime()->Iterations(1);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -7,8 +7,6 @@
  * warm path), so the taxonomy is backed by running code.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 
 using namespace xpc;
@@ -67,24 +65,11 @@ printTable()
         "  TOCTTOU-prone granting; M3's DTU copies 2*N via DMA.\n");
 }
 
-void
-BM_Comparison(benchmark::State &state)
-{
-    for (auto _ : state) {
-        uint64_t xpc = roundTrip(core::SystemFlavor::Sel4Xpc, 4096);
-        state.counters["xpc_rt"] = double(xpc);
-        state.SetIterationTime(double(xpc) / 100e6);
-    }
-}
-BENCHMARK(BM_Comparison)->UseManualTime()->Iterations(1);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -27,8 +27,6 @@
  * experiment.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <sstream>
 
 #include "apps/loadgen.hh"
@@ -297,34 +295,11 @@ printTable()
     report.hostMark("replay_check");
 }
 
-void
-BM_TailSweep(benchmark::State &state)
-{
-    double mult = double(state.range(0)) / 100.0;
-    static const double capacity = calibrateCapacity();
-    for (auto _ : state) {
-        apps::LoadGen gen(optionsFor(mult * capacity));
-        const apps::LoadGenResult &res = gen.run();
-        state.counters["goodput_per_mcycle"] = res.goodputPerMcycle();
-        state.counters["p99_all"] = res.latencyAll.quantile(0.99);
-        state.SetIterationTime(1e-3);
-    }
-    state.SetLabel(fmt("%g", mult) + "x");
-}
-BENCHMARK(BM_TailSweep)
-    ->Arg(50)
-    ->Arg(100)
-    ->Arg(200)
-    ->UseManualTime()
-    ->Iterations(1);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -76,9 +76,9 @@ fmtU(uint64_t v)
  * hostMark() attributes the ms since the previous mark (or
  * construction) to a named phase, and write() adds the run total.
  * Wall time is inherently non-deterministic, so it must never touch
- * BENCH_<name>.json - the determinism gates byte-compare those, and
- * stats_diff.py's BENCH_*.json glob skips the sidecar by name
- * (ROADMAP item 5: host-cost profiling).
+ * BENCH_<name>.json - the baseline gate compares every value in
+ * those, and stats_diff.py's BENCH_*.json glob skips the sidecar by
+ * name (ROADMAP item 5: host-cost profiling).
  */
 class BenchReport
 {
@@ -180,15 +180,6 @@ class BenchReport
         hostLast = now;
     }
 
-    /** Embed a full registry dump under "stats". */
-    void
-    attachStats(StatGroup &root)
-    {
-        std::ostringstream os;
-        root.dumpJson(os, 1);
-        statsJson = os.str();
-    }
-
     /** @return the file path written, or "" on failure. */
     std::string
     write()
@@ -224,8 +215,6 @@ class BenchReport
         obj("distributions", dists);
         for (const auto &[k, v] : sections)
             out << ",\n  \"" << k << "\": " << v;
-        if (!statsJson.empty())
-            out << ",\n  \"stats\": " << statsJson;
         out << "\n}\n";
         writeHostSidecar(dir);
         return path;
@@ -272,7 +261,6 @@ class BenchReport
     std::map<std::string, double> phases;
     std::map<std::string, std::string> dists;
     std::map<std::string, std::string> sections;
-    std::string statsJson;
     std::vector<std::pair<std::string, double>> hostPhases;
     std::chrono::steady_clock::time_point hostStart =
         std::chrono::steady_clock::now();

@@ -1,6 +1,6 @@
 /**
  * @file
- * Crash-point exploration CLI: the binary behind tools/explore.py.
+ * Crash-point exploration CLI.
  *
  * Drives sim/explorer over the crashable workloads in
  * apps/crash_workloads: census the fault space, sweep every single

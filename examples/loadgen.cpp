@@ -11,9 +11,10 @@
  *   ./build/examples/loadgen --rate 300
  *   ./build/examples/loadgen --rate 600 --requests 4000 --json
  *
- * The --json document is byte-identical for the same --seed (CI
- * gates on this with cmp). With XPC_TRACE=1 the run also exports the
- * time-series as Perfetto counter tracks beside the causal trace.
+ * The --json document is byte-identical for the same --seed (the
+ * loadgen_replay ctest case gates on this). With XPC_TRACE=1 the run
+ * also exports the time-series as Perfetto counter tracks beside the
+ * causal trace.
  * Exit status: 0 on a completed run, 2 on usage errors.
  */
 

@@ -15,10 +15,10 @@
  *   ./build/examples/tenants --kill-tenant A
  *   ./build/examples/tenants --kill-tenant A --iters 96 --json
  *
- * The --json line is byte-identical for the same --seed (CI gates on
- * this). Exit status: 0 when containment held (both tenants healthy
- * at the end, zero cross-tenant grants/calls/resolves), 1 otherwise,
- * 2 on usage errors.
+ * The --json line is byte-identical for the same --seed (the
+ * tenants_replay ctest case gates on this). Exit status: 0 when
+ * containment held (both tenants healthy at the end, zero
+ * cross-tenant grants/calls/resolves), 1 otherwise, 2 on usage errors.
  */
 
 #include <cstdio>

@@ -48,17 +48,6 @@ LoadGenResult::offeredPerMcycleActual() const
     return e == 0 ? 0 : double(offered) * 1e6 / double(e);
 }
 
-uint64_t
-LoadGenResult::scheduledRequests() const
-{
-    if (config.phases.empty())
-        return config.requests;
-    uint64_t n = 0;
-    for (const LoadPhase &p : config.phases)
-        n += p.requests;
-    return n;
-}
-
 namespace {
 
 void

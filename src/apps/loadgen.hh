@@ -210,8 +210,6 @@ struct LoadGenResult
     uint64_t elapsedCycles() const { return endCycle - startCycle; }
     double goodputPerMcycle() const;
     double offeredPerMcycleActual() const;
-    /** Total requests across the effective phase list. */
-    uint64_t scheduledRequests() const;
 
     /** The aggregate tracker (null unless slo.enabled()). */
     const slo::RegimeTracker *sloAll() const

@@ -83,8 +83,6 @@ class MiniDb
     /** True when attaching found (and consumed) a hot journal. */
     bool recoveredOnOpen() const { return recoveredOnOpen_; }
 
-    JournalMode journalMode() const { return mode; }
-
     MiniDbCosts costs;
 
     /** Insert or update one record (journaled transaction). */

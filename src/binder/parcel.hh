@@ -47,7 +47,6 @@ class Parcel
 
     const std::vector<uint8_t> &data() const { return buffer; }
     uint64_t size() const { return buffer.size(); }
-    void rewind() { readPos = 0; }
     bool exhausted() const { return readPos >= buffer.size(); }
 
     /** Offsets of marshaled file descriptors (the driver translates

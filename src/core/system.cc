@@ -24,13 +24,6 @@ systemFlavorName(SystemFlavor flavor)
     return "unknown";
 }
 
-bool
-System::usesXpc() const
-{
-    return opts.flavor == SystemFlavor::Sel4Xpc ||
-           opts.flavor == SystemFlavor::ZirconXpc;
-}
-
 System::System(const SystemOptions &options) : opts(options)
 {
     mach = std::make_unique<hw::Machine>(opts.machine);

@@ -58,7 +58,6 @@ class System
     explicit System(const SystemOptions &options = SystemOptions());
 
     SystemFlavor flavor() const { return opts.flavor; }
-    bool usesXpc() const;
 
     hw::Machine &machine() { return *mach; }
     hw::Core &core(CoreId id = 0) { return mach->core(id); }

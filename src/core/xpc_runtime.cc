@@ -710,11 +710,4 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
     return out;
 }
 
-uint32_t
-XpcRuntime::busyContexts(uint64_t id) const
-{
-    auto it = entryStates.find(id);
-    return it == entryStates.end() ? 0 : it->second.busy;
-}
-
 } // namespace xpc::core

@@ -156,7 +156,6 @@ class XpcRuntime
     engine::XpcEngine &engine() { return xpcManager.engine(); }
     kernel::Kernel &kernel() { return kern; }
     const XpcRuntimeOptions &options() const { return opts; }
-    void setTrampoline(TrampolineMode mode) { opts.trampoline = mode; }
 
     /**
      * Register an x-entry (paper Listing 1: xpc_register_entry).
@@ -203,9 +202,6 @@ class XpcRuntime
                   uint64_t len);
     bool segRead(hw::Core &core, uint64_t off, void *dst, uint64_t len);
     /// @}
-
-    /** Busy invocation contexts of entry @p id (for tests). */
-    uint32_t busyContexts(uint64_t id) const;
 
     /** Make @p thread the one whose XPC CSRs live on @p core. */
     void ensureInstalled(hw::Core &core, kernel::Thread &thread);

@@ -179,12 +179,6 @@ class XpcManager
      */
     void onProcessExit(Process &process);
 
-    /** Threads whose plumbing this manager initialized. */
-    const std::vector<Thread *> &managedThreads() const
-    {
-        return threadsManaged;
-    }
-
     /** Resolve a caller's xcall-cap-reg value back to its thread
      *  (what a callee uses to authenticate callers, paper 6.1). */
     Thread *threadByCapBitmap(PAddr bitmap) const;

@@ -55,8 +55,6 @@ class Cache
     /** Invalidate everything without writeback (timing state only). */
     void invalidateAll();
 
-    uint32_t lineSize() const { return params.lineBytes; }
-
     Counter hits;
     Counter misses;
     Counter writebacks;

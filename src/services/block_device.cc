@@ -98,26 +98,4 @@ BlockDeviceServer::handle(core::ServerApi &api)
           (unsigned long)api.opcode());
 }
 
-void
-BlockDeviceServer::readDirect(hw::Core &core, uint64_t block_no,
-                              void *dst)
-{
-    panic_if(block_no >= nblocks, "readDirect beyond device");
-    auto res = transport.kernelRef().userRead(
-        core, *serverThread.process(), store + block_no * blockBytes,
-        dst, blockBytes);
-    panic_if(!res.ok, "readDirect faulted");
-}
-
-void
-BlockDeviceServer::writeDirect(hw::Core &core, uint64_t block_no,
-                               const void *src)
-{
-    panic_if(block_no >= nblocks, "writeDirect beyond device");
-    auto res = transport.kernelRef().userWrite(
-        core, *serverThread.process(), store + block_no * blockBytes,
-        src, blockBytes);
-    panic_if(!res.ok, "writeDirect faulted");
-}
-
 } // namespace xpc::services

@@ -29,12 +29,6 @@ class BlockDeviceServer
                       kernel::Thread &handler_thread, uint64_t nblocks);
 
     core::ServiceId id() const { return svcId; }
-    uint64_t blockCount() const { return nblocks; }
-
-    /** Direct (charged) access for mkfs-time population and tests. */
-    void readDirect(hw::Core &core, uint64_t block_no, void *dst);
-    void writeDirect(hw::Core &core, uint64_t block_no,
-                     const void *src);
 
     Counter reads;
     Counter writes;

@@ -86,18 +86,6 @@ BufCache::pin(uint32_t block_no, bool pinned)
 }
 
 void
-BufCache::flush(BlockIo &io, uint32_t block_no)
-{
-    for (auto &b : bufs) {
-        if (b.valid && b.blockNo == block_no && b.dirty) {
-            io.write(b.blockNo, b.data.data());
-            b.dirty = false;
-            return;
-        }
-    }
-}
-
-void
 BufCache::flushAll(BlockIo &io)
 {
     for (auto &b : bufs) {

@@ -108,9 +108,6 @@ class BufCache
      *  LRU victim is written back through @p io. */
     Buf &get(BlockIo &io, uint32_t block_no);
 
-    /** Write a specific block through (used by the log installer). */
-    void flush(BlockIo &io, uint32_t block_no);
-
     /** Write every dirty buffer through. */
     void flushAll(BlockIo &io);
 

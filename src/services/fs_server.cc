@@ -332,15 +332,4 @@ FsServer::clientStat(core::Transport &tr, hw::Core &core,
                   nullptr, 0);
 }
 
-int64_t
-FsServer::clientUnlink(core::Transport &tr, hw::Core &core,
-                       kernel::Thread &client, core::ServiceId svc,
-                       const std::string &path)
-{
-    FsMsg msg;
-    msg.c = int64_t(path.size());
-    return fsCall(tr, core, client, svc, FsOp::Unlink, msg,
-                  path.data(), path.size(), nullptr, 0);
-}
-
 } // namespace xpc::services

@@ -77,10 +77,6 @@ class FsServer
     static int64_t clientStat(core::Transport &tr, hw::Core &core,
                               kernel::Thread &client,
                               core::ServiceId svc, int64_t fd);
-    static int64_t clientUnlink(core::Transport &tr, hw::Core &core,
-                                kernel::Thread &client,
-                                core::ServiceId svc,
-                                const std::string &path);
     /// @}
 
   private:

@@ -218,9 +218,6 @@ class Supervisor
     budgetFor(const std::string &name,
               kernel::TenantId tenant = kernel::defaultTenant);
 
-    /** Reseed the backoff-jitter PRNG (deterministic per seed). */
-    void reseed(uint64_t seed) { rng = Rng(seed); }
-
     /** Integrity violations recorded against (tenant, name) since
      *  the last heal()/restart cleared its offense record. */
     uint64_t integrityOffenseCount(

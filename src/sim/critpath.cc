@@ -235,15 +235,6 @@ analyze(const std::vector<trace::TraceEvent> &events)
     return out;
 }
 
-const RequestReport *
-find(const std::vector<RequestReport> &reports, req::RequestId id)
-{
-    for (const RequestReport &r : reports)
-        if (r.id == id)
-            return &r;
-    return nullptr;
-}
-
 namespace {
 
 std::string

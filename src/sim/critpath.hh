@@ -81,10 +81,6 @@ struct RequestReport
 std::vector<RequestReport>
 analyze(const std::vector<trace::TraceEvent> &events);
 
-/** The report for request @p id, if present. */
-const RequestReport *
-find(const std::vector<RequestReport> &reports, req::RequestId id);
-
 /** Multi-line human-readable report for one request. Lane names
  *  resolve through @p tracer (pass Tracer::global()). */
 std::string formatReport(const RequestReport &r,

@@ -39,20 +39,6 @@ faultOpName(FaultOp op)
     return "unknown";
 }
 
-const char *
-faultPhaseName(FaultPhase phase)
-{
-    switch (phase) {
-      case FaultPhase::PreXcall:
-        return "pre-xcall";
-      case FaultPhase::InHandler:
-        return "in-handler";
-      case FaultPhase::PreXret:
-        return "pre-xret";
-    }
-    return "unknown";
-}
-
 FaultPlan
 FaultPlan::generate(uint64_t seed, uint64_t count, uint64_t call_span,
                     uint32_t op_mask)

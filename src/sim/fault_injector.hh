@@ -98,8 +98,6 @@ enum class FaultPhase : uint32_t
     PreXret,   ///< after the handler, before control returns
 };
 
-const char *faultPhaseName(FaultPhase phase);
-
 /** One scheduled fault. */
 struct FaultEvent
 {
@@ -219,7 +217,6 @@ class FaultInjector
         return true;
     }
 
-    bool handoffMutationArmed() const { return mutateArmed_; }
     void clearHandoffMutation() { mutateArmed_ = false; }
     /// @}
 

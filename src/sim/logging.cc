@@ -76,12 +76,6 @@ setLogQuiet(bool quiet)
     quietFlag = quiet;
 }
 
-bool
-logQuiet()
-{
-    return quietFlag;
-}
-
 namespace detail {
 
 std::string

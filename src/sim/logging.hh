@@ -51,9 +51,6 @@ std::string logFormat(const char *fmt, ...)
 /** Suppress warn()/inform() output (used by tests and benches). */
 void setLogQuiet(bool quiet);
 
-/** @return true when warn()/inform() output is suppressed. */
-bool logQuiet();
-
 #define panic(...)                                                          \
     ::xpc::detail::logPanic(__FILE__, __LINE__,                             \
                             ::xpc::detail::logFormat(__VA_ARGS__))

@@ -48,8 +48,6 @@ class Zipfian
     /** @return the next Zipf-distributed item index. */
     uint64_t next();
 
-    uint64_t itemCount() const { return items; }
-
   private:
     uint64_t items;
     double theta;

@@ -113,12 +113,6 @@ WeightedCdf::cumulativeAt(uint64_t key) const
     return below / total;
 }
 
-std::vector<std::pair<uint64_t, double>>
-WeightedCdf::points() const
-{
-    return {buckets.begin(), buckets.end()};
-}
-
 StatGroup::StatGroup(std::string name, StatGroup *parent)
     : groupName(std::move(name))
 {
@@ -191,15 +185,6 @@ StatGroup::distribution(const std::string &name) const
     for (const auto &[n, d] : dists)
         if (n == name)
             return d;
-    return nullptr;
-}
-
-const Histogram *
-StatGroup::histogram(const std::string &name) const
-{
-    for (const auto &[n, h] : hists)
-        if (n == name)
-            return h;
     return nullptr;
 }
 

@@ -96,9 +96,6 @@ class WeightedCdf
     /** @return total accumulated weight. */
     double totalWeight() const;
 
-    /** @return the sorted (key, weight) pairs. */
-    std::vector<std::pair<uint64_t, double>> points() const;
-
     void reset() { buckets.clear(); }
 
   private:
@@ -143,7 +140,6 @@ class StatGroup
     /** Find a registered counter by name (this group only). */
     const Counter *counter(const std::string &name) const;
     const Distribution *distribution(const std::string &name) const;
-    const Histogram *histogram(const std::string &name) const;
     /** Find a direct child group by name. */
     const StatGroup *child(const std::string &name) const;
 

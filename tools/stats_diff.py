@@ -7,11 +7,12 @@ Usage:
 Both inputs are files written by xpc::bench::BenchReport (or
 directories holding several of them, compared pairwise by file name).
 The simulator is deterministic, so a report either repeats exactly or
-something changed: every leaf under "metrics", "phases" and
-"distributions" must be equal, a change in either direction counts,
-and a key present on only one side is a difference. For directories,
-a BENCH file present on only one side is a difference too.
-Non-finite values must match as well (NaN equals NaN).
+something changed: every leaf of the whole document must be equal -
+config, metrics, phases, distributions and every extra section, such
+as the regime timelines of BENCH_metastable.json. A change in either
+direction counts, and a key present on only one side is a difference.
+For directories, a BENCH file present on only one side is a
+difference too. Non-finite values must match as well (NaN equals NaN).
 
 Exit status: 0 = identical, 1 = any difference, 2 = usage/IO error.
 """
@@ -22,14 +23,12 @@ import math
 import os
 import sys
 
-SECTIONS = ("metrics", "phases", "distributions")
-
 
 def leaves(node, path, out):
     """Every leaf under @p node as {dotted.path: value}, dicts walked."""
     if isinstance(node, dict):
         for key, val in node.items():
-            leaves(val, f"{path}.{key}", out)
+            leaves(val, f"{path}.{key}" if path else key, out)
     else:
         out[path] = node
     return out
@@ -45,10 +44,7 @@ def same(a, b):
 
 def compare(base, cur):
     """@return one line of text per difference, in either direction."""
-    b, c = {}, {}
-    for section in SECTIONS:
-        leaves(base.get(section, {}), section, b)
-        leaves(cur.get(section, {}), section, c)
+    b, c = leaves(base, "", {}), leaves(cur, "", {})
     diffs = []
     for key in sorted(set(b) | set(c)):
         if key not in b:
