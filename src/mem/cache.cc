@@ -1,73 +1,75 @@
 #include "cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/logging.hh"
 
 namespace xpc::mem {
 
+namespace {
+
+/** Put @p way first in @p set, shifting ways [0, @p i) back over way i. */
+void
+moveToFront(uint64_t *set, uint32_t i, uint64_t way)
+{
+    for (; i > 0; i--)
+        set[i] = set[i - 1];
+    set[0] = way;
+}
+
+} // namespace
+
 Cache::Cache(const CacheParams &p, Cache *n, Cycles mem_latency)
     : params(p), next(n), memLatency(mem_latency)
 {
     panic_if(p.lineBytes == 0 || (p.lineBytes & (p.lineBytes - 1)) != 0,
              "cache line size must be a power of two");
+    panic_if(n && n->params.lineBytes != p.lineBytes,
+             "next cache level has %u-byte lines, this one %u",
+             n->params.lineBytes, p.lineBytes);
     uint64_t total_lines = p.sizeBytes / p.lineBytes;
-    panic_if(p.assoc == 0 || total_lines % p.assoc != 0,
+    panic_if(p.assoc == 0 || total_lines == 0 ||
+                 total_lines % p.assoc != 0,
              "bad cache geometry");
     numSets = uint32_t(total_lines / p.assoc);
     panic_if((numSets & (numSets - 1)) != 0,
              "cache set count must be a power of two, got %u", numSets);
     lineShift = uint32_t(std::countr_zero(p.lineBytes));
     setShift = uint32_t(std::countr_zero(numSets));
-    lines.resize(total_lines);
+    ways.resize(total_lines);
     stats.addCounter("hits", &hits);
     stats.addCounter("misses", &misses);
     stats.addCounter("writebacks", &writebacks);
 }
 
 Cycles
-Cache::accessLine(uint64_t line_addr, bool is_write)
+Cache::accessLine(uint64_t line_num, bool is_write)
 {
-    uint64_t line_num = line_addr >> lineShift;
     uint64_t set_idx = line_num & (numSets - 1);
-    uint64_t tag = line_num >> setShift;
-    Line *ways = &lines[set_idx * params.assoc];
+    uint64_t key = (line_num >> setShift) << 2 | validBit;
+    uint64_t dirty = is_write ? dirtyBit : 0;
+    uint64_t *set = &ways[set_idx * params.assoc];
 
     for (uint32_t i = 0; i < params.assoc; i++) {
-        Line &l = ways[i];
-        if (l.valid && l.tag == tag) {
+        if ((set[i] & ~dirtyBit) == key) {
             hits.inc();
-            l.lruStamp = ++clock;
-            l.dirty |= is_write;
+            moveToFront(set, i, set[i] | dirty);
             return params.hitLatency;
         }
     }
 
-    // Miss: pick an LRU victim, write it back if dirty, fill.
+    // Miss: write back the last way if dirty, then fill over it.
     misses.inc();
-    Line *victim = &ways[0];
-    for (uint32_t i = 0; i < params.assoc; i++) {
-        Line &l = ways[i];
-        if (!l.valid) {
-            victim = &l;
-            break;
-        }
-        if (l.lruStamp < victim->lruStamp)
-            victim = &l;
-    }
-
+    uint64_t victim = set[params.assoc - 1];
     Cycles cost = params.hitLatency;
-    if (victim->valid && victim->dirty) {
+    if (victim & dirtyBit) {
         writebacks.inc();
-        uint64_t victim_addr = ((victim->tag << setShift) | set_idx)
-                               << lineShift;
-        cost += next ? next->access(victim_addr, params.lineBytes, true)
-                     : memLatency;
+        uint64_t victim_line = (victim >> 2) << setShift | set_idx;
+        cost += next ? next->accessLine(victim_line, true) : memLatency;
     }
-    cost += next ? next->access(line_addr, params.lineBytes, false)
-                 : memLatency;
-
-    *victim = Line{true, is_write, tag, ++clock};
+    cost += next ? next->accessLine(line_num, false) : memLatency;
+    moveToFront(set, params.assoc - 1, key | dirty);
     return cost;
 }
 
@@ -80,15 +82,14 @@ Cache::access(PAddr paddr, uint64_t len, bool is_write)
     uint64_t last = (paddr + len - 1) >> lineShift;
     Cycles total(0);
     for (uint64_t line = first; line <= last; line++)
-        total += accessLine(line << lineShift, is_write);
+        total += accessLine(line, is_write);
     return total;
 }
 
 void
 Cache::invalidateAll()
 {
-    for (auto &l : lines)
-        l = Line{};
+    std::fill(ways.begin(), ways.end(), 0);
 }
 
 } // namespace xpc::mem

@@ -31,7 +31,8 @@ struct CacheParams
 
 /**
  * One level of a timing cache. When @c next is null, a miss is
- * serviced by DRAM at @c memLatency.
+ * serviced by DRAM at @c memLatency; otherwise @c next must have the
+ * same line size.
  */
 class Cache
 {
@@ -63,13 +64,9 @@ class Cache
     StatGroup stats{"cache"};
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        uint64_t tag = 0;
-        uint64_t lruStamp = 0;
-    };
+    /** A way is (tag << 2) | dirtyBit | validBit; 0 is invalid. */
+    static constexpr uint64_t validBit = 1;
+    static constexpr uint64_t dirtyBit = 2;
 
     CacheParams params;
     Cache *next;
@@ -78,10 +75,14 @@ class Cache
     /** log2 of the line size and of the set count (both powers of 2). */
     uint32_t lineShift;
     uint32_t setShift;
-    uint64_t clock = 0;
-    std::vector<Line> lines;
+    /**
+     * Each set's ways, most recently used first. Only invalidateAll
+     * invalidates, so the valid ways are a prefix and the last way is
+     * the victim: invalid if any way is, else the LRU one.
+     */
+    std::vector<uint64_t> ways;
 
-    Cycles accessLine(uint64_t line_addr, bool is_write);
+    Cycles accessLine(uint64_t line_num, bool is_write);
 };
 
 } // namespace xpc::mem

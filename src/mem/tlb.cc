@@ -4,14 +4,14 @@
 
 namespace xpc::mem {
 
-Tlb::Tlb(uint32_t entries, uint32_t a, bool t)
-    : numSets(entries / a), assoc(a), isTagged(t),
-      entriesVec(entries)
+Tlb::Tlb(uint32_t entries, uint32_t a, bool t) : assoc(a), isTagged(t)
 {
     panic_if(entries == 0 || a == 0 || entries % a != 0,
              "bad TLB geometry: %u entries, %u ways", entries, a);
+    numSets = entries / a;
     panic_if((numSets & (numSets - 1)) != 0,
              "TLB set count must be a power of two, got %u", numSets);
+    entriesVec.resize(entries);
     stats.addCounter("hits", &hits);
     stats.addCounter("misses", &misses);
     stats.addCounter("flushes", &flushes);

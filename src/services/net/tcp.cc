@@ -102,9 +102,7 @@ TcpStack::connect(
     TcpSocket *l = lookup(lit->second);
     panic_if(!l, "listener socket vanished");
 
-    // Allocate an ephemeral local port.
-    static uint16_t ephemeral = 40000;
-    s->localPort = ephemeral++;
+    s->localPort = nextEphemeralPort++;
     s->remotePort = port;
 
     // SYN through the device; deliver() completes the listener side.

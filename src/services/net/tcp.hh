@@ -134,6 +134,8 @@ class TcpStack
     std::map<int64_t, TcpSocket> sockets;
     std::map<uint16_t, int64_t> listeners;
     int64_t nextId = 1;
+    /** Local port for this stack's next connect. */
+    uint16_t nextEphemeralPort = 40000;
 
     TcpSocket *lookup(int64_t sock);
     TcpSocket *peerOf(TcpSocket &s);

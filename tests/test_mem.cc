@@ -292,6 +292,29 @@ TEST(TlbTest, LruEvictionWithinSet)
     EXPECT_EQ(tlb.lookup(1, 0x2000), nullptr);
 }
 
+TEST(TlbDeathTest, ZeroWaysPanicsBeforeSizing)
+{
+    // The set count divides by the ways, so the check must come first.
+    EXPECT_DEATH(Tlb(128, 0, false), "bad TLB geometry");
+}
+
+TEST(CacheDeathTest, GeometryWithNoSetsPanics)
+{
+    // Smaller than one line: no sets, so the first access would index
+    // an empty way array.
+    EXPECT_DEATH(Cache({32, 64, 4, Cycles(2)}, nullptr, Cycles(50)),
+                 "bad cache geometry");
+}
+
+TEST(CacheDeathTest, NextLevelWithOtherLineSizePanics)
+{
+    // A miss probes the next level by line number, so both levels
+    // must agree on what a line is.
+    Cache l2({4096, 128, 4, Cycles(14)}, nullptr, Cycles(60));
+    EXPECT_DEATH(Cache({1024, 64, 2, Cycles(2)}, &l2, Cycles(60)),
+                 "next cache level has 128-byte lines");
+}
+
 TEST(CacheTest, MissThenHit)
 {
     Cache l1({1024, 64, 2, Cycles(2)}, nullptr, Cycles(50));

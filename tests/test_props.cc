@@ -26,7 +26,21 @@ struct CacheGeom
 {
     uint64_t size;
     uint32_t line;
-    uint32_t assoc;
+    uint16_t assoc;
+    /**
+     * The L2 under this L1: its size as a multiple of the L1's, and its
+     * ways. 0 means 4x and 4-way; it keeps the first rows' bytes, which
+     * gtest prints into their test names.
+     */
+    uint8_t l2Times = 0;
+    uint8_t l2Assoc = 0;
+
+    mem::CacheParams
+    l2() const
+    {
+        return {(l2Times ? l2Times : 4) * size, line,
+                l2Assoc ? l2Assoc : 4u, Cycles(14)};
+    }
 };
 
 class CacheSweep : public ::testing::TestWithParam<CacheGeom>
@@ -68,8 +82,11 @@ TEST_P(CacheSweep, ThrashingWorkingSetMostlyMisses)
 
 /**
  * Reference model: mem::Cache as it was before set and tag came from
- * shifts. Every probe divides by the line size and the set count; the
- * real cache must agree with it cycle for cycle.
+ * shifts and each set kept its ways in recency order. Every probe
+ * divides by the line size and the set count, and the victim is the
+ * first invalid way, else the one with the oldest LRU stamp. It is the
+ * reference for both the shifts and the recency-ordered ways: the real
+ * cache must agree with it cycle for cycle.
  */
 class RefCache
 {
@@ -165,13 +182,27 @@ class RefCache
 TEST_P(CacheSweep, MatchesDividingReferenceModel)
 {
     CacheGeom g = GetParam();
-    // The swept geometry is the L1 over a 4-way L2 four times its size.
     mem::CacheParams l1p{g.size, g.line, g.assoc, Cycles(2)};
-    mem::CacheParams l2p{4 * g.size, g.line, 4, Cycles(14)};
+    mem::CacheParams l2p = g.l2();
     mem::Cache l2(l2p, nullptr, Cycles(60));
     mem::Cache l1(l1p, &l2, Cycles(60));
     RefCache ref_l2(l2p, nullptr, Cycles(60));
     RefCache ref_l1(l1p, &ref_l2, Cycles(60));
+
+    auto step = [&](uint64_t i, PAddr addr, uint64_t len, bool is_write) {
+        Cycles got = l1.access(addr, len, is_write);
+        Cycles want = ref_l1.access(addr, len, is_write);
+        ASSERT_EQ(got.value(), want.value())
+            << "access " << i << " at " << addr << " len " << len;
+        ASSERT_EQ(l1.hits.value(), ref_l1.hits) << "access " << i;
+        ASSERT_EQ(l1.misses.value(), ref_l1.misses) << "access " << i;
+        ASSERT_EQ(l1.writebacks.value(), ref_l1.writebacks)
+            << "access " << i;
+        ASSERT_EQ(l2.hits.value(), ref_l2.hits) << "access " << i;
+        ASSERT_EQ(l2.misses.value(), ref_l2.misses) << "access " << i;
+        ASSERT_EQ(l2.writebacks.value(), ref_l2.writebacks)
+            << "access " << i;
+    };
 
     Rng rng(g.size + g.line + g.assoc);
     for (int i = 0; i < 20000; i++) {
@@ -193,23 +224,27 @@ TEST_P(CacheSweep, MatchesDividingReferenceModel)
                        : op < 12 ? 0
                                  : 1 + rng.nextBounded(3 * g.line);
         bool is_write = rng.nextBounded(2) == 0;
-        Cycles got = l1.access(addr, len, is_write);
-        Cycles want = ref_l1.access(addr, len, is_write);
-        ASSERT_EQ(got.value(), want.value())
-            << "access " << i << " at " << addr << " len " << len;
-        ASSERT_EQ(l1.hits.value(), ref_l1.hits) << "access " << i;
-        ASSERT_EQ(l1.misses.value(), ref_l1.misses) << "access " << i;
-        ASSERT_EQ(l1.writebacks.value(), ref_l1.writebacks)
-            << "access " << i;
-        ASSERT_EQ(l2.hits.value(), ref_l2.hits) << "access " << i;
-        ASSERT_EQ(l2.misses.value(), ref_l2.misses) << "access " << i;
-        ASSERT_EQ(l2.writebacks.value(), ref_l2.writebacks)
-            << "access " << i;
+        ASSERT_NO_FATAL_FAILURE(step(i, addr, len, is_write));
     }
     // The stream must have exercised every path it compares.
     EXPECT_GT(ref_l1.hits, 0u);
     EXPECT_GT(ref_l1.writebacks, 0u);
     EXPECT_GT(ref_l2.hits, 0u);
+
+    // Then stream pages, alternately read and written, over three times
+    // the L2 and back again: each reread was evicted from both levels,
+    // and every set turns over its full depth many times.
+    uint64_t l2_misses = ref_l2.misses, l2_writebacks = ref_l2.writebacks;
+    uint64_t span = 3 * l2p.sizeBytes;
+    for (int pass = 0; pass < 2; pass++) {
+        for (PAddr addr = 0; addr < span; addr += pageSize) {
+            bool is_write = (addr / pageSize + pass) % 2 == 0;
+            ASSERT_NO_FATAL_FAILURE(
+                step(addr / pageSize, addr, pageSize, is_write));
+        }
+    }
+    EXPECT_GT(ref_l2.misses, l2_misses);
+    EXPECT_GT(ref_l2.writebacks, l2_writebacks);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -217,12 +252,20 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CacheGeom{1024, 32, 1}, CacheGeom{4096, 64, 2},
                       CacheGeom{32768, 64, 4},
                       CacheGeom{65536, 128, 8},
-                      CacheGeom{16384, 64, 16}),
+                      CacheGeom{16384, 64, 16},
+                      // The machines' own hierarchies: Rocket and ARM
+                      // HPI over a 16-way L2, lowRISC over an 8-way.
+                      CacheGeom{32768, 64, 4, 32, 16},
+                      CacheGeom{32768, 64, 4, 16, 8}),
     [](const ::testing::TestParamInfo<CacheGeom> &info) {
         const CacheGeom &g = info.param;
-        return std::to_string(g.size) + "B_" +
-               std::to_string(g.line) + "L_" +
-               std::to_string(g.assoc) + "W";
+        std::string name = std::to_string(g.size) + "B_" +
+                           std::to_string(g.line) + "L_" +
+                           std::to_string(g.assoc) + "W";
+        if (g.l2Times)
+            name += "_over_" + std::to_string(g.l2().sizeBytes) + "B_" +
+                    std::to_string(g.l2().assoc) + "W";
+        return name;
     });
 
 // --------------------------------------------------------------------

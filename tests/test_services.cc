@@ -379,6 +379,22 @@ TEST_F(TcpLoop, SequenceNumbersAdvance)
     EXPECT_EQ(s->rcvNxt, c->sndNxt);
 }
 
+TEST(TcpTest, EphemeralPortsArePerStack)
+{
+    // Each stack numbers its own connects, so a second stack in the
+    // same process hands out the same first port as the first one.
+    net::TcpStack a, b;
+    for (net::TcpStack *stack : {&a, &b}) {
+        auto xmit = [stack](std::vector<uint8_t> &frame) {
+            stack->deliver(frame.data(), frame.size());
+        };
+        stack->listen(stack->socket(), 80);
+        int64_t cli = stack->socket();
+        ASSERT_EQ(stack->connect(cli, 80, xmit), 0);
+        EXPECT_EQ(stack->find(cli)->localPort, 40000);
+    }
+}
+
 // --------------------------------------------------------------------
 // xv6fs over an in-memory disk
 // --------------------------------------------------------------------
