@@ -16,6 +16,7 @@
 
 #include "core/system.hh"
 #include "core/transport.hh"
+#include "sim/crc.hh"
 #include "sim/critpath.hh"
 #include "sim/fault_injector.hh"
 #include "sim/request.hh"
@@ -216,14 +217,72 @@ TEST_F(CritPathTest, TransportCallsCloseOnEveryKernel)
 }
 
 /**
+ * The tracer's Chrome export without its thread_name metadata, which
+ * comes from the process-wide lane map and so depends on which tests
+ * ran earlier in the process.
+ */
+std::string
+exportWithoutLaneNames()
+{
+    std::ostringstream os;
+    trace::Tracer::global().exportChromeJson(os);
+    std::istringstream in(os.str());
+    std::string out, line;
+    while (std::getline(in, line)) {
+        if (line.find("\"name\":\"thread_name\"") == std::string::npos)
+            out += line + "\n";
+    }
+    return out;
+}
+
+/**
+ * Compare @p actual with tests/golden/<stem>.json byte for byte. A
+ * mismatch reports the first differing line and writes the new
+ * output next to the test binary as <stem>.actual.json; copy it over
+ * the golden only when the change is intended.
+ */
+void
+expectMatchesGolden(const std::string &stem, const std::string &actual)
+{
+    std::string path = std::string(XPC_GOLDEN_DIR) + "/" + stem + ".json";
+    std::ifstream gf(path);
+    EXPECT_TRUE(gf.good()) << "missing golden " << path;
+    std::stringstream golden;
+    golden << gf.rdbuf();
+    if (golden.str() == actual)
+        return;
+
+    std::ofstream(stem + ".actual.json") << actual;
+    std::istringstream want(golden.str()), got(actual);
+    std::string w, g;
+    for (int n = 1;; n++) {
+        bool more_w = bool(std::getline(want, w));
+        bool more_g = bool(std::getline(got, g));
+        if (!more_w && !more_g)
+            break;
+        if (more_w != more_g || w != g) {
+            ADD_FAILURE() << path << " line " << n << "\n  golden: "
+                          << (more_w ? w : "<end of file>")
+                          << "\n  actual: "
+                          << (more_g ? g : "<end of file>");
+            break;
+        }
+    }
+}
+
+const core::SystemFlavor goldenFlavors[] = {
+    core::SystemFlavor::Sel4TwoCopy, core::SystemFlavor::Sel4OneCopy,
+    core::SystemFlavor::Sel4Xpc,     core::SystemFlavor::Zircon,
+    core::SystemFlavor::ZirconXpc,
+};
+
+/**
  * One scripted scenario through the Transport layer, traced:
  *   1. a tenant-1 client calls "front" under the Critical tier, and
  *      front hands bytes [64, 128) of the request over to "back";
  *   2. tenancy enforcement refuses the client's call into tenant 2;
  *   3. a call to "slow" overruns the system's deadline budget.
- * @return the Chrome-trace export without its thread_name metadata,
- *         which comes from the tracer's process-wide lane map and so
- *         depends on which tests ran earlier in the process.
+ * @return the Chrome-trace export without its thread_name metadata.
  */
 std::string
 goldenScenarioTrace(core::SystemFlavor flavor)
@@ -302,59 +361,175 @@ goldenScenarioTrace(core::SystemFlavor flavor)
     core::CallResult late = tr.call(core, client, slow, 0, 16, 64);
     EXPECT_EQ(late.status, core::TransportStatus::DeadlineExpired);
 
-    std::ostringstream os;
-    tracer.exportChromeJson(os);
-    std::istringstream in(os.str());
-    std::string out, line;
-    while (std::getline(in, line)) {
-        if (line.find("\"name\":\"thread_name\"") == std::string::npos)
-            out += line + "\n";
-    }
-    return out;
+    return exportWithoutLaneNames();
 }
 
 TEST_F(CritPathTest, CallSpansMatchGoldenOnEveryFlavor)
 {
     // Byte-for-byte span, flow and instant stream of the scenario
-    // above, pinned per flavor under tests/golden/. A mismatch
-    // writes the new export next to the test binary as
-    // callspan_<flavor>.actual.json; copy it over the golden only
-    // when the change to the trace is intended.
-    const core::SystemFlavor flavors[] = {
-        core::SystemFlavor::Sel4TwoCopy, core::SystemFlavor::Sel4OneCopy,
-        core::SystemFlavor::Sel4Xpc,     core::SystemFlavor::Zircon,
-        core::SystemFlavor::ZirconXpc,
-    };
-    for (auto flavor : flavors) {
+    // above, pinned per flavor as tests/golden/callspan_<flavor>.json.
+    for (auto flavor : goldenFlavors) {
         std::string name = core::systemFlavorName(flavor);
         SCOPED_TRACE(name);
-        std::string actual = goldenScenarioTrace(flavor);
+        expectMatchesGolden("callspan_" + name,
+                            goldenScenarioTrace(flavor));
+    }
+}
 
-        std::string path =
-            std::string(XPC_GOLDEN_DIR) + "/callspan_" + name + ".json";
-        std::ifstream gf(path);
-        EXPECT_TRUE(gf.good()) << "missing golden " << path;
-        std::stringstream golden;
-        golden << gf.rdbuf();
-        if (golden.str() == actual)
+/** The scheduled faults of the chaos golden. */
+struct ChaosFault
+{
+    FaultOp op;
+    FaultPhase phase;
+    uint32_t arg;
+    /** Strikes only where the XPC runtime runs the call. */
+    bool xpcOnly;
+};
+
+const ChaosFault chaosFaults[] = {
+    {FaultOp::CopyFault, FaultPhase::PreXcall, 0, false},
+    {FaultOp::CorruptPayload, FaultPhase::PreXcall, 6, false}, // flip
+    {FaultOp::CorruptPayload, FaultPhase::PreXcall, 7, false}, // cut
+    {FaultOp::MutateAfterHandoff, FaultPhase::InHandler, 1, false},
+    {FaultOp::StallServer, FaultPhase::InHandler, 0, false},
+    {FaultOp::SlowServer, FaultPhase::InHandler, 4, false},
+    {FaultOp::GarbageReply, FaultPhase::PreXret, 3, false},
+    {FaultOp::KillServer, FaultPhase::PreXcall, 0, true},
+    {FaultOp::KillServer, FaultPhase::InHandler, 0, true},
+    {FaultOp::KillServer, FaultPhase::PreXret, 0, true},
+    {FaultOp::HangServer, FaultPhase::InHandler, 0, true},
+    {FaultOp::RevokeSeg, FaultPhase::InHandler, 0, true},
+    {FaultOp::CorruptLinkage, FaultPhase::InHandler, 0, true},
+    {FaultOp::CorruptLinkage, FaultPhase::PreXret, 0, true},
+    {FaultOp::EngineException, FaultPhase::PreXcall, 1, true},
+};
+
+/**
+ * One chaos case on a fresh rig: a client calls "front", which hands
+ * bytes [64, 128) of the request over to "back", under the system's
+ * deadline budget (and the runtime's watchdog on XPC). @p fault is
+ * the plan's only event, on call @p seq: 1 is the client's call, 2
+ * the handover hop. A second, untraced top-level call follows, to pin
+ * what the fault left behind.
+ * @return one JSON object: the case, each top-level call's status,
+ *         reply length and reply crc32, the injector's report, and
+ *         the first call's Chrome export without its thread_name
+ *         metadata.
+ */
+std::string
+chaosCase(core::SystemFlavor flavor, const ChaosFault &fault,
+          uint64_t seq, bool envelope)
+{
+    bool xpc = flavor == core::SystemFlavor::Sel4Xpc ||
+               flavor == core::SystemFlavor::ZirconXpc;
+    core::SystemOptions opts;
+    opts.flavor = flavor;
+    opts.deadlineCycles = Cycles(200000);
+    if (xpc)
+        opts.runtimeOpts.timeoutCycles = Cycles(20000);
+    core::System sys(opts);
+    core::Transport &tr = sys.transport();
+    tr.envelopeEnabled = envelope;
+
+    kernel::Thread &back_t = sys.spawn("back");
+    kernel::Thread &front_t = sys.spawn("front");
+    kernel::Thread &client = sys.spawn("client");
+    core::ServiceDesc bd;
+    bd.name = "back";
+    bd.handlerThread = &back_t;
+    core::ServiceId back =
+        tr.registerService(bd, [](core::ServerApi &api) {
+            std::vector<uint8_t> buf(api.requestLen());
+            api.readRequest(0, buf.data(), buf.size());
+            for (auto &b : buf)
+                b = uint8_t(b + 1);
+            api.writeReply(0, buf.data(), buf.size());
+            api.setReplyLen(buf.size());
+        });
+    core::ServiceDesc fd;
+    fd.name = "front";
+    fd.handlerThread = &front_t;
+    fd.callees = {back};
+    core::ServiceId front =
+        tr.registerService(fd, [back](core::ServerApi &api) {
+            api.callService(back, 1, 64, 64);
+            api.replyFromRequest(0, api.requestLen());
+        });
+    tr.connect(client, front);
+    tr.connect(front_t, back);
+    hw::Core &core = sys.core(0);
+    tr.requestArea(core, client, 4096);
+
+    FaultPlan plan;
+    plan.events.push_back({seq, fault.op, fault.phase, fault.arg});
+    FaultInjector inj(plan);
+    sys.machine().setFaultInjector(&inj);
+    inj.enabled = true;
+
+    trace::Tracer &tracer = trace::Tracer::global();
+    tracer.clear();
+    req::RequestContext::global().reset();
+    std::ostringstream os;
+    os << "{\"case\":\"" << faultOpName(fault.op) << "\",\"phase\":"
+       << uint32_t(fault.phase) << ",\"arg\":" << fault.arg
+       << ",\"seq\":" << seq << ",\"envelope\":" << std::boolalpha
+       << envelope << ",\n\"calls\":[";
+    std::vector<uint8_t> msg(256), reply(4096);
+    std::string trace;
+    for (int call = 0; call < 2; call++) {
+        for (size_t i = 0; i < msg.size(); i++)
+            msg[i] = uint8_t(i * 7 + call);
+        if (call > 0)
+            os << ",";
+        if (!tr.clientWrite(core, client, 0, msg.data(), msg.size())) {
+            os << "{\"staged\":false}";
             continue;
+        }
+        core::CallResult r =
+            tr.call(core, client, front, 0, msg.size(), 4096);
+        uint64_t len = std::min<uint64_t>(r.replyLen, reply.size());
+        tr.clientRead(core, client, 0, reply.data(), len);
+        os << "{\"status\":\"" << kernel::callStatusName(r.status)
+           << "\",\"replyLen\":" << r.replyLen
+           << ",\"crc32\":" << crc32(reply.data(), len) << "}";
+        if (call == 0) {
+            trace = exportWithoutLaneNames();
+            trace.pop_back(); // the trailing newline
+            tracer.setEnabled(false);
+        }
+    }
+    inj.enabled = false;
+    sys.machine().setFaultInjector(nullptr);
+    tracer.setEnabled(true);
+    os << "],\n\"injector\":" << inj.reportJson() << ",\n\"trace\":"
+       << trace << "}";
+    return os.str();
+}
 
-        std::ofstream("callspan_" + name + ".actual.json") << actual;
-        std::istringstream want(golden.str()), got(actual);
-        std::string w, g;
-        for (int n = 1;; n++) {
-            bool more_w = bool(std::getline(want, w));
-            bool more_g = bool(std::getline(got, g));
-            if (!more_w && !more_g)
-                break;
-            if (more_w != more_g || w != g) {
-                ADD_FAILURE() << path << " line " << n << "\n  golden: "
-                              << (more_w ? w : "<end of file>")
-                              << "\n  actual: "
-                              << (more_g ? g : "<end of file>");
-                break;
+TEST_F(CritPathTest, ChaosOutcomesMatchGoldenOnEveryFlavor)
+{
+    // Every fault the bracket and the XPC runtime inject, at both
+    // hops of a handover, with the envelope off and on, pinned per
+    // flavor as tests/golden/chaos_<flavor>.json.
+    for (auto flavor : goldenFlavors) {
+        std::string name = core::systemFlavorName(flavor);
+        SCOPED_TRACE(name);
+        bool xpc = flavor == core::SystemFlavor::Sel4Xpc ||
+                   flavor == core::SystemFlavor::ZirconXpc;
+        std::string actual = "{\"flavor\":\"" + name + "\",\"cases\":[";
+        const char *sep = "\n";
+        for (bool envelope : {false, true}) {
+            for (const ChaosFault &fault : chaosFaults) {
+                if (fault.xpcOnly && !xpc)
+                    continue;
+                for (uint64_t seq : {1, 2}) {
+                    actual += sep + chaosCase(flavor, fault, seq, envelope);
+                    sep = ",\n";
+                }
             }
         }
+        actual += "\n]}\n";
+        expectMatchesGolden("chaos_" + name, actual);
     }
 }
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/system.hh"
@@ -180,6 +182,90 @@ TEST_P(TransportAllFlavors, FaultedScratchStagingDoesNotCall)
     EXPECT_EQ(calls, 1) << "the callee ran on byte 0x" << std::hex
                         << int(seen);
     sys.machine().setFaultInjector(nullptr);
+}
+
+/** Which default-off layer a System runs with. */
+enum class OffLayer
+{
+    None,
+    Deadline,
+    Injector,
+};
+
+/**
+ * A fresh System with @p layer switched on but never striking: an
+ * echo call and a two-hop handover at 0 B, 64 B and 4 KiB. @return
+ * each call's oneWay, roundTrip and handlerCycles, then the system's
+ * stat dump.
+ */
+std::string
+offLayerRun(SystemFlavor flavor, OffLayer layer)
+{
+    SystemOptions opts;
+    opts.flavor = flavor;
+    if (layer == OffLayer::Deadline)
+        opts.deadlineCycles = Cycles(uint64_t(1) << 40);
+    System sys(opts);
+    FaultInjector inj(FaultPlan{});
+    if (layer == OffLayer::Injector) {
+        sys.machine().setFaultInjector(&inj);
+        inj.enabled = true;
+    }
+    Transport &tr = sys.transport();
+    kernel::Thread &back_t = sys.spawn("back");
+    kernel::Thread &front_t = sys.spawn("front");
+    kernel::Thread &client = sys.spawn("client");
+
+    ServiceDesc bd;
+    bd.name = "back";
+    bd.handlerThread = &back_t;
+    ServiceId back = tr.registerService(bd, [](ServerApi &api) {
+        std::vector<uint8_t> buf(api.requestLen());
+        api.readRequest(0, buf.data(), buf.size());
+        for (auto &b : buf)
+            b ^= 0x5a;
+        api.writeReply(0, buf.data(), buf.size());
+        api.setReplyLen(buf.size());
+    });
+    ServiceDesc fd;
+    fd.name = "front";
+    fd.handlerThread = &front_t;
+    fd.callees = {back};
+    ServiceId front = tr.registerService(fd, [back](ServerApi &api) {
+        api.callService(back, 0, 0, api.requestLen());
+        api.replyFromRequest(0, api.requestLen());
+    });
+    tr.connect(client, back);
+    tr.connect(client, front);
+    tr.connect(front_t, back);
+
+    hw::Core &core = sys.core(0);
+    tr.requestArea(core, client, 8192);
+    std::ostringstream os;
+    for (uint64_t len : {0ul, 64ul, 4096ul}) {
+        std::vector<uint8_t> data(len, uint8_t(len + 1));
+        for (ServiceId svc : {back, front}) {
+            EXPECT_TRUE(
+                tr.clientWrite(core, client, 0, data.data(), len));
+            CallResult r = tr.call(core, client, svc, 0, len, 8192);
+            EXPECT_TRUE(r.ok) << "len " << len << " svc " << svc;
+            os << r.oneWay.value() << " " << r.roundTrip.value() << " "
+               << r.handlerCycles.value() << "\n";
+        }
+    }
+    sys.stats().dumpJson(os);
+    sys.machine().setFaultInjector(nullptr);
+    return os.str();
+}
+
+TEST_P(TransportAllFlavors, OffLayersChangeNothing)
+{
+    // Off-switch test for the call bracket's two default-off layers:
+    // a deadline that never expires and a fault injector with nothing
+    // scheduled must leave every cycle and every stat as they are.
+    std::string plain = offLayerRun(GetParam(), OffLayer::None);
+    EXPECT_EQ(offLayerRun(GetParam(), OffLayer::Deadline), plain);
+    EXPECT_EQ(offLayerRun(GetParam(), OffLayer::Injector), plain);
 }
 
 INSTANTIATE_TEST_SUITE_P(
