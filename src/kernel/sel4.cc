@@ -167,6 +167,19 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
         return out;
     }
 
+    // One seL4 IPC is one hop of a request chain: mint (or inherit)
+    // the request id and bracket the whole call on the client's lane.
+    req::RequestScope rscope;
+
+    // Deadline: minted from the kernel's per-call budget at the top
+    // of a chain, inherited (absolute) by every nested hop.
+    req::DeadlineScope dscope(
+        rscope.topLevel() && callDeadline.value() != 0
+            ? (core.now() + callDeadline).value()
+            : 0);
+    const uint64_t deadline =
+        req::RequestContext::global().currentDeadline();
+
     // Chaos hook: a scheduled copy fault arms a one-shot memory
     // fault that the next copy on this call path consumes; stall and
     // slowdown faults strike later, around the handler.
@@ -180,19 +193,6 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
             inj->recordFired(*fault);
         }
     }
-
-    // One seL4 IPC is one hop of a request chain: mint (or inherit)
-    // the request id and bracket the whole call on the client's lane.
-    req::RequestScope rscope;
-
-    // Deadline: minted from the kernel's per-call budget at the top
-    // of a chain, inherited (absolute) by every nested hop.
-    req::DeadlineScope dscope(
-        rscope.topLevel() && callDeadline.value() != 0
-            ? (core.now() + callDeadline).value()
-            : 0);
-    const uint64_t deadline =
-        req::RequestContext::global().currentDeadline();
     auto &tr = trace::Tracer::global();
     uint32_t clane = req::threadLane(uint32_t(client.id()));
 

@@ -91,17 +91,6 @@ ZirconKernel::call(hw::Core &core, Thread &client, uint64_t ch_id,
              (unsigned long)req_len);
     channelMsgs.inc();
 
-    FaultInjector *inj = mach.faultInjector();
-    const FaultEvent *fault = nullptr;
-    if (inj && inj->enabled) {
-        uint64_t seq = inj->beginCall();
-        fault = inj->eventAt(seq);
-        if (fault && fault->op == FaultOp::CopyFault) {
-            inj->armMemFault();
-            inj->recordFired(*fault);
-        }
-    }
-
     // Bind the hop to its request chain and bracket the whole channel
     // round-trip on the client's lane, abort unwinds included.
     req::RequestScope rscope;
@@ -114,6 +103,20 @@ ZirconKernel::call(hw::Core &core, Thread &client, uint64_t ch_id,
             : 0);
     const uint64_t deadline =
         req::RequestContext::global().currentDeadline();
+
+    // Chaos hook: drawn inside the request scope, so the fault's
+    // trace instant carries the call's request id.
+    FaultInjector *inj = mach.faultInjector();
+    const FaultEvent *fault = nullptr;
+    if (inj && inj->enabled) {
+        uint64_t seq = inj->beginCall();
+        fault = inj->eventAt(seq);
+        if (fault && fault->op == FaultOp::CopyFault) {
+            inj->armMemFault();
+            inj->recordFired(*fault);
+        }
+    }
+
     uint32_t clane = req::threadLane(uint32_t(client.id()));
 
     Cycles start = core.now();
