@@ -37,9 +37,8 @@ measure(uint64_t msg_bytes, BenchReport *report = nullptr,
     kernel::Thread &ct = kern.createThread(cp, 0);
     kernel::Thread &st = kern.createThread(sp, 0);
     kern.setCurrent(0, &ct);
-    uint64_t ep =
-        kern.createEndpoint(st, [](kernel::Sel4ServerCall &) {});
-    kern.grantEndpointCap(ct, ep);
+    uint64_t ep = kern.createPort(st, [](kernel::ServerCall &) {});
+    kern.grantPort(ct, ep);
     VAddr req = cp.alloc(64 * 1024);
     VAddr reply = cp.alloc(64 * 1024);
 
@@ -54,9 +53,8 @@ measure(uint64_t msg_bytes, BenchReport *report = nullptr,
             kern.userWrite(machine.core(0), cp, req, payload.data(),
                            msg_bytes);
         }
-        auto out = kern.call(machine.core(0), ct, ep, 1, req,
-                             msg_bytes, reply, 64,
-                             kernel::LongMsgMode::TwoCopy);
+        auto out = kern.callPort(machine.core(0), ct, ep, 1, req,
+                                 msg_bytes, reply, 64);
         if (!out.ok)
             fatal("seL4 call failed");
     }

@@ -73,12 +73,11 @@ measure()
         kernel::Process &sp = kern.createProcess("s");
         kernel::Thread &ct = kern.createThread(cp, 0);
         kernel::Thread &st = kern.createThread(sp, 0);
-        uint64_t ep =
-            kern.createEndpoint(st, [](kernel::Sel4ServerCall &) {});
-        kern.grantEndpointCap(ct, ep);
+        uint64_t ep = kern.createPort(st, [](kernel::ServerCall &) {});
+        kern.grantPort(ct, ep);
         VAddr req = cp.alloc(4096), reply = cp.alloc(4096);
         for (int i = 0; i < 8; i++)
-            kern.call(machine.core(0), ct, ep, 1, req, 0, reply, 32);
+            kern.callPort(machine.core(0), ct, ep, 1, req, 0, reply, 32);
         out.baselineCall = kern.lastPhases.logic.value();
         // fastpath_reply_recv does the same checks plus reply-cap
         // teardown; the paper measures it ~20% dearer.

@@ -43,19 +43,14 @@ System::System(const SystemOptions &options) : opts(options)
         break;
     }
 
-    XpcRuntimeOptions runtime_opts = opts.runtimeOpts;
-    if (opts.deadlineCycles.value() != 0) {
-        kernelPtr->callDeadline = opts.deadlineCycles;
-        if (runtime_opts.deadlineCycles.value() == 0)
-            runtime_opts.deadlineCycles = opts.deadlineCycles;
-    }
+    kernelPtr->callDeadline = opts.deadlineCycles;
 
     enginePtr =
         std::make_unique<engine::XpcEngine>(*mach, opts.engineOpts);
     managerPtr =
         std::make_unique<kernel::XpcManager>(*kernelPtr, *enginePtr);
     runtimePtr = std::make_unique<XpcRuntime>(*kernelPtr, *managerPtr,
-                                              runtime_opts);
+                                              opts.runtimeOpts);
 
     switch (opts.flavor) {
       case SystemFlavor::Sel4TwoCopy:

@@ -41,10 +41,9 @@ struct SystemOptions
     engine::XpcEngineOptions engineOpts{};
     XpcRuntimeOptions runtimeOpts{};
     /**
-     * Per-request deadline budget applied to every transport in the
-     * system (kernel IPC and the XPC runtime alike); 0 = off. A
-     * non-zero runtimeOpts.deadlineCycles takes precedence on the
-     * XPC path.
+     * Per-request deadline budget of every call path, kernel IPC and
+     * the XPC runtime alike: it sets Kernel::callDeadline, which all
+     * three paths read. 0 = off.
      */
     Cycles deadlineCycles{0};
 

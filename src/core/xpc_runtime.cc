@@ -8,6 +8,16 @@
 
 namespace xpc::core {
 
+namespace {
+
+/// Trampoline save+restore cost per direction, calibrated to the
+/// paper's Figure 5: all callee-visible registers, or only the live
+/// ones under a shared calling convention (5.2 "Partial-Cxt").
+constexpr Cycles fullContextTrampoline{76};
+constexpr Cycles partialContextTrampoline{15};
+
+} // namespace
+
 XpcRuntime::XpcRuntime(kernel::Kernel &kernel,
                        kernel::XpcManager &manager,
                        const XpcRuntimeOptions &options)
@@ -286,6 +296,23 @@ XpcRuntime::callCurrent(hw::Core &core, uint64_t entry_id,
                   caller ? caller->tenant : kernel::defaultTenant);
 }
 
+void
+XpcRuntime::trampoline(hw::Core &core)
+{
+    auto &tr = trace::Tracer::global();
+    Cycles t0 = core.now();
+    {
+        req::PhaseScope phase(uint32_t(Phase::Trampoline));
+        core.spend(opts.trampoline == TrampolineMode::FullContext
+                       ? fullContextTrampoline
+                       : partialContextTrampoline);
+    }
+    if (tr.enabled()) {
+        tr.begin("runtime", "trampoline", t0.value(), core.id());
+        tr.end("runtime", "trampoline", core.now().value(), core.id());
+    }
+}
+
 XpcCallOutcome
 XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
                    uint64_t req_len, uint32_t caller_lane,
@@ -296,27 +323,13 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
     XpcCallOutcome out;
     calls.inc();
 
-    // Bind the call to its request chain: the outermost call mints a
-    // fresh id, nested handover calls inherit the active one. Every
-    // trace event and memory access below is stamped with it.
-    req::RequestScope rscope;
-
-    // Deadline: the top-level call mints an absolute one from the
-    // configured budget; nested hops inherit the enclosing deadline
-    // (the scope can only tighten, never extend it). 0 = none.
-    req::DeadlineScope dscope(
-        rscope.topLevel() && opts.deadlineCycles.value() != 0
-            ? (core.now() + opts.deadlineCycles).value()
-            : 0);
-    const uint64_t deadline =
-        req::RequestContext::global().currentDeadline();
-
-    // Fault injection: one lookup per call decides what (if anything)
-    // goes wrong, and at which Table-1 phase it strikes.
-    FaultInjector *inj = kern.machine().faultInjector();
-    const FaultEvent *fault = nullptr;
-    if (inj && inj->enabled)
-        fault = inj->eventAt(inj->beginCall());
+    // The shared bracket binds the call to its request chain (every
+    // trace event and memory access below is stamped with it), mints
+    // or inherits the deadline and draws the call's fault. What
+    // follows is XPC's cost model and the faults only XPC has.
+    kernel::CallBracket bracket(kern, core, out, deadlineExpired);
+    FaultInjector *inj = bracket.injector();
+    const FaultEvent *fault = bracket.fault();
 
     // Kill the process serving this entry, as a crash would.
     auto kill_server = [&]() -> bool {
@@ -329,50 +342,27 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
         xpcManager.onProcessExit(*p);
         return true;
     };
+    // Message bytes live in the relay segment on the core's seg-reg.
+    auto xor_seg_byte = [&](uint64_t at, uint8_t mask) {
+        uint8_t b = 0;
+        if (!segRead(core, at, &b, 1))
+            return false;
+        b ^= mask;
+        segWrite(core, at, &b, 1);
+        return true;
+    };
 
     bool killed_pre_xcall = false;
-    if (fault) {
-        switch (fault->op) {
-          case FaultOp::EngineException:
-            inj->armEngineException(fault->arg);
-            inj->recordFired(*fault);
-            break;
-          case FaultOp::CopyFault:
-            // The next message-byte access faults (reads see zeros).
-            inj->armMemFault();
-            inj->recordFired(*fault);
-            break;
-          case FaultOp::KillServer:
-            if (fault->phase == FaultPhase::PreXcall &&
-                kill_server()) {
-                killed_pre_xcall = true;
-                inj->recordFired(*fault);
-            }
-            break;
-          case FaultOp::CorruptPayload:
-            // Break the staged request in the relay seg before the
-            // handover. Even args flip one bit; odd args truncate
-            // the visible length (the envelope's length check is
-            // what catches that one).
-            if (req_len > 0) {
-                if (fault->arg & 1) {
-                    uint64_t cut = 1 + ((fault->arg >> 1) % 7);
-                    req_len = req_len > cut ? req_len - cut : 0;
-                } else {
-                    uint64_t at = (fault->arg >> 1) % req_len;
-                    uint8_t b = 0;
-                    if (segRead(core, at, &b, 1)) {
-                        b ^= uint8_t(1u << ((fault->arg >> 1) % 8));
-                        segWrite(core, at, &b, 1);
-                    }
-                }
-                inj->recordFired(*fault);
-            }
-            break;
-          default:
-            break; // strikes later, at its phase
-        }
+    if (fault && fault->op == FaultOp::EngineException) {
+        inj->armEngineException(fault->arg);
+        inj->recordFired(*fault);
+    } else if (fault && fault->op == FaultOp::KillServer &&
+               fault->phase == FaultPhase::PreXcall && kill_server()) {
+        killed_pre_xcall = true;
+        inj->recordFired(*fault);
     }
+    // Break the staged request in the relay seg before the handover.
+    bracket.corruptPayload(req_len, xor_seg_byte);
 
     if (opts.prefetchEntries) {
         // Issued in advance by the application; its latency overlaps
@@ -381,15 +371,13 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
     }
 
     auto &tr = trace::Tracer::global();
-    Cycles start = core.now();
-    kernel::CallSpan span("xpc", "call", core, caller_lane, rscope,
-                          caller_tenant, out.status);
+    bracket.open("xpc", "call", caller_lane, caller_tenant);
+    Cycles start = bracket.start();
 
-    if (deadline != 0 && core.now().value() >= deadline) {
+    if (bracket.expiredBeforeCall()) {
         // Already out of budget (an upstream hop burned it all):
         // reject before issuing the xcall at all.
-        deadlineExpired.inc();
-        out.status = CallStatus::DeadlineExpired;
+        bracket.fail(CallStatus::DeadlineExpired);
         return out;
     }
 
@@ -411,14 +399,13 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
     }
     if (xc.exc != engine::XpcException::None) {
         out.exc = xc.exc;
-        if (killed_pre_xcall)
-            out.status = CallStatus::ServiceDead;
-        else if (xc.exc == engine::XpcException::InvalidXEntry)
-            out.status = CallStatus::ServiceDead;
+        if (killed_pre_xcall ||
+            xc.exc == engine::XpcException::InvalidXEntry)
+            bracket.fail(CallStatus::ServiceDead);
         else if (xc.exc == engine::XpcException::InvalidXcallCap)
-            out.status = CallStatus::NoCapability;
+            bracket.fail(CallStatus::NoCapability);
         else
-            out.status = CallStatus::EngineFault;
+            bracket.fail(CallStatus::EngineFault);
         return out;
     }
 
@@ -429,17 +416,7 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
              "x-entry %lu has no registered handler",
              (unsigned long)entry_id);
     EntryState &state = it->second;
-    Cycles tramp0 = core.now();
-    {
-        req::PhaseScope phase(uint32_t(Phase::Trampoline));
-        core.spend(opts.trampoline == TrampolineMode::FullContext
-                       ? opts.fullCtxCost
-                       : opts.partialCtxCost);
-    }
-    if (tr.enabled()) {
-        tr.begin("runtime", "trampoline", tramp0.value(), core.id());
-        tr.end("runtime", "trampoline", core.now().value(), core.id());
-    }
+    trampoline(core);
 
     if (state.busy >= state.maxContexts) {
         // No idle context: return an error to the caller (the
@@ -448,9 +425,7 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
         auto ret = engine().xret(core);
         panic_if(ret.exc != engine::XpcException::None,
                  "xret failed unwinding a context-exhausted call");
-        out.exc = engine::XpcException::None;
-        out.ok = false;
-        out.status = CallStatus::Exhausted;
+        bracket.fail(CallStatus::Exhausted);
         return out;
     }
     state.busy++;
@@ -462,11 +437,10 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
     call_ctx.reqLen = req_len;
     call_ctx.caller = xc.callerCapPtr;
 
-    // In-handler faults strike while the callee owns the core.
+    // XPC's own in-handler faults strike while the callee owns the
+    // core.
     bool skip_handler = false;
     bool hang_injected = false;
-    bool stall_injected = false;
-    uint32_t slow_factor = 1;
     bool server_died = false;
     if (fault && fault->phase == FaultPhase::InHandler) {
         switch (fault->op) {
@@ -498,28 +472,13 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
                 inj->recordFired(*fault);
             break;
           case FaultOp::StallServer:
-            // A stalled server busy-loops and never replies. With a
-            // deadline armed it burns the whole budget; with only a
-            // watchdog it degrades to a hang. With neither, firing
-            // it would wedge the caller forever - skip.
-            if (deadline != 0) {
-                stall_injected = true;
-                inj->recordFired(*fault);
-            } else if (opts.timeoutCycles.value() != 0) {
+            // The bracket stalls the server when a deadline is armed;
+            // with only a watchdog the stall degrades to a hang.
+            if (bracket.deadline() == 0 &&
+                opts.timeoutCycles.value() != 0) {
                 hang_injected = true;
                 inj->recordFired(*fault);
             }
-            break;
-          case FaultOp::SlowServer:
-            slow_factor = fault->arg > 1 ? fault->arg : 2;
-            inj->recordFired(*fault);
-            break;
-          case FaultOp::MutateAfterHandoff:
-            // TOCTOU: arm the one-shot hostile rewrite; it fires
-            // after the handler's arg-th seg read (recorded there)
-            // and is disarmed after the handler if it never struck.
-            if (req_len > 0)
-                inj->armHandoffMutation(*fault);
             break;
           default:
             break;
@@ -529,37 +488,20 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
     if (inj && inj->enabled)
         inj->atCrashSite("phase-handler");
 
-    Cycles h0 = core.now();
-    {
-        req::PhaseScope phase(uint32_t(Phase::Handler));
-        if (hang_injected) {
-            call_ctx.hang(opts.timeoutCycles + Cycles(1000));
-        } else if (stall_injected) {
-            // Busy-loop well past the deadline; no reply is written.
-            uint64_t now = core.now().value();
-            call_ctx.hang(Cycles(
-                (deadline > now ? deadline - now : 0) + 1000));
-        } else if (!skip_handler) {
-            state.handler(call_ctx);
-            if (slow_factor > 1) {
-                // Slow server: the handler ran at slow_factor x its
-                // normal cost; charge the extra shares here so the
-                // overrun is attributed to the handler phase.
-                core.spend((core.now() - h0) * (slow_factor - 1));
-            }
-        }
-    }
-    out.handlerCycles = core.now() - h0;
-    if (inj)
-        inj->clearHandoffMutation();
-    // The migrating-thread model: the handler ran on the caller's
+    // The migrating-thread model: the handler runs on the caller's
     // core, but it is *server* work - its span goes on the server
     // thread's lane.
-    span.handler(h0, core.now(),
-                 req::threadLane(uint32_t(state.handlerThread->id())));
+    bracket.runHandler(
+        core, req::threadLane(uint32_t(state.handlerThread->id())),
+        req_len, [&] {
+            if (hang_injected)
+                call_ctx.hang(opts.timeoutCycles + Cycles(1000));
+            else if (!skip_handler)
+                state.handler(call_ctx);
+        });
 
-    if (!server_died && deadline != 0 &&
-        core.now().value() >= deadline) {
+    if (!server_died &&
+        bracket.expiredAfterHandler(core.now(), "runtime")) {
         // The deadline expired while the callee owned the core. The
         // caller gives up *now*: paper-faithful cleanup is the 6.1
         // timeout unwind plus 4.4 segment revocation, so a server
@@ -573,7 +515,7 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
             // it and invalidates the seg-list slots.
             xpcManager.revokeRelaySeg(held_seg);
             deadlineRevocations.inc();
-            if (stall_injected || call_ctx.hung) {
+            if (bracket.stalled() || call_ctx.hung) {
                 // The stalled server eventually resumes and issues
                 // its reply store through the mapping it held. The
                 // revocation scrubbed that seg-reg, so the store
@@ -585,11 +527,7 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
             }
         }
         xpcManager.forceUnwind(core, /*even_if_invalid=*/true);
-        deadlineExpired.inc();
-        tr.instantNow("runtime", "deadline_expired", caller_lane);
-        out.ok = false;
-        out.status = CallStatus::DeadlineExpired;
-        out.roundTrip = core.now() - start;
+        bracket.fail(CallStatus::DeadlineExpired);
         return out;
     }
 
@@ -600,10 +538,8 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
         state.busy--;
         bool unwound = xpcManager.forceUnwind(core);
         panic_if(!unwound, "timeout with no linkage record");
-        out.ok = false;
         out.timedOut = true;
-        out.status = CallStatus::Timeout;
-        out.roundTrip = core.now() - start;
+        bracket.fail(CallStatus::Timeout);
         return out;
     }
     panic_if(call_ctx.hung,
@@ -616,43 +552,22 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
         } else if (fault->op == FaultOp::CorruptLinkage &&
                    xpcManager.corruptTopLinkage(core)) {
             inj->recordFired(*fault);
-        } else if (fault->op == FaultOp::GarbageReply &&
-                   call_ctx.repLen > 0) {
-            // Garbage the in-place reply after the handler sealed
-            // it, before control returns to the caller.
-            uint64_t at = fault->arg % call_ctx.repLen;
-            uint8_t b = 0;
-            if (segRead(core, at, &b, 1)) {
-                b ^= 0xA5;
-                segWrite(core, at, &b, 1);
-                inj->recordFired(*fault);
-            }
         }
     }
+    // Garbage the in-place reply before control returns.
+    bracket.garbageReply(call_ctx.repLen, xor_seg_byte);
 
     if (server_died) {
         // The callee crashed mid-call; it will never xret, so the
         // kernel unwinds the client (paper 4.2 termination).
         state.busy--;
         xpcManager.forceUnwind(core, /*even_if_invalid=*/true);
-        out.ok = false;
-        out.status = CallStatus::ServiceDead;
-        out.roundTrip = core.now() - start;
+        bracket.fail(CallStatus::ServiceDead);
         return out;
     }
 
     // Return trampoline (restore registers) and xret.
-    Cycles rtramp0 = core.now();
-    {
-        req::PhaseScope phase(uint32_t(Phase::Trampoline));
-        core.spend(opts.trampoline == TrampolineMode::FullContext
-                       ? opts.fullCtxCost
-                       : opts.partialCtxCost);
-    }
-    if (tr.enabled()) {
-        tr.begin("runtime", "trampoline", rtramp0.value(), core.id());
-        tr.end("runtime", "trampoline", core.now().value(), core.id());
-    }
+    trampoline(core);
     state.busy--;
 
     if (inj && inj->enabled)
@@ -675,29 +590,23 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
         // caller sees an error instead of a wedged core.
         xpcManager.forceUnwind(core, /*even_if_invalid=*/true);
         out.exc = ret.exc;
-        out.ok = false;
         if (ret.exc == engine::XpcException::InvalidLinkage)
-            out.status = CallStatus::LinkageCorrupt;
+            bracket.fail(CallStatus::LinkageCorrupt);
         else if (ret.exc == engine::XpcException::InvalidSegMask)
-            out.status = CallStatus::SegRevoked;
+            bracket.fail(CallStatus::SegRevoked);
         else
-            out.status = CallStatus::EngineFault;
-        out.roundTrip = core.now() - start;
+            bracket.fail(CallStatus::EngineFault);
         return out;
     }
 
     if (call_ctx.failStatus != CallStatus::Ok) {
         // The handler ran but its work is invalid (message copy
         // faulted, or a nested call it depended on failed).
-        out.ok = false;
-        out.status = call_ctx.failStatus;
-        out.roundTrip = core.now() - start;
+        bracket.fail(call_ctx.failStatus);
         return out;
     }
 
-    out.ok = true;
-    out.replyLen = call_ctx.repLen;
-    out.roundTrip = core.now() - start;
+    bracket.succeed(call_ctx.repLen);
 
     // Fig. 5 attribution: the entry trampoline is everything between
     // the xcall retiring and the handler getting control.

@@ -36,30 +36,15 @@ enum class TrampolineMode
     PartialContext,
 };
 
-/** Library-level tunables (costs calibrated to paper Figure 5). */
+/** Library-level tunables. */
 struct XpcRuntimeOptions
 {
     TrampolineMode trampoline = TrampolineMode::FullContext;
-    /** Trampoline save+restore cost, full-context mode. */
-    Cycles fullCtxCost{76};
-    /** Trampoline save+restore cost, partial-context mode. */
-    Cycles partialCtxCost{15};
     /** Issue an engine-cache prefetch before each xcall. */
     bool prefetchEntries = false;
     /** Callee budget before the kernel's timeout unwinds the call;
      *  0 = infinite (the common real-world setting, paper 6.1). */
     Cycles timeoutCycles{0};
-    /**
-     * Per-request deadline budget; 0 = off (the default - cycle
-     * output is then byte-identical to a build without deadlines).
-     * Each top-level call mints an absolute deadline of now +
-     * deadlineCycles; nested handover calls inherit it (they can
-     * only tighten it, see req::DeadlineScope). On expiry the
-     * runtime performs the paper's timeout cleanup - link-stack
-     * unwind (4.2/6.1) plus relay-seg revocation (4.4) - so a
-     * stalled server can never write the reclaimed segment.
-     */
-    Cycles deadlineCycles{0};
 };
 
 /** Outcome of one xpcCall: a call outcome plus the engine's view. */
@@ -155,7 +140,6 @@ class XpcRuntime
     kernel::XpcManager &manager() { return xpcManager; }
     engine::XpcEngine &engine() { return xpcManager.engine(); }
     kernel::Kernel &kernel() { return kern; }
-    const XpcRuntimeOptions &options() const { return opts; }
 
     /**
      * Register an x-entry (paper Listing 1: xpc_register_entry).
@@ -236,6 +220,16 @@ class XpcRuntime
     XpcRuntimeOptions opts;
     std::map<uint64_t, EntryState> entryStates;
 
+    /** Charge one direction of the C-stack trampoline. */
+    void trampoline(hw::Core &core);
+
+    /**
+     * One xcall under the kernel's call bracket. Past its deadline
+     * (Kernel::callDeadline) the call performs the paper's timeout
+     * cleanup - link-stack unwind (4.2/6.1) plus relay-seg revocation
+     * (4.4) - so a stalled server can never write the reclaimed
+     * segment.
+     */
     XpcCallOutcome doCall(hw::Core &core, uint64_t entry_id,
                           uint64_t opcode, uint64_t req_len,
                           uint32_t caller_lane,

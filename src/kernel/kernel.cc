@@ -7,27 +7,54 @@
 
 namespace xpc::kernel {
 
-CallSpan::CallSpan(const char *cat, const char *name, hw::Core &core,
-                   uint32_t lane, const req::RequestScope &rscope,
-                   TenantId tenant, const CallStatus &status)
-    : tr(trace::Tracer::global()), cat(cat), name(name), core(core),
-      lane(lane), flowId(rscope.id()), top(rscope.topLevel()),
-      active(tr.enabled()), tenant(tenant),
-      tier(req::RequestContext::global().currentCriticality()),
-      status(status)
+CallBracket::CallBracket(Kernel &kernel, hw::Core &core,
+                         CallOutcome &out, Counter &expired)
+    : callerCore(core), out(out), expiredCalls(expired),
+      dscope(rscope.topLevel() && kernel.callDeadline.value() != 0
+                 ? (core.now() + kernel.callDeadline).value()
+                 : 0),
+      dl(req::RequestContext::global().currentDeadline()),
+      inj(kernel.machine().faultInjector()),
+      tr(trace::Tracer::global())
 {
-    if (!active)
+    if (!inj || !inj->enabled)
         return;
-    uint64_t now = core.now().value();
-    tr.begin(cat, name, now, lane);
-    tr.flow(top ? trace::EventKind::FlowStart : trace::EventKind::FlowStep,
-            cat, "req", flowId, now, lane);
+    ev = inj->eventAt(inj->beginCall());
+    // A copy fault arms a one-shot memory fault that the next
+    // message-byte access on this call path consumes.
+    if (drew(FaultOp::CopyFault)) {
+        inj->armMemFault();
+        inj->recordFired(*ev);
+    }
 }
 
-CallSpan::~CallSpan()
+void
+CallBracket::open(const char *span_cat, const char *span_name,
+                  uint32_t caller_lane, TenantId caller_tenant)
 {
+    t0 = callerCore.now();
+    cat = span_cat;
+    name = span_name;
+    lane = caller_lane;
+    tenant = caller_tenant;
+    tier = req::RequestContext::global().currentCriticality();
+    opened = true;
+    active = tr.enabled();
+    if (!active)
+        return;
+    tr.begin(cat, name, t0.value(), lane);
+    tr.flow(rscope.topLevel() ? trace::EventKind::FlowStart
+                              : trace::EventKind::FlowStep,
+            cat, "req", rscope.id(), t0.value(), lane);
+}
+
+CallBracket::~CallBracket()
+{
+    if (!opened)
+        return;
+    bool top = rscope.topLevel();
     if (top) {
-        tr.instantNow(cat, "outcome", lane, callStatusName(status));
+        tr.instantNow(cat, "outcome", lane, callStatusName(out.status));
         if (tenant != defaultTenant)
             tr.instantNow(cat, "tenant", lane, std::to_string(tenant));
         if (tier != req::Criticality::Default)
@@ -35,21 +62,76 @@ CallSpan::~CallSpan()
     }
     if (!active)
         return;
-    uint64_t now = core.now().value();
-    if (top)
-        tr.flow(trace::EventKind::FlowEnd, cat, "req", flowId, now, lane);
+    uint64_t now = callerCore.now().value();
+    if (top) {
+        tr.flow(trace::EventKind::FlowEnd, cat, "req", rscope.id(), now,
+                lane);
+    }
     tr.end(cat, name, now, lane);
 }
 
-void
-CallSpan::handler(Cycles h0, Cycles end, uint32_t server_lane) const
+bool
+CallBracket::expiredBeforeCall()
 {
+    if (dl == 0 || callerCore.now().value() < dl)
+        return false;
+    expiredCalls.inc();
+    return true;
+}
+
+bool
+CallBracket::expiredAfterHandler(Cycles now, const char *instant_cat)
+{
+    if (dl == 0 || now.value() < dl)
+        return false;
+    expiredCalls.inc();
+    tr.instantNow(instant_cat, "deadline_expired", lane);
+    return true;
+}
+
+void
+CallBracket::fail(CallStatus status)
+{
+    out.ok = false;
+    out.status = status;
+    out.roundTrip = callerCore.now() - t0;
+}
+
+void
+CallBracket::succeed(uint64_t reply_len)
+{
+    out.ok = true;
+    out.replyLen = reply_len;
+    out.roundTrip = callerCore.now() - t0;
+}
+
+uint32_t
+CallBracket::strikeHandler(uint64_t req_len)
+{
+    if (drew(FaultOp::MutateAfterHandoff) && req_len > 0)
+        inj->armHandoffMutation(*ev);
+    if (drew(FaultOp::StallServer) && dl != 0) {
+        stall = true;
+        inj->recordFired(*ev);
+    } else if (drew(FaultOp::SlowServer)) {
+        inj->recordFired(*ev);
+        return ev->arg > 1 ? ev->arg : 2;
+    }
+    return 1;
+}
+
+void
+CallBracket::endHandler(hw::Core &hcore, Cycles h0, uint32_t server_lane)
+{
+    out.handlerCycles = hcore.now() - h0;
+    if (inj)
+        inj->clearHandoffMutation();
     if (!tr.enabled())
         return;
     tr.begin(cat, "handler", h0.value(), server_lane);
-    tr.flow(trace::EventKind::FlowStep, cat, "req", flowId, h0.value(),
-            server_lane);
-    tr.end(cat, "handler", end.value(), server_lane);
+    tr.flow(trace::EventKind::FlowStep, cat, "req", rscope.id(),
+            h0.value(), server_lane);
+    tr.end(cat, "handler", hcore.now().value(), server_lane);
 }
 
 void
@@ -216,6 +298,18 @@ Kernel::userWrite(hw::Core &core, Process &process, VAddr va,
                                 len);
     core.spend(res.cycles);
     return res;
+}
+
+bool
+Kernel::xorUserByte(hw::Core &core, Process &process, VAddr va,
+                    uint8_t mask)
+{
+    uint8_t b = 0;
+    if (!userRead(core, process, va, &b, 1).ok)
+        return false;
+    b ^= mask;
+    userWrite(core, process, va, &b, 1);
+    return true;
 }
 
 const char *

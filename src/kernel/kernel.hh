@@ -17,6 +17,8 @@
 #include "hw/machine.hh"
 #include "kernel/address_space.hh"
 #include "kernel/thread.hh"
+#include "sim/fault_injector.hh"
+#include "sim/phase.hh"
 #include "sim/request.hh"
 #include "sim/trace.hh"
 
@@ -81,49 +83,174 @@ struct CallOutcome
     Cycles handlerCycles;
 };
 
+class Kernel;
+
 /**
- * RAII bracket of one call on the caller's lane, shared by the seL4,
- * Zircon and XPC call paths. The constructor opens the "<cat>.<name>"
- * span and starts the request's flow arc (top-level call) or steps it
- * (nested hop). The destructor runs on every exit path, abort unwinds
- * included: for the top-level call it stamps the terminal outcome
- * (critpath.py --top groups requests by it), the caller's tenant and
- * the criticality tier - the last two only when not the default, so
- * single-tenant, untiered traces carry neither - then closes the flow
- * arc and the span.
+ * The one bracket of a cross-process call, shared by the seL4 and
+ * Zircon port calls and the XPC runtime: how a deadline or a chaos
+ * fault strikes a call is defined here, once. Each path constructs
+ * it at entry, which binds the call to its request chain, mints the
+ * deadline from the kernel's callDeadline at the top of a chain
+ * (nested hops inherit the tightest enclosing one), draws the call's
+ * scheduled fault and arms a CopyFault. The path then opens the span
+ * where its clock starts and runs the shared steps below where its
+ * cost model puts them. Where a message byte lives and what touching
+ * it costs stays the path's business: it passes byte accessors in.
+ * The bracket spends no cycle of its own.
+ *
+ * open() starts the "<cat>.<name>" span on the caller's lane and the
+ * request's flow arc (top-level call), or steps it (nested hop). The
+ * destructor runs on every exit path, abort unwinds included: for an
+ * opened top-level call it stamps the terminal outcome (critpath.py
+ * --top groups requests by it), the caller's tenant and the
+ * criticality tier - the last two only when not the default, so
+ * single-tenant, untiered traces carry neither - then closes the
+ * flow arc and the span.
  */
-class CallSpan
+class CallBracket
 {
   public:
-    /** @param status read at destruction: the call's final status. */
-    CallSpan(const char *cat, const char *name, hw::Core &core,
-             uint32_t lane, const req::RequestScope &rscope,
-             TenantId tenant, const CallStatus &status);
-    ~CallSpan();
+    /**
+     * @param out the call's outcome: fail(), succeed() and
+     *        runHandler() fill it; the span reports its final status.
+     * @param expired counts the calls whose deadline passed.
+     */
+    CallBracket(Kernel &kernel, hw::Core &core, CallOutcome &out,
+                Counter &expired);
+    ~CallBracket();
 
-    CallSpan(const CallSpan &) = delete;
-    CallSpan &operator=(const CallSpan &) = delete;
+    CallBracket(const CallBracket &) = delete;
+    CallBracket &operator=(const CallBracket &) = delete;
 
-    /** The handler span [@p h0, @p end) on @p server_lane, with the
-     *  flow arc stepped through it so the hop renders from caller to
-     *  server. */
-    void handler(Cycles h0, Cycles end, uint32_t server_lane) const;
+    /** Start the call's clock and open its span on @p lane. */
+    void open(const char *cat, const char *name, uint32_t lane,
+              TenantId tenant);
+
+    /** When open() started the clock. */
+    Cycles start() const { return t0; }
+    /** The call's absolute deadline cycle (0 = none). */
+    uint64_t deadline() const { return dl; }
+    /** The fault this call drew (nullptr = none): the path's own
+     *  fault kinds switch on it. */
+    const FaultEvent *fault() const { return ev; }
+    FaultInjector *injector() const { return inj; }
+
+    /// @name Deadline checks; each expiry is counted.
+    /// @{
+    /** Before the call: an upstream hop already spent the budget. */
+    bool expiredBeforeCall();
+    /** After the handler, at @p now; the expiry is marked with a
+     *  "<cat>.deadline_expired" instant on the caller's lane. */
+    bool expiredAfterHandler(Cycles now, const char *cat);
+    /// @}
+
+    /** End the call failed with @p status; roundTrip is charged from
+     *  open() to now. */
+    void fail(CallStatus status);
+    /** End the call with a @p reply_len byte reply. */
+    void succeed(uint64_t reply_len);
+
+    /// @name Data-corruption steps.
+    /// The path passes @p xor_byte(at, mask), which XORs @p mask into
+    /// byte @p at of the message where the path keeps it, charged as
+    /// the path charges it, and returns false when the access faulted.
+    /// @{
+    /** CorruptPayload, once the request is delivered and before the
+     *  handler parses it: even args flip one bit, odd args truncate
+     *  @p req_len (the envelope's length check is what catches it). */
+    template <typename XorByte>
+    void
+    corruptPayload(uint64_t &req_len, XorByte &&xor_byte)
+    {
+        if (!drew(FaultOp::CorruptPayload) || req_len == 0)
+            return;
+        uint64_t pick = ev->arg >> 1;
+        if (ev->arg & 1) {
+            uint64_t cut = 1 + pick % 7;
+            req_len = req_len > cut ? req_len - cut : 0;
+        } else {
+            xor_byte(pick % req_len, uint8_t(1u << (pick % 8)));
+        }
+        inj->recordFired(*ev);
+    }
+
+    /** GarbageReply: garble the staged reply after the handler sealed
+     *  it, before it travels back to the caller. */
+    template <typename XorByte>
+    void
+    garbageReply(uint64_t reply_len, XorByte &&xor_byte)
+    {
+        if (drew(FaultOp::GarbageReply) && reply_len > 0 &&
+            xor_byte(ev->arg % reply_len, uint8_t(0xA5)))
+            inj->recordFired(*ev);
+    }
+    /// @}
+
+    /**
+     * Run @p handler on @p hcore in the Handler phase, while the
+     * server owns the request. MutateAfterHandoff is armed for the
+     * run: the hostile rewrite fires after the handler's arg-th
+     * request read (recorded there) and is disarmed afterwards. A
+     * StallServer busy-loops past the deadline instead of running the
+     * handler, and only when a deadline is armed (without a budget to
+     * exceed it would wedge the caller forever). A SlowServer runs it
+     * at arg times its cost. Fills handlerCycles and emits the
+     * handler span on @p server_lane, with the flow arc stepped
+     * through it so the hop renders from caller to server.
+     */
+    template <typename Fn>
+    void
+    runHandler(hw::Core &hcore, uint32_t server_lane, uint64_t req_len,
+               Fn &&handler)
+    {
+        uint32_t slow = strikeHandler(req_len);
+        Cycles h0 = hcore.now();
+        {
+            req::PhaseScope phase(uint32_t(Phase::Handler));
+            if (stall) {
+                // Busy-loop past the deadline; no reply is produced.
+                uint64_t now = hcore.now().value();
+                hcore.spend(Cycles((dl > now ? dl - now : 0) + 1000));
+            } else {
+                handler();
+                if (slow > 1)
+                    hcore.spend((hcore.now() - h0) * (slow - 1));
+            }
+        }
+        endHandler(hcore, h0, server_lane);
+    }
+
+    /** A StallServer struck this call's handler. */
+    bool stalled() const { return stall; }
 
   private:
+    bool drew(FaultOp op) const { return ev && ev->op == op; }
+    /** Arm and fire the handler-time faults; @return the slowdown. */
+    uint32_t strikeHandler(uint64_t req_len);
+    void endHandler(hw::Core &hcore, Cycles h0, uint32_t server_lane);
+
+    hw::Core &callerCore;
+    CallOutcome &out;
+    Counter &expiredCalls;
+    req::RequestScope rscope;
+    req::DeadlineScope dscope;
+    const uint64_t dl;
+    FaultInjector *const inj;
+    const FaultEvent *ev = nullptr;
+    bool stall = false;
+
     trace::Tracer &tr;
-    const char *cat;
-    const char *name;
-    hw::Core &core;
-    uint32_t lane;
-    uint64_t flowId;
-    bool top;
-    bool active;
-    TenantId tenant;
-    req::Criticality tier;
-    const CallStatus &status;
+    const char *cat = nullptr;
+    const char *name = nullptr;
+    uint32_t lane = 0;
+    bool opened = false;
+    /** Tracing was on at open(): the span and flow need closing. */
+    bool active = false;
+    TenantId tenant = defaultTenant;
+    req::Criticality tier = req::Criticality::Default;
+    Cycles t0;
 };
 
-class Kernel;
 
 /**
  * The server's view of one in-progress kernel IPC call, passed to the
@@ -249,16 +376,17 @@ class Kernel
     KernelCosts costs;
 
     /**
-     * Per-call deadline budget for top-level kernel IPC (0 = off,
-     * the default). When set, every outermost call mints an absolute
-     * deadline of now + callDeadline; nested hops inherit the
-     * tightest enclosing deadline and the kernel aborts the call
-     * with CallStatus::DeadlineExpired once the cycle clock passes
-     * it, instead of letting a stalled server block the caller.
+     * Per-call deadline budget of every call path, kernel IPC and
+     * XPC alike (0 = off, the default). When set, every outermost
+     * call mints an absolute deadline of now + callDeadline (see
+     * CallBracket); nested hops inherit the tightest enclosing
+     * deadline and the call aborts with CallStatus::DeadlineExpired
+     * once the cycle clock passes it, instead of letting a stalled
+     * server block the caller.
      */
     Cycles callDeadline{0};
 
-    /** Calls aborted because their deadline expired. */
+    /** Kernel IPC calls aborted because their deadline expired. */
     Counter deadlineExpired;
 
     /// @name Port interface.
@@ -325,6 +453,12 @@ class Kernel
     StatGroup stats{"kernel"};
 
   protected:
+    /** XOR @p mask into the byte at @p va of @p process: a charged
+     *  read and write (chaos plumbing). @return false when the read
+     *  faulted. */
+    bool xorUserByte(hw::Core &core, Process &process, VAddr va,
+                     uint8_t mask);
+
     hw::Machine &mach;
     std::vector<std::unique_ptr<Process>> processes;
     std::vector<std::unique_ptr<Thread>> threads;

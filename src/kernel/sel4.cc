@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "sim/fault_injector.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 
@@ -18,7 +17,7 @@ Sel4Kernel::Sel4Kernel(hw::Machine &machine, LongMsgMode port_mode)
 }
 
 uint64_t
-Sel4Kernel::createEndpoint(Thread &server, Handler handler)
+Sel4Kernel::createPort(Thread &server, PortHandler handler)
 {
     Endpoint ep;
     ep.id = endpoints.size();
@@ -31,11 +30,11 @@ Sel4Kernel::createEndpoint(Thread &server, Handler handler)
 }
 
 void
-Sel4Kernel::grantEndpointCap(Thread &client, uint64_t ep)
+Sel4Kernel::grantPort(Thread &client, uint64_t port)
 {
-    panic_if(ep >= endpoints.size(), "no such endpoint %lu",
-             (unsigned long)ep);
-    endpointCaps[{client.id(), ep}] = true;
+    panic_if(port >= endpoints.size(), "no such endpoint %lu",
+             (unsigned long)port);
+    endpointCaps[{client.id(), port}] = true;
 }
 
 Sel4Kernel::SharedBuf &
@@ -152,9 +151,9 @@ Sel4ServerCall::readReply(uint64_t off, void *dst, uint64_t len)
 }
 
 CallOutcome
-Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
-                 uint64_t opcode, VAddr req_va, uint64_t req_len,
-                 VAddr reply_va, uint64_t reply_cap, LongMsgMode mode)
+Sel4Kernel::callPort(hw::Core &core, Thread &client, uint64_t ep_id,
+                     uint64_t opcode, VAddr req_va, uint64_t req_len,
+                     VAddr reply_va, uint64_t reply_cap)
 {
     CallOutcome out;
     panic_if(ep_id >= endpoints.size(), "no such endpoint %lu",
@@ -167,38 +166,13 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
         return out;
     }
 
-    // One seL4 IPC is one hop of a request chain: mint (or inherit)
-    // the request id and bracket the whole call on the client's lane.
-    req::RequestScope rscope;
-
-    // Deadline: minted from the kernel's per-call budget at the top
-    // of a chain, inherited (absolute) by every nested hop.
-    req::DeadlineScope dscope(
-        rscope.topLevel() && callDeadline.value() != 0
-            ? (core.now() + callDeadline).value()
-            : 0);
-    const uint64_t deadline =
-        req::RequestContext::global().currentDeadline();
-
-    // Chaos hook: a scheduled copy fault arms a one-shot memory
-    // fault that the next copy on this call path consumes; stall and
-    // slowdown faults strike later, around the handler.
-    FaultInjector *inj = mach.faultInjector();
-    const FaultEvent *fault = nullptr;
-    if (inj && inj->enabled) {
-        uint64_t seq = inj->beginCall();
-        fault = inj->eventAt(seq);
-        if (fault && fault->op == FaultOp::CopyFault) {
-            inj->armMemFault();
-            inj->recordFired(*fault);
-        }
-    }
+    // One seL4 IPC is one hop of a request chain, bracketed on the
+    // client's lane.
+    CallBracket bracket(*this, core, out, deadlineExpired);
     auto &tr = trace::Tracer::global();
-    uint32_t clane = req::threadLane(uint32_t(client.id()));
-
-    Cycles start = core.now();
-    CallSpan span("sel4", "call", core, clane, rscope, client.tenant,
-                  out.status);
+    bracket.open("sel4", "call", req::threadLane(uint32_t(client.id())),
+                 client.tenant);
+    Cycles start = bracket.start();
 
     // Abandon the call: if the kernel already switched to the server,
     // charge the bare return IPC before surfacing the error.
@@ -217,18 +191,14 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
             core.spend(params.restoreConst);
             trapExit(core);
         }
-        out.ok = false;
-        out.status = status;
-        out.roundTrip = core.now() - start;
+        bracket.fail(status);
         return out;
     };
 
-    if (deadline != 0 && core.now().value() >= deadline) {
-        // Out of budget before the syscall even traps: an upstream
-        // hop burned the whole deadline. Reject instead of calling.
-        deadlineExpired.inc();
+    // Out of budget before the syscall even traps: an upstream hop
+    // burned the whole deadline. Reject instead of calling.
+    if (bracket.expiredBeforeCall())
         return abortCall(CallStatus::DeadlineExpired);
-    }
 
     Sel4Phases phases;
     bool cross_core = ep.server->sched.homeCore != core.id();
@@ -253,13 +223,13 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
     call_ctx.reqLen = req_len;
     call_ctx.reqCapacity = params.regMsgMax;
     call_ctx.replyCapacity = reply_cap;
-    call_ctx.longMode = mode;
+    call_ctx.longMode = portMode;
     call_ctx.serverBufVa = ep.scratchVa;
 
     SharedBuf *shared = nullptr;
     if (large || reply_large_cap)
         shared = &sharedFor(ep, client);
-    if (shared && mode == LongMsgMode::OneCopy) {
+    if (shared && portMode == LongMsgMode::OneCopy) {
         // One-copy replies are produced straight into the window.
         call_ctx.replySharedVa = shared->serverVa;
     }
@@ -386,7 +356,7 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
     if (cross_core)
         handler_core.syncTo(core.now());
     t0 = handler_core.now();
-    if (large && mode == LongMsgMode::TwoCopy) {
+    if (large && portMode == LongMsgMode::TwoCopy) {
         req::PhaseScope phase(uint32_t(Phase::Transfer));
         auto res = mach.mem().copy(
             handler_core.id(), userCtx(*ep.server->process()),
@@ -413,89 +383,32 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
                                                   : core.now()) -
                  start;
 
-    // Data-corruption chaos: the transfer delivered the request, now
-    // break it before the handler parses it. Even args flip one bit;
-    // odd args truncate the visible length (the envelope's length
-    // check is what catches that one).
-    if (fault && fault->op == FaultOp::CorruptPayload && req_len > 0) {
-        if (fault->arg & 1) {
-            uint64_t cut = 1 + ((fault->arg >> 1) % 7);
-            call_ctx.reqLen = req_len > cut ? req_len - cut : 0;
-        } else {
-            uint64_t at = (fault->arg >> 1) % req_len;
-            uint8_t flip = uint8_t(1u << ((fault->arg >> 1) % 8));
-            if (call_ctx.mode == Sel4ServerCall::Mode::Registers) {
-                call_ctx.regs[at] ^= flip;
-            } else {
-                VAddr va = call_ctx.requestVa();
-                uint8_t b = 0;
-                if (userRead(core, *ep.server->process(), va + at, &b,
-                             1)
-                        .ok) {
-                    b ^= flip;
-                    userWrite(core, *ep.server->process(), va + at, &b,
-                              1);
-                }
-            }
-        }
-        inj->recordFired(*fault);
-    }
-    // TOCTOU chaos: arm the one-shot hostile rewrite; it fires after
-    // the handler's arg-th request read (recorded there) and is
-    // disarmed below if the handler never read that often.
-    if (fault && fault->op == FaultOp::MutateAfterHandoff &&
-        req_len > 0)
-        inj->armHandoffMutation(*fault);
+    // The transfer delivered the request: corruption strikes the
+    // register file or the buffer the handler reads.
+    Process &sproc = *ep.server->process();
+    bracket.corruptPayload(call_ctx.reqLen, [&](uint64_t at, uint8_t m) {
+        if (call_ctx.mode != Sel4ServerCall::Mode::Registers)
+            return xorUserByte(core, sproc, call_ctx.requestVa() + at, m);
+        call_ctx.regs[at] ^= m;
+        return true;
+    });
 
     // --- The handler runs in the server's address space. ----------
-    // Stall / slowdown faults strike here, while the server owns the
-    // request. A stall only fires when a deadline is armed - without
-    // a budget to exceed it would wedge the caller forever.
-    bool stall_injected = false;
-    uint32_t slow_factor = 1;
-    if (fault && fault->op == FaultOp::StallServer && deadline != 0) {
-        stall_injected = true;
-        inj->recordFired(*fault);
-    } else if (fault && fault->op == FaultOp::SlowServer) {
-        slow_factor = fault->arg > 1 ? fault->arg : 2;
-        inj->recordFired(*fault);
-    }
-    Cycles h0 = handler_core.now();
-    {
-        req::PhaseScope phase(uint32_t(Phase::Handler));
-        if (stall_injected) {
-            // Busy-loop past the deadline; no reply is produced.
-            uint64_t now = handler_core.now().value();
-            handler_core.spend(Cycles(
-                (deadline > now ? deadline - now : 0) + 1000));
-        } else {
-            ep.handler(call_ctx);
-            if (slow_factor > 1)
-                handler_core.spend((handler_core.now() - h0) *
-                                   (slow_factor - 1));
-        }
-    }
-    out.handlerCycles = handler_core.now() - h0;
-    span.handler(h0, handler_core.now(),
-                 req::threadLane(uint32_t(ep.server->id())));
+    bracket.runHandler(handler_core,
+                       req::threadLane(uint32_t(ep.server->id())),
+                       req_len, [&] { ep.handler(call_ctx); });
     if (cross_core) {
         mach.sendIpi(handler_core.id(), core.id());
         core.syncTo(handler_core.now());
         core.spend(costs.remoteWake);
     }
 
-    if (inj)
-        inj->clearHandoffMutation();
-
-    if (deadline != 0 && core.now().value() >= deadline) {
-        // The deadline expired while the server held the request
-        // (stalled, slow, or genuinely long handler). The kernel
-        // unwinds back to the client and discards whatever partial
-        // reply exists - the caller already gave up on it.
-        deadlineExpired.inc();
-        tr.instantNow("sel4", "deadline_expired", clane);
+    // The deadline expired while the server held the request
+    // (stalled, slow, or genuinely long handler). The kernel unwinds
+    // back to the client and discards whatever partial reply exists -
+    // the caller already gave up on it.
+    if (bracket.expiredAfterHandler(core.now(), "sel4"))
         return abortCall(CallStatus::DeadlineExpired);
-    }
 
     // A handler-flagged failure (nested call went wrong, message
     // access faulted) aborts the reply: the caller gets the status,
@@ -503,25 +416,12 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
     if (call_ctx.failStatus != CallStatus::Ok)
         return abortCall(call_ctx.failStatus);
 
-    // Data-corruption chaos: garbage the staged reply after the
-    // handler sealed it, before it travels back to the client.
-    if (fault && fault->op == FaultOp::GarbageReply &&
-        call_ctx.replyLen > 0) {
-        uint64_t at = fault->arg % call_ctx.replyLen;
-        if (!call_ctx.replyInBuffer) {
-            call_ctx.regsReply[at] ^= 0xA5;
-        } else {
-            uint8_t b = 0;
-            if (userRead(core, *ep.server->process(),
-                         call_ctx.replyDst() + at, &b, 1)
-                    .ok) {
-                b ^= 0xA5;
-                userWrite(core, *ep.server->process(),
-                          call_ctx.replyDst() + at, &b, 1);
-            }
-        }
-        inj->recordFired(*fault);
-    }
+    bracket.garbageReply(call_ctx.replyLen, [&](uint64_t at, uint8_t m) {
+        if (call_ctx.replyInBuffer)
+            return xorUserByte(core, sproc, call_ctx.replyDst() + at, m);
+        call_ctx.regsReply[at] ^= m;
+        return true;
+    });
 
     // --- Reply: transfer back, then the return IPC. ---------------
     uint64_t reply_len = call_ctx.replyLen;
@@ -592,9 +492,7 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
     phaseStats.record(Phase::Transfer, phases.transfer);
     phaseStats.record(Phase::RoundTrip, core.now() - start);
     phaseStats.record(Phase::OneWay, out.oneWay);
-    out.ok = true;
-    out.replyLen = reply_len;
-    out.roundTrip = core.now() - start;
+    bracket.succeed(reply_len);
     return out;
 }
 

@@ -15,7 +15,6 @@
 #ifndef XPC_KERNEL_SEL4_HH
 #define XPC_KERNEL_SEL4_HH
 
-#include <functional>
 #include <map>
 
 #include "kernel/kernel.hh"
@@ -123,53 +122,22 @@ class Sel4ServerCall : public ServerCall
     }
 };
 
-/** seL4-like microkernel personality. */
+/** seL4-like microkernel personality: a port is an endpoint. */
 class Sel4Kernel : public Kernel
 {
   public:
-    using Handler = std::function<void(Sel4ServerCall &)>;
-
-    /** @param port_mode long-message discipline of callPort. */
+    /** @param port_mode long-message discipline of every call. */
     explicit Sel4Kernel(hw::Machine &machine,
                         LongMsgMode port_mode = LongMsgMode::TwoCopy);
 
     Sel4Params params;
 
-    /** Create an endpoint owned by @p server running @p handler. */
-    uint64_t createEndpoint(Thread &server, Handler handler);
-
-    /** Give @p client the right to call endpoint @p ep. */
-    void grantEndpointCap(Thread &client, uint64_t ep);
-
-    /**
-     * Synchronous call: request bytes at @p req_va (client VA), reply
-     * delivered to @p reply_va (client VA, capacity @p reply_cap).
-     */
-    CallOutcome call(hw::Core &core, Thread &client, uint64_t ep,
-                     uint64_t opcode, VAddr req_va, uint64_t req_len,
-                     VAddr reply_va, uint64_t reply_cap,
-                     LongMsgMode mode = LongMsgMode::TwoCopy);
-
-    uint64_t
-    createPort(Thread &server, PortHandler handler) override
-    {
-        return createEndpoint(server, std::move(handler));
-    }
-
-    void
-    grantPort(Thread &client, uint64_t port) override
-    {
-        grantEndpointCap(client, port);
-    }
-
-    CallOutcome
-    callPort(hw::Core &core, Thread &client, uint64_t port,
-             uint64_t opcode, VAddr req_va, uint64_t req_len,
-             VAddr reply_va, uint64_t reply_cap) override
-    {
-        return call(core, client, port, opcode, req_va, req_len,
-                    reply_va, reply_cap, portMode);
-    }
+    uint64_t createPort(Thread &server, PortHandler handler) override;
+    /** Give @p client the capability for endpoint @p port. */
+    void grantPort(Thread &client, uint64_t port) override;
+    CallOutcome callPort(hw::Core &core, Thread &client, uint64_t port,
+                         uint64_t opcode, VAddr req_va, uint64_t req_len,
+                         VAddr reply_va, uint64_t reply_cap) override;
 
     /** Phase breakdown of the most recent fast-path call (Table 1). */
     Sel4Phases lastPhases;
@@ -195,7 +163,7 @@ class Sel4Kernel : public Kernel
     {
         uint64_t id;
         Thread *server;
-        Handler handler;
+        PortHandler handler;
         /** Server-private scratch for two-copy and IPC-buffer modes. */
         VAddr scratchVa = 0;
         uint64_t scratchLen = 0;

@@ -1,8 +1,6 @@
 #include "zircon.hh"
 
-#include "sim/fault_injector.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace xpc::kernel {
 
@@ -14,7 +12,7 @@ ZirconKernel::ZirconKernel(hw::Machine &machine) : Kernel(machine)
 }
 
 uint64_t
-ZirconKernel::createChannel(Thread &server, Handler handler)
+ZirconKernel::createPort(Thread &server, PortHandler handler)
 {
     Channel ch;
     ch.id = channels.size();
@@ -78,9 +76,9 @@ ZirconServerCall::readReply(uint64_t off, void *dst, uint64_t len)
 }
 
 CallOutcome
-ZirconKernel::call(hw::Core &core, Thread &client, uint64_t ch_id,
-                   uint64_t opcode, VAddr req_va, uint64_t req_len,
-                   VAddr reply_va, uint64_t reply_cap)
+ZirconKernel::callPort(hw::Core &core, Thread &client, uint64_t ch_id,
+                       uint64_t opcode, VAddr req_va, uint64_t req_len,
+                       VAddr reply_va, uint64_t reply_cap)
 {
     CallOutcome out;
     panic_if(ch_id >= channels.size(), "no such channel %lu",
@@ -91,37 +89,11 @@ ZirconKernel::call(hw::Core &core, Thread &client, uint64_t ch_id,
              (unsigned long)req_len);
     channelMsgs.inc();
 
-    // Bind the hop to its request chain and bracket the whole channel
-    // round-trip on the client's lane, abort unwinds included.
-    req::RequestScope rscope;
-
-    // Deadline: minted from the kernel's per-call budget at the top
-    // of a chain, inherited (absolute) by every nested hop.
-    req::DeadlineScope dscope(
-        rscope.topLevel() && callDeadline.value() != 0
-            ? (core.now() + callDeadline).value()
-            : 0);
-    const uint64_t deadline =
-        req::RequestContext::global().currentDeadline();
-
-    // Chaos hook: drawn inside the request scope, so the fault's
-    // trace instant carries the call's request id.
-    FaultInjector *inj = mach.faultInjector();
-    const FaultEvent *fault = nullptr;
-    if (inj && inj->enabled) {
-        uint64_t seq = inj->beginCall();
-        fault = inj->eventAt(seq);
-        if (fault && fault->op == FaultOp::CopyFault) {
-            inj->armMemFault();
-            inj->recordFired(*fault);
-        }
-    }
-
-    uint32_t clane = req::threadLane(uint32_t(client.id()));
-
-    Cycles start = core.now();
-    CallSpan span("zircon", "channel_call", core, clane, rscope,
-                  client.tenant, out.status);
+    // The whole channel round-trip is one hop of a request chain,
+    // bracketed on the client's lane.
+    CallBracket bracket(*this, core, out, deadlineExpired);
+    bracket.open("zircon", "channel_call",
+                 req::threadLane(uint32_t(client.id())), client.tenant);
 
     bool cross_core = ch.server->sched.homeCore != core.id();
     hw::Core &scre =
@@ -131,7 +103,7 @@ ZirconKernel::call(hw::Core &core, Thread &client, uint64_t ch_id,
     // for the hop back (if the server was woken) and surface the
     // status instead of panicking the whole simulation.
     bool server_woken = false;
-    auto abortCall = [&](CallStatus status) -> CallOutcome {
+    auto abortCall = [&](CallStatus status) {
         if (server_woken) {
             if (cross_core) {
                 mach.sendIpi(scre.id(), core.id());
@@ -143,18 +115,14 @@ ZirconKernel::call(hw::Core &core, Thread &client, uint64_t ch_id,
                 setCurrent(core.id(), &client);
             }
         }
-        out.ok = false;
-        out.status = status;
-        out.roundTrip = core.now() - start;
+        bracket.fail(status);
         return out;
     };
 
-    if (deadline != 0 && core.now().value() >= deadline) {
-        // Budget already exhausted by upstream hops: reject before
-        // the channel write.
-        deadlineExpired.inc();
+    // Budget already exhausted by upstream hops: reject before the
+    // channel write.
+    if (bracket.expiredBeforeCall())
         return abortCall(CallStatus::DeadlineExpired);
-    }
 
     // --- zx_channel_write: copy in (user -> kernel). --------------
     chargeSyscall(core);
@@ -201,35 +169,14 @@ ZirconKernel::call(hw::Core &core, Thread &client, uint64_t ch_id,
             return abortCall(CallStatus::CopyFault);
     }
 
-    out.oneWay = scre.now() - start;
+    out.oneWay = scre.now() - bracket.start();
 
-    // Data-corruption chaos: the channel delivered the request, now
-    // break the server-visible copy before the handler parses it.
-    // Even args flip one bit; odd args truncate the visible length
-    // (the envelope's length check is what catches that one).
-    if (fault && fault->op == FaultOp::CorruptPayload && req_len > 0) {
-        if (fault->arg & 1) {
-            uint64_t cut = 1 + ((fault->arg >> 1) % 7);
-            req_len = req_len > cut ? req_len - cut : 0;
-        } else {
-            uint64_t at = (fault->arg >> 1) % req_len;
-            uint8_t b = 0;
-            if (userRead(scre, *ch.server->process(),
-                         ch.serverReqVa + at, &b, 1)
-                    .ok) {
-                b ^= uint8_t(1u << ((fault->arg >> 1) % 8));
-                userWrite(scre, *ch.server->process(),
-                          ch.serverReqVa + at, &b, 1);
-            }
-        }
-        inj->recordFired(*fault);
-    }
-    // TOCTOU chaos: arm the one-shot hostile rewrite; it fires after
-    // the handler's arg-th request read (recorded there) and is
-    // disarmed below if the handler never read that often.
-    if (fault && fault->op == FaultOp::MutateAfterHandoff &&
-        req_len > 0)
-        inj->armHandoffMutation(*fault);
+    // The channel delivered the request: corruption strikes the
+    // server-visible copy.
+    Process &sproc = *ch.server->process();
+    bracket.corruptPayload(req_len, [&](uint64_t at, uint8_t m) {
+        return xorUserByte(scre, sproc, ch.serverReqVa + at, m);
+    });
 
     // --- Handler. --------------------------------------------------
     ZirconServerCall call_ctx(*this, scre, *ch.server);
@@ -240,64 +187,20 @@ ZirconKernel::call(hw::Core &core, Thread &client, uint64_t ch_id,
     call_ctx.replyCapacity = std::min(reply_cap, params.maxMsgBytes);
     call_ctx.reqVa = ch.serverReqVa;
     call_ctx.replyVa = ch.serverReplyVa;
-    uint32_t hlane = req::threadLane(uint32_t(ch.server->id()));
-    // Stall / slowdown faults strike while the server owns the
-    // request; a stall only fires when a deadline is armed.
-    bool stall_injected = false;
-    uint32_t slow_factor = 1;
-    if (fault && fault->op == FaultOp::StallServer && deadline != 0) {
-        stall_injected = true;
-        inj->recordFired(*fault);
-    } else if (fault && fault->op == FaultOp::SlowServer) {
-        slow_factor = fault->arg > 1 ? fault->arg : 2;
-        inj->recordFired(*fault);
-    }
-    Cycles h0 = scre.now();
-    {
-        req::PhaseScope phase(uint32_t(Phase::Handler));
-        if (stall_injected) {
-            // Busy-loop past the deadline; no reply is produced.
-            uint64_t now = scre.now().value();
-            scre.spend(Cycles(
-                (deadline > now ? deadline - now : 0) + 1000));
-        } else {
-            ch.handler(call_ctx);
-            if (slow_factor > 1)
-                scre.spend((scre.now() - h0) * (slow_factor - 1));
-        }
-    }
-    out.handlerCycles = scre.now() - h0;
-    if (inj)
-        inj->clearHandoffMutation();
-    span.handler(h0, scre.now(), hlane);
+    bracket.runHandler(scre, req::threadLane(uint32_t(ch.server->id())),
+                       req_len, [&] { ch.handler(call_ctx); });
 
-    if (deadline != 0 && scre.now().value() >= deadline) {
-        // Expired while the server held the request: hop back to the
-        // client and discard the (partial) reply it gave up on.
-        deadlineExpired.inc();
-        trace::Tracer::global().instantNow("zircon", "deadline_expired",
-                                           clane);
+    // Expired while the server held the request: hop back to the
+    // client and discard the (partial) reply it gave up on.
+    if (bracket.expiredAfterHandler(scre.now(), "zircon"))
         return abortCall(CallStatus::DeadlineExpired);
-    }
 
     if (call_ctx.failStatus != CallStatus::Ok)
         return abortCall(call_ctx.failStatus);
 
-    // Data-corruption chaos: garbage the staged reply after the
-    // handler sealed it, before it travels back to the client.
-    if (fault && fault->op == FaultOp::GarbageReply &&
-        call_ctx.replyLen > 0) {
-        uint64_t at = fault->arg % call_ctx.replyLen;
-        uint8_t b = 0;
-        if (userRead(scre, *ch.server->process(),
-                     ch.serverReplyVa + at, &b, 1)
-                .ok) {
-            b ^= 0xA5;
-            userWrite(scre, *ch.server->process(),
-                      ch.serverReplyVa + at, &b, 1);
-        }
-        inj->recordFired(*fault);
-    }
+    bracket.garbageReply(call_ctx.replyLen, [&](uint64_t at, uint8_t m) {
+        return xorUserByte(scre, sproc, ch.serverReplyVa + at, m);
+    });
 
     // --- Reply: server write, schedule back, client read. ---------
     uint64_t reply_len = call_ctx.replyLen;
@@ -339,9 +242,7 @@ ZirconKernel::call(hw::Core &core, Thread &client, uint64_t ch_id,
             return abortCall(CallStatus::CopyFault);
     }
 
-    out.ok = true;
-    out.replyLen = reply_len;
-    out.roundTrip = core.now() - start;
+    bracket.succeed(reply_len);
     phaseStats.record(Phase::OneWay, out.oneWay);
     phaseStats.record(Phase::Handler, out.handlerCycles);
     phaseStats.record(Phase::RoundTrip, out.roundTrip);

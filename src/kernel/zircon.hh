@@ -13,8 +13,6 @@
 #ifndef XPC_KERNEL_ZIRCON_HH
 #define XPC_KERNEL_ZIRCON_HH
 
-#include <functional>
-#include <map>
 #include <vector>
 
 #include "kernel/kernel.hh"
@@ -60,44 +58,23 @@ class ZirconServerCall : public ServerCall
     VAddr replyVa = 0; ///< server-private reply buffer
 };
 
-/** Zircon-like kernel personality. */
+/** Zircon-like kernel personality: a port is a channel. */
 class ZirconKernel : public Kernel
 {
   public:
-    using Handler = std::function<void(ZirconServerCall &)>;
-
     explicit ZirconKernel(hw::Machine &machine);
 
     ZirconParams params;
 
-    /** Create a channel served by @p server running @p handler. */
-    uint64_t createChannel(Thread &server, Handler handler);
-
-    /**
-     * Synchronous call over channel @p ch: write request, block on
-     * the reply, read it back into @p reply_va.
-     */
-    CallOutcome call(hw::Core &core, Thread &client, uint64_t ch,
-                     uint64_t opcode, VAddr req_va, uint64_t req_len,
-                     VAddr reply_va, uint64_t reply_cap);
-
-    uint64_t
-    createPort(Thread &server, PortHandler handler) override
-    {
-        return createChannel(server, std::move(handler));
-    }
+    uint64_t createPort(Thread &server, PortHandler handler) override;
 
     /** Holding the channel id is the capability: nothing to grant. */
     void grantPort(Thread &, uint64_t) override {}
 
-    CallOutcome
-    callPort(hw::Core &core, Thread &client, uint64_t port,
-             uint64_t opcode, VAddr req_va, uint64_t req_len,
-             VAddr reply_va, uint64_t reply_cap) override
-    {
-        return call(core, client, port, opcode, req_va, req_len,
-                    reply_va, reply_cap);
-    }
+    /** Write the request, block on the reply, read it back. */
+    CallOutcome callPort(hw::Core &core, Thread &client, uint64_t port,
+                         uint64_t opcode, VAddr req_va, uint64_t req_len,
+                         VAddr reply_va, uint64_t reply_cap) override;
 
     Counter channelMsgs;
 
@@ -110,7 +87,7 @@ class ZirconKernel : public Kernel
     {
         uint64_t id;
         Thread *server;
-        Handler handler;
+        PortHandler handler;
         /** Kernel-owned message buffer (the twofold-copy staging). */
         PAddr kernelBuf = 0;
         /** Server-private request/reply buffers. */

@@ -434,8 +434,8 @@ TEST(ZirconEdge, MaxChannelMessageRoundTrips)
     kernel::Thread &ct = kern.createThread(cp, 0);
     kernel::Thread &st = kern.createThread(sp, 0);
     uint64_t max = kern.params.maxMsgBytes;
-    uint64_t ch = kern.createChannel(
-        st, [&](kernel::ZirconServerCall &call) {
+    uint64_t ch = kern.createPort(
+        st, [&](kernel::ServerCall &call) {
             EXPECT_EQ(call.requestLen(), max);
             uint8_t first;
             call.readRequest(0, &first, 1);
@@ -445,8 +445,8 @@ TEST(ZirconEdge, MaxChannelMessageRoundTrips)
     VAddr req = cp.alloc(max), reply = cp.alloc(max);
     std::vector<uint8_t> data(max, 0x21);
     kern.userWrite(machine.core(0), cp, req, data.data(), max);
-    auto out = kern.call(machine.core(0), ct, ch, 0, req, max, reply,
-                         max);
+    auto out = kern.callPort(machine.core(0), ct, ch, 0, req, max,
+                             reply, max);
     EXPECT_TRUE(out.ok);
     EXPECT_EQ(out.replyLen, 1u);
 }

@@ -90,11 +90,11 @@ TEST_F(KernelTest, ContextSwitchChargesAndSwitches)
     EXPECT_EQ(c.csrs.pageTableRoot, b.space().root());
 }
 
-class Sel4IpcTest : public ::testing::Test
+/** An echo endpoint on its own machine and seL4 kernel. */
+struct Sel4Rig
 {
-  protected:
-    Sel4IpcTest()
-        : machine(hw::rocketU500(), 128 << 20), kern(machine),
+    explicit Sel4Rig(LongMsgMode mode = LongMsgMode::TwoCopy)
+        : machine(hw::rocketU500(), 128 << 20), kern(machine, mode),
           client_proc(kern.createProcess("client")),
           server_proc(kern.createProcess("server")),
           client(kern.createThread(client_proc, 0)),
@@ -103,20 +103,20 @@ class Sel4IpcTest : public ::testing::Test
         kern.setCurrent(0, &client);
         // Echo server: reply = request bytes, reversed in place is
         // too slow for big tests; plain echo suffices.
-        ep = kern.createEndpoint(server, [](Sel4ServerCall &call) {
+        ep = kern.createPort(server, [](ServerCall &call) {
             std::vector<uint8_t> buf(call.requestLen());
             call.readRequest(0, buf.data(), buf.size());
             for (auto &b : buf)
                 b ^= 0xff;
             call.writeReply(0, buf.data(), buf.size());
         });
-        kern.grantEndpointCap(client, ep);
+        kern.grantPort(client, ep);
         req = client_proc.alloc(64 * 1024);
         reply = client_proc.alloc(64 * 1024);
     }
 
     CallOutcome
-    doCall(uint64_t len, LongMsgMode mode = LongMsgMode::TwoCopy)
+    doCall(uint64_t len)
     {
         std::vector<uint8_t> data(len);
         for (uint64_t i = 0; i < len; i++)
@@ -125,8 +125,8 @@ class Sel4IpcTest : public ::testing::Test
             kern.userWrite(machine.core(0), client_proc, req,
                            data.data(), len);
         }
-        auto out = kern.call(machine.core(0), client, ep, 1, req, len,
-                             reply, 64 * 1024, mode);
+        auto out = kern.callPort(machine.core(0), client, ep, 1, req,
+                                 len, reply, 64 * 1024);
         if (out.ok && len > 0) {
             std::vector<uint8_t> got(len);
             kern.userRead(machine.core(0), client_proc, reply,
@@ -149,6 +149,11 @@ class Sel4IpcTest : public ::testing::Test
     VAddr req = 0, reply = 0;
 };
 
+/** The two-copy rig; one-copy cases build a second rig. */
+class Sel4IpcTest : public ::testing::Test, protected Sel4Rig
+{
+};
+
 TEST_F(Sel4IpcTest, RegisterMessageRoundTrips)
 {
     auto out = doCall(16);
@@ -166,16 +171,19 @@ TEST_F(Sel4IpcTest, MediumMessageTakesSlowPath)
 
 TEST_F(Sel4IpcTest, LargeMessagesRoundTripBothModes)
 {
-    EXPECT_TRUE(doCall(4096, LongMsgMode::TwoCopy).ok);
-    EXPECT_TRUE(doCall(4096, LongMsgMode::OneCopy).ok);
-    EXPECT_TRUE(doCall(32768, LongMsgMode::TwoCopy).ok);
+    Sel4Rig one_copy(LongMsgMode::OneCopy);
+    EXPECT_TRUE(doCall(4096).ok);
+    EXPECT_TRUE(one_copy.doCall(4096).ok);
+    EXPECT_TRUE(doCall(32768).ok);
 }
 
 TEST_F(Sel4IpcTest, TwoCopyCostsMoreThanOneCopy)
 {
-    doCall(16384, LongMsgMode::TwoCopy); // warm everything
-    auto two = doCall(16384, LongMsgMode::TwoCopy);
-    auto one = doCall(16384, LongMsgMode::OneCopy);
+    Sel4Rig one_copy(LongMsgMode::OneCopy);
+    doCall(16384); // warm everything
+    one_copy.doCall(16384);
+    auto two = doCall(16384);
+    auto one = one_copy.doCall(16384);
     EXPECT_GT(two.roundTrip.value(), one.roundTrip.value());
 }
 
@@ -212,12 +220,11 @@ TEST_F(Sel4IpcTest, LargeTransferDominatesAt4K)
 TEST_F(Sel4IpcTest, CrossCoreCostsMuchMore)
 {
     Thread &remote_server = kern.createThread(server_proc, 1);
-    uint64_t ep2 = kern.createEndpoint(remote_server,
-                                       [](Sel4ServerCall &) {});
-    kern.grantEndpointCap(client, ep2);
+    uint64_t ep2 = kern.createPort(remote_server, [](ServerCall &) {});
+    kern.grantPort(client, ep2);
     auto same = doCall(0);
-    auto cross = kern.call(machine.core(0), client, ep2, 1, req, 0,
-                           reply, 1024);
+    auto cross = kern.callPort(machine.core(0), client, ep2, 1, req, 0,
+                               reply, 1024);
     EXPECT_TRUE(cross.ok);
     EXPECT_GT(cross.roundTrip.value(), same.roundTrip.value() * 4);
     EXPECT_EQ(kern.crossCoreCalls.value(), 1u);
@@ -227,8 +234,8 @@ TEST_F(Sel4IpcTest, CallWithoutCapFails)
 {
     xpc::setLogQuiet(true);
     Thread &other = kern.createThread(client_proc, 0);
-    auto out = kern.call(machine.core(0), other, ep, 1, req, 0, reply,
-                         1024);
+    auto out = kern.callPort(machine.core(0), other, ep, 1, req, 0,
+                             reply, 1024);
     xpc::setLogQuiet(false);
     EXPECT_FALSE(out.ok);
 }
@@ -244,7 +251,7 @@ class ZirconIpcTest : public ::testing::Test
           server(kern.createThread(server_proc, 0))
     {
         kern.setCurrent(0, &client);
-        ch = kern.createChannel(server, [](ZirconServerCall &call) {
+        ch = kern.createPort(server, [](ServerCall &call) {
             std::vector<uint8_t> buf(call.requestLen());
             call.readRequest(0, buf.data(), buf.size());
             for (auto &b : buf)
@@ -272,8 +279,8 @@ TEST_F(ZirconIpcTest, ChannelRoundTripsData)
         data[i] = uint8_t(i);
     kern.userWrite(machine.core(0), client_proc, req, data.data(),
                    data.size());
-    auto out = kern.call(machine.core(0), client, ch, 7, req,
-                         data.size(), reply, 64 * 1024);
+    auto out = kern.callPort(machine.core(0), client, ch, 7, req,
+                             data.size(), reply, 64 * 1024);
     ASSERT_TRUE(out.ok);
     EXPECT_EQ(out.replyLen, data.size());
     std::vector<uint8_t> got(data.size());
@@ -285,8 +292,8 @@ TEST_F(ZirconIpcTest, ChannelRoundTripsData)
 
 TEST_F(ZirconIpcTest, RoundTripIsTensOfThousandsOfCycles)
 {
-    auto out = kern.call(machine.core(0), client, ch, 7, req, 64,
-                         reply, 1024);
+    auto out = kern.callPort(machine.core(0), client, ch, 7, req, 64,
+                             reply, 1024);
     ASSERT_TRUE(out.ok);
     EXPECT_GT(out.roundTrip.value(), 8000u);
     EXPECT_LT(out.roundTrip.value(), 80000u);
@@ -299,12 +306,12 @@ TEST_F(ZirconIpcTest, ZirconIsSlowerThanSel4FastPath)
     Process &sp = sel4.createProcess("s");
     Thread &ct = sel4.createThread(cp, 0);
     Thread &st = sel4.createThread(sp, 0);
-    uint64_t ep = sel4.createEndpoint(st, [](Sel4ServerCall &) {});
-    sel4.grantEndpointCap(ct, ep);
+    uint64_t ep = sel4.createPort(st, [](ServerCall &) {});
+    sel4.grantPort(ct, ep);
     VAddr r2 = cp.alloc(4096), rp2 = cp.alloc(4096);
-    auto s = sel4.call(machine.core(0), ct, ep, 1, r2, 16, rp2, 64);
-    auto z = kern.call(machine.core(0), client, ch, 7, req, 16, reply,
-                       64);
+    auto s = sel4.callPort(machine.core(0), ct, ep, 1, r2, 16, rp2, 64);
+    auto z = kern.callPort(machine.core(0), client, ch, 7, req, 16,
+                           reply, 64);
     EXPECT_GT(z.roundTrip.value(), s.roundTrip.value() * 5);
 }
 

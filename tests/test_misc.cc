@@ -26,12 +26,11 @@ TEST(Sel4Paths, PriorityMismatchForcesSlowPath)
     kernel::Thread &ct = kern.createThread(cp, 0);
     kernel::Thread &st = kern.createThread(sp, 0);
     st.sched.priority = 5; // higher than the client's 0
-    uint64_t ep = kern.createEndpoint(st,
-                                      [](kernel::Sel4ServerCall &) {});
-    kern.grantEndpointCap(ct, ep);
+    uint64_t ep = kern.createPort(st, [](kernel::ServerCall &) {});
+    kern.grantPort(ct, ep);
     VAddr req = cp.alloc(4096), reply = cp.alloc(4096);
-    auto out = kern.call(machine.core(0), ct, ep, 1, req, 8, reply,
-                         32);
+    auto out = kern.callPort(machine.core(0), ct, ep, 1, req, 8, reply,
+                             32);
     EXPECT_TRUE(out.ok);
     EXPECT_EQ(kern.slowpathCalls.value(), 1u);
     EXPECT_EQ(kern.fastpathCalls.value(), 0u);
@@ -47,14 +46,13 @@ TEST(Sel4Paths, SlowPathCostsMoreThanFast)
         kernel::Thread &ct = kern.createThread(cp, 0);
         kernel::Thread &st = kern.createThread(sp, 0);
         st.sched.priority = server_prio;
-        uint64_t ep = kern.createEndpoint(
-            st, [](kernel::Sel4ServerCall &) {});
-        kern.grantEndpointCap(ct, ep);
+        uint64_t ep = kern.createPort(st, [](kernel::ServerCall &) {});
+        kern.grantPort(ct, ep);
         VAddr req = cp.alloc(4096), reply = cp.alloc(4096);
         kernel::CallOutcome out;
         for (int i = 0; i < 4; i++) {
-            out = kern.call(machine.core(0), ct, ep, 1, req, 8,
-                            reply, 32);
+            out = kern.callPort(machine.core(0), ct, ep, 1, req, 8,
+                                reply, 32);
         }
         return out.roundTrip.value();
     };
@@ -69,8 +67,8 @@ TEST(ZirconCrossCore, RemoteServerCostsIpisButWorks)
     kernel::Process &sp = kern.createProcess("s");
     kernel::Thread &ct = kern.createThread(cp, 0);
     kernel::Thread &st = kern.createThread(sp, 1); // other core
-    uint64_t ch = kern.createChannel(
-        st, [](kernel::ZirconServerCall &call) {
+    uint64_t ch = kern.createPort(
+        st, [](kernel::ServerCall &call) {
             uint8_t b;
             call.readRequest(0, &b, 1);
             b++;
@@ -80,8 +78,8 @@ TEST(ZirconCrossCore, RemoteServerCostsIpisButWorks)
     VAddr req = cp.alloc(4096), reply = cp.alloc(4096);
     uint8_t v = 41;
     kern.userWrite(machine.core(0), cp, req, &v, 1);
-    auto out = kern.call(machine.core(0), ct, ch, 0, req, 1, reply,
-                         16);
+    auto out = kern.callPort(machine.core(0), ct, ch, 0, req, 1, reply,
+                             16);
     ASSERT_TRUE(out.ok);
     uint8_t got = 0;
     kern.userRead(machine.core(0), cp, reply, &got, 1);

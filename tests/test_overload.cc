@@ -116,22 +116,22 @@ TEST(Deadline, ExpiryAbortsSel4Call)
     kernel::Thread &client = kern.createThread(cp, 0);
     kernel::Thread &server = kern.createThread(sp, 0);
     kern.setCurrent(0, &client);
-    uint64_t ep = kern.createEndpoint(
-        server, [](kernel::Sel4ServerCall &call) {
+    uint64_t ep =
+        kern.createPort(server, [](kernel::ServerCall &call) {
             if (call.opcode() == 1)
                 call.core().spend(Cycles(50000));
         });
-    kern.grantEndpointCap(client, ep);
+    kern.grantPort(client, ep);
     VAddr req = cp.alloc(4096), reply = cp.alloc(4096);
 
-    auto out = kern.call(machine.core(0), client, ep, 1, req, 16,
-                         reply, 4096);
+    auto out = kern.callPort(machine.core(0), client, ep, 1, req, 16,
+                             reply, 4096);
     EXPECT_FALSE(out.ok);
     EXPECT_EQ(out.status, kernel::CallStatus::DeadlineExpired);
     EXPECT_EQ(kern.deadlineExpired.value(), 1u);
 
-    auto ok = kern.call(machine.core(0), client, ep, 0, req, 16,
-                        reply, 4096);
+    auto ok = kern.callPort(machine.core(0), client, ep, 0, req, 16,
+                            reply, 4096);
     EXPECT_TRUE(ok.ok);
 }
 
@@ -145,21 +145,21 @@ TEST(Deadline, ExpiryAbortsZirconCall)
     kernel::Thread &client = kern.createThread(cp, 0);
     kernel::Thread &server = kern.createThread(sp, 0);
     kern.setCurrent(0, &client);
-    uint64_t ch = kern.createChannel(
-        server, [](kernel::ZirconServerCall &call) {
+    uint64_t ch =
+        kern.createPort(server, [](kernel::ServerCall &call) {
             if (call.opcode() == 1)
                 call.core().spend(Cycles(80000));
         });
     VAddr req = cp.alloc(4096), reply = cp.alloc(4096);
 
-    auto out = kern.call(machine.core(0), client, ch, 1, req, 16,
-                         reply, 4096);
+    auto out = kern.callPort(machine.core(0), client, ch, 1, req, 16,
+                             reply, 4096);
     EXPECT_FALSE(out.ok);
     EXPECT_EQ(out.status, kernel::CallStatus::DeadlineExpired);
     EXPECT_EQ(kern.deadlineExpired.value(), 1u);
 
-    auto ok = kern.call(machine.core(0), client, ch, 0, req, 16,
-                        reply, 4096);
+    auto ok = kern.callPort(machine.core(0), client, ch, 0, req, 16,
+                            reply, 4096);
     EXPECT_TRUE(ok.ok);
 }
 

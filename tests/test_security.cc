@@ -39,9 +39,14 @@ TEST_F(SecurityTest, XcallWithoutCapabilityIsRejected)
     // No grant for the attacker.
     hw::Core &core = sys->core(0);
     rt.allocRelayMem(core, attacker, 4096);
+    Cycles before = core.now();
     auto out = rt.call(core, attacker, id, 0, 0);
+    Cycles elapsed = core.now() - before;
     EXPECT_FALSE(out.ok);
     EXPECT_EQ(out.exc, engine::XpcException::InvalidXcallCap);
+    // The refused xcall still cost cycles, and the outcome says so.
+    EXPECT_GT(out.roundTrip.value(), 0u);
+    EXPECT_LE(out.roundTrip.value(), elapsed.value());
 }
 
 TEST_F(SecurityTest, RevokedCapabilityStopsWorking)

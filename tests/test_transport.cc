@@ -415,8 +415,14 @@ TEST_F(XpcTransportTest, ContextExhaustionReturnsError)
         server, server,
         [&](XpcServerCall &call) {
             if (call.opcode() == 0) {
+                Cycles before = call.core().now();
                 auto out = call.callNested(inner, 1, 0, 16);
+                Cycles elapsed = call.core().now() - before;
                 EXPECT_FALSE(out.ok);
+                // The rejected call paid for xcall, trampoline and
+                // xret, and reports it.
+                EXPECT_GT(out.roundTrip.value(), 0u);
+                EXPECT_LE(out.roundTrip.value(), elapsed.value());
             }
         },
         1);
