@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "sim/fault_injector.hh"
 #include "sim/logging.hh"
 
 namespace xpc::kernel {
