@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -376,6 +377,13 @@ TEST_F(CritPathTest, CallSpansMatchGoldenOnEveryFlavor)
     }
 }
 
+bool
+isXpc(core::SystemFlavor flavor)
+{
+    return flavor == core::SystemFlavor::Sel4Xpc ||
+           flavor == core::SystemFlavor::ZirconXpc;
+}
+
 /** The scheduled faults of the chaos golden. */
 struct ChaosFault
 {
@@ -420,12 +428,10 @@ std::string
 chaosCase(core::SystemFlavor flavor, const ChaosFault &fault,
           uint64_t seq, bool envelope)
 {
-    bool xpc = flavor == core::SystemFlavor::Sel4Xpc ||
-               flavor == core::SystemFlavor::ZirconXpc;
     core::SystemOptions opts;
     opts.flavor = flavor;
     opts.deadlineCycles = Cycles(200000);
-    if (xpc)
+    if (isXpc(flavor))
         opts.runtimeOpts.timeoutCycles = Cycles(20000);
     core::System sys(opts);
     core::Transport &tr = sys.transport();
@@ -481,17 +487,17 @@ chaosCase(core::SystemFlavor flavor, const ChaosFault &fault,
             msg[i] = uint8_t(i * 7 + call);
         if (call > 0)
             os << ",";
-        if (!tr.clientWrite(core, client, 0, msg.data(), msg.size())) {
+        if (tr.clientWrite(core, client, 0, msg.data(), msg.size())) {
+            core::CallResult r =
+                tr.call(core, client, front, 0, msg.size(), 4096);
+            uint64_t len = std::min<uint64_t>(r.replyLen, reply.size());
+            tr.clientRead(core, client, 0, reply.data(), len);
+            os << "{\"status\":\"" << kernel::callStatusName(r.status)
+               << "\",\"replyLen\":" << r.replyLen
+               << ",\"crc32\":" << crc32(reply.data(), len) << "}";
+        } else {
             os << "{\"staged\":false}";
-            continue;
         }
-        core::CallResult r =
-            tr.call(core, client, front, 0, msg.size(), 4096);
-        uint64_t len = std::min<uint64_t>(r.replyLen, reply.size());
-        tr.clientRead(core, client, 0, reply.data(), len);
-        os << "{\"status\":\"" << kernel::callStatusName(r.status)
-           << "\",\"replyLen\":" << r.replyLen
-           << ",\"crc32\":" << crc32(reply.data(), len) << "}";
         if (call == 0) {
             trace = exportWithoutLaneNames();
             trace.pop_back(); // the trailing newline
@@ -514,13 +520,11 @@ TEST_F(CritPathTest, ChaosOutcomesMatchGoldenOnEveryFlavor)
     for (auto flavor : goldenFlavors) {
         std::string name = core::systemFlavorName(flavor);
         SCOPED_TRACE(name);
-        bool xpc = flavor == core::SystemFlavor::Sel4Xpc ||
-                   flavor == core::SystemFlavor::ZirconXpc;
         std::string actual = "{\"flavor\":\"" + name + "\",\"cases\":[";
         const char *sep = "\n";
         for (bool envelope : {false, true}) {
             for (const ChaosFault &fault : chaosFaults) {
-                if (fault.xpcOnly && !xpc)
+                if (fault.xpcOnly && !isXpc(flavor))
                     continue;
                 for (uint64_t seq : {1, 2}) {
                     actual += sep + chaosCase(flavor, fault, seq, envelope);
