@@ -12,7 +12,6 @@
  */
 
 #include "bench_util.hh"
-#include "sim/logging.hh"
 
 using namespace xpc;
 using namespace xpc::bench;
@@ -51,12 +50,12 @@ xcallCost(bool nonblocking, bool cache, bool tagged, bool radix)
 void
 printXcallAblation(BenchReport &report)
 {
-    banner("Ablation: xcall latency under engine design choices "
-           "(tagged TLB unless noted)");
-    row({"Variant", "xcall cycles"}, 34);
+    Table t(report,
+            "Ablation: xcall latency under engine design choices "
+            "(tagged TLB unless noted)",
+            {{"Variant"}, {"xcall cycles", "%.0f", "xcall_cycles"}});
     auto line = [&](const char *name, const char *key, uint64_t c) {
-        row({name, fmtU(c)}, 34);
-        report.metric(std::string("xcall_cycles.") + key, double(c));
+        t.row(name, key, {double(c)});
     };
     line("baseline (nonblock, bitmap)", "baseline",
          xcallCost(true, false, true, false));
@@ -68,38 +67,52 @@ printXcallAblation(BenchReport &report)
          xcallCost(true, false, true, true));
     line("untagged TLB (flush+refill)", "untagged_tlb",
          xcallCost(true, false, false, false));
+    t.print();
+
+    report.less("xcall_cycles.engine_cache", "xcall_cycles.baseline");
+    for (const char *dearer : {"blocking", "radix_caps", "untagged_tlb"})
+        report.less("xcall_cycles.baseline",
+                    std::string("xcall_cycles.") + dearer);
 }
 
 void
 printMessagePathAblation(BenchReport &report)
 {
-    banner("Ablation: message-path disciplines, echo round trip "
-           "(cycles) - the Figure 10 taxonomy measured");
-    row({"bytes", "kernel-copy(Zircon)", "shared-1copy",
-         "shared-2copy", "relay-seg(XPC)"}, 20);
+    Table t(report,
+            "Ablation: message-path disciplines, echo round trip "
+            "(cycles) - the Figure 10 taxonomy measured",
+            {{"bytes"},
+             {"kernel-copy(Zircon)", "%.0f", "round_trip.kernel_copy"},
+             {"shared-1copy", "%.0f", "round_trip.shared_1copy"},
+             {"shared-2copy", "%.0f", "round_trip.shared_2copy"},
+             {"relay-seg(XPC)", "%.0f", "round_trip.relay_seg"}});
     for (uint64_t bytes : {256ul, 4096ul, 32768ul}) {
         auto rt = [&](core::SystemFlavor f) {
             EchoRig rig(f);
             core::CallResult r;
             for (int i = 0; i < 5; i++)
                 r = rig.call(bytes);
-            return r.roundTrip.value();
+            return double(r.roundTrip.value());
         };
-        uint64_t xpc = rt(core::SystemFlavor::Sel4Xpc);
-        row({fmtU(bytes), fmtU(rt(core::SystemFlavor::Zircon)),
-             fmtU(rt(core::SystemFlavor::Sel4OneCopy)),
-             fmtU(rt(core::SystemFlavor::Sel4TwoCopy)), fmtU(xpc)},
-            20);
-        report.metric("round_trip.relay_seg." + fmtU(bytes) + "B",
-                      double(xpc));
+        std::string sz = std::to_string(bytes) + "B";
+        t.row(std::to_string(bytes), sz,
+              {rt(core::SystemFlavor::Zircon),
+               rt(core::SystemFlavor::Sel4OneCopy),
+               rt(core::SystemFlavor::Sel4TwoCopy),
+               rt(core::SystemFlavor::Sel4Xpc)});
+        report.less("round_trip.relay_seg." + sz,
+                    "round_trip.shared_1copy." + sz);
+        report.less("round_trip.relay_seg." + sz,
+                    "round_trip.kernel_copy." + sz);
+        report.less("round_trip.shared_1copy." + sz,
+                    "round_trip.shared_2copy." + sz);
     }
+    t.print();
 }
 
 void
-printTrampolineAblation()
+printTrampolineAblation(BenchReport &report)
 {
-    banner("Ablation: trampoline context policy (round trip, empty "
-           "handler)");
     auto rt = [&](core::TrampolineMode mode) {
         core::SystemOptions opts;
         opts.flavor = core::SystemFlavor::Sel4Xpc;
@@ -115,20 +128,30 @@ printTrampolineAblation()
         core::XpcCallOutcome out;
         for (int i = 0; i < 6; i++)
             out = sys.runtime().call(core, client, id, 0, 0);
-        return out.roundTrip.value();
+        return double(out.roundTrip.value());
     };
-    row({"full context", fmtU(rt(core::TrampolineMode::FullContext))},
-        20);
-    row({"partial context",
-         fmtU(rt(core::TrampolineMode::PartialContext))}, 20);
+    Table t(report,
+            "Ablation: trampoline context policy (round trip, empty "
+            "handler)",
+            {{""}, {"", "%.0f", "round_trip.trampoline"}});
+    t.row("full context", "full_context",
+          {rt(core::TrampolineMode::FullContext)});
+    t.row("partial context", "partial_context",
+          {rt(core::TrampolineMode::PartialContext)});
+    t.print();
+    report.less("round_trip.trampoline.partial_context",
+                "round_trip.trampoline.full_context");
 }
 
 void
-printRelayPtAblation()
+printRelayPtAblation(BenchReport &report)
 {
-    banner("Ablation: relay segment vs relay page table (paper 6.2) "
-           "- ownership handover cost by region size");
-    row({"pages", "relay-seg handover", "relay-pt transfer"}, 22);
+    Table t(report,
+            "Ablation: relay segment vs relay page table (paper 6.2) "
+            "- ownership handover cost by region size",
+            {{"pages"},
+             {"relay-seg handover", "%.0f", "handover_cycles.relay_seg"},
+             {"relay-pt transfer", "%.0f", "handover_cycles.relay_pt"}});
     for (uint64_t pages : {4ul, 16ul, 64ul, 256ul}) {
         // relay-seg: the handover is the xcall itself (seg-reg swap).
         core::SystemOptions opts;
@@ -155,10 +178,16 @@ printRelayPtAblation()
         sys.manager().transferRelayPt(&core, rpt.id,
                                       *peer.process());
         uint64_t pt_cost = (core.now() - t0).value();
-        row({fmtU(pages), fmtU(seg_cost), fmtU(pt_cost)}, 22);
+        t.row(std::to_string(pages), std::to_string(pages) + "pages",
+              {double(seg_cost), double(pt_cost)});
     }
+    t.print();
     std::printf("(relay-seg handover is O(1); the dual-page-table "
                 "alternative pays O(pages) + TLB shootdown)\n");
+    report.less("handover_cycles.relay_seg.256pages",
+                "handover_cycles.relay_pt.4pages");
+    report.less("handover_cycles.relay_pt.4pages",
+                "handover_cycles.relay_pt.256pages");
 }
 
 } // namespace
@@ -169,7 +198,7 @@ main()
     BenchReport report("ablation");
     printXcallAblation(report);
     printMessagePathAblation(report);
-    printTrampolineAblation();
-    printRelayPtAblation();
+    printTrampolineAblation(report);
+    printRelayPtAblation(report);
     return 0;
 }

@@ -72,9 +72,10 @@ void
 printTables()
 {
     BenchReport report("fig01_motivation");
-    banner("Figure 1(a): share of CPU time spent on IPC, "
-           "Sqlite3(MiniDb)+YCSB on seL4 (paper: 18-39%)");
-    row({"workload", "IPC share"});
+    Table a(report,
+            "Figure 1(a): share of CPU time spent on IPC, "
+            "Sqlite3(MiniDb)+YCSB on seL4 (paper: 18-39%)",
+            {{"workload"}, {"IPC share", "%.1f%%", "ipc_share", 100}});
     const YcsbWorkload all[] = {YcsbWorkload::A, YcsbWorkload::B,
                                 YcsbWorkload::C, YcsbWorkload::D,
                                 YcsbWorkload::E, YcsbWorkload::F};
@@ -83,21 +84,42 @@ printTables()
         Motivation m = measure(w);
         if (w == YcsbWorkload::E)
             e_result = m;
-        row({ycsbName(w), fmt("%.1f%%", 100.0 * m.ipcShare)});
-        report.metric(std::string("ipc_share.") + ycsbName(w),
-                      m.ipcShare);
+        a.row(ycsbName(w), {m.ipcShare});
     }
-    report.metric("transfer_share_E", e_result.transferShare);
+    a.print();
 
-    banner("Figure 1(b): CDF of IPC time by message length, YCSB-E "
-           "(paper: data transfer = 58.7% of IPC time)");
-    row({"msg bytes <=", "CDF of IPC time"});
-    for (uint64_t b : {64ul, 256ul, 1024ul, 4096ul, 8192ul, 16384ul,
-                       65536ul}) {
-        row({fmtU(b), fmt("%.2f", e_result.cdf.cumulativeAt(b))});
-    }
-    row({"data transfer share",
-         fmt("%.1f%%", 100.0 * e_result.transferShare)});
+    Table b(report,
+            "Figure 1(b): CDF of IPC time by message length, YCSB-E "
+            "(paper: data transfer = 58.7% of IPC time)",
+            {{"msg bytes <="}, {"CDF of IPC time", "%.2f", "ipc_time_cdf_E"}});
+    for (uint64_t bytes : {64ul, 256ul, 1024ul, 4096ul, 8192ul, 16384ul,
+                           65536ul})
+        b.row(std::to_string(bytes), std::to_string(bytes) + "B",
+              {e_result.cdf.cumulativeAt(bytes)});
+    b.print();
+    Table share(report, "", {{""}, {"", "%.1f%%", "*", 100}});
+    share.row("data transfer share", "transfer_share_E",
+              {e_result.transferShare});
+    share.print();
+
+    const std::pair<const char *, const char *> shares[] = {
+        {"YCSB-A", "xv6fs commits its log on every pwrite: more write "
+                   "IPC per update than the authors' port"},
+        {"YCSB-B", ""},
+        {"YCSB-C", "read-only: one FS RPC (the lock probe) per get and "
+                   "no log commit"},
+        {"YCSB-D", "xv6fs commits its log on every pwrite: more write "
+                   "IPC per update than the authors' port"},
+        {"YCSB-E", "MiniDb charges 2000 cycles of compute per scanned "
+                   "record, so scans are compute-bound"},
+        {"YCSB-F", "xv6fs commits its log on every pwrite: more write "
+                   "IPC per update than the authors' port"}};
+    for (const auto &[w, why] : shares)
+        report.within(std::string("ipc_share.") + w, 0.18, 0.39)
+            .deviation = why;
+    report.metric("paper.transfer_share_E", 0.587);
+    report.near("transfer_share_E", 0.15);
+    report.atMost("ipc_time_cdf_E.1024B", 0.5);
 }
 
 } // namespace

@@ -14,7 +14,6 @@
  */
 
 #include "bench_util.hh"
-#include "sim/logging.hh"
 
 using namespace xpc;
 using namespace xpc::bench;
@@ -115,18 +114,29 @@ printTable()
 {
     BenchReport report("fig05_xpc_breakdown");
     report.config("machine", "rocket-u500");
-    banner("Figure 5: XPC optimizations and breakdown "
-           "(one-way IPC cycles; paper totals in parentheses)");
-    row({"Config", "total", "(paper)", "trampoline", "xcall",
-         "tlb/other"}, 20);
+    Table t(report,
+            "Figure 5: XPC optimizations and breakdown "
+            "(one-way IPC cycles; paper totals in parentheses)",
+            {{"Config"},
+             {"total", "%.0f", "*.one_way"},
+             {"(paper)", "(%.0f)", "paper.*.one_way"},
+             {"trampoline", "%.0f", "*.trampoline"},
+             {"xcall", "%.0f", "*.xcall"},
+             {"tlb/other", "%.0f", "*.tlb_other"}});
     for (const Config &cfg : configs) {
         Sample s = measure(cfg);
-        row({cfg.name, fmtU(s.total), "(" + fmtU(cfg.paperTotal) + ")",
-             fmtU(s.trampoline), fmtU(s.xcall), fmtU(s.tlb)}, 20);
-        report.phase(cfg.name, "one_way", double(s.total));
-        report.phase(cfg.name, "trampoline", double(s.trampoline));
-        report.phase(cfg.name, "xcall", double(s.xcall));
-        report.phase(cfg.name, "tlb_other", double(s.tlb));
+        t.row(cfg.name, {double(s.total), double(cfg.paperTotal),
+                         double(s.trampoline), double(s.xcall),
+                         double(s.tlb)});
+    }
+    t.print();
+
+    for (size_t i = 0; i < std::size(configs); i++) {
+        std::string rung = std::string(configs[i].name) + ".one_way";
+        report.near(rung, 0.1);
+        if (i > 0)
+            report.less(rung,
+                        std::string(configs[i - 1].name) + ".one_way");
     }
 }
 

@@ -17,7 +17,7 @@ namespace {
 const uint64_t sizes[] = {0,    64,   128,  256,   512,   1024,
                           2048, 4096, 8192, 16384, 32768};
 
-uint64_t
+double
 measureOneWay(core::SystemFlavor flavor, uint64_t bytes,
               bool cross_core)
 {
@@ -25,38 +25,57 @@ measureOneWay(core::SystemFlavor flavor, uint64_t bytes,
     core::CallResult r;
     for (int i = 0; i < 6; i++)
         r = rig.call(bytes);
-    return r.oneWay.value();
+    return double(r.oneWay.value());
 }
 
 void
 printTable()
 {
     BenchReport report("fig06_oneway_call");
-    banner("Figure 6: one-way call latency vs message size (cycles)");
-    row({"size(B)", "seL4 same", "XPC same", "speedup", "seL4 cross",
-         "XPC cross", "speedup"}, 12);
+    Table t(report, "Figure 6: one-way call latency vs message size (cycles)",
+            {{"size(B)"},
+             {"seL4 same", "%.0f", "sel4_same"},
+             {"XPC same", "%.0f", "xpc_same"},
+             {"speedup", "%.1fx", "speedup_same"},
+             {"seL4 cross", "%.0f", "sel4_cross"},
+             {"XPC cross", "%.0f", "xpc_cross"},
+             {"speedup", "%.1fx", "speedup_cross"}});
     for (uint64_t bytes : sizes) {
-        uint64_t sel4_same =
+        double sel4_same =
             measureOneWay(core::SystemFlavor::Sel4TwoCopy, bytes,
                           false);
-        uint64_t xpc_same =
+        double xpc_same =
             measureOneWay(core::SystemFlavor::Sel4Xpc, bytes, false);
-        uint64_t sel4_cross =
+        double sel4_cross =
             measureOneWay(core::SystemFlavor::Sel4TwoCopy, bytes,
                           true);
         // XPC cross-core: the migrating-thread model runs the server
         // on the client's core, so the path is the same-core path.
-        uint64_t xpc_cross = xpc_same;
-        row({fmtU(bytes), fmtU(sel4_same), fmtU(xpc_same),
-             fmt("%.1fx", double(sel4_same) / double(xpc_same)),
-             fmtU(sel4_cross), fmtU(xpc_cross),
-             fmt("%.1fx", double(sel4_cross) / double(xpc_cross))},
-            12);
-        std::string sz = fmtU(bytes) + "B";
-        report.metric("sel4_same." + sz, double(sel4_same));
-        report.metric("xpc_same." + sz, double(xpc_same));
-        report.metric("sel4_cross." + sz, double(sel4_cross));
+        double xpc_cross = xpc_same;
+        t.row(std::to_string(bytes), std::to_string(bytes) + "B",
+              {sel4_same, xpc_same, sel4_same / xpc_same, sel4_cross,
+               xpc_cross, sel4_cross / xpc_cross});
     }
+    t.print();
+
+    const char *copies =
+        "XPC stays flat while the simulated cache hierarchy amplifies "
+        "the baseline's copy beyond the FPGA's, so the speedup keeps "
+        "growing where the paper's flattens";
+    const char *ipi = "the modelled cross-core hop (a 2400-cycle IPI each "
+                      "way and a remote wake-up) is cheaper than the FPGA's";
+    for (uint64_t bytes : sizes) {
+        std::string sz = std::to_string(bytes) + "B";
+        report.less("xpc_same." + sz, "sel4_same." + sz);
+        report.less("xpc_cross." + sz, "sel4_cross." + sz);
+        report.within("speedup_same." + sz, 5, 37)
+            .deviation = bytes > 4096 ? copies : "";
+        report.within("speedup_cross." + sz, 81, 141)
+            .deviation = bytes > 8192 ? copies : bytes < 8192 ? ipi : "";
+    }
+    report.less("sel4_same.128B", "sel4_same.64B");
+    report.metric("paper.sel4_same.64B", 2182);
+    report.near("sel4_same.64B", 0.05);
 }
 
 } // namespace

@@ -6,8 +6,9 @@
  * (read, vs Zircon/seL4) and 13.2x/3.0x (write).
  */
 
+#include <tuple>
+
 #include "bench_util.hh"
-#include "sim/logging.hh"
 
 using namespace xpc;
 using namespace xpc::bench;
@@ -87,63 +88,82 @@ printTable()
     const uint64_t bufs[] = {2048, 4096, 8192, 12288, 16384};
 
     BenchReport report("fig07_fs");
-    banner("Figure 7(a): FS read throughput (MB/s) vs buffer size");
-    std::vector<std::string> hdr = {"buffer(B)"};
-    for (auto f : flavors)
-        hdr.push_back(core::systemFlavorName(f));
-    row(hdr, 14);
-    std::vector<std::vector<double>> reads, writes;
+    auto table = [&](const char *caption, const char *what) {
+        std::vector<Col> cols = {{"buffer(B)"}};
+        for (auto f : flavors)
+            cols.push_back({core::systemFlavorName(f), "%.1f",
+                            std::string(what) + "." +
+                                core::systemFlavorName(f)});
+        return Table(report, caption, cols);
+    };
+    Table reads = table(
+        "Figure 7(a): FS read throughput (MB/s) vs buffer size",
+        "read_MBps");
+    Table writes = table(
+        "Figure 7(b): FS write throughput (MB/s) vs buffer size",
+        "write_MBps");
+    // Summed speedups of the paper's summary sentence: read vs Zircon,
+    // read vs seL4, write vs Zircon, write vs seL4 (flavor order:
+    // Zircon, Zircon-XPC, 1copy, 2copy, seL4-XPC).
+    double speedup[4] = {};
     for (uint64_t b : bufs) {
-        std::vector<std::string> cells = {fmtU(b)};
-        std::vector<double> rrow, wrow;
+        std::vector<Cell> rrow, wrow;
+        std::vector<Throughputs> t;
         for (auto f : flavors) {
             // The 8 KiB column doubles as the representative config
             // whose per-span distributions land in the report.
-            Throughputs t = measure(f, b, b == 8192 ? &report : nullptr);
-            rrow.push_back(t.readMBps);
-            wrow.push_back(t.writeMBps);
-            cells.push_back(fmt("%.1f", t.readMBps));
-            std::string key = std::string(core::systemFlavorName(f)) +
-                              "." + fmtU(b) + "B";
-            report.metric("read_MBps." + key, t.readMBps);
-            report.metric("write_MBps." + key, t.writeMBps);
+            t.push_back(measure(f, b, b == 8192 ? &report : nullptr));
+            rrow.push_back(t.back().readMBps);
+            wrow.push_back(t.back().writeMBps);
         }
-        reads.push_back(rrow);
-        writes.push_back(wrow);
-        row(cells, 14);
+        speedup[0] += t[1].readMBps / t[0].readMBps;
+        speedup[1] += t[4].readMBps / t[3].readMBps;
+        speedup[2] += t[1].writeMBps / t[0].writeMBps;
+        speedup[3] += t[4].writeMBps / t[3].writeMBps;
+        std::string sz = std::to_string(b) + "B";
+        reads.row(std::to_string(b), sz, rrow);
+        writes.row(std::to_string(b), sz, wrow);
     }
+    reads.print();
+    writes.print();
 
-    banner("Figure 7(b): FS write throughput (MB/s) vs buffer size");
-    row(hdr, 14);
-    for (size_t i = 0; i < writes.size(); i++) {
-        std::vector<std::string> cells = {fmtU(bufs[i])};
-        for (double v : writes[i])
-            cells.push_back(fmt("%.1f", v));
-        row(cells, 14);
+    Table summary(report,
+                  "Summary (paper: read 7.8x vs Zircon / 3.8x vs seL4; "
+                  "write 13.2x / 3.0x)",
+                  {{""}, {"", "%.1fx", "speedup"}});
+    const double n = double(std::size(bufs));
+    summary.row("read: Zircon-XPC/Zircon", "read_zircon", {speedup[0] / n});
+    summary.row("read: seL4-XPC/seL4-2copy", "read_sel4",
+                {speedup[1] / n});
+    summary.row("write: Zircon-XPC/Zircon", "write_zircon",
+                {speedup[2] / n});
+    summary.row("write: seL4-XPC/seL4-2copy", "write_sel4",
+                {speedup[3] / n});
+    summary.print();
+
+    const core::SystemFlavor order[][2] = {
+        {flavors[0], flavors[1]}, {flavors[0], flavors[3]},
+        {flavors[3], flavors[2]}, {flavors[2], flavors[4]}};
+    for (const char *what : {"read_MBps.", "write_MBps."})
+        for (uint64_t b : bufs)
+            for (const auto &[slow, fast] : order)
+                report.less(what + std::string(core::systemFlavorName(slow)) +
+                                "." + std::to_string(b) + "B",
+                            what + std::string(core::systemFlavorName(fast)) +
+                                "." + std::to_string(b) + "B");
+    const char *ramdisk =
+        "the ramdisk's per-block memory traffic, the same on every "
+        "flavor, is a larger share of the write path than in the "
+        "authors' setup";
+    const std::tuple<const char *, double, const char *> averages[] = {
+        {"read_zircon", 7.8, ""},
+        {"read_sel4", 3.8, ""},
+        {"write_zircon", 13.2, ramdisk},
+        {"write_sel4", 3.0, ramdisk}};
+    for (const auto &[key, paper, why] : averages) {
+        report.metric(std::string("paper.speedup.") + key, paper);
+        report.near(std::string("speedup.") + key, 0.15).deviation = why;
     }
-
-    // Average speedups like the paper's summary sentence.
-    auto avg_speedup = [&](const std::vector<std::vector<double>> &m,
-                           size_t base, size_t fast) {
-        double s = 0;
-        for (const auto &r : m)
-            s += r[fast] / r[base];
-        return s / double(m.size());
-    };
-    banner("Summary (paper: read 7.8x vs Zircon / 3.8x vs seL4; "
-           "write 13.2x / 3.0x)");
-    row({"read: Zircon-XPC/Zircon",
-         fmt("%.1fx", avg_speedup(reads, 0, 1))}, 30);
-    row({"read: seL4-XPC/seL4-2copy",
-         fmt("%.1fx", avg_speedup(reads, 3, 4))}, 30);
-    row({"write: Zircon-XPC/Zircon",
-         fmt("%.1fx", avg_speedup(writes, 0, 1))}, 30);
-    row({"write: seL4-XPC/seL4-2copy",
-         fmt("%.1fx", avg_speedup(writes, 3, 4))}, 30);
-    report.metric("speedup.read_zircon", avg_speedup(reads, 0, 1));
-    report.metric("speedup.read_sel4", avg_speedup(reads, 3, 4));
-    report.metric("speedup.write_zircon", avg_speedup(writes, 0, 1));
-    report.metric("speedup.write_sel4", avg_speedup(writes, 3, 4));
 
     // With XPC_TRACE=1 the trace ring still holds the tail of the
     // last run: fold the per-request critical paths into the report

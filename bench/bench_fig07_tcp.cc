@@ -7,7 +7,6 @@
  */
 
 #include "bench_util.hh"
-#include "sim/logging.hh"
 
 using namespace xpc;
 using namespace xpc::bench;
@@ -52,23 +51,31 @@ void
 printTable()
 {
     BenchReport report("fig07_tcp");
-    banner("Figure 7(c): TCP throughput (MB/s) vs buffer size "
-           "(paper: Zircon-XPC ~6x Zircon on average)");
-    row({"buffer(B)", "Zircon", "Zircon-XPC", "speedup"});
+    Table t(report,
+            "Figure 7(c): TCP throughput (MB/s) vs buffer size "
+            "(paper: Zircon-XPC ~6x Zircon on average)",
+            {{"buffer(B)"},
+             {"Zircon", "%.2f", "zircon_MBps"},
+             {"Zircon-XPC", "%.2f", "zircon_xpc_MBps"},
+             {"speedup", "%.1fx", "speedup"}});
     const uint64_t bufs[] = {64, 128, 256, 512, 1024, 2048, 4096};
     double sum = 0;
     for (uint64_t b : bufs) {
         double z = measure(core::SystemFlavor::Zircon, b);
         double x = measure(core::SystemFlavor::ZirconXpc, b);
         sum += x / z;
-        row({fmtU(b), fmt("%.2f", z), fmt("%.2f", x),
-             fmt("%.1fx", x / z)});
-        report.metric("zircon_MBps." + fmtU(b) + "B", z);
-        report.metric("zircon_xpc_MBps." + fmtU(b) + "B", x);
+        t.row(std::to_string(b), std::to_string(b) + "B", {z, x, x / z});
     }
-    double avg = sum / (sizeof(bufs) / sizeof(bufs[0]));
-    row({"average", "", "", fmt("%.1fx", avg)});
-    report.metric("speedup.average", avg);
+    t.row("average", {"", "", sum / std::size(bufs)});
+    t.print();
+
+    for (uint64_t b : bufs)
+        report.less("zircon_MBps." + std::to_string(b) + "B",
+                    "zircon_xpc_MBps." + std::to_string(b) + "B");
+    report.metric("paper.speedup.average", 6);
+    report.near("speedup.average", 0.15);
+    report.atMost("speedup.64B", 8);
+    report.less("speedup.4096B", "speedup.64B");
 }
 
 } // namespace

@@ -35,16 +35,17 @@
  *    initial allowance and the same schedule escapes: the detector
  *    (unchanged from PR 8) is the judge of both.
  *
- * Everything is seeded: a same-seed replay of the trapped run must be
- * byte-identical, and BENCH_metastable.json embeds the full regime
- * timelines for tools/metastable.py to render and gate (--check).
+ * Everything is seeded. The bench prints every run's regime
+ * timelines (BENCH_metastable.json embeds them too) and declares the
+ * acceptance claims - detector separation, recovery heal-on vs
+ * heal-off, the storm trap vs the budget's escape, byte-identical
+ * same-seed replays - which the report checks when it is written.
  */
 
 #include <sstream>
 
 #include "apps/loadgen.hh"
 #include "bench_util.hh"
-#include "sim/logging.hh"
 
 using namespace xpc;
 using namespace xpc::bench;
@@ -153,22 +154,47 @@ sloSection(BenchReport &report, const std::string &key,
     report.section(key, os.str());
 }
 
+/** The regime timeline of the aggregate tracker, with its marks by
+ *  window, and of every per-service tracker that was not healthy
+ *  throughout. */
+void
+printTimelines(BenchReport &report, const std::string &run,
+               const apps::LoadGenResult &res)
+{
+    Table t(report,
+            "Regime timelines, " + run +
+                " (h healthy / o overloaded / m metastable)",
+            {{"tracker"}, {"regimes"}, {"marks"}});
+    for (const auto &tr : res.sloTrackers) {
+        bool all = tr.get() == res.sloAll();
+        if (!all && tr->windowsHealthy.value() == tr->windows().size())
+            continue;
+        std::string codes, marks;
+        for (slo::Regime r : tr->windows())
+            codes += slo::regimeCode(r);
+        for (const slo::Mark &m : tr->marks())
+            if (all)
+                marks += (marks.empty() ? "" : ", ") + m.name + "@w" +
+                         std::to_string(m.cycle / tr->windowCycles());
+        t.row(tr->label(), {"|" + codes + "|", marks});
+    }
+    t.print();
+}
+
 void
 runHysteresis(BenchReport &report, double knee)
 {
-    banner("Load hysteresis: ramp past the knee and back");
-
-    struct Leg
-    {
-        const char *tag;
-        bool trapped;
-    };
-    const Leg legs[] = {{"baseline", false}, {"trapped", true}};
-
-    row({"run", "goodput", "tail-goodput", "regime-tail", "metastable"},
-        14);
-    for (const Leg &leg : legs) {
-        apps::LoadGen gen(hysteresisOptions(knee, leg.trapped));
+    Table t(report, "Load hysteresis: ramp past the knee and back",
+            {{"run"},
+             {"goodput", "%.1f", "hysteresis.*.goodput_per_mcycle"},
+             {"tail-goodput", "%.2f", "hysteresis.*.tail_goodput_frac"},
+             {"metastable", "yes/no", "hysteresis.*.metastable_flagged"},
+             {"m-windows", "%.0f", "hysteresis.*.metastable_windows"},
+             {"transitions", "%.0f", "hysteresis.*.transitions"},
+             {"recovery", "%.0f", "hysteresis.*.surge_recovery_cycles"}});
+    for (bool trapped : {false, true}) {
+        std::string tag = trapped ? "trapped" : "baseline";
+        apps::LoadGen gen(hysteresisOptions(knee, trapped));
         const apps::LoadGenResult &res = gen.run();
         const slo::RegimeTracker *all = res.sloAll();
         panic_if(!all, "slo layer did not run");
@@ -182,54 +208,35 @@ runHysteresis(BenchReport &report, double knee)
         double tail_rate = tailGoodputRate(res, goodput_ch, 10);
         double tail_frac = knee > 0 ? tail_rate / (0.5 * knee) : 0;
 
-        std::string t = leg.tag;
-        report.metric("hysteresis." + t + ".goodput_per_mcycle",
-                      res.goodputPerMcycle());
-        report.metric("hysteresis." + t + ".tail_goodput_frac",
-                      tail_frac);
-        report.metric("hysteresis." + t + ".metastable_flagged",
-                      all->sawMetastable() ? 1 : 0);
-        report.metric("hysteresis." + t + ".metastable_windows",
-                      double(all->windowsMetastable.value()));
-        report.metric("hysteresis." + t + ".transitions",
-                      double(all->transitionCount.value()));
         double surge_rec = std::numeric_limits<double>::quiet_NaN();
         for (const slo::Mark &m : all->marks())
             if (m.name == "surge_end")
                 surge_rec = all->recoveryCyclesFrom(m.cycle);
-        report.metric("hysteresis." + t + ".surge_recovery_cycles",
-                      surge_rec);
-        report.distribution("hysteresis." + t + ".latency",
+        report.distribution("hysteresis." + tag + ".latency",
                             res.latencyAll);
-        sloSection(report, "slo_hysteresis_" + t, res);
-
-        const auto &regs = all->windows();
-        size_t show = regs.size() < 16 ? regs.size() : 16;
-        std::string tail_codes;
-        for (size_t w = regs.size() - show; w < regs.size(); w++)
-            tail_codes += slo::regimeCode(regs[w]);
-        row({t, fmt("%.1f", res.goodputPerMcycle()),
-             fmt("%.2f", tail_frac), tail_codes,
-             all->sawMetastable() ? "YES" : "no"},
-            14);
+        sloSection(report, "slo_hysteresis_" + tag, res);
+        printTimelines(report, "hysteresis " + tag, res);
+        t.row(tag, {res.goodputPerMcycle(), tail_frac,
+                    double(all->sawMetastable()),
+                    double(all->windowsMetastable.value()),
+                    double(all->transitionCount.value()), surge_rec});
     }
+    t.print();
     report.hostMark("hysteresis");
 }
 
 void
 runCrashMidSurge(BenchReport &report, double knee)
 {
-    banner("Crash-mid-surge: kill kv at peak load");
-
-    struct Leg
-    {
-        const char *tag;
-        bool healing;
-    };
-    const Leg legs[] = {{"heal_on", true}, {"heal_off", false}};
-
-    row({"run", "goodput", "restarts", "restart-lat", "recovery"}, 16);
-    for (const Leg &leg : legs) {
+    Table t(report, "Crash-mid-surge: kill kv at peak load",
+            {{"run"},
+             {"goodput", "%.1f", "crash.*.goodput_per_mcycle"},
+             {"restarts", "%.0f", "crash.*.restarts"},
+             {"restart-lat", "%.0f", "crash.*.restart_latency_cycles"},
+             {"recovery", "%.0f", "crash.*.recovery_cycles"},
+             {"kv@t1 metastable", "yes/no", "crash.*.victim_metastable"}});
+    for (bool healing : {true, false}) {
+        std::string tag = healing ? "heal_on" : "heal_off";
         apps::LoadGenOptions o;
         o.seed = expSeed;
         o.phases = {
@@ -244,10 +251,10 @@ runCrashMidSurge(BenchReport &report, double knee)
         o.killAtRequest = 800;
         o.killTenant = apps::TenantRig::tenantA;
         o.killService = 5; // kv, 60% of the offered mix
-        o.healing = leg.healing;
+        o.healing = healing;
         // Without healing a single attempt just fails; keep the
         // default retry ladder so heal_on actually heals.
-        o.maxAttempts = leg.healing ? 3 : 1;
+        o.maxAttempts = healing ? 3 : 1;
 
         apps::LoadGen gen(o);
         const apps::LoadGenResult &res = gen.run();
@@ -276,27 +283,15 @@ runCrashMidSurge(BenchReport &report, double knee)
                 restart_lat = double(m.cycle - fault_cycle);
         }
 
-        uint64_t restarts =
-            gen.rig().supervisor().restarts.value();
-        std::string t = leg.tag;
-        report.metric("crash." + t + ".goodput_per_mcycle",
-                      res.goodputPerMcycle());
-        report.metric("crash." + t + ".recovery_cycles", fault_rec);
-        report.metric("crash." + t + ".restart_latency_cycles",
-                      restart_lat);
-        report.metric("crash." + t + ".restarts", double(restarts));
-        report.metric("crash." + t + ".victim_metastable",
-                      victim->sawMetastable() ? 1 : 0);
-        report.distribution("crash." + t + ".latency", res.latencyAll);
-        sloSection(report, "slo_crash_" + t, res);
-
-        row({t, fmt("%.1f", res.goodputPerMcycle()), fmtU(restarts),
-             std::isfinite(restart_lat) ? fmt("%.0f", restart_lat)
-                                        : "never",
-             std::isfinite(fault_rec) ? fmt("%.0f", fault_rec)
-                                      : "never"},
-            16);
+        report.distribution("crash." + tag + ".latency", res.latencyAll);
+        sloSection(report, "slo_crash_" + tag, res);
+        printTimelines(report, "crash " + tag, res);
+        t.row(tag, {res.goodputPerMcycle(),
+                    double(gen.rig().supervisor().restarts.value()),
+                    restart_lat, fault_rec,
+                    double(victim->sawMetastable())});
     }
+    t.print();
     report.hostMark("crash_mid_surge");
 }
 
@@ -349,21 +344,19 @@ retryStormOptions(double knee, bool budgeted)
 void
 runRetryStorm(BenchReport &report, double knee)
 {
-    banner("Retry storm: unbudgeted vs budgeted retries, fs killed "
-           "mid-surge");
-
-    struct Leg
-    {
-        const char *tag;
-        bool budgeted;
-    };
-    const Leg legs[] = {{"unbudgeted", false}, {"budgeted", true}};
-
-    row({"run", "goodput", "tail-goodput", "retries", "budget-stops",
-         "recovery"},
-        14);
-    for (const Leg &leg : legs) {
-        apps::LoadGen gen(retryStormOptions(knee, leg.budgeted));
+    Table t(report,
+            "Retry storm: unbudgeted vs budgeted retries, fs killed "
+            "mid-surge",
+            {{"run"},
+             {"goodput", "%.1f", "retry_storm.*.goodput_per_mcycle"},
+             {"tail-goodput", "%.2f", "retry_storm.*.tail_goodput_frac"},
+             {"retries", "%.0f", "retry_storm.*.retries"},
+             {"budget-stops", "%.0f", "retry_storm.*.budget_exhausted"},
+             {"metastable", "yes/no", "retry_storm.*.metastable_flagged"},
+             {"recovery", "%.0f", "retry_storm.*.surge_recovery_cycles"}});
+    for (bool budgeted : {false, true}) {
+        std::string tag = budgeted ? "budgeted" : "unbudgeted";
+        apps::LoadGen gen(retryStormOptions(knee, budgeted));
         const apps::LoadGenResult &res = gen.run();
         const slo::RegimeTracker *all = res.sloAll();
         panic_if(!all, "slo layer did not run");
@@ -380,38 +373,16 @@ runRetryStorm(BenchReport &report, double knee)
                 surge_rec = all->recoveryCyclesFrom(m.cycle);
 
         services::Supervisor &sup = gen.rig().supervisor();
-        std::string t = leg.tag;
-        report.metric("retry_storm." + t + ".goodput_per_mcycle",
-                      res.goodputPerMcycle());
-        report.metric("retry_storm." + t + ".tail_goodput_frac",
-                      tail_frac);
-        report.metric("retry_storm." + t + ".metastable_flagged",
-                      all->sawMetastable() ? 1 : 0);
-        report.metric("retry_storm." + t + ".surge_recovery_cycles",
-                      surge_rec);
-        report.metric("retry_storm." + t + ".retries",
-                      double(sup.retries.value()));
-        report.metric("retry_storm." + t + ".budget_exhausted",
-                      double(sup.retryBudgetExhausted.value()));
-        report.distribution("retry_storm." + t + ".latency",
+        report.distribution("retry_storm." + tag + ".latency",
                             res.latencyAll);
-        sloSection(report, "slo_retry_storm_" + t, res);
-
-        row({t, fmt("%.1f", res.goodputPerMcycle()),
-             fmt("%.2f", tail_frac), fmtU(sup.retries.value()),
-             fmtU(sup.retryBudgetExhausted.value()),
-             std::isfinite(surge_rec) ? fmt("%.0f", surge_rec)
-                                      : "never"},
-            14);
+        sloSection(report, "slo_retry_storm_" + tag, res);
+        printTimelines(report, "retry storm " + tag, res);
+        t.row(tag, {res.goodputPerMcycle(), tail_frac,
+                    double(sup.retries.value()),
+                    double(sup.retryBudgetExhausted.value()),
+                    double(all->sawMetastable()), surge_rec});
     }
-
-    // The budgeted run's control loop (token buckets and all) must
-    // replay byte-identically, like the trapped hysteresis run.
-    std::string a = resultJson(retryStormOptions(knee, true));
-    std::string b = resultJson(retryStormOptions(knee, true));
-    bool identical = a == b;
-    report.metric("retry_storm.same_seed_identical", identical ? 1 : 0);
-    panic_if(!identical, "same-seed budgeted replay diverged");
+    t.print();
     report.hostMark("retry_storm");
 }
 
@@ -422,29 +393,58 @@ printTable()
 
     double knee = calibrateCapacity();
     report.hostMark("calibrate");
-    report.metric("capacity_per_mcycle", knee);
     report.config("seed", double(expSeed));
-    std::printf("calibrated knee: %.1f req/Mcycle\n", knee);
+    Table cap(report, "", {{""}, {"", "%.1f req/Mcycle", "*"}});
+    cap.row("calibrated knee", "capacity_per_mcycle", {knee});
+    cap.print();
 
     runHysteresis(report, knee);
     runCrashMidSurge(report, knee);
 
     double storm_knee = calibrateCapacity(stormKv, stormHttp, stormFs);
-    report.metric("retry_storm.capacity_per_mcycle", storm_knee);
-    std::printf("retry-storm knee (fs-heavy mix): %.1f req/Mcycle\n",
-                storm_knee);
+    Table storm_cap(report, "Retry storm: an fs-heavy mix",
+                    {{""}, {"", "%.1f req/Mcycle", "*"}});
+    storm_cap.row("retry-storm knee (fs-heavy mix)",
+                  "retry_storm.capacity_per_mcycle", {storm_knee});
+    storm_cap.print();
     runRetryStorm(report, storm_knee);
 
     // Determinism: the trapped run - breakers, phased ramps, SLO
-    // timeline and all - must replay byte-identically.
-    std::string a = resultJson(hysteresisOptions(knee, true));
-    std::string b = resultJson(hysteresisOptions(knee, true));
-    bool identical = a == b;
-    report.metric("same_seed_identical", identical ? 1 : 0);
-    std::printf("\nsame-seed trapped replay byte-identical: %s\n",
-                identical ? "yes" : "NO");
-    panic_if(!identical, "same-seed metastable replay diverged");
+    // timeline and all - and the budgeted storm's control loop (token
+    // buckets and all) must replay byte-identically.
+    Table replay(report, "Same-seed replays",
+                 {{"run"}, {"byte-identical", "yes/no", "*"}});
+    replay.row("trapped hysteresis", "same_seed_identical",
+               {double(resultJson(hysteresisOptions(knee, true)) ==
+                       resultJson(hysteresisOptions(knee, true)))});
+    replay.row("budgeted retry storm", "retry_storm.same_seed_identical",
+               {double(resultJson(retryStormOptions(storm_knee, true)) ==
+                       resultJson(retryStormOptions(storm_knee, true)))});
+    replay.print();
     report.hostMark("replay_check");
+
+    report.atLeast("same_seed_identical", 1);
+    report.atLeast("retry_storm.same_seed_identical", 1);
+    report.atMost("hysteresis.trapped.tail_goodput_frac", 0.7);
+    report.atLeast("hysteresis.trapped.metastable_flagged", 1);
+    report.never("hysteresis.trapped.surge_recovery_cycles");
+    report.atMost("hysteresis.baseline.metastable_flagged", 0);
+    report.atLeast("hysteresis.baseline.tail_goodput_frac", 0.7);
+    report.finite("hysteresis.baseline.surge_recovery_cycles");
+    report.atLeast("crash.heal_on.restart_latency_cycles", 1);
+    report.finite("crash.heal_on.recovery_cycles");
+    report.atMost("crash.heal_on.victim_metastable", 0);
+    report.never("crash.heal_off.restart_latency_cycles");
+    report.never("crash.heal_off.recovery_cycles");
+    report.atLeast("crash.heal_off.victim_metastable", 1);
+    report.atLeast("retry_storm.unbudgeted.metastable_flagged", 1);
+    report.never("retry_storm.unbudgeted.surge_recovery_cycles");
+    report.atMost("retry_storm.budgeted.metastable_flagged", 0);
+    report.finite("retry_storm.budgeted.surge_recovery_cycles");
+    report.less("retry_storm.budgeted.retries",
+                "retry_storm.unbudgeted.retries");
+    report.less("retry_storm.unbudgeted.tail_goodput_frac",
+                "retry_storm.budgeted.tail_goodput_frac");
 }
 
 } // namespace

@@ -14,21 +14,14 @@
 
 #include "bench_util.hh"
 #include "kernel/sel4.hh"
-#include "sim/logging.hh"
 
 using namespace xpc;
 using namespace xpc::bench;
 
 namespace {
 
-struct Breakdown
-{
-    kernel::Sel4Phases phases;
-};
-
-Breakdown
-measure(uint64_t msg_bytes, BenchReport *report = nullptr,
-        const char *scope = "")
+kernel::Sel4Phases
+measure(uint64_t msg_bytes, BenchReport &report, const char *scope)
 {
     hw::Machine machine(hw::rocketU500(), 256 << 20);
     kernel::Sel4Kernel kern(machine);
@@ -62,19 +55,15 @@ measure(uint64_t msg_bytes, BenchReport *report = nullptr,
     // Table 1 is read from the stat registry, not from private
     // kernel bookkeeping.
     const PhaseStats &ps = kern.phaseStats;
-    Breakdown b;
-    b.phases.trap = Cycles(ps.last(Phase::Trap));
-    b.phases.logic = Cycles(ps.last(Phase::IpcLogic));
-    b.phases.processSwitch = Cycles(ps.last(Phase::ProcessSwitch));
-    b.phases.restore = Cycles(ps.last(Phase::Restore));
-    b.phases.transfer = Cycles(ps.last(Phase::Transfer));
-    if (report) {
-        report->phaseStats(scope, ps);
-        report->metric(std::string(scope) + ".one_way_sum",
-                       double(b.phases.sum().value()));
-        report->distribution(std::string(scope) + ".round_trip",
-                             ps.dist(Phase::RoundTrip));
-    }
+    kernel::Sel4Phases b;
+    b.trap = Cycles(ps.last(Phase::Trap));
+    b.logic = Cycles(ps.last(Phase::IpcLogic));
+    b.processSwitch = Cycles(ps.last(Phase::ProcessSwitch));
+    b.restore = Cycles(ps.last(Phase::Restore));
+    b.transfer = Cycles(ps.last(Phase::Transfer));
+    report.phaseStats(scope, ps);
+    report.distribution(std::string(scope) + ".round_trip",
+                        ps.dist(Phase::RoundTrip));
     return b;
 }
 
@@ -83,26 +72,51 @@ printTable()
 {
     BenchReport report("tab1_sel4_breakdown");
     report.config("machine", "rocket-u500");
-    Breakdown b0 = measure(0, &report, "sel4_0B");
-    Breakdown b4k = measure(4096, &report, "sel4_4KB");
+    kernel::Sel4Phases b0 = measure(0, report, "sel4_0B");
+    kernel::Sel4Phases b4k = measure(4096, report, "sel4_4KB");
 
-    banner("Table 1: one-way IPC latency of seL4 "
-           "(simulated rocket-u500; paper values in parentheses)");
-    row({"Phases (cycles)", "seL4(0B)", "(paper)", "seL4(4KB)",
-         "(paper)"}, 18);
-    auto line = [&](const char *name, Cycles a, int pa, Cycles b,
-                    int pb) {
-        row({name, fmtU(a.value()), "(" + fmtU(pa) + ")",
-             fmtU(b.value()), "(" + fmtU(pb) + ")"}, 18);
+    Table t(report,
+            "Table 1: one-way IPC latency of seL4 "
+            "(simulated rocket-u500; paper values in parentheses)",
+            {{"Phases (cycles)"},
+             {"seL4(0B)", "%.0f", "sel4_0B"},
+             {"(paper)", "(%.0f)", "paper.sel4_0B"},
+             {"seL4(4KB)", "%.0f", "sel4_4KB"},
+             {"(paper)", "(%.0f)", "paper.sel4_4KB"}});
+    auto line = [&](const char *name, const char *key, Cycles a, int pa,
+                    Cycles b, int pb) {
+        t.row(name, key, {double(a.value()), double(pa),
+                          double(b.value()), double(pb)});
     };
-    line("Trap", b0.phases.trap, 107, b4k.phases.trap, 110);
-    line("IPC Logic", b0.phases.logic, 212, b4k.phases.logic, 216);
-    line("Process Switch", b0.phases.processSwitch, 146,
-         b4k.phases.processSwitch, 211);
-    line("Restore", b0.phases.restore, 199, b4k.phases.restore, 257);
-    line("Message Transfer", b0.phases.transfer, 0,
-         b4k.phases.transfer, 4010);
-    line("Sum", b0.phases.sum(), 664, b4k.phases.sum(), 4804);
+    line("Trap", "trap", b0.trap, 107, b4k.trap, 110);
+    line("IPC Logic", "ipc_logic", b0.logic, 212,
+         b4k.logic, 216);
+    line("Process Switch", "process_switch", b0.processSwitch,
+         146, b4k.processSwitch, 211);
+    line("Restore", "restore", b0.restore, 199,
+         b4k.restore, 257);
+    line("Message Transfer", "transfer", b0.transfer, 0,
+         b4k.transfer, 4010);
+    line("Sum", "one_way_sum", b0.sum(), 664, b4k.sum(),
+         4804);
+    t.print();
+
+    // The 0-byte column is the calibrated cost model; the 4 KiB column
+    // is emergent, and only its trap and IPC logic match the paper.
+    const char *constants =
+        "the calibrated 0-byte constants do not grow with the message "
+        "here";
+    const char *copies =
+        "simulated copies run at ~0.67 cyc/B against the FPGA's ~1 cyc/B";
+    const std::pair<const char *, const char *> phases[] = {
+        {"trap", ""},           {"ipc_logic", ""},
+        {"process_switch", constants}, {"restore", constants},
+        {"transfer", copies},   {"one_way_sum", copies}};
+    for (const auto &[phase, why_4k] : phases) {
+        report.near(std::string("sel4_0B.") + phase, 0.05);
+        report.near(std::string("sel4_4KB.") + phase, 0.05)
+            .deviation = why_4k;
+    }
 }
 
 } // namespace

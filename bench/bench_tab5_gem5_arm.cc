@@ -9,7 +9,6 @@
 
 #include "bench_util.hh"
 #include "kernel/sel4.hh"
-#include "sim/logging.hh"
 
 using namespace xpc;
 using namespace xpc::bench;
@@ -17,31 +16,26 @@ using namespace xpc::bench;
 namespace {
 
 void
-printTable4()
+printTable4(BenchReport &report)
 {
     hw::MachineConfig cfg = hw::armHpi();
-    banner("Table 4: simulator configuration (gem5 ARM HPI)");
-    row({"Cores", fmtU(cfg.cores) + " in-order @" +
-                      fmt("%.1f", double(cfg.freqHz) / 1e9) + "GHz"},
-        24);
-    row({"I/D TLB", fmtU(cfg.mem.tlbEntries) + " entries"}, 24);
-    row({"L1 D Cache",
-         fmtU(cfg.mem.l1d.sizeBytes / 1024) + "KB, " +
-             fmtU(cfg.mem.l1d.lineBytes) + "B line, " +
-             fmtU(cfg.mem.l1d.assoc) + "-way"},
-        24);
-    row({"L1 latency", fmtU(cfg.mem.l1d.hitLatency.value()) +
-                           " cycles"},
-        24);
-    row({"L2 Cache", fmtU(cfg.mem.l2.sizeBytes / 1024) + "KB, " +
-                         fmtU(cfg.mem.l2.assoc) + "-way"},
-        24);
-    row({"L2 latency", fmtU(cfg.mem.l2.hitLatency.value()) +
-                           " cycles"},
-        24);
-    row({"DRAM latency", fmtU(cfg.mem.dramLatency.value()) +
-                             " cycles (LPDDR3-like)"},
-        24);
+    auto n = [](uint64_t v) { return std::to_string(v); };
+    Table t(report, "Table 4: simulator configuration (gem5 ARM HPI)",
+            {{""}, {""}});
+    t.row("Cores", {n(cfg.cores) + " in-order @" +
+                    Col("", "%.1f").show(double(cfg.freqHz) / 1e9) +
+                    "GHz"});
+    t.row("I/D TLB", {n(cfg.mem.tlbEntries) + " entries"});
+    t.row("L1 D Cache", {n(cfg.mem.l1d.sizeBytes / 1024) + "KB, " +
+                         n(cfg.mem.l1d.lineBytes) + "B line, " +
+                         n(cfg.mem.l1d.assoc) + "-way"});
+    t.row("L1 latency", {n(cfg.mem.l1d.hitLatency.value()) + " cycles"});
+    t.row("L2 Cache", {n(cfg.mem.l2.sizeBytes / 1024) + "KB, " +
+                       n(cfg.mem.l2.assoc) + "-way"});
+    t.row("L2 latency", {n(cfg.mem.l2.hitLatency.value()) + " cycles"});
+    t.row("DRAM latency", {n(cfg.mem.dramLatency.value()) +
+                           " cycles (LPDDR3-like)"});
+    t.print();
 }
 
 struct ArmCosts
@@ -115,30 +109,30 @@ measure()
 }
 
 void
-printTable5()
+printTable5(BenchReport &report)
 {
     ArmCosts c = measure();
-    banner("Table 5: IPC cost on the ARM HPI machine "
-           "(paper values in parentheses; +TLB = untagged flush "
-           "penalty avoided by tagged TLBs)");
-    row({"System", "IPC Call", "(paper)", "IPC Ret", "(paper)"}, 16);
-    row({"Baseline(seL4)",
-         fmtU(c.baselineCall) + "(+" + fmtU(c.tlbFlush) + ")",
-         "(66(+58))",
-         fmtU(c.baselineRet) + "(+" + fmtU(c.tlbFlush) + ")",
-         "(79(+58))"},
-        16);
-    row({"XPC", fmtU(c.xpcCall) + "(+" + fmtU(c.tlbFlush) + ")",
-         "(7(+58))", fmtU(c.xpcRet) + "(+" + fmtU(c.tlbFlush) + ")",
-         "(10(+58))"},
-        16);
-    BenchReport report("tab5_gem5_arm");
-    report.config("machine", "gem5-arm-hpi");
-    report.metric("baseline_call", double(c.baselineCall));
-    report.metric("baseline_ret", double(c.baselineRet));
-    report.metric("xpc_call", double(c.xpcCall));
-    report.metric("xpc_ret", double(c.xpcRet));
+    // "(+58)": the untagged flush penalty, the same in every cell.
+    std::string tlb = "(+" + std::to_string(c.tlbFlush) + ")";
     report.metric("tlb_flush", double(c.tlbFlush));
+    Table t(report,
+            "Table 5: IPC cost on the ARM HPI machine "
+            "(paper values in parentheses; +TLB = untagged flush "
+            "penalty avoided by tagged TLBs)",
+            {{"System"},
+             {"IPC Call", "%.0f" + tlb, "*_call"},
+             {"(paper)", "(%.0f" + tlb + ")", "paper.*_call"},
+             {"IPC Ret", "%.0f" + tlb, "*_ret"},
+             {"(paper)", "(%.0f" + tlb + ")", "paper.*_ret"}});
+    t.row("Baseline(seL4)", "baseline",
+          {double(c.baselineCall), 66.0, double(c.baselineRet), 79.0});
+    t.row("XPC", "xpc", {double(c.xpcCall), 7.0, double(c.xpcRet), 10.0});
+    t.print();
+
+    report.less("xpc_call", "baseline_call");
+    report.less("xpc_ret", "baseline_ret");
+    report.near("baseline_call", 0.05);
+    report.near("baseline_ret", 0.05);
 }
 
 } // namespace
@@ -146,7 +140,9 @@ printTable5()
 int
 main()
 {
-    printTable4();
-    printTable5();
+    BenchReport report("tab5_gem5_arm");
+    report.config("machine", "gem5-arm-hpi");
+    printTable4(report);
+    printTable5(report);
     return 0;
 }

@@ -22,38 +22,46 @@ printTable()
     EngineInventory inv = ResourceModel::defaultEngine();
     ResourceEstimate with = ResourceModel::withEngine(inv);
 
-    banner("Table 6: estimated FPGA resource cost "
-           "(paper: +1.99% LUT, +3.31% FF, +6.67% DSP)");
-    row({"Resource", "Freedom", "XPC", "Cost", "(paper)"}, 12);
-    auto line = [&](const char *name, uint64_t b, uint64_t w,
-                    const char *paper) {
-        row({name, fmtU(b), fmtU(w),
-             fmt("%.2f%%", ResourceModel::overheadPercent(b, w)),
-             paper},
-            12);
+    BenchReport report("tab6_hwcost");
+    Table t(report,
+            "Table 6: estimated FPGA resource cost "
+            "(paper: +1.99% LUT, +3.31% FF, +6.67% DSP)",
+            {{"Resource"},
+             {"Freedom", "%.0f", "freedom"},
+             {"XPC", "%.0f", "xpc"},
+             {"Cost", "%.2f%%", "overhead_pct"},
+             {"(paper)", "(%.2f%%)", "paper.overhead_pct"}});
+    auto line = [&](Table &tab, const char *name, const char *key,
+                    uint64_t b, uint64_t w, Cell paper) {
+        tab.row(name, key, {double(b), double(w),
+                            ResourceModel::overheadPercent(b, w), paper});
     };
-    line("LUT", base.lut, with.lut, "(1.99%)");
-    line("LUTRAM", base.lutram, with.lutram, "(0.00%)");
-    line("SRL", base.srl, with.srl, "(0.00%)");
-    line("FF", base.ff, with.ff, "(3.31%)");
-    line("RAMB36", base.ramb36, with.ramb36, "(0.00%)");
-    line("RAMB18", base.ramb18, with.ramb18, "(0.00%)");
-    line("DSP48", base.dsp, with.dsp, "(6.67%)");
+    line(t, "LUT", "lut", base.lut, with.lut, 1.99);
+    line(t, "LUTRAM", "lutram", base.lutram, with.lutram, 0.0);
+    line(t, "SRL", "srl", base.srl, with.srl, 0.0);
+    line(t, "FF", "ff", base.ff, with.ff, 3.31);
+    line(t, "RAMB36", "ramb36", base.ramb36, with.ramb36, 0.0);
+    line(t, "RAMB18", "ramb18", base.ramb18, with.ramb18, 0.0);
+    line(t, "DSP48", "dsp", base.dsp, with.dsp, 6.67);
+    t.print();
 
     EngineInventory cached = ResourceModel::engineWithCache();
     ResourceEstimate wc = ResourceModel::withEngine(cached);
-    banner("With the one-entry engine cache (not in the paper's "
-           "default build)");
-    line("LUT", base.lut, wc.lut, "-");
-    line("FF", base.ff, wc.ff, "-");
+    Table c(report,
+            "With the one-entry engine cache (not in the paper's "
+            "default build)",
+            {{""},
+             {"", "%.0f", "engine_cache.freedom"},
+             {"", "%.0f", "engine_cache.xpc"},
+             {"", "%.2f%%", "engine_cache.overhead_pct"},
+             {""}});
+    line(c, "LUT", "lut", base.lut, wc.lut, "-");
+    line(c, "FF", "ff", base.ff, wc.ff, "-");
+    c.print();
 
-    BenchReport report("tab6_hwcost");
-    report.metric("overhead_pct.lut",
-                  ResourceModel::overheadPercent(base.lut, with.lut));
-    report.metric("overhead_pct.ff",
-                  ResourceModel::overheadPercent(base.ff, with.ff));
-    report.metric("overhead_pct.dsp",
-                  ResourceModel::overheadPercent(base.dsp, with.dsp));
+    for (const char *r :
+         {"lut", "lutram", "srl", "ff", "ramb36", "ramb18", "dsp"})
+        report.near(std::string("overhead_pct.") + r, 0.01);
 }
 
 } // namespace

@@ -27,11 +27,18 @@ roundTrip(core::SystemFlavor flavor, uint64_t bytes)
 void
 printTable()
 {
-    banner("Table 7: IPC mechanism comparison (qualitative columns "
-           "from the paper; measured 4KiB round trip from this "
-           "simulator)");
-    row({"System", "w/o trap", "w/o sched", "TOCTTOU-safe",
-         "handover", "copies", "measured(cyc)"}, 14);
+    BenchReport report("tab7_comparison");
+    Table t(report,
+            "Table 7: IPC mechanism comparison (qualitative columns "
+            "from the paper; measured 4KiB round trip from this "
+            "simulator)",
+            {{"System"},
+             {"w/o trap"},
+             {"w/o sched"},
+             {"TOCTTOU-safe"},
+             {"handover"},
+             {"copies"},
+             {"measured(cyc)", "%.0f", "round_trip_4KB"}});
 
     struct Row
     {
@@ -49,20 +56,21 @@ printTable()
         {"XPC", core::SystemFlavor::Sel4Xpc, "yes", "yes", "yes",
          "yes", "0"},
     };
-    BenchReport report("tab7_comparison");
-    for (const Row &r : rows) {
-        uint64_t cycles = roundTrip(r.flavor, 4096);
-        row({r.name, r.noTrap, r.noSched, r.safe, r.handover,
-             r.copies, fmtU(cycles)},
-            14);
-        report.metric(std::string("round_trip_4KB.") + r.name,
-                      double(cycles));
-    }
+    for (const Row &r : rows)
+        t.row(r.name, {r.noTrap, r.noSched, r.safe, r.handover, r.copies,
+                       double(roundTrip(r.flavor, 4096))});
+    t.print();
     std::printf(
         "\nPaper systems not buildable on address-space hardware\n"
         "(single-address-space or tagged-memory designs):\n"
         "  Opal, CHERI, CODOMs, MMP - domain switch without trap but\n"
         "  TOCTTOU-prone granting; M3's DTU copies 2*N via DMA.\n");
+
+    report.less("round_trip_4KB.XPC", "round_trip_4KB.LRPC-like(1copy)");
+    report.less("round_trip_4KB.LRPC-like(1copy)",
+                "round_trip_4KB.L4-like(2copy)");
+    report.less("round_trip_4KB.L4-like(2copy)",
+                "round_trip_4KB.Mach-like(Zircon)");
 }
 
 } // namespace

@@ -1,37 +1,29 @@
 /**
  * @file
  * Goodput-vs-offered-load sweep over the open-loop generator: the
- * experiment that finally *measures* the overload machinery (PR 4's
- * admission, deadlines, abandonment) doing its job.
+ * experiment that *measures* the overload machinery (admission,
+ * deadlines, abandonment) doing its job.
  *
- * The bench first calibrates the mesh's capacity - the goodput of a
+ * The bench calibrates the mesh's capacity - the goodput of a
  * deadline-free run offered far more load than it can serve - then
- * sweeps offered load across multiples of that capacity and reports,
- * per point, the goodput and the per-service latency histograms
- * (p50/p99/p999). The table to look for: below the knee goodput
- * tracks offered load and tails grow smoothly; past the knee goodput
- * *saturates* near capacity while abandonment absorbs the excess -
- * it must not collapse. A same-seed replay of the 1.0x point must be
- * byte-identical; both claims are exported as metrics the analyzer
- * (tools/latency.py --check) gates on.
- *
- * A second sweep runs the same points with circuit breakers armed
- * (the rig's default 60 kcycle cooldown): admission sheds feed
- * noteFailure(), so past the knee the breakers trip and requests
- * short-circuit instead of queueing toward a deadline they would
- * miss anyway. Below the knee the breakers never trip and both
- * curves coincide; past it quarantine reshapes the curve - measured,
- * per point, as goodput_per_mcycle.breakers.<tag>. The pathological
- * flip side (a cooldown that never re-probes, turning the same
- * breakers into a permanent metastable trap) is bench_metastable's
- * experiment.
+ * sweeps offered load across multiples of it and prints, per point,
+ * goodput, every outcome count and each service's p50/p99/p999.
+ * Below the knee goodput tracks offered load and tails grow
+ * smoothly; past it goodput *saturates* near capacity while
+ * abandonment absorbs the excess. The same points then run with
+ * circuit breakers armed (the rig's default cooldown: past the knee
+ * they fail excess requests fast; the never-re-probing trap is
+ * bench_metastable's) and with criticality-tiered brownout admission.
+ * The claims - saturation (2x retention >= 0.75), brownout (critical
+ * retention >= 0.9, no critical sheds below the knee, the loss on
+ * the sheddable tier), percentiles present and byte-identical
+ * same-seed replays - are checked when the report is written.
  */
 
 #include <sstream>
 
 #include "apps/loadgen.hh"
 #include "bench_util.hh"
-#include "sim/logging.hh"
 
 using namespace xpc;
 using namespace xpc::bench;
@@ -119,111 +111,104 @@ void
 printTable()
 {
     BenchReport report("tail");
-    banner("Goodput vs offered load (open-loop, 2 tenants, "
-           "kv/httpd/fs mix)");
-
     double capacity = calibrateCapacity();
     report.hostMark("calibrate");
-    report.metric("capacity_per_mcycle", capacity);
     report.config("seed", double(sweepSeed));
     report.config("requests", double(sweepRequests));
-    std::printf("calibrated capacity: %.1f req/Mcycle\n\n", capacity);
+    Table cap(report,
+              "Goodput vs offered load (open-loop, 2 tenants, "
+              "kv/httpd/fs mix)",
+              {{""}, {"", "%.1f req/Mcycle", "*"}});
+    cap.row("calibrated capacity", "capacity_per_mcycle", {capacity});
+    cap.print();
 
-    row({"offered/cap", "offered", "goodput", "ok", "shed", "timeout",
-         "abandoned", "p99(kv)"},
-        12);
+    std::vector<Col> cols = {{"offered/cap"},
+                             {"offered", "%.1f", "offered_per_mcycle"},
+                             {"goodput", "%.1f", "goodput_per_mcycle"}};
+    for (size_t i = 0; i < apps::loadOutcomeCount; i++) {
+        const char *outcome = apps::loadOutcomeName(apps::LoadOutcome(i));
+        cols.push_back({outcome, "%.0f", outcome});
+    }
+    Table sweep(report, "", cols);
+    const char *quantiles[] = {"p50", "p99", "p999"};
+    cols = {{"offered/cap"}};
+    for (const char *svc : apps::LoadGenResult::serviceNames)
+        for (const char *q : quantiles)
+            cols.push_back({std::string(svc) + " " + q, "%.0f",
+                            std::string(q) + "." + svc});
+    Table pct(report,
+              "Per-service latency from arrival (cycles) at each point",
+              cols);
 
     const double multipliers[] = {0.25, 0.5, 0.75, 1.0, 1.5, 2.0};
+    auto tagOf = [](double m) { return Col("", "%gx").show(m); };
     double goodput_at_1x = 0, goodput_at_2x = 0;
     for (double m : multipliers) {
         apps::LoadGen gen(optionsFor(m * capacity));
         const apps::LoadGenResult &res = gen.run();
 
-        std::string tag = fmt("%g", m) + "x";
-        report.metric("offered_per_mcycle." + tag,
-                      res.offeredPerMcycleActual());
-        report.metric("goodput_per_mcycle." + tag,
-                      res.goodputPerMcycle());
+        std::string tag = tagOf(m);
+        std::vector<Cell> cells = {res.offeredPerMcycleActual(),
+                                   res.goodputPerMcycle()};
         for (size_t i = 0; i < apps::loadOutcomeCount; i++)
-            report.metric(
-                std::string(
-                    apps::loadOutcomeName(apps::LoadOutcome(i))) +
-                    "." + tag,
-                double(res.counts[i]));
+            cells.push_back(double(res.counts[i]));
+        sweep.row(tag, cells);
+        cells.clear();
+        for (size_t i = 0; i < 3; i++)
+            for (double q : {0.5, 0.99, 0.999})
+                cells.push_back(res.latencyService[i].quantile(q));
+        pct.row(tag, cells);
         report.distribution(tag + ".all", res.latencyAll);
         for (size_t i = 0; i < 3; i++)
             report.distribution(
                 tag + "." + apps::LoadGenResult::serviceNames[i],
                 res.latencyService[i]);
 
-        row({tag, fmt("%.1f", res.offeredPerMcycleActual()),
-             fmt("%.1f", res.goodputPerMcycle()),
-             fmtU(res.counts[size_t(apps::LoadOutcome::Ok)]),
-             fmtU(res.counts[size_t(apps::LoadOutcome::Shed)]),
-             fmtU(res.counts[size_t(apps::LoadOutcome::Timeout)]),
-             fmtU(res.counts[size_t(apps::LoadOutcome::Abandoned)]),
-             fmt("%.0f", res.latencyService[0].quantile(0.99))},
-            12);
-
         if (m == 1.0)
             goodput_at_1x = res.goodputPerMcycle();
         if (m == 2.0)
             goodput_at_2x = res.goodputPerMcycle();
     }
-
+    sweep.print();
+    pct.print();
     report.hostMark("sweep");
-
-    // Saturation, not collapse: at 2x overload the mesh must still
-    // deliver most of what it delivered at the knee.
-    double retention =
-        goodput_at_1x > 0 ? goodput_at_2x / goodput_at_1x : 0;
-    report.metric("overload_goodput_retention", retention);
-    std::printf("\n2x-overload goodput retention: %.2f "
-                "(must stay >= 0.75: saturate, don't collapse)\n",
-                retention);
 
     // The same sweep with breakers armed: sheds feed noteFailure(),
     // so overload trips the breakers and excess requests fail fast
-    // instead of queueing. Measured, not asserted - the analyzer
-    // renders both curves side by side.
-    banner("Same sweep, circuit breakers armed");
-    row({"offered/cap", "goodput", "breaker", "shed"}, 12);
+    // instead of queueing.
+    Table brk(report, "Same sweep, circuit breakers armed",
+              {{"offered/cap"},
+               {"goodput", "%.1f", "goodput_per_mcycle.breakers"},
+               {"breaker", "%.0f", "breaker.breakers"},
+               {"shed", "%.0f", "shed.breakers"}});
     double breakers_at_2x = 0;
     for (double m : multipliers) {
         apps::LoadGenOptions o = optionsFor(m * capacity);
         o.breakers = true;
         apps::LoadGen gen(o);
         const apps::LoadGenResult &res = gen.run();
-        std::string tag = fmt("%g", m) + "x";
-        report.metric("goodput_per_mcycle.breakers." + tag,
-                      res.goodputPerMcycle());
-        report.metric(
-            "breaker.breakers." + tag,
-            double(res.counts[size_t(apps::LoadOutcome::Breaker)]));
-        row({tag, fmt("%.1f", res.goodputPerMcycle()),
-             fmtU(res.counts[size_t(apps::LoadOutcome::Breaker)]),
-             fmtU(res.counts[size_t(apps::LoadOutcome::Shed)])},
-            12);
+        brk.row(tagOf(m),
+                {res.goodputPerMcycle(),
+                 double(res.counts[size_t(apps::LoadOutcome::Breaker)]),
+                 double(res.counts[size_t(apps::LoadOutcome::Shed)])});
         if (m == 2.0)
             breakers_at_2x = res.goodputPerMcycle();
     }
-    double breaker_retention =
-        goodput_at_1x > 0 ? breakers_at_2x / goodput_at_1x : 0;
-    report.metric("overload_goodput_retention.breakers",
-                  breaker_retention);
-    std::printf("\n2x-overload retention with breakers: %.2f "
-                "(vs %.2f without)\n",
-                breaker_retention, retention);
+    brk.print();
     report.hostMark("breakers_sweep");
 
     // Brownout: the same sweep with the remediation layer's adaptive
     // admission + criticality tiers on. The claim is *differential*:
     // under overload the sheddable slice absorbs the loss and the
     // critical slice's served fraction holds its below-knee level.
-    banner("Brownout sweep: criticality-tiered admission");
-    row({"offered/cap", "goodput", "crit-ok", "def-ok", "shd-ok",
-         "crit-shed", "abandoned"},
-        12);
+    Table brown(report, "Brownout sweep: criticality-tiered admission",
+                {{"offered/cap"},
+                 {"goodput", "%.1f", "brownout.goodput_per_mcycle"},
+                 {"crit-ok", "%.2f", "brownout.served_frac.critical"},
+                 {"def-ok", "%.2f", "brownout.served_frac.default"},
+                 {"shd-ok", "%.2f", "brownout.served_frac.sheddable"},
+                 {"crit-shed", "%.0f", "brownout.critical_sheds"},
+                 {"abandoned", "%.0f", "brownout.abandoned"}});
     auto servedFrac = [](const apps::LoadGenResult &res,
                          req::Criticality t) {
         uint64_t off = res.tierOffered[size_t(t)];
@@ -235,64 +220,73 @@ printTable()
     for (double m : multipliers) {
         apps::LoadGen gen(brownoutOptionsFor(m * capacity));
         const apps::LoadGenResult &res = gen.run();
-        std::string tag = fmt("%g", m) + "x";
         double fc = servedFrac(res, req::Criticality::Critical);
-        double fd = servedFrac(res, req::Criticality::Default);
-        double fs = servedFrac(res, req::Criticality::Sheddable);
-        uint64_t crit_shed =
-            res.tierShed[size_t(req::Criticality::Critical)];
-        report.metric("brownout.goodput_per_mcycle." + tag,
-                      res.goodputPerMcycle());
-        report.metric("brownout.served_frac.critical." + tag, fc);
-        report.metric("brownout.served_frac.default." + tag, fd);
-        report.metric("brownout.served_frac.sheddable." + tag, fs);
-        report.metric("brownout.critical_sheds." + tag,
-                      double(crit_shed));
         // Abandonment is the tier-blind failure mode; the sweep's
-        // claim is only honest while this column stays ~0 and the
+        // claim is only honest while this column stays 0 and the
         // loss is tiered sheds instead.
         uint64_t abandoned =
             res.counts[size_t(apps::LoadOutcome::Abandoned)] +
             res.counts[size_t(apps::LoadOutcome::Timeout)];
-        report.metric("brownout.abandoned." + tag,
-                      double(abandoned));
-        row({tag, fmt("%.1f", res.goodputPerMcycle()),
-             fmt("%.2f", fc), fmt("%.2f", fd), fmt("%.2f", fs),
-             fmtU(crit_shed), fmtU(abandoned)},
-            12);
+        brown.row(tagOf(m),
+                  {res.goodputPerMcycle(), fc,
+                   servedFrac(res, req::Criticality::Default),
+                   servedFrac(res, req::Criticality::Sheddable),
+                   double(res.tierShed[size_t(req::Criticality::Critical)]),
+                   double(abandoned)});
         if (m == 0.25)
             crit_frac_low = fc;
         if (m == 2.0)
             crit_frac_2x = fc;
     }
-    // The headline gate: critical-tier goodput retention at 2x
-    // overload, relative to its own below-knee service level.
-    double crit_retention =
-        crit_frac_low > 0 ? crit_frac_2x / crit_frac_low : 0;
-    report.metric("brownout.critical_retention", crit_retention);
-    std::printf("\n2x-overload critical-tier retention: %.2f "
-                "(must stay >= 0.9: brownout, not blackout)\n",
-                crit_retention);
+    brown.print();
     report.hostMark("brownout_sweep");
 
-    // Same-seed replay of the 1.0x point must be byte-identical.
-    std::string a = runPointJson(optionsFor(capacity));
-    std::string b = runPointJson(optionsFor(capacity));
-    bool identical = a == b;
-    report.metric("same_seed_identical", identical ? 1 : 0);
-    std::printf("same-seed replay byte-identical: %s\n",
-                identical ? "yes" : "NO");
-    panic_if(!identical, "same-seed loadgen replay diverged");
+    // Saturation, not collapse: at 2x overload the mesh must still
+    // deliver most of what it delivered at the knee; and the critical
+    // tier its below-knee service level.
+    Table ret(report, "2x-overload retention", {{""}, {"", "%.2f", "*"}});
+    ret.row("goodput, vs the 1x knee", "overload_goodput_retention",
+            {goodput_at_1x > 0 ? goodput_at_2x / goodput_at_1x : 0});
+    ret.row("goodput with breakers, vs the 1x knee",
+            "overload_goodput_retention.breakers",
+            {goodput_at_1x > 0 ? breakers_at_2x / goodput_at_1x : 0});
+    ret.row("brownout critical-tier served fraction, vs 0.25x",
+            "brownout.critical_retention",
+            {crit_frac_low > 0 ? crit_frac_2x / crit_frac_low : 0});
+    ret.print();
 
-    // ... and so must the brownout 2x point, AIMD state and all.
-    std::string ba = runPointJson(brownoutOptionsFor(2.0 * capacity));
-    std::string bb = runPointJson(brownoutOptionsFor(2.0 * capacity));
-    bool bident = ba == bb;
-    report.metric("brownout.same_seed_identical", bident ? 1 : 0);
-    std::printf("same-seed brownout replay byte-identical: %s\n",
-                bident ? "yes" : "NO");
-    panic_if(!bident, "same-seed brownout replay diverged");
+    // Same-seed replays of the 1.0x point and of the brownout 2x
+    // point (AIMD state and all) must be byte-identical.
+    Table replay(report, "Same-seed replays",
+                 {{"run"}, {"byte-identical", "yes/no", "*"}});
+    replay.row("1x point", "same_seed_identical",
+               {double(runPointJson(optionsFor(capacity)) ==
+                       runPointJson(optionsFor(capacity)))});
+    replay.row("brownout 2x point", "brownout.same_seed_identical",
+               {double(runPointJson(brownoutOptionsFor(2.0 * capacity)) ==
+                       runPointJson(brownoutOptionsFor(2.0 * capacity)))});
+    replay.print();
     report.hostMark("replay_check");
+
+    report.atLeast("same_seed_identical", 1);
+    report.atLeast("overload_goodput_retention", 0.75);
+    report.finite("overload_goodput_retention.breakers");
+    report.less("goodput_per_mcycle.2x", "goodput_per_mcycle.breakers.2x");
+    report.atLeast("brownout.same_seed_identical", 1);
+    report.atLeast("brownout.critical_retention", 0.9);
+    report.less("brownout.served_frac.sheddable.2x",
+                "brownout.served_frac.critical.2x");
+    for (double m : multipliers) {
+        std::string tag = tagOf(m);
+        for (const char *svc : apps::LoadGenResult::serviceNames)
+            for (const char *q : quantiles)
+                report.finite(std::string(q) + "." + svc + "." + tag);
+        report.atMost("brownout.abandoned." + tag, 0);
+        if (m <= 1.0)
+            report.atMost("brownout.critical_sheds." + tag, 0);
+        if (m < 1.0)
+            report.atMost("breaker.breakers." + tag, 0);
+    }
 }
 
 } // namespace

@@ -1,23 +1,28 @@
 /**
  * @file
- * Shared plumbing for the experiment benches: table printing and
- * canned system wirings (echo service, FS stack, net stack, web
- * chain) so each bench reads like the experiment it reproduces.
+ * Shared plumbing for the experiment benches: the report, its tables
+ * and shape claims, and canned system wirings (echo service, FS
+ * stack, net stack, web chain) so each bench reads like the
+ * experiment it reproduces.
  */
 
 #ifndef XPC_BENCH_BENCH_UTIL_HH
 #define XPC_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/recording_transport.hh"
@@ -27,50 +32,87 @@
 #include "services/net_server.hh"
 #include "services/web.hh"
 #include "sim/critpath.hh"
+#include "sim/logging.hh"
 
 namespace xpc::bench {
 
-/** Print a rule + centered caption. */
-inline void
-banner(const std::string &caption)
+/**
+ * One column of a Table: its header, the printf format of its
+ * numeric cells and the report metric each of them is recorded
+ * under. A '*' in the key stands for the row's key; without one the
+ * row key is appended after a dot. A paper column's key starts with
+ * "paper.". The label column and text-only columns have no key.
+ */
+struct Col
 {
-    std::printf("\n=== %s ===\n", caption.c_str());
-}
+    std::string header;
+    std::string format = "%s";
+    std::string key = "";
+    /** Printed value = recorded value x scale (percent columns). */
+    double scale = 1;
 
-/** Print a row of columns with fixed width. */
-inline void
-row(const std::vector<std::string> &cells, int width = 14)
-{
-    for (const auto &c : cells)
-        std::printf("%-*s", width, c.c_str());
-    std::printf("\n");
-}
+    /** @p v as this column prints it: NaN is "never", and the
+     *  format "yes/no" prints a flag. */
+    std::string
+    show(double v) const
+    {
+        if (std::isnan(v))
+            return "never";
+        if (format == "yes/no")
+            return v != 0 ? "yes" : "no";
+        char buf[96];
+        std::snprintf(buf, sizeof(buf), format.c_str(), v * scale);
+        return buf;
+    }
 
-inline std::string
-fmt(const char *f, double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), f, v);
-    return buf;
-}
+    /** The report key of this column's cell in the row keyed @p row. */
+    std::string
+    keyFor(const std::string &row) const
+    {
+        size_t at = key.find('*');
+        return at == std::string::npos
+                   ? key + "." + row
+                   : key.substr(0, at) + row + key.substr(at + 1);
+    }
+};
 
-inline std::string
-fmtU(uint64_t v)
+/** A table cell: a number (recorded) or a text (printed as is). */
+using Cell = std::variant<double, std::string>;
+
+/**
+ * A shape claim over a bench's report keys, checked when the report
+ * is written: a strict order of two keys, a bound, closeness to the
+ * key's paper value, "never" (NaN) or finite. A declared deviation is
+ * a claim known not to hold, with the reason; it fails the bench only
+ * if a key it names was never recorded.
+ */
+struct Claim
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu", (unsigned long long)v);
-    return buf;
-}
+    std::string text;
+    std::string key;
+    std::string other; ///< the larger key of an order, else ""
+    bool paper;        ///< needs paper.<key>
+    std::function<bool(double v, double other, double paper)> holds;
+    /** Why the claim is a known deviation; "" declares none. */
+    std::string deviation;
+};
 
 /**
  * Machine-readable companion to a bench's printed table.
  *
- * Collects the configuration, headline metrics, per-phase cycle
- * attribution and latency distributions of one bench run and writes
- * them as `BENCH_<name>.json` into `$XPC_BENCH_DIR` (default: the
- * working directory) when write() is called or the report is
- * destroyed. tools/stats_diff.py compares two such files and fails
- * on any difference.
+ * Collects the configuration, metrics, paper reference values,
+ * per-phase cycle attribution, latency distributions and shape claims
+ * of one bench run and writes them as `BENCH_<name>.json` into
+ * `$XPC_BENCH_DIR` (default: the working directory) when write() is
+ * called or the report is destroyed. Every number a bench prints
+ * reaches the metrics through a Table; tools/stats_diff.py compares
+ * two such files and fails on any difference.
+ *
+ * write() evaluates the claims: it prints a scorecard (claim, paper
+ * value, simulated value, verdict), records each verdict under
+ * "claims", and names every failed claim on stderr. The destructor
+ * exits the process with status 1 after writing when a claim failed
+ * that is not a declared deviation.
  *
  * Host wall-clock goes to a *sidecar* file, `HOST_<name>.json`:
  * hostMark() attributes the ms since the previous mark (or
@@ -92,8 +134,8 @@ class BenchReport
 
     ~BenchReport()
     {
-        if (!written)
-            write();
+        if (!written && write() > 0)
+            std::exit(1);
     }
 
     void
@@ -108,20 +150,73 @@ class BenchReport
         configs[key] = num(value);
     }
 
-    /** Headline scalar (cycles, ops/sec, ...). */
+    /** A recorded number (cycles, ops/sec, ...); "paper.<key>" is
+     *  the paper's value for <key>. Each key is recorded once. */
     void
     metric(const std::string &key, double value)
     {
-        metrics[key] = value;
+        panic_if(!metrics.emplace(key, value).second,
+                 "bench %s records %s twice", name.c_str(), key.c_str());
     }
 
-    /** Cycles attributed to @p phase under @p scope (dotted path). */
-    void
-    phase(const std::string &scope, const std::string &phase_name,
-          double cycles)
+    /** @name Claims over recorded keys (see Claim). */
+    /// @{
+    Claim &
+    less(const std::string &key, const std::string &other)
     {
-        phases[scope + "." + phase_name] = cycles;
+        return add(key + " < " + other, key, other, false,
+                   [](double v, double o, double) { return v < o; });
     }
+
+    /** Finite and within [lo, hi]. */
+    Claim &
+    within(const std::string &key, double lo, double hi)
+    {
+        std::string text =
+            lo == -INFINITY && hi == INFINITY ? key + " finite"
+            : lo == -INFINITY                 ? key + " <= " + g(hi)
+            : hi == INFINITY                  ? key + " >= " + g(lo)
+                : key + " in [" + g(lo) + ", " + g(hi) + "]";
+        return add(text, key, "", false, [=](double v, double, double) {
+            return std::isfinite(v) && lo <= v && v <= hi;
+        });
+    }
+
+    Claim &
+    atLeast(const std::string &key, double lo)
+    {
+        return within(key, lo, INFINITY);
+    }
+
+    Claim &
+    atMost(const std::string &key, double hi)
+    {
+        return within(key, -INFINITY, hi);
+    }
+
+    /** Within relative @p tolerance of the recorded paper.<key>. */
+    Claim &
+    near(const std::string &key, double tolerance)
+    {
+        return add(key + " within " + g(100 * tolerance) + "% of paper",
+                   key, "", true, [=](double v, double, double p) {
+                       return std::fabs(v - p) <= tolerance * std::fabs(p);
+                   });
+    }
+
+    Claim &
+    never(const std::string &key)
+    {
+        return add(key + " never", key, "", false,
+                   [](double v, double, double) { return std::isnan(v); });
+    }
+
+    Claim &
+    finite(const std::string &key)
+    {
+        return within(key, -INFINITY, INFINITY);
+    }
+    /// @}
 
     /** All recorded phases of @p ps under @p scope. */
     void
@@ -131,7 +226,7 @@ class BenchReport
             const Distribution &d = ps.dist(Phase(i));
             if (d.count() == 0)
                 continue;
-            phase(scope, phaseName(Phase(i)), d.mean());
+            phases[scope + "." + phaseName(Phase(i))] = d.mean();
         }
     }
 
@@ -180,17 +275,23 @@ class BenchReport
         hostLast = now;
     }
 
-    /** @return the file path written, or "" on failure. */
-    std::string
+    /**
+     * Score the claims, then write the report and its HOST_ sidecar.
+     * @return the number of failed claims that are not declared
+     * deviations.
+     */
+    size_t
     write()
     {
         written = true;
+        std::map<std::string, std::string> verdicts;
+        size_t failed = scoreClaims(verdicts);
         const char *dir = std::getenv("XPC_BENCH_DIR");
         std::string path = (dir && *dir ? std::string(dir) + "/" : "");
         path += "BENCH_" + name + ".json";
         std::ofstream out(path);
-        if (!out)
-            return "";
+        fatal_if(!out, "bench %s cannot write %s", name.c_str(),
+                 path.c_str());
         out << "{\n  \"bench\": \"" << name << "\"";
         auto obj = [&](const char *key,
                        const std::map<std::string, std::string> &m) {
@@ -203,21 +304,23 @@ class BenchReport
             }
             out << (m.empty() ? "" : "\n  ") << "}";
         };
+        auto nums = [&](const std::map<std::string, double> &m) {
+            std::map<std::string, std::string> mm;
+            for (const auto &[k, v] : m)
+                mm[k] = num(v);
+            return mm;
+        };
         obj("config", configs);
-        std::map<std::string, std::string> mm;
-        for (const auto &[k, v] : metrics)
-            mm[k] = num(v);
-        obj("metrics", mm);
-        mm.clear();
-        for (const auto &[k, v] : phases)
-            mm[k] = num(v);
-        obj("phases", mm);
+        obj("metrics", nums(metrics));
+        obj("phases", nums(phases));
         obj("distributions", dists);
+        if (!verdicts.empty())
+            obj("claims", verdicts);
         for (const auto &[k, v] : sections)
             out << ",\n  \"" << k << "\": " << v;
         out << "\n}\n";
         writeHostSidecar(dir);
-        return path;
+        return failed;
     }
 
   private:
@@ -236,6 +339,28 @@ class BenchReport
             std::snprintf(buf, sizeof(buf), "%.6g", v);
         return buf;
     }
+
+    static std::string
+    g(double v)
+    {
+        return Col("", "%g").show(v);
+    }
+
+    Claim &
+    add(std::string text, const std::string &key, const std::string &other,
+        bool paper, std::function<bool(double, double, double)> holds)
+    {
+        claims.push_back(
+            {std::move(text), key, other, paper, std::move(holds), ""});
+        return claims.back();
+    }
+
+    /**
+     * Print the scorecard, name every failure on stderr and fill
+     * @p verdicts (claim -> pass / fail / deviation).
+     * @return the failures that are not declared deviations.
+     */
+    size_t scoreClaims(std::map<std::string, std::string> &verdicts);
 
     void
     writeHostSidecar(const char *dir)
@@ -261,12 +386,151 @@ class BenchReport
     std::map<std::string, double> phases;
     std::map<std::string, std::string> dists;
     std::map<std::string, std::string> sections;
+    std::deque<Claim> claims; ///< deque: a returned Claim & stays valid
     std::vector<std::pair<std::string, double>> hostPhases;
     std::chrono::steady_clock::time_point hostStart =
         std::chrono::steady_clock::now();
     std::chrono::steady_clock::time_point hostLast = hostStart;
     bool written = false;
 };
+
+/**
+ * A printed table whose every numeric cell is a report metric. Each
+ * column is declared once (Col); row() records the row's numeric
+ * cells, unrounded, under the column key joined with the row key
+ * (the label, unless given), and print() prints the caption and the
+ * rows, every column as wide as its widest cell, header included,
+ * plus a two-space gap. A number in a column without a key is an
+ * error, so every printed number is pinned by construction. The
+ * header line is left out when every header is empty, the banner
+ * when the caption is.
+ */
+class Table
+{
+  public:
+    /** @p cols[0] is the row-label column. */
+    Table(BenchReport &report, std::string caption, std::vector<Col> cols)
+        : report(report), caption(std::move(caption)),
+          cols(std::move(cols))
+    {}
+
+    void
+    row(const std::string &label, const std::vector<Cell> &cells)
+    {
+        row(label, label, cells);
+    }
+
+    void
+    row(const std::string &label, const std::string &key,
+        const std::vector<Cell> &cells)
+    {
+        panic_if(cells.size() + 1 != cols.size(),
+                 "table '%s': row %s has %zu cells for %zu columns",
+                 caption.c_str(), label.c_str(), cells.size(),
+                 cols.size() - 1);
+        std::vector<std::string> line = {label};
+        for (size_t i = 0; i < cells.size(); i++) {
+            const Col &col = cols[i + 1];
+            const double *v = std::get_if<double>(&cells[i]);
+            if (!v) {
+                line.push_back(std::get<std::string>(cells[i]));
+                continue;
+            }
+            panic_if(col.key.empty(),
+                     "table '%s': column '%s' prints a number but has "
+                     "no report key",
+                     caption.c_str(), col.header.c_str());
+            report.metric(col.keyFor(key), *v);
+            line.push_back(col.show(*v));
+        }
+        lines.push_back(std::move(line));
+    }
+
+    void
+    print() const
+    {
+        if (!caption.empty())
+            std::printf("\n=== %s ===\n", caption.c_str());
+        std::vector<std::vector<std::string>> all;
+        std::vector<std::string> header;
+        for (const Col &c : cols)
+            header.push_back(c.header);
+        if (header != std::vector<std::string>(cols.size()))
+            all.push_back(header);
+        all.insert(all.end(), lines.begin(), lines.end());
+        std::vector<size_t> width(cols.size());
+        for (const auto &line : all)
+            for (size_t c = 0; c < line.size(); c++)
+                width[c] = std::max(width[c], line[c].size());
+        for (const auto &line : all) {
+            std::string out;
+            for (size_t c = 0; c < line.size(); c++)
+                out += line[c] +
+                       std::string(width[c] + 2 - line[c].size(), ' ');
+            out.erase(out.find_last_not_of(' ') + 1);
+            std::printf("%s\n", out.c_str());
+        }
+    }
+
+  private:
+    BenchReport &report;
+    std::string caption;
+    std::vector<Col> cols;
+    std::vector<std::vector<std::string>> lines;
+};
+
+inline size_t
+BenchReport::scoreClaims(std::map<std::string, std::string> &verdicts)
+{
+    if (claims.empty())
+        return 0;
+    auto find = [&](const std::string &key) -> const double * {
+        auto it = metrics.find(key);
+        return it == metrics.end() ? nullptr : &it->second;
+    };
+    Table card(*this, "Scorecard",
+               {{"claim"}, {"paper"}, {"simulated"}, {"verdict"}});
+    size_t passed = 0, deviated = 0, failed = 0;
+    for (const Claim &c : claims) {
+        const double *v = find(c.key);
+        const double *o = find(c.other);
+        const double *p = find("paper." + c.key);
+        const double *po = find("paper." + c.other);
+        bool order = !c.other.empty();
+        bool recorded = v && (!order || o) && (!c.paper || p);
+        std::string sim = !recorded ? "not recorded"
+                          : order   ? g(*v) + " vs " + g(*o)
+                                    : g(*v);
+        std::string paper = !p       ? "-"
+                            : !order ? g(*p)
+                            : po     ? g(*p) + " vs " + g(*po)
+                                     : "-";
+        std::string verdict = "pass";
+        if (recorded && c.holds(*v, o ? *o : NAN, p ? *p : NAN)) {
+            passed++;
+        } else if (recorded && !c.deviation.empty()) {
+            deviated++;
+            verdict = "deviation";
+        } else {
+            failed++;
+            verdict = "fail";
+            std::fprintf(stderr, "bench %s: claim failed: %s (%s)\n",
+                         name.c_str(), c.text.c_str(), sim.c_str());
+        }
+        verdicts[c.text] = "\"" + verdict + "\"";
+        card.row(c.text, {paper, sim,
+                          verdict == "deviation" ? "deviation: " + c.deviation
+                                                 : verdict});
+    }
+    card.row("total", {"", "",
+                       std::to_string(passed) + " pass, " +
+                           std::to_string(deviated) +
+                           " declared deviation(s), " +
+                           std::to_string(failed) + " fail"});
+    card.print();
+    std::fflush(stdout);
+    return failed;
+}
 
 /**
  * When tracing is on, reconstruct the per-request critical paths from
