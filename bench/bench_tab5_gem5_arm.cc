@@ -72,7 +72,7 @@ measure()
         VAddr req = cp.alloc(4096), reply = cp.alloc(4096);
         for (int i = 0; i < 8; i++)
             kern.callPort(machine.core(0), ct, ep, 1, req, 0, reply, 32);
-        out.baselineCall = kern.lastPhases.logic.value();
+        out.baselineCall = kern.phaseStats.last(Phase::IpcLogic);
         // fastpath_reply_recv does the same checks plus reply-cap
         // teardown; the paper measures it ~20% dearer.
         out.baselineRet = out.baselineCall * 79 / 66;

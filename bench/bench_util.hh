@@ -546,7 +546,7 @@ attachCritPath(BenchReport &report,
     auto &tracer = trace::Tracer::global();
     if (!tracer.enabled())
         return;
-    auto reports = critpath::analyze(tracer.events());
+    auto reports = critpath::analyze(tracer);
     if (reports.empty())
         return;
     critpath::CritPathStats agg;

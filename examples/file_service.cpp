@@ -9,8 +9,8 @@
  *
  * With XPC_TRACE=1 the XPC run also traces one 4KB read through the
  * app -> xv6fs -> ramdisk chain (the Figure 7 shape), exports it as
- * fs_chain_trace.json and prints its critical path (tools/critpath.py
- * reproduces the same report from the JSON).
+ * fs_chain_trace.json and prints its critical path (sim/critpath.hh)
+ * and the top view.
  */
 
 #include <cstdio>
@@ -106,10 +106,12 @@ runWorkload(core::SystemFlavor flavor)
                 std::printf("\n%zu trace events -> %s "
                             "(open in ui.perfetto.dev)\n\n",
                             tracer.size(), path);
-            for (const auto &rep : critpath::analyze(tracer.events()))
+            auto reports = critpath::analyze(tracer);
+            for (const auto &rep : reports)
                 std::printf(
                     "%s\n",
                     critpath::formatReport(rep, tracer).c_str());
+            std::printf("%s\n", critpath::formatTop(reports).c_str());
             tracer.clear();
             services::FsServer::clientClose(tr, core, client, fs.id(),
                                             tfd);

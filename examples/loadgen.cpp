@@ -14,7 +14,7 @@
  * The --json document is byte-identical for the same --seed (the
  * loadgen_replay ctest case gates on this). With XPC_TRACE=1 the run
  * also exports the time-series as Perfetto counter tracks beside the
- * causal trace.
+ * causal trace and prints the trace's top view on stderr.
  * Exit status: 0 on a completed run, 2 on usage errors.
  */
 
@@ -25,6 +25,7 @@
 #include <string>
 
 #include "apps/loadgen.hh"
+#include "sim/critpath.hh"
 #include "sim/trace.hh"
 
 using namespace xpc;
@@ -135,8 +136,9 @@ main(int argc, char **argv)
     const apps::LoadGenResult &res = gen.run();
 
     // With XPC_TRACE=1 the curves land beside the causal spans in
-    // the same Perfetto file. Diagnostics go to stderr so the --json
-    // stdout stays byte-comparable.
+    // the same Perfetto file, and the top view breaks the traced
+    // requests down by outcome and tenant. Diagnostics go to stderr
+    // so the --json stdout stays byte-comparable.
     trace::Tracer &tracer = trace::Tracer::global();
     if (tracer.enabled()) {
         res.series.exportCounterTracks(tracer, 999);
@@ -145,6 +147,9 @@ main(int argc, char **argv)
         const char *path = "loadgen_trace.json";
         if (tracer.exportChromeJson(path))
             std::fprintf(stderr, "trace -> %s\n", path);
+        std::fprintf(stderr, "%s",
+                     critpath::formatTop(critpath::analyze(tracer))
+                         .c_str());
     }
 
     if (json) {

@@ -16,9 +16,12 @@
  *   ./build/examples/tenants --kill-tenant A --iters 96 --json
  *
  * The --json line is byte-identical for the same --seed (the
- * tenants_replay ctest case gates on this). Exit status: 0 when
- * containment held (both tenants healthy at the end, zero
- * cross-tenant grants/calls/resolves), 1 otherwise, 2 on usage errors.
+ * tenants_replay ctest case gates on this). With XPC_TRACE=1 the run
+ * also writes tenants_trace.json and prints its critical-path top
+ * view on stderr: outcome rows, outcome counts per tenant and one
+ * line per request. Exit status: 0 when containment held (both
+ * tenants healthy at the end, zero cross-tenant grants/calls/
+ * resolves), 1 otherwise, 2 on usage errors.
  */
 
 #include <cstdio>
@@ -27,6 +30,7 @@
 #include <string>
 
 #include "apps/tenant_rig.hh"
+#include "sim/critpath.hh"
 #include "sim/fault_injector.hh"
 #include "sim/trace.hh"
 
@@ -146,15 +150,18 @@ main(int argc, char **argv)
                    rig.kvGet(TenantRig::tenantA, 1) >= 0 &&
                    rig.kvGet(TenantRig::tenantB, 1) >= 0;
 
-    // With XPC_TRACE=1, export the run for tools/critpath.py --top,
-    // whose per-tenant column groups outcomes by the tenant instants
-    // the span closers emit. Diagnostics go to stderr so the --json
-    // stdout line stays byte-comparable.
+    // With XPC_TRACE=1, export the run and print its top view, whose
+    // per-tenant rows group outcomes by the tenant instants the call
+    // bracket emits. Diagnostics go to stderr so the --json stdout
+    // line stays byte-comparable.
     trace::Tracer &tracer = trace::Tracer::global();
     if (tracer.enabled()) {
         const char *path = "tenants_trace.json";
         if (tracer.exportChromeJson(path))
             std::fprintf(stderr, "trace -> %s\n", path);
+        std::fprintf(stderr, "%s",
+                     critpath::formatTop(critpath::analyze(tracer))
+                         .c_str());
     }
 
     uint64_t grants = rig.transport().crossTenantGrants.value();

@@ -72,7 +72,7 @@ main()
 
     // The same trace, read back as a per-request critical path: every
     // cycle of the round trip attributed to the innermost span.
-    auto reports = critpath::analyze(tracer.events());
+    auto reports = critpath::analyze(tracer);
     std::printf("\n");
     for (const auto &r : reports)
         std::printf("%s", critpath::formatReport(r, tracer).c_str());

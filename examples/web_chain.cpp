@@ -11,8 +11,8 @@
  * With XPC_TRACE=1 the XPC run additionally exports the request as
  * web_chain_trace.json - one connected flow arc across the browser,
  * httpd, file-cache and aes lanes in ui.perfetto.dev - and prints its
- * critical path (tools/critpath.py produces the same report from the
- * JSON file).
+ * critical path (sim/critpath.hh), then the top view: the outcome
+ * rows with their p50/p99 and the per-request table.
  *
  * With --overload the example instead demonstrates the overload
  * behavior of DESIGN.md section 4e: a burst of GETs against a tight
@@ -90,9 +90,11 @@ serveOnce(core::SystemFlavor flavor, bool show)
             std::printf("%zu trace events -> %s "
                         "(open in ui.perfetto.dev)\n\n",
                         tracer.size(), path);
-        for (const auto &r : critpath::analyze(tracer.events()))
+        auto reports = critpath::analyze(tracer);
+        for (const auto &r : reports)
             std::printf("%s\n",
                         critpath::formatReport(r, tracer).c_str());
+        std::printf("%s\n", critpath::formatTop(reports).c_str());
         tracer.clear();
     }
 

@@ -33,8 +33,6 @@ struct BreakerOptions
     uint32_t failureThreshold = 3;
     /** Cycles an Open breaker waits before allowing a probe. */
     Cycles cooldownCycles{50000};
-    /** Consecutive successes that close a HalfOpen breaker. */
-    uint32_t halfOpenSuccesses = 1;
 };
 
 class CircuitBreaker
@@ -98,11 +96,9 @@ class CircuitBreaker
         (void)now;
         consecutiveFailures = 0;
         if (st == State::HalfOpen) {
+            // One successful probe closes the breaker.
             probeInFlight = false;
-            if (++halfOpenStreak >= opts.halfOpenSuccesses) {
-                st = State::Closed;
-                halfOpenStreak = 0;
-            }
+            st = State::Closed;
         }
     }
 
@@ -112,7 +108,6 @@ class CircuitBreaker
         if (st == State::HalfOpen) {
             // The probe failed: back to quarantine, fresh cooldown.
             probeInFlight = false;
-            halfOpenStreak = 0;
             trip(now);
             return;
         }
@@ -134,7 +129,6 @@ class CircuitBreaker
         st = State::Closed;
         openedAt = 0;
         consecutiveFailures = 0;
-        halfOpenStreak = 0;
         probeInFlight = false;
     }
 
@@ -164,7 +158,6 @@ class CircuitBreaker
     State st = State::Closed;
     uint64_t openedAt = 0;
     uint32_t consecutiveFailures = 0;
-    uint32_t halfOpenStreak = 0;
     bool probeInFlight = false;
     uint64_t trips_ = 0;
     uint64_t probes_ = 0;

@@ -296,21 +296,14 @@ XpcRuntime::callCurrent(hw::Core &core, uint64_t entry_id,
                   caller ? caller->tenant : kernel::defaultTenant);
 }
 
-void
+Cycles
 XpcRuntime::trampoline(hw::Core &core)
 {
-    auto &tr = trace::Tracer::global();
-    Cycles t0 = core.now();
-    {
-        req::PhaseScope phase(uint32_t(Phase::Trampoline));
-        core.spend(opts.trampoline == TrampolineMode::FullContext
-                       ? fullContextTrampoline
-                       : partialContextTrampoline);
-    }
-    if (tr.enabled()) {
-        tr.begin("runtime", "trampoline", t0.value(), core.id());
-        tr.end("runtime", "trampoline", core.now().value(), core.id());
-    }
+    PhaseTimer timer(core, Phase::Trampoline, "runtime", core.id());
+    core.spend(opts.trampoline == TrampolineMode::FullContext
+                   ? fullContextTrampoline
+                   : partialContextTrampoline);
+    return timer.stop();
 }
 
 XpcCallOutcome
@@ -370,7 +363,6 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
         engine().prefetch(core, entry_id);
     }
 
-    auto &tr = trace::Tracer::global();
     bracket.open("xpc", "call", caller_lane, caller_tenant);
     Cycles start = bracket.start();
 
@@ -387,16 +379,9 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
     if (inj && inj->enabled)
         inj->atCrashSite("phase-xcall");
 
-    engine::XcallResult xc;
-    {
-        req::PhaseScope phase(uint32_t(Phase::Xcall));
-        xc = engine().xcall(core, entry_id, entry_id);
-    }
-    Cycles xcall_done = core.now();
-    if (tr.enabled()) {
-        tr.begin("xpc", "xcall", start.value(), caller_lane);
-        tr.end("xpc", "xcall", xcall_done.value(), caller_lane);
-    }
+    PhaseTimer xcall(core, Phase::Xcall, "xpc", caller_lane);
+    engine::XcallResult xc = engine().xcall(core, entry_id, entry_id);
+    Cycles xcall_cycles = xcall.stop();
     if (xc.exc != engine::XpcException::None) {
         out.exc = xc.exc;
         if (killed_pre_xcall ||
@@ -416,7 +401,7 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
              "x-entry %lu has no registered handler",
              (unsigned long)entry_id);
     EntryState &state = it->second;
-    trampoline(core);
+    Cycles entry_trampoline = trampoline(core);
 
     if (state.busy >= state.maxContexts) {
         // No idle context: return an error to the caller (the
@@ -573,16 +558,9 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
     if (inj && inj->enabled)
         inj->atCrashSite("phase-xret");
 
-    Cycles xret0 = core.now();
-    engine::XretResult ret;
-    {
-        req::PhaseScope phase(uint32_t(Phase::Xret));
-        ret = engine().xret(core);
-    }
-    if (tr.enabled()) {
-        tr.begin("xpc", "xret", xret0.value(), caller_lane);
-        tr.end("xpc", "xret", core.now().value(), caller_lane);
-    }
+    PhaseTimer xret(core, Phase::Xret, "xpc", caller_lane);
+    engine::XretResult ret = engine().xret(core);
+    Cycles xret_cycles = xret.stop();
     if (ret.exc != engine::XpcException::None) {
         // The hardware refused the return: the record under us is
         // corrupt or the seg-reg no longer matches it. The kernel
@@ -608,12 +586,12 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
 
     bracket.succeed(call_ctx.repLen);
 
-    // Fig. 5 attribution: the entry trampoline is everything between
-    // the xcall retiring and the handler getting control.
-    phaseStats.record(Phase::Xcall, xcall_done - start);
-    phaseStats.record(Phase::Trampoline, out.oneWay - (xcall_done - start));
+    // Fig. 5 attribution, of successful calls only: the trampoline
+    // is the entry one, between the xcall and the handler.
+    phaseStats.record(Phase::Xcall, xcall_cycles);
+    phaseStats.record(Phase::Trampoline, entry_trampoline);
     phaseStats.record(Phase::Handler, out.handlerCycles);
-    phaseStats.record(Phase::Xret, core.now() - xret0);
+    phaseStats.record(Phase::Xret, xret_cycles);
     phaseStats.record(Phase::OneWay, out.oneWay);
     phaseStats.record(Phase::RoundTrip, out.roundTrip);
     return out;

@@ -220,8 +220,9 @@ class XpcRuntime
     XpcRuntimeOptions opts;
     std::map<uint64_t, EntryState> entryStates;
 
-    /** Charge one direction of the C-stack trampoline. */
-    void trampoline(hw::Core &core);
+    /** Charge one direction of the C-stack trampoline.
+     *  @return its cycles. */
+    Cycles trampoline(hw::Core &core);
 
     /**
      * One xcall under the kernel's call bracket. Past its deadline

@@ -101,8 +101,8 @@ class Kernel;
  * open() starts the "<cat>.<name>" span on the caller's lane and the
  * request's flow arc (top-level call), or steps it (nested hop). The
  * destructor runs on every exit path, abort unwinds included: for an
- * opened top-level call it stamps the terminal outcome (critpath.py
- * --top groups requests by it), the caller's tenant and the
+ * opened top-level call it stamps the terminal outcome (critpath's
+ * top view groups requests by it), the caller's tenant and the
  * criticality tier - the last two only when not the default, so
  * single-tenant, untiered traces carry neither - then closes the
  * flow arc and the span.

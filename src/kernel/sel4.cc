@@ -259,40 +259,27 @@ Sel4Kernel::callPort(hw::Core &core, Thread &client, uint64_t ep_id,
 
     // --- Phase 1: trap. -------------------------------------------
     Cycles trap_start = core.now();
-    {
-        req::PhaseScope phase(uint32_t(Phase::Trap));
-        trapEnter(core);
-        saveRestoreRegs(core, params.fastpathRegs);
-        core.spend(params.trapConst);
-    }
-    phases.trap = core.now() - trap_start;
-    if (tr.enabled()) {
-        tr.begin("sel4", "trap", trap_start.value(), core.id());
-        tr.end("sel4", "trap", core.now().value(), core.id());
-    }
+    PhaseTimer trap(core, Phase::Trap, "sel4", core.id());
+    trapEnter(core);
+    saveRestoreRegs(core, params.fastpathRegs);
+    core.spend(params.trapConst);
+    phases.trap = trap.stop();
 
     // --- Phase 2: IPC logic (capability fetch + checks). ----------
-    t0 = core.now();
-    {
-        req::PhaseScope phase(uint32_t(Phase::IpcLogic));
-        // The cap lookup reads the client's cnode slot and the
-        // endpoint object, both in kernel memory.
-        uint64_t scratch[2];
-        core.spend(mach.mem().readPhys(core.id(), 0x1000 + ep_id * 64,
-                                       scratch, 16));
-        core.spend(params.logicConst);
-        if (slowpath) {
-            slowpathCalls.inc();
-            core.spend(params.slowpathExtra);
-        } else {
-            fastpathCalls.inc();
-        }
+    PhaseTimer logic(core, Phase::IpcLogic, "sel4", core.id());
+    // The cap lookup reads the client's cnode slot and the endpoint
+    // object, both in kernel memory.
+    uint64_t scratch[2];
+    core.spend(mach.mem().readPhys(core.id(), 0x1000 + ep_id * 64,
+                                   scratch, 16));
+    core.spend(params.logicConst);
+    if (slowpath) {
+        slowpathCalls.inc();
+        core.spend(params.slowpathExtra);
+    } else {
+        fastpathCalls.inc();
     }
-    phases.logic = core.now() - t0;
-    if (tr.enabled()) {
-        tr.begin("sel4", "ipc_logic", t0.value(), core.id());
-        tr.end("sel4", "ipc_logic", core.now().value(), core.id());
-    }
+    phases.logic = logic.stop();
 
     // Medium messages: the kernel copies through the IPC buffer
     // while still in the kernel (slow path).
@@ -314,42 +301,29 @@ Sel4Kernel::callPort(hw::Core &core, Thread &client, uint64_t ep_id,
     Cycles medium_copy = core.now() - t0;
 
     // --- Phase 3: process switch. ---------------------------------
-    t0 = core.now();
-    {
-        req::PhaseScope phase(uint32_t(Phase::ProcessSwitch));
-        if (cross_core) {
-            crossCoreCalls.inc();
-            hw::Core &scre = mach.core(ep.server->sched.homeCore);
-            mach.sendIpi(core.id(), scre.id());
-            scre.spend(costs.remoteWake);
-            core.spend(costs.schedule);
-        }
-        core.spend(params.switchConst);
-        if (!mach.config().mem.taggedTlb) {
-            core.spend(mach.config().core.tlbFlush);
-            mach.mem().flushTlb(core.id());
-        }
-        setCurrent(core.id(), ep.server);
+    PhaseTimer process_switch(core, Phase::ProcessSwitch, "sel4",
+                              core.id());
+    if (cross_core) {
+        crossCoreCalls.inc();
+        hw::Core &scre = mach.core(ep.server->sched.homeCore);
+        mach.sendIpi(core.id(), scre.id());
+        scre.spend(costs.remoteWake);
+        core.spend(costs.schedule);
     }
-    phases.processSwitch = core.now() - t0;
-    if (tr.enabled()) {
-        tr.begin("sel4", "process_switch", t0.value(), core.id());
-        tr.end("sel4", "process_switch", core.now().value(), core.id());
+    core.spend(params.switchConst);
+    if (!mach.config().mem.taggedTlb) {
+        core.spend(mach.config().core.tlbFlush);
+        mach.mem().flushTlb(core.id());
     }
+    setCurrent(core.id(), ep.server);
+    phases.processSwitch = process_switch.stop();
 
     // --- Phase 4: restore the server's context, back to user. -----
-    t0 = core.now();
-    {
-        req::PhaseScope phase(uint32_t(Phase::Restore));
-        saveRestoreRegs(core, params.fastpathRegs);
-        core.spend(params.restoreConst);
-        trapExit(core);
-    }
-    phases.restore = core.now() - t0;
-    if (tr.enabled()) {
-        tr.begin("sel4", "restore", t0.value(), core.id());
-        tr.end("sel4", "restore", core.now().value(), core.id());
-    }
+    PhaseTimer restore(core, Phase::Restore, "sel4", core.id());
+    saveRestoreRegs(core, params.fastpathRegs);
+    core.spend(params.restoreConst);
+    trapExit(core);
+    phases.restore = restore.stop();
 
     // Two-copy discipline: in user mode, the server copies the
     // message to private memory before using it.
@@ -484,7 +458,6 @@ Sel4Kernel::callPort(hw::Core &core, Thread &client, uint64_t ep_id,
     core.spend(params.restoreConst);
     trapExit(core);
 
-    lastPhases = phases;
     phaseStats.record(Phase::Trap, phases.trap);
     phaseStats.record(Phase::IpcLogic, phases.logic);
     phaseStats.record(Phase::ProcessSwitch, phases.processSwitch);

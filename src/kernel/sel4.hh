@@ -22,7 +22,7 @@
 
 namespace xpc::kernel {
 
-/** Fast-path phase latencies of the most recent call (Table 1). */
+/** Fast-path phase latencies of one call (Table 1). */
 struct Sel4Phases
 {
     Cycles trap;
@@ -138,9 +138,6 @@ class Sel4Kernel : public Kernel
     CallOutcome callPort(hw::Core &core, Thread &client, uint64_t port,
                          uint64_t opcode, VAddr req_va, uint64_t req_len,
                          VAddr reply_va, uint64_t reply_cap) override;
-
-    /** Phase breakdown of the most recent fast-path call (Table 1). */
-    Sel4Phases lastPhases;
 
     /** Registry-visible phase attribution (Table 1 taxonomy). */
     PhaseStats phaseStats{"phases", &stats};

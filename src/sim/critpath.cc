@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 
@@ -31,6 +32,8 @@ struct Builder
     bool flowEnd = false;
     uint64_t lastTs = 0; ///< latest timestamp seen for the request
     MemRollup mem;
+    std::string outcome;
+    uint32_t tenant = 0;
 };
 
 bool
@@ -67,9 +70,10 @@ RequestReport::attributed() const
 }
 
 std::vector<RequestReport>
-analyze(const std::vector<trace::TraceEvent> &events)
+analyze(const trace::Tracer &tracer)
 {
     using trace::EventKind;
+    const std::vector<trace::TraceEvent> events = tracer.events();
 
     // The earliest timestamp retained: the clamp point for spans
     // whose Begin fell off the ring.
@@ -140,7 +144,14 @@ analyze(const std::vector<trace::TraceEvent> &events)
             b.lanes.insert(ev.tid);
             break;
           case EventKind::Instant:
-            if (std::string_view(ev.cat) == "mem") {
+            // The call bracket stamps a top-level call's terminal
+            // status, and a non-default tenant, as instant texts.
+            if (std::string_view(ev.name) == "outcome") {
+                b.outcome = tracer.textOf(ev);
+            } else if (std::string_view(ev.name) == "tenant") {
+                b.tenant = uint32_t(
+                    std::strtoul(tracer.textOf(ev).c_str(), nullptr, 10));
+            } else if (std::string_view(ev.cat) == "mem") {
                 std::string_view n(ev.name);
                 if (n == "tlb_miss_fill") {
                     b.mem.tlbWalks++;
@@ -182,6 +193,8 @@ analyze(const std::vector<trace::TraceEvent> &events)
             r.endTs = std::max(r.endTs, iv.end);
         }
         r.mem = b.mem;
+        r.outcome = b.outcome;
+        r.tenant = b.tenant;
 
         // Elementary slices between span boundaries.
         std::vector<uint64_t> cuts;
@@ -261,6 +274,25 @@ pct(uint64_t part, uint64_t whole)
     return buf;
 }
 
+/** The top view's class of a terminal status name. */
+std::string
+outcomeClass(const std::string &status)
+{
+    if (status.empty())
+        return "-";
+    if (status == "deadline-expired")
+        return "timeout";
+    if (status == "overloaded")
+        return "shed";
+    return status;
+}
+
+std::string
+tenantLabel(uint32_t tenant)
+{
+    return tenant ? "t" + std::to_string(tenant) : "-";
+}
+
 } // namespace
 
 std::string
@@ -312,12 +344,22 @@ formatTop(const std::vector<RequestReport> &reports)
     std::ostringstream os;
     Distribution totals;
     std::map<std::string, uint64_t> spans;
+    // End-to-end cycles per outcome class: sheds are cheap and fast,
+    // timeouts pin the tail, so one blended percentile hides exactly
+    // the split that matters.
+    std::map<std::string, Distribution> outcomes;
+    std::map<uint32_t, std::map<std::string, uint64_t>> perTenant;
+    bool tenanted = false;
     uint64_t grand = 0;
     for (const RequestReport &r : reports) {
         totals.add(double(r.total()));
         grand += r.total();
         for (const auto &[name, cycles] : r.spanCycles)
             spans[name] += cycles;
+        std::string cls = outcomeClass(r.outcome);
+        outcomes[cls].add(double(r.total()));
+        perTenant[r.tenant][cls]++;
+        tenanted |= r.tenant != 0;
     }
     os << "critpath top: " << reports.size() << " request"
        << (reports.size() == 1 ? "" : "s");
@@ -329,6 +371,34 @@ formatTop(const std::vector<RequestReport> &reports)
         os << buf;
     }
     os << "\n";
+    if (reports.empty())
+        return os.str();
+
+    os << "  outcomes:\n";
+    int width = 14;
+    for (const auto &[cls, d] : outcomes)
+        width = std::max(width, int(cls.size()));
+    for (const auto &[cls, d] : outcomes) {
+        char line[128];
+        std::snprintf(line, sizeof(line),
+                      "    %-*s %6zu  p50 %8.0f  p99 %8.0f cyc\n", width,
+                      cls.c_str(), d.count(), d.quantile(0.5),
+                      d.quantile(0.99));
+        os << line;
+    }
+    // Single-tenant runs carry no tenant stamps and get no such rows.
+    for (const auto &[tenant, counts] : perTenant) {
+        if (!tenanted)
+            break;
+        os << "  outcomes[" << tenantLabel(tenant) << "]:";
+        const char *sep = " ";
+        for (const auto &[cls, n] : counts) {
+            os << sep << cls << " " << n;
+            sep = ", ";
+        }
+        os << "\n";
+    }
+
     std::vector<std::pair<std::string, uint64_t>> rows(spans.begin(),
                                                        spans.end());
     std::stable_sort(rows.begin(), rows.end(),
@@ -341,6 +411,22 @@ formatTop(const std::vector<RequestReport> &reports)
                       name.c_str(), (unsigned long long)cycles,
                       pct(cycles, grand).c_str());
         os << line;
+    }
+
+    char line[64];
+    std::snprintf(line, sizeof(line), "  %8s  %10s  ", "req", "cycles");
+    os << line << (tenanted ? "tenant  " : "") << "outcome\n";
+    for (const RequestReport &r : reports) {
+        std::string id = "#" + std::to_string(r.id);
+        std::snprintf(line, sizeof(line), "  %8s  %10llu  ", id.c_str(),
+                      (unsigned long long)r.total());
+        os << line;
+        if (tenanted) {
+            std::snprintf(line, sizeof(line), "%6s  ",
+                          tenantLabel(r.tenant).c_str());
+            os << line;
+        }
+        os << outcomeClass(r.outcome) << "\n";
     }
     return os.str();
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Per-request critical-path reconstruction over the trace ring.
+ * Per-request critical-path reconstruction over the trace ring: the
+ * one analyzer of the simulator's traces.
  *
  * The simulator's calls are synchronous: one client request is a
  * single chain of nested spans across lanes (client, servers, engine,
@@ -65,6 +66,12 @@ struct RequestReport
     uint32_t lanes = 0;
     /** True when the flow arc has both its start and end anchor. */
     bool flowClosed = false;
+    /** Terminal CallStatus name from the request's "outcome"
+     *  instant ("" when the trace holds none). */
+    std::string outcome;
+    /** Caller's tenant from its "tenant" instant (0 = none: only
+     *  non-default tenants are stamped). */
+    uint32_t tenant = 0;
     /** Time-ordered critical path (consecutive same-span merged). */
     std::vector<Segment> path;
     /** Per-span-name cycle totals, largest first. */
@@ -76,18 +83,23 @@ struct RequestReport
     uint64_t attributed() const;
 };
 
-/** Reconstruct every request found in @p events (snapshot order =
- *  record order, as returned by Tracer::events()). */
-std::vector<RequestReport>
-analyze(const std::vector<trace::TraceEvent> &events);
+/** Reconstruct every request whose spans @p tracer retains. */
+std::vector<RequestReport> analyze(const trace::Tracer &tracer);
 
 /** Multi-line human-readable report for one request. Lane names
  *  resolve through @p tracer (pass Tracer::global()). */
 std::string formatReport(const RequestReport &r,
                          const trace::Tracer &tracer);
 
-/** xpctop-style aggregate: per-span cycles over all requests, hottest
- *  first, with request count and p50/p99 of end-to-end cycles. */
+/**
+ * xpctop-style aggregate over all requests: request count and p50/p99
+ * of end-to-end cycles, then one row per outcome class with its count
+ * and p50/p99 (deadline-expired counts as "timeout", overloaded as
+ * "shed", any other status by its name, none as "-"), per-tenant
+ * outcome counts when some request carries a tenant, per-span cycles
+ * hottest first, and one line per request: id, cycles, tenant (when
+ * tenanted) and outcome class.
+ */
 std::string formatTop(const std::vector<RequestReport> &reports);
 
 /**

@@ -8,8 +8,8 @@
  * an xcall into trampoline / xcall / TLB-and-other. PhaseStats holds
  * one Distribution per phase inside a StatGroup, so benches read the
  * breakdown from the registry instead of private accounting, and
- * PhaseTimer is the scoped probe that records a phase's cycles and
- * (when tracing is on) emits the matching begin/end span.
+ * PhaseTimer is the scoped probe that times a phase and (when tracing
+ * is on) emits its span.
  */
 
 #ifndef XPC_SIM_PHASE_HH
@@ -83,29 +83,25 @@ class PhaseStats
 };
 
 /**
- * Scoped phase probe: samples the core clock at construction, and at
- * stop() (or destruction) attributes the elapsed cycles to a phase
- * and closes the trace span it opened. Purely observational - it
- * never spends cycles itself.
+ * Scoped phase probe: samples the core clock at construction and
+ * binds the phase, so memory traffic inside the probe is attributed
+ * to it (sim/request.hh). stop() (or destruction) unbinds the phase,
+ * emits the span after the fact - named phaseName(phase), on lane
+ * @p lane in category @p cat, from the phase's first cycle to now -
+ * and returns the elapsed cycles. Recording the phase into PhaseStats
+ * is the caller's business: a call path does it at the call's end,
+ * and only when the call succeeded. Purely observational - it never
+ * spends cycles itself.
  */
 template <typename CoreT>
 class PhaseTimer
 {
   public:
-    PhaseTimer(CoreT &core, PhaseStats &stats, Phase phase,
-               const char *cat = "phase")
-        : coreRef(core), phaseStats(stats), phase_(phase),
-          category(cat), startTs(core.now())
+    PhaseTimer(CoreT &core, Phase phase, const char *cat, uint32_t lane)
+        : coreRef(core), phase_(phase), category(cat), laneId(lane),
+          startTs(core.now())
     {
-        // Bind the phase so memory traffic inside the probe is
-        // attributed to it (sim/request.hh).
         req::RequestContext::global().pushPhase(uint32_t(phase_));
-        trace::Tracer &t = trace::Tracer::global();
-        if (t.enabled()) {
-            traced = true;
-            t.begin(category, phaseName(phase_), startTs.value(),
-                    coreRef.id());
-        }
     }
 
     ~PhaseTimer() { stop(); }
@@ -113,7 +109,7 @@ class PhaseTimer
     PhaseTimer(const PhaseTimer &) = delete;
     PhaseTimer &operator=(const PhaseTimer &) = delete;
 
-    /** Close the probe early. @return the attributed cycles. */
+    /** Close the probe; later calls return the same cycles. */
     Cycles
     stop()
     {
@@ -121,24 +117,24 @@ class PhaseTimer
             stopped = true;
             req::RequestContext::global().popPhase();
             elapsed = coreRef.now() - startTs;
-            phaseStats.record(phase_, elapsed);
-            if (traced)
-                trace::Tracer::global().end(category,
-                                            phaseName(phase_),
-                                            coreRef.now().value(),
-                                            coreRef.id());
+            trace::Tracer &t = trace::Tracer::global();
+            if (t.enabled()) {
+                t.begin(category, phaseName(phase_), startTs.value(),
+                        laneId);
+                t.end(category, phaseName(phase_),
+                      coreRef.now().value(), laneId);
+            }
         }
         return elapsed;
     }
 
   private:
     CoreT &coreRef;
-    PhaseStats &phaseStats;
     Phase phase_;
     const char *category;
+    uint32_t laneId;
     Cycles startTs;
     Cycles elapsed;
-    bool traced = false;
     bool stopped = false;
 };
 

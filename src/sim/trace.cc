@@ -19,7 +19,6 @@ Tracer::Tracer()
             cap = size_t(n);
     }
     ring.resize(cap);
-    texts.resize(textCapacity);
 }
 
 Tracer &
@@ -35,6 +34,7 @@ Tracer::setCapacity(size_t events)
     cap = events > 0 ? events : 1;
     ring.assign(cap, TraceEvent{});
     nrec = 0;
+    texts.clear();
     ntext = 0;
 }
 
@@ -43,6 +43,7 @@ Tracer::clear()
 {
     ring.assign(cap, TraceEvent{});
     nrec = 0;
+    texts.clear();
     ntext = 0;
     lastTs.fill(0);
 }
@@ -58,6 +59,19 @@ Tracer::push(TraceEvent &ev)
         lastTs[ev.tid] = ev.ts;
     ring[nrec % cap] = ev;
     nrec++;
+}
+
+uint32_t
+Tracer::keepText(std::string text)
+{
+    // At most cap events are retained, so the last cap texts cover
+    // every retained event that carries one.
+    if (texts.size() < cap)
+        texts.push_back(std::move(text));
+    else
+        texts[ntext % cap] = std::move(text);
+    ntext++;
+    return uint32_t(ntext);
 }
 
 void
@@ -102,11 +116,8 @@ Tracer::instant(const char *cat, const char *name, uint64_t ts,
     ev.cat = cat;
     ev.name = name;
     ev.kind = EventKind::Instant;
-    if (!text.empty()) {
-        texts[ntext % textCapacity] = std::move(text);
-        ntext++;
-        ev.textRef = uint32_t(ntext); // 1-based sequence
-    }
+    if (!text.empty())
+        ev.textRef = keepText(std::move(text));
     push(ev);
 }
 
@@ -155,11 +166,8 @@ Tracer::instantNow(const char *cat, const char *name, uint32_t tid,
     ev.name = name;
     ev.arg = arg;
     ev.kind = EventKind::Instant;
-    if (!text.empty()) {
-        texts[ntext % textCapacity] = std::move(text);
-        ntext++;
-        ev.textRef = uint32_t(ntext);
-    }
+    if (!text.empty())
+        ev.textRef = keepText(std::move(text));
     push(ev);
 }
 
@@ -200,9 +208,9 @@ Tracer::textOf(const TraceEvent &ev) const
     if (ev.textRef == 0)
         return empty;
     uint64_t seq = ev.textRef; // 1-based
-    if (seq > ntext || ntext - seq >= textCapacity)
-        return empty; // slot has been overwritten since
-    return texts[(seq - 1) % textCapacity];
+    if (seq > ntext || ntext - seq >= cap)
+        return empty; // not a retained event
+    return texts[(seq - 1) % cap];
 }
 
 void

@@ -17,11 +17,13 @@
  * recording an event does not spend core cycles.
  *
  * Ring slots are trivially copyable: dynamic payloads (log record
- * text) live in a small side ring of strings referenced by index, so
- * the span/instant fast path never allocates. Every event is stamped
- * with the active request id and phase (sim/request.hh), which is
- * what ties a span on the file server's lane to the client request
- * that caused it.
+ * text, call outcomes) live in a side ring of strings referenced by
+ * index, so the span fast path never allocates. The side ring holds
+ * as many texts as the event ring holds events, so a retained event
+ * never loses its text; it grows with the texts actually recorded.
+ * Every event is stamped with the active request id and phase
+ * (sim/request.hh), which is what ties a span on the file server's
+ * lane to the client request that caused it.
  */
 
 #ifndef XPC_SIM_TRACE_HH
@@ -86,9 +88,6 @@ class Tracer
     static constexpr bool compiledIn = true;
 #endif
 
-    /** Capacity of the text side ring (log payloads retained). */
-    static constexpr size_t textCapacity = 1024;
-
     /** The process-wide tracer. First use reads XPC_TRACE ("0" or
      *  unset = disabled) and XPC_TRACE_BUF (capacity in events). */
     static Tracer &global();
@@ -144,11 +143,8 @@ class Tracer
     /** Snapshot of the retained events, oldest first. */
     std::vector<TraceEvent> events() const;
 
-    /**
-     * Resolve an event's dynamic text from the side ring. Returns ""
-     * when the event carries none or the slot has since been
-     * overwritten (the side ring wraps independently).
-     */
+    /** Resolve an event's dynamic text from the side ring ("" when
+     *  it carries none). Valid for every event events() returns. */
     const std::string &textOf(const TraceEvent &ev) const;
 
     /**
@@ -172,13 +168,16 @@ class Tracer
     Tracer();
 
     void push(TraceEvent &ev);
+    /** Keep @p text in the side ring. @return its 1-based sequence. */
+    uint32_t keepText(std::string text);
 
     bool on = false;
     size_t cap = 1 << 16;
     std::vector<TraceEvent> ring;
     uint64_t nrec = 0;
     std::array<uint64_t, 256> lastTs{};
-    /** Side ring for dynamic payloads; texts[i % textCapacity]. */
+    /** Side ring for dynamic payloads: text n (1-based) lives in
+     *  texts[(n - 1) % cap]; grows up to cap entries. */
     std::vector<std::string> texts;
     uint64_t ntext = 0;
     std::map<uint32_t, std::string> laneNames;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -95,7 +96,7 @@ TEST_F(CritPathTest, SingleXcallReconstructs)
     auto out = rt.call(core, client, id, 0, 64);
     ASSERT_TRUE(out.ok);
 
-    auto reports = critpath::analyze(tracer.events());
+    auto reports = critpath::analyze(tracer);
     ASSERT_EQ(reports.size(), 1u);
     const critpath::RequestReport &r = reports[0];
     EXPECT_EQ(r.id, 1u);
@@ -162,7 +163,7 @@ TEST_F(CritPathTest, NestedChainKeepsOneFlow)
     ASSERT_TRUE(out.ok);
     EXPECT_EQ(req::RequestContext::global().minted(), 1u);
 
-    auto reports = critpath::analyze(tracer.events());
+    auto reports = critpath::analyze(tracer);
     ASSERT_EQ(reports.size(), 1u) << "nested hops minted extra ids";
     const critpath::RequestReport &r = reports[0];
     EXPECT_TRUE(r.complete);
@@ -207,7 +208,7 @@ TEST_F(CritPathTest, TransportCallsCloseOnEveryKernel)
             tr.call(core, client, svc, 0, sizeof(payload), 4096);
         ASSERT_TRUE(res.ok);
 
-        auto reports = critpath::analyze(tracer.events());
+        auto reports = critpath::analyze(tracer);
         ASSERT_EQ(reports.size(), 1u);
         const critpath::RequestReport &r = reports[0];
         EXPECT_TRUE(r.complete);
@@ -565,7 +566,7 @@ TEST_F(CritPathTest, RingWraparoundMidRequestDegradesGracefully)
     ASSERT_TRUE(out.ok);
     ASSERT_EQ(tracer.size(), 16u) << "call too small to wrap the ring";
 
-    auto reports = critpath::analyze(tracer.events());
+    auto reports = critpath::analyze(tracer);
     for (const critpath::RequestReport &r : reports) {
         expectExact(r); // holds even for a clamped window
         EXPECT_FALSE(r.complete && r.flowClosed)
@@ -611,7 +612,7 @@ TEST_F(CritPathTest, FaultInjectedServerDeathStillBalancesSpans)
     EXPECT_EQ(out.status, kernel::CallStatus::ServiceDead);
     sys->machine().setFaultInjector(nullptr);
 
-    auto reports = critpath::analyze(tracer.events());
+    auto reports = critpath::analyze(tracer);
     ASSERT_EQ(reports.size(), 1u);
     const critpath::RequestReport &r = reports[0];
     EXPECT_TRUE(r.flowClosed) << "unwind skipped the flow end";
@@ -646,7 +647,7 @@ TEST_F(CritPathTest, AggregateStatsAndTopReport)
     for (int i = 0; i < calls; i++)
         ASSERT_TRUE(rt.call(core, client, id, 0, 64).ok);
 
-    auto reports = critpath::analyze(tracer.events());
+    auto reports = critpath::analyze(tracer);
     ASSERT_EQ(reports.size(), size_t(calls));
     for (const auto &r : reports)
         expectExact(r);
@@ -660,6 +661,106 @@ TEST_F(CritPathTest, AggregateStatsAndTopReport)
     std::string top = critpath::formatTop(reports);
     EXPECT_NE(top.find("5 request"), std::string::npos);
     EXPECT_NE(top.find("handler"), std::string::npos);
+}
+
+/**
+ * Record one hand-written top-level request of @p cycles from @p t0:
+ * a call span on the client lane around a handler span, then the
+ * call bracket's outcome instant and, for a non-default tenant, its
+ * tenant instant.
+ */
+void
+recordRequest(uint64_t t0, uint64_t cycles, const char *status,
+              uint32_t tenant = 0)
+{
+    trace::Tracer &tr = trace::Tracer::global();
+    req::RequestScope scope;
+    tr.begin("xpc", "call", t0, 1001);
+    tr.begin("xpc", "handler", t0 + 10, 1002);
+    tr.end("xpc", "handler", t0 + cycles - 10, 1002);
+    tr.instant("xpc", "outcome", t0 + cycles, 1001, status);
+    if (tenant != 0)
+        tr.instant("xpc", "tenant", t0 + cycles, 1001,
+                   std::to_string(tenant));
+    tr.end("xpc", "call", t0 + cycles, 1001);
+}
+
+bool
+matches(const std::string &text, const std::string &pattern)
+{
+    return std::regex_search(text, std::regex(pattern));
+}
+
+TEST_F(CritPathTest, EmptyTracerYieldsNoReport)
+{
+    // An empty trace, or one with instants but no span, is nothing
+    // to profile, not an error.
+    trace::Tracer &tracer = trace::Tracer::global();
+    EXPECT_TRUE(critpath::analyze(tracer).empty());
+    tracer.instant("log", "warn", 5, 0, "no request bound");
+    {
+        req::RequestScope scope;
+        tracer.instant("xpc", "outcome", 5, 1001, "ok");
+    }
+    auto reports = critpath::analyze(tracer);
+    EXPECT_TRUE(reports.empty());
+    EXPECT_EQ(critpath::formatTop(reports), "critpath top: 0 requests\n");
+}
+
+TEST_F(CritPathTest, IntegrityViolationGetsItsOwnRow)
+{
+    // A detected corruption keeps its own outcome class.
+    recordRequest(0, 100, "integrity-violation");
+    auto reports = critpath::analyze(trace::Tracer::global());
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports[0].outcome, "integrity-violation");
+    EXPECT_EQ(reports[0].tenant, 0u);
+    expectExact(reports[0]);
+
+    std::string top = critpath::formatTop(reports);
+    EXPECT_TRUE(matches(top, "\n +integrity-violation +1 +p50 +100 "))
+        << top;
+    // Untenanted: no per-tenant rows and no tenant column.
+    EXPECT_EQ(top.find("outcomes["), std::string::npos) << top;
+    EXPECT_TRUE(matches(top, "\n +req +cycles +outcome\n")) << top;
+    EXPECT_TRUE(matches(top, "\n +#1 +100 +integrity-violation\n")) << top;
+}
+
+TEST_F(CritPathTest, OutcomeClassesAndTenantRows)
+{
+    // deadline-expired and timeout share the timeout row, overloaded
+    // is shed, and a two-tenant run gets one count row per tenant.
+    recordRequest(0, 100, "ok", 1);
+    recordRequest(200, 120, "ok", 1);
+    recordRequest(400, 900, "deadline-expired", 1);
+    recordRequest(1400, 700, "timeout", 2);
+    recordRequest(2200, 50, "overloaded", 2);
+    recordRequest(2300, 110, "ok", 2);
+    auto reports = critpath::analyze(trace::Tracer::global());
+    ASSERT_EQ(reports.size(), 6u);
+    EXPECT_EQ(reports[2].outcome, "deadline-expired");
+    EXPECT_EQ(reports[2].tenant, 1u);
+    EXPECT_EQ(reports[4].outcome, "overloaded");
+    EXPECT_EQ(reports[4].tenant, 2u);
+
+    std::string top = critpath::formatTop(reports);
+    EXPECT_TRUE(matches(top, "\n +ok +3 +p50 +110 +p99 +120 cyc\n"))
+        << top;
+    EXPECT_TRUE(matches(top, "\n +shed +1 +p50 +50 +p99 +50 cyc\n"))
+        << top;
+    EXPECT_TRUE(matches(top, "\n +timeout +2 +p50 +800 +p99 +898 cyc\n"))
+        << top;
+    EXPECT_EQ(top.find("overloaded"), std::string::npos) << top;
+    EXPECT_EQ(top.find("deadline-expired"), std::string::npos) << top;
+    EXPECT_NE(top.find("  outcomes[t1]: ok 2, timeout 1\n"),
+              std::string::npos)
+        << top;
+    EXPECT_NE(top.find("  outcomes[t2]: ok 1, shed 1, timeout 1\n"),
+              std::string::npos)
+        << top;
+    EXPECT_TRUE(matches(top, "\n +req +cycles +tenant +outcome\n")) << top;
+    EXPECT_TRUE(matches(top, "\n +#3 +900 +t1 +timeout\n")) << top;
+    EXPECT_TRUE(matches(top, "\n +#5 +50 +t2 +shed\n")) << top;
 }
 
 TEST_F(CritPathTest, TraceEventStaysPodWithSideText)

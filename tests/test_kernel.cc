@@ -187,6 +187,15 @@ TEST_F(Sel4IpcTest, TwoCopyCostsMoreThanOneCopy)
     EXPECT_GT(two.roundTrip.value(), one.roundTrip.value());
 }
 
+/** Table 1's sum over the last call's phases. */
+uint64_t
+table1Sum(const PhaseStats &ps)
+{
+    return ps.last(Phase::Trap) + ps.last(Phase::IpcLogic) +
+           ps.last(Phase::ProcessSwitch) + ps.last(Phase::Restore) +
+           ps.last(Phase::Transfer);
+}
+
 TEST_F(Sel4IpcTest, FastPathBreakdownNearPaperTable1)
 {
     // Warm caches with a few calls first, as the paper's fast-path
@@ -195,14 +204,15 @@ TEST_F(Sel4IpcTest, FastPathBreakdownNearPaperTable1)
         doCall(0);
     auto out = doCall(0);
     ASSERT_TRUE(out.ok);
-    const Sel4Phases &ph = kern.lastPhases;
+    const PhaseStats &ps = kern.phaseStats;
+    uint64_t sum = table1Sum(ps);
     // Paper Table 1 (0B): trap 107, logic 212, switch 146,
     // restore 199, sum 664. Accept a +-35% band.
-    EXPECT_NEAR(double(ph.trap.value()), 107, 38);
-    EXPECT_NEAR(double(ph.logic.value()), 212, 75);
-    EXPECT_NEAR(double(ph.processSwitch.value()), 146, 52);
-    EXPECT_NEAR(double(ph.restore.value()), 199, 70);
-    EXPECT_NEAR(double(ph.sum().value()), 664, 180);
+    EXPECT_NEAR(double(ps.last(Phase::Trap)), 107, 38);
+    EXPECT_NEAR(double(ps.last(Phase::IpcLogic)), 212, 75);
+    EXPECT_NEAR(double(ps.last(Phase::ProcessSwitch)), 146, 52);
+    EXPECT_NEAR(double(ps.last(Phase::Restore)), 199, 70);
+    EXPECT_NEAR(double(sum), 664, 180);
 }
 
 TEST_F(Sel4IpcTest, LargeTransferDominatesAt4K)
@@ -210,11 +220,12 @@ TEST_F(Sel4IpcTest, LargeTransferDominatesAt4K)
     for (int i = 0; i < 4; i++)
         doCall(4096);
     doCall(4096);
-    const Sel4Phases &ph = kern.lastPhases;
+    const PhaseStats &ps = kern.phaseStats;
+    uint64_t sum = table1Sum(ps);
     // Paper Table 1 (4KB): transfer 4010 of 4804 total. Shapes:
     // transfer dominates and the sum is in the thousands.
-    EXPECT_GT(ph.transfer.value(), ph.sum().value() / 2);
-    EXPECT_GT(ph.sum().value(), 2500u);
+    EXPECT_GT(ps.last(Phase::Transfer), sum / 2);
+    EXPECT_GT(sum, 2500u);
 }
 
 TEST_F(Sel4IpcTest, CrossCoreCostsMuchMore)

@@ -14,11 +14,13 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
 #include "sim/phase.hh"
+#include "sim/request.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
 
@@ -218,38 +220,80 @@ TEST_F(TraceTest, LogRecordsInterleaveIntoTraceWhenEnabled)
     EXPECT_EQ(t.textOf(ev), "tlb shootdown fallback");
 }
 
-TEST_F(TraceTest, PhaseTimerRecordsStatsAndSpan)
+TEST_F(TraceTest, PhaseTimerEmitsSpanAtStop)
 {
+    req::RequestContext &ctx = req::RequestContext::global();
+    uint32_t outer = ctx.currentPhase();
     StubCore core;
     core.t = 100;
-    PhaseStats stats;
-    {
-        PhaseTimer<StubCore> timer(core, stats, Phase::Xcall);
-        core.t = 172;
-    }
-    EXPECT_EQ(stats.last(Phase::Xcall), 72u);
-    EXPECT_EQ(stats.dist(Phase::Xcall).count(), 1u);
+    PhaseTimer<StubCore> timer(core, Phase::Xcall, "xpc", 1007);
+    // While open the phase is bound and nothing is recorded yet.
+    EXPECT_EQ(ctx.currentPhase(), uint32_t(Phase::Xcall));
+    EXPECT_EQ(trace::Tracer::global().size(), 0u);
+    core.t = 172;
+    EXPECT_EQ(timer.stop().value(), 72u);
+    EXPECT_EQ(ctx.currentPhase(), outer);
 
+    // The span runs from the phase's first cycle to stop(), on the
+    // caller's lane and category, recorded after the phase unbound.
     auto evs = trace::Tracer::global().events();
     ASSERT_EQ(evs.size(), 2u);
     EXPECT_EQ(evs[0].kind, trace::EventKind::Begin);
-    EXPECT_STREQ(evs[0].name, "xcall");
     EXPECT_EQ(evs[0].ts, 100u);
     EXPECT_EQ(evs[1].kind, trace::EventKind::End);
     EXPECT_EQ(evs[1].ts, 172u);
+    for (const trace::TraceEvent &ev : evs) {
+        EXPECT_STREQ(ev.name, "xcall");
+        EXPECT_STREQ(ev.cat, "xpc");
+        EXPECT_EQ(ev.tid, 1007u);
+        EXPECT_EQ(ev.phase, outer);
+    }
 }
 
 TEST_F(TraceTest, PhaseTimerStopIsIdempotent)
 {
+    uint32_t outer = req::RequestContext::global().currentPhase();
     StubCore core;
-    PhaseStats stats;
-    PhaseTimer<StubCore> timer(core, stats, Phase::Handler);
-    core.t = 40;
-    EXPECT_EQ(timer.stop().value(), 40u);
-    core.t = 99; // later stops (and the destructor) must not re-record
-    EXPECT_EQ(timer.stop().value(), 40u);
-    EXPECT_EQ(stats.dist(Phase::Handler).count(), 1u);
-    EXPECT_EQ(stats.last(Phase::Handler), 40u);
+    {
+        PhaseTimer<StubCore> timer(core, Phase::Trap, "sel4", core.id());
+        core.t = 40;
+        EXPECT_EQ(timer.stop().value(), 40u);
+        core.t = 99; // later stops (and the destructor) change nothing
+        EXPECT_EQ(timer.stop().value(), 40u);
+    }
+    auto evs = trace::Tracer::global().events();
+    ASSERT_EQ(evs.size(), 2u);
+    EXPECT_EQ(evs[1].ts, 40u);
+    EXPECT_EQ(req::RequestContext::global().currentPhase(), outer);
+}
+
+TEST_F(TraceTest, TextsLiveAsLongAsTheirEvents)
+{
+    // Thousands of texts in a ring that retains every event: each
+    // keeps its text.
+    trace::Tracer &t = trace::Tracer::global();
+    t.setCapacity(4096);
+    for (int i = 0; i < 3000; i++)
+        t.instant("test", "note", uint64_t(i), 0, std::to_string(i));
+    auto evs = t.events();
+    ASSERT_EQ(evs.size(), 3000u);
+    for (size_t i = 0; i < evs.size(); i++)
+        ASSERT_EQ(t.textOf(evs[i]), std::to_string(i)) << "event " << i;
+
+    // Once the event ring wraps, the retained events keep theirs too.
+    t.setCapacity(64);
+    for (int i = 0; i < 200; i++) {
+        t.instant("test", "note", uint64_t(i), 0, std::to_string(i));
+        t.instant("test", "bare", uint64_t(i), 0);
+    }
+    evs = t.events();
+    ASSERT_EQ(evs.size(), 64u);
+    for (const trace::TraceEvent &ev : evs) {
+        std::string want =
+            std::string_view(ev.name) == "note" ? std::to_string(ev.ts)
+                                                : "";
+        EXPECT_EQ(t.textOf(ev), want);
+    }
 }
 
 TEST_F(TraceTest, SetCapacityDropsOldEvents)

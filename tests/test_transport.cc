@@ -14,6 +14,7 @@
 
 #include "core/system.hh"
 #include "sim/fault_injector.hh"
+#include "sim/trace.hh"
 
 namespace xpc::core {
 namespace {
@@ -190,17 +191,22 @@ enum class OffLayer
     None,
     Deadline,
     Injector,
+    Tracer,
 };
 
 /**
- * A fresh System with @p layer switched on but never striking: an
- * echo call and a two-hop handover at 0 B, 64 B and 4 KiB. @return
- * each call's oneWay, roundTrip and handlerCycles, then the system's
- * stat dump.
+ * A fresh System with @p layer switched on but never striking (the
+ * tracer only records): an echo call and a two-hop handover at 0 B,
+ * 64 B and 4 KiB. @return each call's oneWay, roundTrip and
+ * handlerCycles, then the system's stat dump.
  */
 std::string
 offLayerRun(SystemFlavor flavor, OffLayer layer)
 {
+    trace::Tracer &tracer = trace::Tracer::global();
+    bool was_tracing = tracer.enabled();
+    if (layer == OffLayer::Tracer)
+        tracer.setEnabled(true);
     SystemOptions opts;
     opts.flavor = flavor;
     if (layer == OffLayer::Deadline)
@@ -255,6 +261,11 @@ offLayerRun(SystemFlavor flavor, OffLayer layer)
     }
     sys.stats().dumpJson(os);
     sys.machine().setFaultInjector(nullptr);
+    if (layer == OffLayer::Tracer) {
+        EXPECT_GT(tracer.size(), 0u) << "the traced run recorded nothing";
+        tracer.setEnabled(was_tracing);
+        tracer.clear();
+    }
     return os.str();
 }
 
@@ -263,9 +274,13 @@ TEST_P(TransportAllFlavors, OffLayersChangeNothing)
     // Off-switch test for the call bracket's two default-off layers:
     // a deadline that never expires and a fault injector with nothing
     // scheduled must leave every cycle and every stat as they are.
+    // Tracing is observational: its spans must not cost a cycle.
     std::string plain = offLayerRun(GetParam(), OffLayer::None);
     EXPECT_EQ(offLayerRun(GetParam(), OffLayer::Deadline), plain);
     EXPECT_EQ(offLayerRun(GetParam(), OffLayer::Injector), plain);
+    if (trace::Tracer::compiledIn) {
+        EXPECT_EQ(offLayerRun(GetParam(), OffLayer::Tracer), plain);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
