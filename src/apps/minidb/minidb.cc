@@ -127,8 +127,7 @@ MiniDb::commitTxn()
             body.resize(at + dbPageBytes);
             std::memcpy(body.data() + at, p.data.data(), dbPageBytes);
             hdr.entries.push_back(
-                {page_no,
-                 journal::walCrc(p.data.data(), dbPageBytes)});
+                {page_no, xpc::crc32(p.data.data(), dbPageBytes)});
         }
         fsWrite(journalFd, journalBodyOffset, body.data(),
                 body.size());

@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <wmmintrin.h>
+#endif
+
 namespace xpc::services::crypto {
 
 namespace {
@@ -147,6 +151,33 @@ rotWord(uint32_t w)
     return (w >> 8) | (w << 24);
 }
 
+#if defined(__x86_64__)
+/**
+ * CBC on AES-NI, compiled for it whatever the build flags. The round
+ * keys' little-endian words hold FIPS byte order, so they load as is.
+ */
+__attribute__((target("aes"))) void
+encryptCbcAesNi(const uint32_t *round_keys, uint8_t *data, size_t len,
+                const uint8_t *iv)
+{
+    auto load = [](const void *p) {
+        return _mm_loadu_si128(static_cast<const __m128i *>(p));
+    };
+    __m128i rk[11];
+    for (int r = 0; r < 11; r++)
+        rk[r] = load(round_keys + 4 * r);
+    __m128i chain = load(iv);
+    for (size_t off = 0; off + 16 <= len; off += 16) {
+        chain = _mm_xor_si128(chain, load(data + off));
+        chain = _mm_xor_si128(chain, rk[0]);
+        for (int r = 1; r < 10; r++)
+            chain = _mm_aesenc_si128(chain, rk[r]);
+        chain = _mm_aesenclast_si128(chain, rk[10]);
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(data + off), chain);
+    }
+}
+#endif
+
 } // namespace
 
 Aes128::Aes128(const uint8_t key[keyBytes])
@@ -275,6 +306,21 @@ Aes128::decryptBlock(const uint8_t in[blockBytes],
 void
 Aes128::encryptCbc(uint8_t *data, size_t len,
                    const uint8_t iv[blockBytes]) const
+{
+#if defined(__x86_64__)
+    static const bool aesNi = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("aes") != 0;
+    }();
+    if (aesNi)
+        return encryptCbcAesNi(roundKeys.data(), data, len, iv);
+#endif
+    encryptCbcTables(data, len, iv);
+}
+
+void
+Aes128::encryptCbcTables(uint8_t *data, size_t len,
+                         const uint8_t iv[blockBytes]) const
 {
     uint32_t chain[4];
     for (int c = 0; c < 4; c++)

@@ -9,10 +9,14 @@
  *
  * Encryption runs on four 32-bit T-tables (4 KiB, built at compile
  * time from the S-box): each round is 16 lookups and XORs over four
- * little-endian column words. Its ciphertext is bit-identical to the
- * byte-wise FIPS-197 rounds, which the tests keep as an independent
- * reference, alongside the FIPS-197 and NIST SP 800-38A vectors.
- * Decryption stays byte-wise: no workload decrypts on a hot path.
+ * little-endian column words. CBC encryption, the crypto server's
+ * hot path, runs on AES-NI instead when an x86-64 host has it
+ * (checked at run time: the build sets no -march). Both kernels are
+ * bit-identical to the byte-wise FIPS-197 rounds, which the tests
+ * keep as an independent reference beside the FIPS-197 and NIST
+ * SP 800-38A vectors, and run on every host. AES-NI is constant-time,
+ * but no claim is made about it. Decryption stays byte-wise: no
+ * workload decrypts on a hot path.
  */
 
 #ifndef XPC_SERVICES_CRYPTO_AES_HH
@@ -45,10 +49,15 @@ class Aes128
     /**
      * CBC-encrypt @p len bytes in place. Only whole blocks are
      * encrypted; a trailing partial block is left untouched (callers
-     * zero-pad).
+     * zero-pad). Runs on AES-NI when the host has it, else
+     * encryptCbcTables.
      */
     void encryptCbc(uint8_t *data, size_t len,
                     const uint8_t iv[blockBytes]) const;
+
+    /** encryptCbc on the T-tables: the path hosts without AES-NI take. */
+    void encryptCbcTables(uint8_t *data, size_t len,
+                          const uint8_t iv[blockBytes]) const;
 
     /** CBC-decrypt @p len bytes in place. */
     void decryptCbc(uint8_t *data, size_t len,

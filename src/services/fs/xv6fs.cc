@@ -254,8 +254,7 @@ Xv6Fs::endOp()
         BufCache::Buf &b = bread(dirtyBlocks[i]);
         io->write(uint32_t(sb.logStart + 1 + i), b.data.data());
         hdr.entries.push_back(
-            {dirtyBlocks[i],
-             journal::walCrc(b.data.data(), fsBlockBytes)});
+            {dirtyBlocks[i], xpc::crc32(b.data.data(), fsBlockBytes)});
     }
     // 2. Commit: write the checksummed record. The atomic point - a
     //    crash before this write leaves an undecodable record and the

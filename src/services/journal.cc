@@ -18,7 +18,7 @@ WalHeader::encodeTo(std::vector<uint8_t> *out) const
         std::memcpy(p + 16 + i * 8, &entries[i].no, 4);
         std::memcpy(p + 16 + i * 8 + 4, &entries[i].crc, 4);
     }
-    uint32_t hcrc = walCrc(p, out->size() - 4);
+    uint32_t hcrc = xpc::crc32(p, out->size() - 4);
     std::memcpy(p + out->size() - 4, &hcrc, 4);
 }
 
@@ -37,7 +37,7 @@ WalHeader::decode(const uint8_t *raw, size_t len, WalHeader *out)
         return false;
     uint32_t hcrc, want;
     std::memcpy(&hcrc, raw + need - 4, 4);
-    want = walCrc(raw, need - 4);
+    want = xpc::crc32(raw, need - 4);
     if (hcrc != want)
         return false;
     out->entries.clear();
@@ -54,7 +54,7 @@ bool
 walPayloadMatches(const WalEntry &e, const void *payload,
                   size_t payload_len)
 {
-    return walCrc(payload, payload_len) == e.crc;
+    return xpc::crc32(payload, payload_len) == e.crc;
 }
 
 } // namespace xpc::services::journal

@@ -26,18 +26,10 @@
 
 namespace xpc::services::journal {
 
-/** CRC-32 (IEEE 802.3 polynomial; the shared sim/crc table, which
- *  the transport-level xcall envelope reuses). */
-inline uint32_t
-walCrc(const void *data, size_t len, uint32_t seed = 0)
-{
-    return xpc::crc32(data, len, seed);
-}
-
 /** Commit-record magic ("WAL1"). */
 constexpr uint32_t walMagic = 0x57414c31;
 
-/** One journaled payload: block/page @p no, checksummed. */
+/** One journaled payload: block/page @p no and its xpc::crc32. */
 struct WalEntry
 {
     uint32_t no = 0;

@@ -166,10 +166,8 @@ TEST(WalCodec, RoundTripsAndRejectsTornRecords)
     hdr.seq = 7;
     uint8_t payload[64];
     std::memset(payload, 0x5a, sizeof(payload));
-    hdr.entries.push_back(
-        {3, journal::walCrc(payload, sizeof(payload))});
-    hdr.entries.push_back(
-        {9, journal::walCrc(payload, sizeof(payload))});
+    hdr.entries.push_back({3, crc32(payload, sizeof(payload))});
+    hdr.entries.push_back({9, crc32(payload, sizeof(payload))});
 
     std::vector<uint8_t> enc;
     hdr.encodeTo(&enc);
@@ -334,8 +332,7 @@ TEST(StatefulRecovery, MiniDbAttachReplaysACommittedWalRecord)
               int64_t(page.size()));
     journal::WalHeader hdr;
     hdr.seq = 99;
-    hdr.entries.push_back(
-        {1, journal::walCrc(page.data(), page.size())});
+    hdr.entries.push_back({1, crc32(page.data(), page.size())});
     ASSERT_EQ(FsServer::clientWrite(*rig.tr, core, *rig.client, fs,
                                     jfd, 4096, page.data(),
                                     page.size()),

@@ -189,6 +189,18 @@ randomIv(Rng &rng, uint8_t iv[16])
     iv[rng.nextBounded(16)] |= uint8_t(1u << rng.nextBounded(8));
 }
 
+/**
+ * Both CBC encryption kernels: encryptCbc (AES-NI on a host that has
+ * it) and the T-table path every other host takes, so each runs here
+ * whatever the host.
+ */
+using CbcKernel = void (crypto::Aes128::*)(uint8_t *, size_t,
+                                           const uint8_t *) const;
+const std::pair<const char *, CbcKernel> cbcKernels[] = {
+    {"encryptCbc", &crypto::Aes128::encryptCbc},
+    {"encryptCbcTables", &crypto::Aes128::encryptCbcTables},
+};
+
 TEST(AesTest, Fips197AppendixBVector)
 {
     const uint8_t key[16] = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2,
@@ -240,12 +252,14 @@ TEST(AesTest, Nist38aCbcVector)
         0xca, 0xa1, 0x68, 0x1f, 0xac, 0x09, 0x12, 0x0e, 0xca, 0x30,
         0x75, 0x86, 0xe1, 0xa7};
     crypto::Aes128 aes(key);
-    uint8_t data[64];
-    std::memcpy(data, plain, sizeof(data));
-    aes.encryptCbc(data, sizeof(data), iv);
-    EXPECT_EQ(std::memcmp(data, expect, sizeof(data)), 0);
-    aes.decryptCbc(data, sizeof(data), iv);
-    EXPECT_EQ(std::memcmp(data, plain, sizeof(data)), 0);
+    for (const auto &[name, encrypt] : cbcKernels) {
+        uint8_t data[64];
+        std::memcpy(data, plain, sizeof(data));
+        (aes.*encrypt)(data, sizeof(data), iv);
+        EXPECT_EQ(std::memcmp(data, expect, sizeof(data)), 0) << name;
+        aes.decryptCbc(data, sizeof(data), iv);
+        EXPECT_EQ(std::memcmp(data, plain, sizeof(data)), 0) << name;
+    }
 }
 
 TEST(AesTest, CbcRoundTripsRandomData)
@@ -289,22 +303,46 @@ TEST(AesTest, EncryptBlockMatchesBytewiseReference)
 
 TEST(AesTest, EncryptCbcMatchesBytewiseReference)
 {
+    // Every length 0-335, and 4096-4111 (the mesh's bodies reach
+    // 4 KiB), in place at offsets 0-15 from an aligned base, with a
+    // random IV. The buffer sits between random guard bytes, so a
+    // kernel that writes past the whole blocks, into the partial tail
+    // or beyond, fails the byte compare.
+    std::vector<size_t> lens(20 * 16 + 16);
+    std::iota(lens.begin(), lens.end(), 0);
+    for (size_t len = 4096; len < 4096 + 16; len++)
+        lens.push_back(len);
+    constexpr size_t guard = 16;
+    alignas(16) uint8_t arena[guard + 15 + 4096 + 15 + guard];
     Rng rng(0xcbc);
-    for (size_t len = 0; len <= 20 * 16 + 15; len++) {
+    for (size_t len : lens) {
         uint8_t key[16], iv[16];
         fillRandom(rng, key, sizeof(key));
         randomIv(rng, iv);
+        fillRandom(rng, arena, sizeof(arena));
         std::vector<uint8_t> orig(len);
         fillRandom(rng, orig.data(), len);
-
-        std::vector<uint8_t> got = orig, expect = orig;
-        crypto::Aes128(key).encryptCbc(got.data(), len, iv);
+        std::vector<uint8_t> expect = orig;
         RefAes128(key).encryptCbc(expect.data(), len, iv);
-        ASSERT_EQ(got, expect) << "len " << len;
         size_t whole = len / 16 * 16;
-        ASSERT_TRUE(std::equal(got.begin() + whole, got.end(),
+        ASSERT_TRUE(std::equal(expect.begin() + whole, expect.end(),
                                orig.begin() + whole))
-            << "partial tail touched at len " << len;
+            << "the reference touched the partial tail at len " << len;
+
+        crypto::Aes128 aes(key);
+        for (const auto &[name, encrypt] : cbcKernels) {
+            for (size_t off = 0; off < 16; off++) {
+                uint8_t *buf = arena + guard + off;
+                std::copy(orig.begin(), orig.end(), buf);
+                std::vector<uint8_t> want(arena, arena + sizeof(arena));
+                std::copy(expect.begin(), expect.end(),
+                          want.begin() + (buf - arena));
+                (aes.*encrypt)(buf, len, iv);
+                ASSERT_EQ(std::memcmp(arena, want.data(), sizeof(arena)),
+                          0)
+                    << name << " len " << len << " offset " << off;
+            }
+        }
     }
 }
 
