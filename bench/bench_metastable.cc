@@ -146,8 +146,8 @@ sloSection(BenchReport &report, const std::string &key,
     std::ostringstream os;
     os << "{";
     for (size_t i = 0; i < res.sloTrackers.size(); i++) {
-        os << (i ? "," : "") << "\n    \""
-           << res.sloTrackers[i]->label() << "\": ";
+        os << (i ? "," : "") << "\n    "
+           << json::str(res.sloTrackers[i]->label()) << ": ";
         res.sloTrackers[i]->dumpJson(os, 0);
     }
     os << "\n  }";

@@ -32,6 +32,7 @@
 #include "services/net_server.hh"
 #include "services/web.hh"
 #include "sim/critpath.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace xpc::bench {
@@ -141,13 +142,13 @@ class BenchReport
     void
     config(const std::string &key, const std::string &value)
     {
-        configs[key] = "\"" + value + "\"";
+        configs[key] = json::str(value);
     }
 
     void
     config(const std::string &key, double value)
     {
-        configs[key] = num(value);
+        configs[key] = json::num(value);
     }
 
     /** A recorded number (cycles, ops/sec, ...); "paper.<key>" is
@@ -236,10 +237,10 @@ class BenchReport
     {
         if (d.count() == 0)
             return;
-        dists[key] = "{\"count\": " + num(double(d.count())) +
-                     ", \"mean\": " + num(d.mean()) +
-                     ", \"p50\": " + num(d.quantile(0.5)) +
-                     ", \"p99\": " + num(d.quantile(0.99)) + "}";
+        dists[key] = "{\"count\": " + json::num(double(d.count())) +
+                     ", \"mean\": " + json::num(d.mean()) +
+                     ", \"p50\": " + json::num(d.quantile(0.5)) +
+                     ", \"p99\": " + json::num(d.quantile(0.99)) + "}";
     }
 
     /** Histogram twin: count/mean/min/max/p50/p99/p999 summary. */
@@ -292,14 +293,14 @@ class BenchReport
         std::ofstream out(path);
         fatal_if(!out, "bench %s cannot write %s", name.c_str(),
                  path.c_str());
-        out << "{\n  \"bench\": \"" << name << "\"";
+        out << "{\n  \"bench\": " << json::str(name);
         auto obj = [&](const char *key,
                        const std::map<std::string, std::string> &m) {
-            out << ",\n  \"" << key << "\": {";
+            out << ",\n  " << json::str(key) << ": {";
             bool first = true;
             for (const auto &[k, v] : m) {
-                out << (first ? "" : ",") << "\n    \"" << k
-                    << "\": " << v;
+                out << (first ? "" : ",") << "\n    " << json::str(k)
+                    << ": " << v;
                 first = false;
             }
             out << (m.empty() ? "" : "\n  ") << "}";
@@ -307,7 +308,7 @@ class BenchReport
         auto nums = [&](const std::map<std::string, double> &m) {
             std::map<std::string, std::string> mm;
             for (const auto &[k, v] : m)
-                mm[k] = num(v);
+                mm[k] = json::num(v);
             return mm;
         };
         obj("config", configs);
@@ -317,29 +318,13 @@ class BenchReport
         if (!verdicts.empty())
             obj("claims", verdicts);
         for (const auto &[k, v] : sections)
-            out << ",\n  \"" << k << "\": " << v;
+            out << ",\n  " << json::str(k) << ": " << v;
         out << "\n}\n";
         writeHostSidecar(dir);
         return failed;
     }
 
   private:
-    static std::string
-    num(double v)
-    {
-        // NaN and +/-inf have no JSON representation; "%g" would
-        // print "inf"/"nan" tokens that break every parser. Empty
-        // distributions produce exactly these, so map them to null.
-        if (!std::isfinite(v))
-            return "null";
-        char buf[64];
-        if (v == std::floor(v) && std::fabs(v) < 1e15)
-            std::snprintf(buf, sizeof(buf), "%.0f", v);
-        else
-            std::snprintf(buf, sizeof(buf), "%.6g", v);
-        return buf;
-    }
-
     static std::string
     g(double v)
     {
@@ -373,10 +358,10 @@ class BenchReport
         double total = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - hostStart)
                            .count();
-        out << "{\n  \"bench\": \"" << name
-            << "\",\n  \"host_ms\": {\n    \"total\": " << num(total);
+        out << "{\n  \"bench\": " << json::str(name)
+            << ",\n  \"host_ms\": {\n    \"total\": " << json::num(total);
         for (const auto &[k, v] : hostPhases)
-            out << ",\n    \"" << k << "\": " << num(v);
+            out << ",\n    " << json::str(k) << ": " << json::num(v);
         out << "\n  }\n}\n";
     }
 
@@ -517,7 +502,7 @@ BenchReport::scoreClaims(std::map<std::string, std::string> &verdicts)
             std::fprintf(stderr, "bench %s: claim failed: %s (%s)\n",
                          name.c_str(), c.text.c_str(), sim.c_str());
         }
-        verdicts[c.text] = "\"" + verdict + "\"";
+        verdicts[c.text] = json::str(verdict);
         card.row(c.text, {paper, sim,
                           verdict == "deviation" ? "deviation: " + c.deviation
                                                  : verdict});

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
 #include "core/breaker.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/request.hh"
 
@@ -50,20 +50,8 @@ LoadGenResult::offeredPerMcycleActual() const
 
 namespace {
 
-void
-emitNum(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    char buf[64];
-    if (v == std::floor(v) && std::fabs(v) < 1e15)
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-    else
-        std::snprintf(buf, sizeof(buf), "%.6g", v);
-    os << buf;
-}
+/** Zipfian key universe for the kv workload. */
+constexpr uint64_t zipfKeys = 256;
 
 /** "kv@t1" - the (tenant, service) label every layer shares. */
 std::string
@@ -79,17 +67,15 @@ void
 LoadGenResult::dumpJson(std::ostream &os) const
 {
     os << "{\n \"config\":{\"seed\":" << config.seed
-       << ",\"offered_per_mcycle\":";
-    emitNum(os, config.offeredPerMcycle);
-    os << ",\"requests\":" << config.requests
+       << ",\"offered_per_mcycle\":" << json::num(config.offeredPerMcycle)
+       << ",\"requests\":" << config.requests
        << ",\"tenants\":" << config.tenants << ",\"mix\":{\"kv\":"
        << config.kvWeight << ",\"httpd\":" << config.httpWeight
        << ",\"fs\":" << config.fsWeight << "}"
-       << ",\"zipf_keys\":" << config.zipfKeys << ",\"zipf_theta\":";
-    emitNum(os, config.zipfTheta);
-    os << ",\"zipf_theta_step\":";
-    emitNum(os, config.zipfThetaStep);
-    os << ",\"deadline_cycles\":" << config.deadlineCycles.value()
+       << ",\"zipf_keys\":" << zipfKeys
+       << ",\"zipf_theta\":" << json::num(config.zipfTheta)
+       << ",\"zipf_theta_step\":" << json::num(config.zipfThetaStep)
+       << ",\"deadline_cycles\":" << config.deadlineCycles.value()
        << ",\"window_cycles\":" << config.windowCycles.value()
        << ",\"max_attempts\":" << config.maxAttempts
        << ",\"breakers\":" << (config.breakers ? "true" : "false");
@@ -109,11 +95,11 @@ LoadGenResult::dumpJson(std::ostream &os) const
         os << ",\"phases\":[";
         for (size_t i = 0; i < config.phases.size(); i++) {
             const LoadPhase &p = config.phases[i];
-            os << (i ? "," : "") << "{\"rate\":";
-            emitNum(os, p.offeredPerMcycle);
-            os << ",\"requests\":" << p.requests;
+            os << (i ? "," : "")
+               << "{\"rate\":" << json::num(p.offeredPerMcycle)
+               << ",\"requests\":" << p.requests;
             if (!p.markName.empty())
-                os << ",\"mark\":\"" << p.markName << "\"";
+                os << ",\"mark\":" << json::str(p.markName);
             os << "}";
         }
         os << "]";
@@ -126,30 +112,28 @@ LoadGenResult::dumpJson(std::ostream &os) const
     os << "},\n";
     os << " \"totals\":{\"offered\":" << offered;
     for (size_t i = 0; i < loadOutcomeCount; i++)
-        os << ",\"" << loadOutcomeName(LoadOutcome(i))
-           << "\":" << counts[i];
+        os << "," << json::str(loadOutcomeName(LoadOutcome(i))) << ":"
+           << counts[i];
     os << "},\n";
     if (config.tierCriticalWeight + config.tierSheddableWeight > 0) {
         os << " \"tiers\":{";
         for (size_t i = 0; i < req::criticalityCount; i++) {
-            os << (i ? "," : "") << "\""
-               << req::criticalityName(req::Criticality(i))
-               << "\":{\"offered\":" << tierOffered[i]
+            os << (i ? "," : "")
+               << json::str(req::criticalityName(req::Criticality(i)))
+               << ":{\"offered\":" << tierOffered[i]
                << ",\"ok\":" << tierOk[i] << ",\"shed\":" << tierShed[i]
                << "}";
         }
         os << "},\n";
     }
     os << " \"elapsed_cycles\":" << elapsedCycles()
-       << ",\n \"offered_per_mcycle\":";
-    emitNum(os, offeredPerMcycleActual());
-    os << ",\n \"goodput_per_mcycle\":";
-    emitNum(os, goodputPerMcycle());
-    os << ",\n \"latency\":{\n  \"all\":";
+       << ",\n \"offered_per_mcycle\":" << json::num(offeredPerMcycleActual())
+       << ",\n \"goodput_per_mcycle\":" << json::num(goodputPerMcycle())
+       << ",\n \"latency\":{\n  \"all\":";
     latencyAll.summaryJson(os);
     os << ",\n  \"service\":{";
     for (size_t i = 0; i < 3; i++) {
-        os << (i ? "," : "") << "\"" << serviceNames[i] << "\":";
+        os << (i ? "," : "") << json::str(serviceNames[i]) << ":";
         latencyService[i].summaryJson(os);
     }
     os << "},\n  \"tenant\":{";
@@ -159,23 +143,23 @@ LoadGenResult::dumpJson(std::ostream &os) const
     }
     os << "},\n  \"outcome\":{";
     for (size_t i = 0; i < loadOutcomeCount; i++) {
-        os << (i ? "," : "") << "\""
-           << loadOutcomeName(LoadOutcome(i)) << "\":";
+        os << (i ? "," : "") << json::str(loadOutcomeName(LoadOutcome(i)))
+           << ":";
         latencyOutcome[i].summaryJson(os);
     }
     os << "}},\n";
     if (!marks.empty()) {
         os << " \"marks\":[";
         for (size_t i = 0; i < marks.size(); i++)
-            os << (i ? "," : "") << "{\"name\":\"" << marks[i].name
-               << "\",\"cycle\":" << marks[i].cycle << "}";
+            os << (i ? "," : "") << "{\"name\":" << json::str(marks[i].name)
+               << ",\"cycle\":" << marks[i].cycle << "}";
         os << "],\n";
     }
     if (!sloTrackers.empty()) {
         os << " \"slo\":{\n";
         for (size_t i = 0; i < sloTrackers.size(); i++) {
-            os << (i ? ",\n" : "") << "  \""
-               << sloTrackers[i]->label() << "\":";
+            os << (i ? ",\n" : "") << "  "
+               << json::str(sloTrackers[i]->label()) << ":";
             sloTrackers[i]->dumpJson(os, 0);
         }
         os << "},\n";
@@ -212,11 +196,10 @@ LoadGen::LoadGen(const LoadGenOptions &options)
 
     // One Zipfian per tenant, each with its own skew and seed lane:
     // the draw order stays a pure function of the master seed.
-    uint64_t keys = opts.zipfKeys == 0 ? 1 : opts.zipfKeys;
     for (uint32_t t = 0; t < opts.tenants; t++) {
         double theta = opts.zipfTheta - double(t) * opts.zipfThetaStep;
         theta = std::clamp(theta, 0.0, 0.999);
-        zipfs.emplace_back(keys, theta,
+        zipfs.emplace_back(zipfKeys, theta,
                            opts.seed ^ (0x5a5a5a5aULL + t * 0x9e3779b97f4a7c15ULL));
     }
 
@@ -288,7 +271,7 @@ void
 LoadGen::warmup()
 {
     hw::Core &core = rig_->system().core(0);
-    uint64_t keys = std::min<uint64_t>(opts.zipfKeys, 32);
+    uint64_t keys = std::min<uint64_t>(zipfKeys, 32);
     for (uint32_t t = 0; t < opts.tenants; t++) {
         kernel::TenantId tenant = TenantRig::tenantOf(t);
         for (uint64_t k = 1; k <= keys; k++) {

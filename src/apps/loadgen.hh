@@ -87,8 +87,6 @@ struct LoadGenOptions
     uint32_t kvWeight = 6;
     uint32_t httpWeight = 3;
     uint32_t fsWeight = 1;
-    /** Zipfian key universe for the kv workload. */
-    uint64_t zipfKeys = 256;
     /** Tenant t (0-based) draws keys with skew
      *  theta = zipfTheta - t * zipfThetaStep (clamped to [0, 0.999]):
      *  per-tenant popularity profiles from one seed. */

@@ -6,6 +6,15 @@
 
 namespace xpc::apps {
 
+namespace {
+
+/** Bytes per record value: 10 fields x 100 B. */
+constexpr uint64_t valueBytes = 1000;
+/** Longest YCSB-E scan, in records. */
+constexpr uint32_t maxScanLen = 100;
+
+} // namespace
+
 const char *
 ycsbName(YcsbWorkload w)
 {
@@ -51,7 +60,7 @@ Ycsb::nextRequestKey()
 void
 Ycsb::fillValue(std::vector<uint8_t> &value, uint64_t n)
 {
-    value.resize(cfg.valueBytes);
+    value.resize(valueBytes);
     for (size_t i = 0; i < value.size(); i++)
         value[i] = uint8_t((n * 131 + i * 7) & 0xff);
 }
@@ -121,7 +130,7 @@ Ycsb::run(MiniDb &db, hw::Core &core, YcsbWorkload workload)
           case YcsbWorkload::E:
             if (p < 0.95) {
                 uint32_t len =
-                    1 + uint32_t(rng.nextBounded(cfg.maxScanLen));
+                    1 + uint32_t(rng.nextBounded(maxScanLen));
                 db.scan(nextRequestKey(), len);
                 res.scans++;
             } else {

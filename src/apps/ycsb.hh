@@ -25,8 +25,6 @@ struct YcsbConfig
 {
     uint64_t records = 1000;     ///< table size (paper 5.4)
     uint64_t operations = 500;   ///< ops per measured run
-    uint64_t valueBytes = 1000;  ///< 10 fields x 100 B
-    uint32_t maxScanLen = 100;
     uint64_t seed = 42;
 };
 

@@ -74,7 +74,7 @@ class System
     /**
      * Root of this system's stat registry: machine (cores, caches,
      * TLBs), kernel (incl. phase attribution), engine and runtime
-     * all hang off it. Dump with stats().dumpJson()/dumpCsv(); reset
+     * all hang off it. Dump with stats().dumpJson(); reset
      * between measurement phases with stats().resetAll().
      */
     StatGroup &stats() { return statsRoot; }

@@ -1,6 +1,7 @@
 #include "xpc_runtime.hh"
 
 #include <cstring>
+#include <type_traits>
 
 #include "sim/fault_injector.hh"
 #include "sim/logging.hh"
@@ -100,95 +101,72 @@ XpcRuntime::allocRelayMem(hw::Core &core, kernel::Thread &thread,
     return RelaySegHandle{seg.segId, seg.va, seg.len, slot};
 }
 
+template <typename Byte>
+XpcRuntime::SegAccess
+XpcRuntime::segAccess(hw::Core &core, kernel::Thread *thread, uint64_t off,
+                      Byte *buf, uint64_t len)
+{
+    mem::SegWindow window = engine::XpcEngine::effectiveSeg(core.csrs);
+    // A revoked segment (deadline-expiry cleanup, injected revocation)
+    // leaves a scrubbed seg-reg: the access faults instead of reaching
+    // reclaimed frames (paper 4.4).
+    if (!window.valid)
+        return SegAccess::Revoked;
+    panic_if(!window.covers(window.vaBase + off, len),
+             "access outside the active relay segment");
+    mem::TransContext ctx;
+    ctx.seg = &window;
+    if (thread) {
+        ctx.pt = &thread->process()->space().pageTable();
+        ctx.asid = thread->process()->space().asid();
+    }
+    mem::MemSystem &ms = kern.machine().mem();
+    mem::AccessResult res;
+    if constexpr (std::is_const_v<Byte>)
+        res = ms.write(core.id(), ctx, window.vaBase + off, buf, len);
+    else
+        res = ms.read(core.id(), ctx, window.vaBase + off, buf, len);
+    core.spend(res.cycles);
+    if (res.ok)
+        return SegAccess::Ok;
+    panic_if(res.fault != mem::FaultKind::Injected,
+             "relay-segment access faulted");
+    return SegAccess::Faulted;
+}
+
 bool
 XpcRuntime::segWrite(hw::Core &core, uint64_t off, const void *src,
                      uint64_t len)
 {
-    mem::SegWindow window = engine::XpcEngine::effectiveSeg(core.csrs);
-    if (!window.valid) {
-        // The segment under this thread was revoked (deadline-expiry
-        // cleanup, injected revocation): the store faults on the
-        // scrubbed seg-reg instead of landing in reclaimed frames.
+    SegAccess r = segAccess(core, kern.current(core.id()), off, src, len);
+    if (r == SegAccess::Revoked)
         lateWritesBlocked.inc();
-        return false;
-    }
-    panic_if(!window.covers(window.vaBase + off, len),
-             "segWrite outside the active relay segment");
-    mem::TransContext ctx;
-    ctx.seg = &window;
-    kernel::Thread *cur = kern.current(core.id());
-    if (cur) {
-        ctx.pt = &cur->process()->space().pageTable();
-        ctx.asid = cur->process()->space().asid();
-    }
-    auto res = kern.machine().mem().write(core.id(), ctx,
-                                          window.vaBase + off, src, len);
-    core.spend(res.cycles);
-    if (!res.ok) {
-        panic_if(res.fault != mem::FaultKind::Injected,
-                 "segWrite faulted");
-        return false;
-    }
-    return true;
+    return r == SegAccess::Ok;
 }
 
 bool
 XpcRuntime::segRead(hw::Core &core, uint64_t off, void *dst,
                     uint64_t len)
 {
-    mem::SegWindow window = engine::XpcEngine::effectiveSeg(core.csrs);
-    if (!window.valid) {
-        // Revoked segment: loads fault; the caller sees zeros.
-        std::memset(dst, 0, len);
-        return false;
-    }
-    panic_if(!window.covers(window.vaBase + off, len),
-             "segRead outside the active relay segment");
-    mem::TransContext ctx;
-    ctx.seg = &window;
-    kernel::Thread *cur = kern.current(core.id());
-    if (cur) {
-        ctx.pt = &cur->process()->space().pageTable();
-        ctx.asid = cur->process()->space().asid();
-    }
-    auto res = kern.machine().mem().read(core.id(), ctx,
-                                         window.vaBase + off, dst, len);
-    core.spend(res.cycles);
-    if (!res.ok) {
-        panic_if(res.fault != mem::FaultKind::Injected,
-                 "segRead faulted");
-        std::memset(dst, 0, len);
-        return false;
-    }
-    return true;
+    if (segAccess(core, kern.current(core.id()), off, dst, len) ==
+        SegAccess::Ok)
+        return true;
+    // A load that faults leaves the caller zeros.
+    std::memset(dst, 0, len);
+    return false;
 }
 
 void
 XpcServerCall::readMsg(uint64_t off, void *dst, uint64_t len)
 {
-    mem::SegWindow window =
-        engine::XpcEngine::effectiveSeg(coreRef.csrs);
-    if (!window.valid) {
-        // The segment was revoked out from under this invocation:
-        // the access faults (paper 4.4) and the call is poisoned.
+    auto r = runtime.segAccess(coreRef, &handler, off, dst, len);
+    if (r != XpcRuntime::SegAccess::Ok) {
+        // The access faulted: the handler sees zeros and the call is
+        // poisoned.
         std::memset(dst, 0, len);
-        fail(kernel::CallStatus::SegRevoked);
-        return;
-    }
-    panic_if(!window.covers(window.vaBase + off, len),
-             "readMsg outside the relay segment");
-    mem::TransContext ctx;
-    ctx.seg = &window;
-    ctx.pt = &handler.process()->space().pageTable();
-    ctx.asid = handler.process()->space().asid();
-    auto res = runtime.kern.machine().mem().read(
-        coreRef.id(), ctx, window.vaBase + off, dst, len);
-    coreRef.spend(res.cycles);
-    if (!res.ok) {
-        panic_if(res.fault != mem::FaultKind::Injected,
-                 "readMsg faulted");
-        std::memset(dst, 0, len);
-        fail(kernel::CallStatus::CopyFault);
+        fail(r == XpcRuntime::SegAccess::Revoked
+                 ? kernel::CallStatus::SegRevoked
+                 : kernel::CallStatus::CopyFault);
         return;
     }
     FaultInjector *inj = runtime.kern.machine().faultInjector();
@@ -203,6 +181,10 @@ XpcServerCall::readMsg(uint64_t off, void *dst, uint64_t len)
         std::memcpy(tmp, dst, n);
         for (uint64_t i = 0; i < n; i++)
             tmp[i] ^= 0xA5;
+        mem::SegWindow window =
+            engine::XpcEngine::effectiveSeg(coreRef.csrs);
+        mem::TransContext ctx;
+        ctx.seg = &window;
         runtime.kern.machine().mem().write(
             coreRef.id(), ctx, window.vaBase + off, tmp, n);
     }
@@ -211,31 +193,16 @@ XpcServerCall::readMsg(uint64_t off, void *dst, uint64_t len)
 void
 XpcServerCall::writeMsg(uint64_t off, const void *src, uint64_t len)
 {
-    mem::SegWindow window =
-        engine::XpcEngine::effectiveSeg(coreRef.csrs);
-    if (!window.valid) {
+    auto r = runtime.segAccess(coreRef, &handler, off, src, len);
+    if (r == XpcRuntime::SegAccess::Revoked) {
         // Late write through a revoked mapping: faults, never lands.
         runtime.lateWritesBlocked.inc();
         fail(kernel::CallStatus::SegRevoked);
-        return;
-    }
-    panic_if(!window.covers(window.vaBase + off, len),
-             "writeMsg outside the relay segment");
-    mem::TransContext ctx;
-    ctx.seg = &window;
-    ctx.pt = &handler.process()->space().pageTable();
-    ctx.asid = handler.process()->space().asid();
-    auto res = runtime.kern.machine().mem().write(
-        coreRef.id(), ctx, window.vaBase + off, src, len);
-    coreRef.spend(res.cycles);
-    if (!res.ok) {
-        panic_if(res.fault != mem::FaultKind::Injected,
-                 "writeMsg faulted");
+    } else if (r == XpcRuntime::SegAccess::Faulted) {
         fail(kernel::CallStatus::CopyFault);
-        return;
-    }
-    if (repLen < off + len)
+    } else if (repLen < off + len) {
         repLen = off + len;
+    }
 }
 
 void

@@ -220,6 +220,27 @@ class XpcRuntime
     XpcRuntimeOptions opts;
     std::map<uint64_t, EntryState> entryStates;
 
+    /** How a charged relay-segment access ended. */
+    enum class SegAccess
+    {
+        Ok,
+        /** The segment was revoked: its seg-reg is scrubbed. */
+        Revoked,
+        /** An injected fault corrupted the transfer. */
+        Faulted,
+    };
+
+    /**
+     * The one charged access to the relay segment on @p core's
+     * seg-reg: @p len bytes at @p off, translated in @p thread's
+     * process (null: the segment alone), read into @p buf or, when
+     * Byte is const, written from it. An access outside the segment
+     * or a real translation fault panics.
+     */
+    template <typename Byte>
+    SegAccess segAccess(hw::Core &core, kernel::Thread *thread,
+                        uint64_t off, Byte *buf, uint64_t len);
+
     /** Charge one direction of the C-stack trampoline.
      *  @return its cycles. */
     Cycles trampoline(hw::Core &core);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "sim/fault_injector.hh"
 #include "sim/logging.hh"
@@ -75,16 +76,18 @@ MemSystem::translate(CoreId core, const TransContext &ctx, VAddr vaddr,
                      bool is_write, PAddr *out)
 {
     AccessResult res;
+    auto fault = [&](FaultKind kind) {
+        res.fault = kind;
+        res.faultAddr = vaddr;
+        return res;
+    };
 
     // Relay-seg window has priority over the page table (paper 3.3).
     if (ctx.seg) {
         if (auto paddr = ctx.seg->translate(vaddr)) {
             bool allowed = is_write ? ctx.seg->write : ctx.seg->read;
-            if (!allowed) {
-                res.fault = FaultKind::SegPermissionFault;
-                res.faultAddr = vaddr;
-                return res;
-            }
+            if (!allowed)
+                return fault(FaultKind::SegPermissionFault);
             res.ok = true;
             *out = *paddr;
             return res;
@@ -92,63 +95,29 @@ MemSystem::translate(CoreId core, const TransContext &ctx, VAddr vaddr,
     }
 
     // Relay page table (paper 6.2): selected by VA range, walked and
-    // TLB-cached like a normal table but under its own ASID.
+    // TLB-cached like the process's own table but under its own ASID.
+    const PageTable *pt = ctx.pt;
+    Asid asid = ctx.asid;
     if (ctx.relayPt && ctx.relayPt->covers(vaddr)) {
-        if (const TlbEntry *e =
-                tlb(core).lookup(ctx.relayPt->asid, vaddr)) {
-            Perms req;
-            req.read = !is_write;
-            req.write = is_write;
-            req.user = ctx.user;
-            if (!e->perms.allows(req)) {
-                res.fault = FaultKind::ProtectionFault;
-                res.faultAddr = vaddr;
-                return res;
-            }
-            res.ok = true;
-            *out = (e->ppn << pageShift) | (vaddr & pageMask);
-            return res;
-        }
-        WalkResult walk = ctx.relayPt->pt->walk(vaddr);
-        res.cycles += memParams.walkOverhead;
-        for (int i = 0; i < walk.levels; i++)
-            res.cycles += l1(core).access(walk.pteAddrs[i], 8, false);
-        attr.walk(res.cycles.value());
-        if (trace::Tracer::global().enabled())
-            trace::Tracer::global().instantNow("mem", "tlb_miss_fill",
-                                               core, {},
-                                               res.cycles.value());
-        if (!walk.valid) {
-            res.fault = FaultKind::PageFault;
-            res.faultAddr = vaddr;
-            return res;
-        }
-        tlb(core).insert(ctx.relayPt->asid, vaddr, walk.paddr,
-                         walk.perms);
-        res.ok = true;
-        *out = walk.paddr;
-        return res;
+        pt = ctx.relayPt->pt;
+        asid = ctx.relayPt->asid;
     }
+    panic_if(!pt, "translate with neither seg window nor page table");
 
-    panic_if(!ctx.pt, "translate with neither seg window nor page table");
-
-    if (const TlbEntry *e = tlb(core).lookup(ctx.asid, vaddr)) {
-        Perms req;
-        req.read = !is_write;
-        req.write = is_write;
-        req.user = ctx.user;
-        if (!e->perms.allows(req)) {
-            res.fault = FaultKind::ProtectionFault;
-            res.faultAddr = vaddr;
-            return res;
-        }
+    Perms req;
+    req.read = !is_write;
+    req.write = is_write;
+    req.user = ctx.user;
+    if (const TlbEntry *e = tlb(core).lookup(asid, vaddr)) {
+        if (!e->perms.allows(req))
+            return fault(FaultKind::ProtectionFault);
         res.ok = true;
         *out = (e->ppn << pageShift) | (vaddr & pageMask);
         return res;
     }
 
     // TLB miss: hardware page walk, PTE fetches go through the caches.
-    WalkResult walk = ctx.pt->walk(vaddr);
+    WalkResult walk = pt->walk(vaddr);
     res.cycles += memParams.walkOverhead;
     for (int i = 0; i < walk.levels; i++)
         res.cycles += l1(core).access(walk.pteAddrs[i], 8, false);
@@ -157,101 +126,80 @@ MemSystem::translate(CoreId core, const TransContext &ctx, VAddr vaddr,
         trace::Tracer::global().instantNow("mem", "tlb_miss_fill",
                                            core, {},
                                            res.cycles.value());
+    if (!walk.valid)
+        return fault(FaultKind::PageFault);
+    if (!walk.perms.allows(req))
+        return fault(FaultKind::ProtectionFault);
 
-    if (!walk.valid) {
-        res.fault = FaultKind::PageFault;
-        res.faultAddr = vaddr;
-        return res;
-    }
-
-    Perms req;
-    req.read = !is_write;
-    req.write = is_write;
-    req.user = ctx.user;
-    if (!walk.perms.allows(req)) {
-        res.fault = FaultKind::ProtectionFault;
-        res.faultAddr = vaddr;
-        return res;
-    }
-
-    tlb(core).insert(ctx.asid, vaddr, walk.paddr, walk.perms);
+    tlb(core).insert(asid, vaddr, walk.paddr, walk.perms);
     res.ok = true;
     *out = walk.paddr;
     return res;
+}
+
+Cycles
+MemSystem::charge(CoreId core, PAddr paddr, uint64_t len, bool is_write,
+                  bool &l1_missed)
+{
+    uint64_t miss0 = l1(core).misses.value();
+    Cycles c = l1(core).access(paddr, len, is_write);
+    c += issueCost(len);
+    l1_missed = l1(core).misses.value() != miss0;
+    attr.access(c.value(), l1_missed);
+    return c;
+}
+
+template <typename Byte>
+AccessResult
+MemSystem::access(CoreId core, const TransContext &ctx, VAddr vaddr,
+                  Byte *buf, uint64_t len)
+{
+    constexpr bool isWrite = std::is_const_v<Byte>;
+    if (injector && injector->consumeMemFault())
+        return injectedFault(vaddr, memParams.dramLatency);
+    AccessResult total;
+    total.ok = true;
+    while (len > 0) {
+        uint64_t chunk = std::min(len, pageSize - (vaddr & pageMask));
+        PAddr paddr = 0;
+        AccessResult tr = translate(core, ctx, vaddr, isWrite, &paddr);
+        total.cycles += tr.cycles;
+        if (!tr.ok) {
+            total.ok = false;
+            total.fault = tr.fault;
+            total.faultAddr = tr.faultAddr;
+            return total;
+        }
+        bool missed = false;
+        Cycles data = charge(core, paddr, chunk, isWrite, missed);
+        total.cycles += data;
+        if (missed && trace::Tracer::global().enabled())
+            trace::Tracer::global().instantNow("mem", "l1_miss_fill",
+                                               core, {}, data.value());
+        if constexpr (isWrite)
+            physMem.write(paddr, buf, chunk);
+        else
+            physMem.read(paddr, buf, chunk);
+        vaddr += chunk;
+        buf += chunk;
+        len -= chunk;
+    }
+    return total;
 }
 
 AccessResult
 MemSystem::read(CoreId core, const TransContext &ctx, VAddr vaddr,
                 void *dst, uint64_t len)
 {
-    if (injector && injector->consumeMemFault())
-        return injectedFault(vaddr, memParams.dramLatency);
-    AccessResult total;
-    total.ok = true;
-    auto *out = static_cast<uint8_t *>(dst);
-    while (len > 0) {
-        uint64_t chunk = std::min(len, pageSize - (vaddr & pageMask));
-        PAddr paddr = 0;
-        AccessResult tr = translate(core, ctx, vaddr, false, &paddr);
-        total.cycles += tr.cycles;
-        if (!tr.ok) {
-            total.ok = false;
-            total.fault = tr.fault;
-            total.faultAddr = tr.faultAddr;
-            return total;
-        }
-        uint64_t miss0 = l1(core).misses.value();
-        Cycles data = l1(core).access(paddr, chunk, false);
-        data += issueCost(chunk);
-        total.cycles += data;
-        bool missed = l1(core).misses.value() != miss0;
-        attr.access(data.value(), missed);
-        if (missed && trace::Tracer::global().enabled())
-            trace::Tracer::global().instantNow("mem", "l1_miss_fill",
-                                               core, {}, data.value());
-        physMem.read(paddr, out, chunk);
-        vaddr += chunk;
-        out += chunk;
-        len -= chunk;
-    }
-    return total;
+    return access(core, ctx, vaddr, static_cast<uint8_t *>(dst), len);
 }
 
 AccessResult
 MemSystem::write(CoreId core, const TransContext &ctx, VAddr vaddr,
                  const void *src, uint64_t len)
 {
-    if (injector && injector->consumeMemFault())
-        return injectedFault(vaddr, memParams.dramLatency);
-    AccessResult total;
-    total.ok = true;
-    auto *in = static_cast<const uint8_t *>(src);
-    while (len > 0) {
-        uint64_t chunk = std::min(len, pageSize - (vaddr & pageMask));
-        PAddr paddr = 0;
-        AccessResult tr = translate(core, ctx, vaddr, true, &paddr);
-        total.cycles += tr.cycles;
-        if (!tr.ok) {
-            total.ok = false;
-            total.fault = tr.fault;
-            total.faultAddr = tr.faultAddr;
-            return total;
-        }
-        uint64_t miss0 = l1(core).misses.value();
-        Cycles data = l1(core).access(paddr, chunk, true);
-        data += issueCost(chunk);
-        total.cycles += data;
-        bool missed = l1(core).misses.value() != miss0;
-        attr.access(data.value(), missed);
-        if (missed && trace::Tracer::global().enabled())
-            trace::Tracer::global().instantNow("mem", "l1_miss_fill",
-                                               core, {}, data.value());
-        physMem.write(paddr, in, chunk);
-        vaddr += chunk;
-        in += chunk;
-        len -= chunk;
-    }
-    return total;
+    return access(core, ctx, vaddr, static_cast<const uint8_t *>(src),
+                  len);
 }
 
 AccessResult
@@ -289,10 +237,8 @@ MemSystem::copy(CoreId core, const TransContext &src_ctx, VAddr src,
 Cycles
 MemSystem::readPhys(CoreId core, PAddr paddr, void *dst, uint64_t len)
 {
-    uint64_t miss0 = l1(core).misses.value();
-    Cycles c = l1(core).access(paddr, len, false);
-    c += issueCost(len);
-    attr.access(c.value(), l1(core).misses.value() != miss0);
+    bool missed = false;
+    Cycles c = charge(core, paddr, len, false, missed);
     physMem.read(paddr, dst, len);
     return c;
 }
@@ -301,10 +247,8 @@ Cycles
 MemSystem::writePhys(CoreId core, PAddr paddr, const void *src,
                      uint64_t len)
 {
-    uint64_t miss0 = l1(core).misses.value();
-    Cycles c = l1(core).access(paddr, len, true);
-    c += issueCost(len);
-    attr.access(c.value(), l1(core).misses.value() != miss0);
+    bool missed = false;
+    Cycles c = charge(core, paddr, len, true, missed);
     physMem.write(paddr, src, len);
     return c;
 }

@@ -264,6 +264,18 @@ class MemSystem
     std::vector<std::unique_ptr<Tlb>> tlbs;
 
     Cycles issueCost(uint64_t len) const;
+
+    /** Charge @p len bytes at @p paddr through this core's L1 plus
+     *  the issue cost, credited to the active phase; @p l1_missed
+     *  says whether the access missed L1. */
+    Cycles charge(CoreId core, PAddr paddr, uint64_t len, bool is_write,
+                  bool &l1_missed);
+
+    /** The charged per-page loop behind read (Byte = uint8_t) and
+     *  write (Byte = const uint8_t). */
+    template <typename Byte>
+    AccessResult access(CoreId core, const TransContext &ctx,
+                        VAddr vaddr, Byte *buf, uint64_t len);
 };
 
 } // namespace xpc::mem

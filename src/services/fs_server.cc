@@ -235,42 +235,6 @@ FsServer::handle(core::ServerApi &api)
     blockIo.inHandler = false;
 }
 
-namespace {
-
-/** Shared client-side call plumbing. */
-int64_t
-fsCall(core::Transport &tr, hw::Core &core, kernel::Thread &client,
-       core::ServiceId svc, FsOp op, const FsMsg &msg,
-       const void *payload, uint64_t payload_len, void *reply_data,
-       uint64_t reply_data_cap)
-{
-    tr.requestArea(core, client,
-                   fsDataOffset + std::max(payload_len,
-                                           reply_data_cap));
-    uint8_t hdr[sizeof(FsMsg)];
-    packInto(hdr, msg);
-    tr.clientWrite(core, client, 0, hdr, sizeof(hdr));
-    if (payload_len > 0)
-        tr.clientWrite(core, client, fsDataOffset, payload,
-                       payload_len);
-    auto r = tr.call(core, client, svc, uint64_t(op),
-                     fsDataOffset + payload_len,
-                     fsDataOffset + reply_data_cap);
-    if (!r.ok)
-        return FsServer::callFailed;
-    uint8_t reply_raw[sizeof(FsMsg)];
-    tr.clientRead(core, client, 0, reply_raw, sizeof(reply_raw));
-    FsMsg reply = unpackFrom<FsMsg>(reply_raw);
-    if (reply.a > 0 && reply_data) {
-        uint64_t n = std::min<uint64_t>(uint64_t(reply.a),
-                                        reply_data_cap);
-        tr.clientRead(core, client, fsDataOffset, reply_data, n);
-    }
-    return reply.a;
-}
-
-} // namespace
-
 int64_t
 FsServer::clientOpen(core::Transport &tr, hw::Core &core,
                      kernel::Thread &client, core::ServiceId svc,
@@ -279,8 +243,8 @@ FsServer::clientOpen(core::Transport &tr, hw::Core &core,
     FsMsg msg;
     msg.a = create ? fsOpenCreate : 0;
     msg.c = int64_t(path.size());
-    return fsCall(tr, core, client, svc, FsOp::Open, msg, path.data(),
-                  path.size(), nullptr, 0);
+    return fsMsgCall(tr, core, client, svc, uint64_t(FsOp::Open), msg,
+                     path.data(), path.size(), nullptr, 0);
 }
 
 int64_t
@@ -292,8 +256,8 @@ FsServer::clientRead(core::Transport &tr, hw::Core &core,
     msg.a = fd;
     msg.b = int64_t(off);
     msg.c = int64_t(len);
-    return fsCall(tr, core, client, svc, FsOp::Read, msg, nullptr, 0,
-                  dst, len);
+    return fsMsgCall(tr, core, client, svc, uint64_t(FsOp::Read), msg, nullptr,
+                     0, dst, len);
 }
 
 int64_t
@@ -306,8 +270,8 @@ FsServer::clientWrite(core::Transport &tr, hw::Core &core,
     msg.a = fd;
     msg.b = int64_t(off);
     msg.c = int64_t(len);
-    return fsCall(tr, core, client, svc, FsOp::Write, msg, src, len,
-                  nullptr, 0);
+    return fsMsgCall(tr, core, client, svc, uint64_t(FsOp::Write), msg, src,
+                     len, nullptr, 0);
 }
 
 int64_t
@@ -317,8 +281,8 @@ FsServer::clientClose(core::Transport &tr, hw::Core &core,
 {
     FsMsg msg;
     msg.a = fd;
-    return fsCall(tr, core, client, svc, FsOp::Close, msg, nullptr, 0,
-                  nullptr, 0);
+    return fsMsgCall(tr, core, client, svc, uint64_t(FsOp::Close), msg, nullptr,
+                     0, nullptr, 0);
 }
 
 int64_t
@@ -328,8 +292,8 @@ FsServer::clientStat(core::Transport &tr, hw::Core &core,
 {
     FsMsg msg;
     msg.a = fd;
-    return fsCall(tr, core, client, svc, FsOp::Stat, msg, nullptr, 0,
-                  nullptr, 0);
+    return fsMsgCall(tr, core, client, svc, uint64_t(FsOp::Stat), msg, nullptr,
+                     0, nullptr, 0);
 }
 
 } // namespace xpc::services

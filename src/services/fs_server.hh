@@ -13,6 +13,7 @@
 #include "core/transport.hh"
 #include "services/block_device.hh"
 #include "services/fs/xv6fs.hh"
+#include "services/proto.hh"
 
 namespace xpc::services {
 
@@ -47,7 +48,7 @@ class FsServer
 
     /** Client-wrapper return value when the IPC itself failed (as
      *  opposed to an FS-level error like fsNoEnt). */
-    static constexpr int64_t callFailed = -1000;
+    static constexpr int64_t callFailed = proto::fsMsgCallFailed;
 
     /** Requests rejected before touching the file system: frame too
      *  short for the header, hostile path/IO lengths, or an unknown

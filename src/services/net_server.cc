@@ -142,48 +142,13 @@ NetStackServer::handle(core::ServerApi &api)
         api.setReplyLen(sizeof(FsMsg));
 }
 
-namespace {
-
-int64_t
-netCall(core::Transport &tr, hw::Core &core, kernel::Thread &client,
-        core::ServiceId svc, NetOp op, const FsMsg &msg,
-        const void *payload, uint64_t payload_len, void *reply_data,
-        uint64_t reply_data_cap)
-{
-    tr.requestArea(core, client,
-                   fsDataOffset + std::max(payload_len,
-                                           reply_data_cap));
-    uint8_t hdr[sizeof(FsMsg)];
-    packInto(hdr, msg);
-    tr.clientWrite(core, client, 0, hdr, sizeof(hdr));
-    if (payload_len > 0)
-        tr.clientWrite(core, client, fsDataOffset, payload,
-                       payload_len);
-    auto r = tr.call(core, client, svc, uint64_t(op),
-                     fsDataOffset + payload_len,
-                     fsDataOffset + reply_data_cap);
-    if (!r.ok)
-        return NetStackServer::callFailed;
-    uint8_t reply_raw[sizeof(FsMsg)];
-    tr.clientRead(core, client, 0, reply_raw, sizeof(reply_raw));
-    FsMsg reply = unpackFrom<FsMsg>(reply_raw);
-    if (reply.a > 0 && reply_data) {
-        uint64_t n = std::min<uint64_t>(uint64_t(reply.a),
-                                        reply_data_cap);
-        tr.clientRead(core, client, fsDataOffset, reply_data, n);
-    }
-    return reply.a;
-}
-
-} // namespace
-
 int64_t
 NetStackServer::clientSocket(core::Transport &tr, hw::Core &core,
                              kernel::Thread &client,
                              core::ServiceId svc)
 {
-    return netCall(tr, core, client, svc, NetOp::Socket, FsMsg{},
-                   nullptr, 0, nullptr, 0);
+    return fsMsgCall(tr, core, client, svc, uint64_t(NetOp::Socket), FsMsg{},
+                     nullptr, 0, nullptr, 0);
 }
 
 int64_t
@@ -195,8 +160,8 @@ NetStackServer::clientListen(core::Transport &tr, hw::Core &core,
     FsMsg msg;
     msg.a = sock;
     msg.b = port;
-    return netCall(tr, core, client, svc, NetOp::Listen, msg, nullptr,
-                   0, nullptr, 0);
+    return fsMsgCall(tr, core, client, svc, uint64_t(NetOp::Listen), msg,
+                     nullptr, 0, nullptr, 0);
 }
 
 int64_t
@@ -208,8 +173,8 @@ NetStackServer::clientConnect(core::Transport &tr, hw::Core &core,
     FsMsg msg;
     msg.a = sock;
     msg.b = port;
-    return netCall(tr, core, client, svc, NetOp::Connect, msg, nullptr,
-                   0, nullptr, 0);
+    return fsMsgCall(tr, core, client, svc, uint64_t(NetOp::Connect), msg,
+                     nullptr, 0, nullptr, 0);
 }
 
 int64_t
@@ -220,8 +185,8 @@ NetStackServer::clientSend(core::Transport &tr, hw::Core &core,
     FsMsg msg;
     msg.a = sock;
     msg.c = int64_t(len);
-    return netCall(tr, core, client, svc, NetOp::Send, msg, data, len,
-                   nullptr, 0);
+    return fsMsgCall(tr, core, client, svc, uint64_t(NetOp::Send), msg, data,
+                     len, nullptr, 0);
 }
 
 int64_t
@@ -232,8 +197,8 @@ NetStackServer::clientRecv(core::Transport &tr, hw::Core &core,
     FsMsg msg;
     msg.a = sock;
     msg.c = int64_t(maxlen);
-    return netCall(tr, core, client, svc, NetOp::Recv, msg, nullptr, 0,
-                   dst, maxlen);
+    return fsMsgCall(tr, core, client, svc, uint64_t(NetOp::Recv), msg, nullptr,
+                     0, dst, maxlen);
 }
 
 } // namespace xpc::services

@@ -11,6 +11,7 @@
 
 #include "core/transport.hh"
 #include "services/net/tcp.hh"
+#include "services/proto.hh"
 
 namespace xpc::services {
 
@@ -65,7 +66,7 @@ class NetStackServer
     NetStackCosts costs;
 
     /** Returned by client wrappers when the call itself failed. */
-    static constexpr int64_t callFailed = -1000;
+    static constexpr int64_t callFailed = proto::fsMsgCallFailed;
 
     /** Attach admission control (null = off, the default). */
     void setAdmission(AdmissionController *adm) { admission = adm; }

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <cstring>
 
+#include "core/transport.hh"
+
 namespace xpc::services::proto {
 
 /// @name Block device server.
@@ -58,6 +60,23 @@ constexpr uint64_t fsMaxPath = 120;
  *  message can legitimately carry (service maxMsgBytes minus the
  *  header area). Anything bigger in FsMsg::c is a framing attack. */
 constexpr uint64_t fsMaxIoBytes = 256 * 1024 - fsDataOffset;
+
+/** What fsMsgCall returns when the call itself failed (as opposed
+ *  to a service-level error carried in the reply). */
+constexpr int64_t fsMsgCallFailed = -1000;
+
+/**
+ * The client side of one FsMsg call (the fs and net servers): @p msg
+ * at offset 0 and @p payload at fsDataOffset. @return the reply's
+ * `a`, after copying up to @p reply_data_cap reply bytes into
+ * @p reply_data when `a` is positive; fsMsgCallFailed when the call
+ * failed.
+ */
+int64_t fsMsgCall(core::Transport &tr, hw::Core &core,
+                  kernel::Thread &client, core::ServiceId svc,
+                  uint64_t op, const FsMsg &msg, const void *payload,
+                  uint64_t payload_len, void *reply_data,
+                  uint64_t reply_data_cap);
 /// @}
 
 /// @name Network stack server.

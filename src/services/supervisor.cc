@@ -12,6 +12,11 @@ namespace xpc::services {
 
 namespace {
 
+/** Backoff before retry k is backoffBase << (k - 1), capped at
+ *  backoffCap, then half of it jittered from the seeded PRNG. */
+constexpr Cycles backoffBase{2000};
+constexpr Cycles backoffCap{64000};
+
 /** Trace label for a supervised service: tenant-qualified only in
  *  multi-tenant rigs so single-tenant traces are byte-identical. */
 std::string
@@ -250,15 +255,12 @@ Supervisor::callWithRetry(hw::Core &core, kernel::Thread &client,
             }
             retries.inc();
             // Capped exponential backoff, charged as idle time.
-            uint64_t delay = policy.backoffBase.value()
-                             << (attempt - 1);
-            delay = std::min(delay, policy.backoffCap.value());
-            if (policy.jitter && delay > 1) {
-                // Decorrelate retries: half the delay is fixed, half
-                // is drawn from the seeded PRNG, so replays with the
-                // same seed back off identically.
-                delay = delay / 2 + rng.nextBounded(delay / 2 + 1);
-            }
+            uint64_t delay = std::min(backoffBase.value() << (attempt - 1),
+                                      backoffCap.value());
+            // Decorrelate retries: half the delay is fixed, half is
+            // drawn from the seeded PRNG, so replays with the same
+            // seed back off identically.
+            delay = delay / 2 + rng.nextBounded(delay / 2 + 1);
             if (deadline != 0) {
                 uint64_t now = core.now().value();
                 if (now >= deadline)

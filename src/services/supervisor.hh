@@ -53,13 +53,6 @@ class AdmissionController;
 struct RetryPolicy
 {
     uint32_t maxAttempts = 5;
-    /** Backoff before retry k is base << k, capped below. */
-    Cycles backoffBase{2000};
-    Cycles backoffCap{64000};
-    /** Decorrelate the backoff with seeded jitter (half fixed, half
-     *  uniform); still fully deterministic for a given Supervisor
-     *  seed. */
-    bool jitter = true;
     /**
      * Cycle budget for the whole retried operation, 0 = none. Minted
      * as a deadline scope around every attempt, so the transports see

@@ -3,10 +3,18 @@
 #include <algorithm>
 #include <sstream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 
 namespace xpc::sim {
+
+namespace {
+
+/** Give up when recovery crashes this many times in a row. */
+constexpr uint32_t maxRecoveryRounds = 8;
+
+} // namespace
 
 std::string
 planString(const std::vector<uint64_t> &plan)
@@ -39,7 +47,7 @@ ExplorerReport::json() const
     for (size_t i = 0; i < census.size(); i++) {
         if (i)
             os << ",";
-        os << "\"" << census[i].first << "\":" << census[i].second;
+        os << json::str(census[i].first) << ":" << census[i].second;
     }
     os << "},\"runs\":" << outcomes.size()
        << ",\"failures\":" << failures().size() << ",\"outcomes\":[";
@@ -47,11 +55,11 @@ ExplorerReport::json() const
         const CrashOutcome &o = outcomes[i];
         if (i)
             os << ",";
-        os << "{\"plan\":\"" << planString(o.plan)
-           << "\",\"fired\":" << o.fired
+        os << "{\"plan\":" << json::str(planString(o.plan))
+           << ",\"fired\":" << o.fired
            << ",\"consistent\":" << (o.consistent ? "true" : "false");
         if (!o.detail.empty())
-            os << ",\"detail\":\"" << o.detail << "\"";
+            os << ",\"detail\":" << json::str(o.detail);
         os << "}";
     }
     os << "]}";
@@ -87,7 +95,7 @@ Explorer::runPlan(const std::vector<uint64_t> &plan)
 
     uint32_t rounds = 0;
     while (inj.crashed()) {
-        if (++rounds > opts.maxRecoveryRounds) {
+        if (++rounds > maxRecoveryRounds) {
             out.consistent = false;
             out.detail = "recovery crash-looped";
             break;

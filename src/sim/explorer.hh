@@ -74,8 +74,6 @@ struct ExplorerOptions
     uint64_t pairSamples = 0;
     /** Seed for pair sampling (deterministic across runs). */
     uint64_t pairSeed = 42;
-    /** Give up when recovery crashes this many times in a row. */
-    uint32_t maxRecoveryRounds = 8;
 };
 
 /** What one exploration run (one plan) did. */

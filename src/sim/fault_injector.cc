@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/trace.hh"
@@ -193,8 +194,8 @@ FaultInjector::reportJson() const
     for (uint32_t i = 0; i < faultOpCount; i++) {
         if (i > 0)
             s += ",";
-        s += "\"" + std::string(faultOpName(FaultOp(i))) +
-             "\":" + std::to_string(firedPerOp_[i]);
+        s += json::str(faultOpName(FaultOp(i))) + ":" +
+             std::to_string(firedPerOp_[i]);
     }
     s += "}}";
     return s;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 
+#include "json.hh"
 #include "logging.hh"
 
 namespace xpc {
@@ -13,23 +13,6 @@ namespace xpc {
 namespace {
 
 constexpr double histNaN = std::numeric_limits<double>::quiet_NaN();
-
-/** Format like BenchReport::num: integral doubles without a point,
- *  everything else %.6g, non-finite as null (JSON has no NaN). */
-void
-emitNum(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    char buf[64];
-    if (v == std::floor(v) && std::fabs(v) < 1e15)
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-    else
-        std::snprintf(buf, sizeof(buf), "%.6g", v);
-    os << buf;
-}
 
 } // namespace
 
@@ -147,21 +130,13 @@ Histogram::quantile(double q) const
 void
 Histogram::summaryJson(std::ostream &os) const
 {
-    os << "{\"count\":" << total << ",\"sum\":";
-    emitNum(os, double(sumValues));
-    os << ",\"mean\":";
-    emitNum(os, mean());
-    os << ",\"min\":";
-    emitNum(os, min());
-    os << ",\"max\":";
-    emitNum(os, max());
-    os << ",\"p50\":";
-    emitNum(os, quantile(0.5));
-    os << ",\"p99\":";
-    emitNum(os, quantile(0.99));
-    os << ",\"p999\":";
-    emitNum(os, quantile(0.999));
-    os << "}";
+    os << "{\"count\":" << total << ",\"sum\":" << json::num(sum())
+       << ",\"mean\":" << json::num(mean())
+       << ",\"min\":" << json::num(min())
+       << ",\"max\":" << json::num(max())
+       << ",\"p50\":" << json::num(quantile(0.5))
+       << ",\"p99\":" << json::num(quantile(0.99))
+       << ",\"p999\":" << json::num(quantile(0.999)) << "}";
 }
 
 } // namespace xpc

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 
@@ -14,27 +14,12 @@ namespace {
 
 constexpr double sloNaN = std::numeric_limits<double>::quiet_NaN();
 
-void
-emitNum(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    char buf[64];
-    if (v == std::floor(v) && std::fabs(v) < 1e15)
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-    else
-        std::snprintf(buf, sizeof(buf), "%.6g", v);
-    os << buf;
-}
-
-void
-pad(std::ostream &os, int indent)
-{
-    for (int i = 0; i < indent; i++)
-        os << ' ';
-}
+/**
+ * Goodput floor as a fraction of the *expected* goodput
+ * min(offered, knee): below the knee a healthy mesh serves what it is
+ * offered, above it a healthy mesh saturates at the knee.
+ */
+constexpr double goodputFloorFrac = 0.7;
 
 } // namespace
 
@@ -93,7 +78,7 @@ RegimeTracker::observe(double offered, double goodput, double p99)
     // classifier cannot flap across it. A NaN p99 (no latency signal
     // this window) never fails the latency clause.
     const bool meets_goodput =
-        goodput_rate >= sloSpec.goodputFloorFrac * expected;
+        goodput_rate >= goodputFloorFrac * expected;
     const bool meets_latency =
         sloSpec.p99TargetCycles == 0 ||
         !(p99 > double(sloSpec.p99TargetCycles));
@@ -206,45 +191,37 @@ RegimeTracker::recoveryCyclesFrom(uint64_t cycle) const
 void
 RegimeTracker::dumpJson(std::ostream &os, int indent) const
 {
-    pad(os, indent);
-    os << "{\"label\":\"" << trackerLabel << "\",\"spec\":{"
-       << "\"knee_per_mcycle\":";
-    emitNum(os, sloSpec.kneePerMcycle);
-    os << ",\"goodput_floor\":";
-    emitNum(os, sloSpec.goodputFloorFrac);
-    os << ",\"p99_target_cycles\":" << sloSpec.p99TargetCycles
+    const std::string pad(size_t(indent), ' ');
+    os << pad << "{\"label\":" << json::str(trackerLabel) << ",\"spec\":{"
+       << "\"knee_per_mcycle\":" << json::num(sloSpec.kneePerMcycle)
+       << ",\"goodput_floor\":" << json::num(goodputFloorFrac)
+       << ",\"p99_target_cycles\":" << sloSpec.p99TargetCycles
        << ",\"metastable_windows\":" << sloSpec.metastableWindows
        << ",\"healthy_windows\":" << sloSpec.healthyWindows
-       << ",\"smooth_windows\":" << sloSpec.smoothWindows << "},\n";
-    pad(os, indent + 1);
-    os << "\"window_cycles\":" << window << ",\"regimes\":\"";
+       << ",\"smooth_windows\":" << sloSpec.smoothWindows << "},\n"
+       << pad << " \"window_cycles\":" << window << ",\"regimes\":\"";
     for (Regime r : regimes)
         os << regimeCode(r);
-    os << "\",\n";
-    pad(os, indent + 1);
-    os << "\"counts\":{\"healthy\":" << windowsHealthy.value()
+    os << "\",\n"
+       << pad << " \"counts\":{\"healthy\":" << windowsHealthy.value()
        << ",\"overloaded\":" << windowsOverloaded.value()
        << ",\"metastable\":" << windowsMetastable.value()
        << "},\"metastable\":" << (sawMetastable() ? "true" : "false")
-       << ",\n";
-    pad(os, indent + 1);
-    os << "\"transitions\":[";
+       << ",\n"
+       << pad << " \"transitions\":[";
     for (size_t i = 0; i < transitionLog.size(); i++) {
         const Transition &t = transitionLog[i];
         os << (i ? "," : "") << "{\"window\":" << t.window
-           << ",\"cycle\":" << t.cycle << ",\"from\":\""
-           << regimeName(t.from) << "\",\"to\":\"" << regimeName(t.to)
-           << "\"}";
+           << ",\"cycle\":" << t.cycle
+           << ",\"from\":" << json::str(regimeName(t.from))
+           << ",\"to\":" << json::str(regimeName(t.to)) << "}";
     }
-    os << "],\n";
-    pad(os, indent + 1);
-    os << "\"marks\":[";
+    os << "],\n" << pad << " \"marks\":[";
     for (size_t i = 0; i < markLog.size(); i++) {
         const Mark &m = markLog[i];
-        os << (i ? "," : "") << "{\"name\":\"" << m.name
-           << "\",\"cycle\":" << m.cycle << ",\"recovery_cycles\":";
-        emitNum(os, recoveryCyclesFrom(m.cycle));
-        os << "}";
+        os << (i ? "," : "") << "{\"name\":" << json::str(m.name)
+           << ",\"cycle\":" << m.cycle << ",\"recovery_cycles\":"
+           << json::num(recoveryCyclesFrom(m.cycle)) << "}";
     }
     os << "]}";
 }

@@ -81,12 +81,6 @@ struct SloSpec
      * whole layer: nothing is classified, nothing is emitted.
      */
     double kneePerMcycle = 0;
-    /**
-     * Goodput floor as a fraction of the *expected* goodput
-     * min(offered, knee): below the knee a healthy mesh serves what
-     * it is offered, above it a healthy mesh saturates at the knee.
-     */
-    double goodputFloorFrac = 0.7;
     /** Optional p99 latency target in cycles (0 = goodput only). */
     uint64_t p99TargetCycles = 0;
     /** Consecutive degraded-below-knee windows before Metastable. */

@@ -5,6 +5,7 @@
 #include <limits>
 #include <ostream>
 
+#include "json.hh"
 #include "logging.hh"
 
 namespace xpc {
@@ -199,35 +200,17 @@ StatGroup::child(const std::string &name) const
 
 namespace {
 
-std::string
-jsonQuote(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-/** JSON has no NaN; only called with count > 0. */
+/** Only called with count > 0: an empty one dumps {"count":0}. */
 void
 emitDistJson(std::ostream &os, const Distribution &d)
 {
-    os << "{\"count\":" << d.count() << ",\"sum\":" << d.sum()
-       << ",\"mean\":" << d.mean() << ",\"min\":" << d.min()
-       << ",\"max\":" << d.max() << ",\"p50\":" << d.quantile(0.5)
-       << ",\"p95\":" << d.quantile(0.95)
-       << ",\"p99\":" << d.quantile(0.99) << "}";
-}
-
-void
-pad(std::ostream &os, int indent)
-{
-    for (int i = 0; i < indent; i++)
-        os << ' ';
+    os << "{\"count\":" << d.count() << ",\"sum\":" << json::num(d.sum())
+       << ",\"mean\":" << json::num(d.mean())
+       << ",\"min\":" << json::num(d.min())
+       << ",\"max\":" << json::num(d.max())
+       << ",\"p50\":" << json::num(d.quantile(0.5))
+       << ",\"p95\":" << json::num(d.quantile(0.95))
+       << ",\"p99\":" << json::num(d.quantile(0.99)) << "}";
 }
 
 } // namespace
@@ -235,27 +218,23 @@ pad(std::ostream &os, int indent)
 void
 StatGroup::dumpJson(std::ostream &os, int indent) const
 {
-    pad(os, indent);
-    os << "{\"name\":" << jsonQuote(groupName);
+    const std::string pad(size_t(indent), ' ');
+    os << pad << "{\"name\":" << json::str(groupName);
     if (!counters.empty()) {
-        os << ",\n";
-        pad(os, indent + 1);
-        os << "\"counters\":{";
+        os << ",\n" << pad << " \"counters\":{";
         bool first = true;
         for (const auto &[name, c] : counters) {
-            os << (first ? "" : ",") << jsonQuote(name) << ":"
+            os << (first ? "" : ",") << json::str(name) << ":"
                << c->value();
             first = false;
         }
         os << "}";
     }
     if (!dists.empty()) {
-        os << ",\n";
-        pad(os, indent + 1);
-        os << "\"distributions\":{";
+        os << ",\n" << pad << " \"distributions\":{";
         bool first = true;
         for (const auto &[name, d] : dists) {
-            os << (first ? "" : ",") << jsonQuote(name) << ":";
+            os << (first ? "" : ",") << json::str(name) << ":";
             if (d->count() == 0)
                 os << "{\"count\":0}";
             else
@@ -265,66 +244,24 @@ StatGroup::dumpJson(std::ostream &os, int indent) const
         os << "}";
     }
     if (!hists.empty()) {
-        os << ",\n";
-        pad(os, indent + 1);
-        os << "\"histograms\":{";
+        os << ",\n" << pad << " \"histograms\":{";
         bool first = true;
         for (const auto &[name, h] : hists) {
-            os << (first ? "" : ",") << jsonQuote(name) << ":";
+            os << (first ? "" : ",") << json::str(name) << ":";
             h->summaryJson(os);
             first = false;
         }
         os << "}";
     }
     if (!kids.empty()) {
-        os << ",\n";
-        pad(os, indent + 1);
-        os << "\"children\":[\n";
+        os << ",\n" << pad << " \"children\":[\n";
         for (size_t i = 0; i < kids.size(); i++) {
             kids[i]->dumpJson(os, indent + 2);
             os << (i + 1 < kids.size() ? ",\n" : "\n");
         }
-        pad(os, indent + 1);
-        os << "]";
+        os << pad << " ]";
     }
     os << "}";
-}
-
-void
-StatGroup::dumpCsv(std::ostream &os, const std::string &prefix) const
-{
-    std::string path =
-        prefix.empty() ? groupName : prefix + "." + groupName;
-    for (const auto &[name, c] : counters)
-        os << path << ",counter," << name << "," << c->value() << "\n";
-    for (const auto &[name, d] : dists) {
-        os << path << ",dist_count," << name << "," << d->count()
-           << "\n";
-        if (d->count() > 0) {
-            os << path << ",dist_mean," << name << "," << d->mean()
-               << "\n";
-            os << path << ",dist_p50," << name << ","
-               << d->quantile(0.5) << "\n";
-            os << path << ",dist_p99," << name << ","
-               << d->quantile(0.99) << "\n";
-        }
-    }
-    for (const auto &[name, h] : hists) {
-        os << path << ",hist_count," << name << "," << h->count()
-           << "\n";
-        if (h->count() > 0) {
-            os << path << ",hist_mean," << name << "," << h->mean()
-               << "\n";
-            os << path << ",hist_p50," << name << ","
-               << h->quantile(0.5) << "\n";
-            os << path << ",hist_p99," << name << ","
-               << h->quantile(0.99) << "\n";
-            os << path << ",hist_p999," << name << ","
-               << h->quantile(0.999) << "\n";
-        }
-    }
-    for (const StatGroup *kid : kids)
-        kid->dumpCsv(os, path);
 }
 
 } // namespace xpc

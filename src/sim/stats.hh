@@ -10,7 +10,7 @@
  * StatGroups form a tree (system -> machine -> mem -> l1d0, ...);
  * each component owns its group and registers its counters and
  * distributions by name in its constructor. The root dumps the whole
- * hierarchy as one JSON or CSV document, and resetAll() clears every
+ * hierarchy as one JSON document, and resetAll() clears every
  * stat below a node so experiments can measure phases independently.
  */
 
@@ -165,16 +165,13 @@ class StatGroup
      * {"name": ..., "counters": {...}, "distributions": {...},
      *  "histograms": {...}, "children": [...]}. Distributions emit
      *  count, sum, mean, min/max and p50/p95/p99 (moments omitted
-     *  when empty); histograms emit their one-line summary. The
+     *  when empty), each number rendered by json::num; histograms
+     *  emit their one-line summary. The
      *  histograms section appears only when at least one histogram
      *  is registered, so groups that never use them dump exactly as
      *  before.
      */
     void dumpJson(std::ostream &os, int indent = 0) const;
-
-    /** Dump as CSV rows "path,kind,stat,value" (one line per value). */
-    void dumpCsv(std::ostream &os,
-                 const std::string &prefix = "") const;
 
   private:
     std::string groupName;

@@ -1,10 +1,9 @@
 #include "timeseries.hh"
 
-#include <cmath>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 
+#include "json.hh"
 #include "logging.hh"
 #include "trace.hh"
 
@@ -13,28 +12,6 @@ namespace xpc {
 namespace {
 
 constexpr double tsNaN = std::numeric_limits<double>::quiet_NaN();
-
-void
-emitNum(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    char buf[64];
-    if (v == std::floor(v) && std::fabs(v) < 1e15)
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-    else
-        std::snprintf(buf, sizeof(buf), "%.6g", v);
-    os << buf;
-}
-
-void
-pad(std::ostream &os, int indent)
-{
-    for (int i = 0; i < indent; i++)
-        os << ' ';
-}
 
 } // namespace
 
@@ -157,19 +134,16 @@ void
 TimeSeries::dumpJson(std::ostream &os, int indent) const
 {
     size_t n = windowCount();
-    pad(os, indent);
-    os << "{\"window_cycles\":" << window << ",\"windows\":" << n
-       << ",\n";
-    pad(os, indent + 1);
-    os << "\"channels\":{";
+    const std::string pad(size_t(indent), ' ');
+    os << pad << "{\"window_cycles\":" << window << ",\"windows\":" << n
+       << ",\n"
+       << pad << " \"channels\":{";
     bool first_ch = true;
     for (size_t ch = 0; ch < channels.size(); ch++) {
         if (!first_ch)
             os << ",";
         first_ch = false;
-        os << "\n";
-        pad(os, indent + 2);
-        os << "\"" << channels[ch].name << "\":[";
+        os << "\n" << pad << "  " << json::str(channels[ch].name) << ":[";
         double carry = tsNaN; // gauges fill forward inline
         for (size_t w = 0; w < n; w++) {
             if (w > 0)
@@ -185,14 +159,12 @@ TimeSeries::dumpJson(std::ostream &os, int indent) const
                         ? channels[ch].vals[w]
                         : 0;
             }
-            emitNum(os, v);
+            os << json::num(v);
         }
         os << "]";
     }
-    if (!channels.empty()) {
-        os << "\n";
-        pad(os, indent + 1);
-    }
+    if (!channels.empty())
+        os << "\n" << pad << " ";
     os << "}}";
 }
 

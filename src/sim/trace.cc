@@ -1,10 +1,10 @@
 #include "trace.hh"
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
 
+#include "json.hh"
 #include "phase.hh"
 
 namespace xpc::trace {
@@ -223,42 +223,6 @@ Tracer::setTrackName(uint32_t tid, std::string name)
 
 namespace {
 
-/** Minimal JSON string escaping for event payloads. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (uint8_t(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 char
 phaseChar(EventKind kind)
 {
@@ -306,13 +270,13 @@ Tracer::exportChromeJson(std::ostream &os) const
     for (const auto &[tid, name] : laneNames) {
         sep();
         os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0"
-           << ",\"tid\":" << tid << ",\"args\":{\"name\":\""
-           << jsonEscape(name) << "\"}}";
+           << ",\"tid\":" << tid << ",\"args\":{\"name\":"
+           << json::str(name) << "}}";
     }
     for (const TraceEvent &ev : events()) {
         sep();
-        os << "{\"name\":\"" << jsonEscape(ev.name) << "\""
-           << ",\"cat\":\"" << jsonEscape(ev.cat) << "\""
+        os << "{\"name\":" << json::str(ev.name)
+           << ",\"cat\":" << json::str(ev.cat)
            << ",\"ph\":\"" << phaseChar(ev.kind) << "\""
            << ",\"ts\":" << ev.ts << ",\"pid\":0,\"tid\":" << ev.tid;
         if (ev.kind == EventKind::Instant)
@@ -330,14 +294,13 @@ Tracer::exportChromeJson(std::ostream &os) const
         if (ev.kind == EventKind::Counter)
             field("\"value\":" + std::to_string(ev.arg));
         if (const std::string &text = textOf(ev); !text.empty())
-            field("\"msg\":\"" + jsonEscape(text) + "\"");
+            field("\"msg\":" + json::str(text));
         if (ev.kind == EventKind::Instant && ev.arg != 0)
             field("\"v\":" + std::to_string(ev.arg));
         if (!isFlow(ev.kind) && ev.req != 0)
             field("\"req\":" + std::to_string(ev.req));
         if (ev.phase != req::phaseNone && ev.phase < phaseCount)
-            field(std::string("\"phase\":\"") +
-                  phaseName(Phase(ev.phase)) + "\"");
+            field("\"phase\":" + json::str(phaseName(Phase(ev.phase))));
         if (!args.empty())
             os << ",\"args\":{" << args << "}";
         os << "}";

@@ -95,6 +95,16 @@ TEST_F(BenchReportTest, EveryCellIsRecordedUnroundedUnderItsKey)
               std::string::npos);
 }
 
+TEST_F(BenchReportTest, ConfigStringsAreEscaped)
+{
+    BenchReport report("unit");
+    report.config("a\"b\\c\n", "a\"b\\c\n");
+    EXPECT_EQ(report.write(), 0u);
+    EXPECT_NE(written().find("\"a\\\"b\\\\c\\n\": \"a\\\"b\\\\c\\n\""),
+              std::string::npos)
+        << written();
+}
+
 TEST_F(BenchReportTest, ClaimsGetTheirVerdicts)
 {
     BenchReport report("unit");

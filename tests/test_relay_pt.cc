@@ -122,6 +122,28 @@ TEST_F(RelayPtTest, TranslationsAreTlbCachedUnderRelayAsid)
     EXPECT_EQ(sys->machine().mem().tlb(0).misses.value(), misses);
 }
 
+TEST_F(RelayPtTest, ReadOnlyPageFaultsOnEveryWrite)
+{
+    auto &rpt = sys->manager().allocRelayPt(nullptr,
+                                            *alice->process(),
+                                            2 * pageSize);
+    rpt.table->map(rpt.va, rpt.frames[0], mem::permsRO);
+    mem::RelayPtWindow w = sys->manager().relayPtWindow(rpt.id);
+    // The first write walks the relay table and the second finds
+    // whatever the first left in the TLB: both must check the page's
+    // permissions, as must a write that hits the entry a read filled.
+    uint64_t v = 1;
+    for (int i = 0; i < 2; i++) {
+        auto res = access(w, w.vaBase, &v, 8, true);
+        EXPECT_FALSE(res.ok) << "write " << i;
+        EXPECT_EQ(res.fault, mem::FaultKind::ProtectionFault)
+            << "write " << i;
+    }
+    ASSERT_TRUE(access(w, w.vaBase, &v, 8, false).ok);
+    EXPECT_EQ(access(w, w.vaBase, &v, 8, true).fault,
+              mem::FaultKind::ProtectionFault);
+}
+
 TEST_F(RelayPtTest, TransferUpdatesOwnerAndShootsDownTlb)
 {
     auto &rpt = sys->manager().allocRelayPt(nullptr,

@@ -371,7 +371,6 @@ TEST(Regime, IdleWindowsCannotWitnessRecovery)
 {
     slo::SloSpec spec;
     spec.kneePerMcycle = 100;
-    spec.goodputFloorFrac = 0.7;
     spec.metastableWindows = 3;
     spec.healthyWindows = 2;
     slo::RegimeTracker t("all", spec, Cycles(1000000));

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the sim substrate: types, RNG, Zipfian, statistics,
- * crc32.
+ * the JSON their writers emit, crc32.
  */
 
 #include <gtest/gtest.h>
@@ -13,9 +13,13 @@
 #include <vector>
 
 #include "sim/crc.hh"
+#include "sim/explorer.hh"
+#include "sim/json.hh"
 #include "sim/phase.hh"
 #include "sim/random.hh"
+#include "sim/slo.hh"
 #include "sim/stats.hh"
+#include "sim/timeseries.hh"
 #include "sim/types.hh"
 
 namespace xpc {
@@ -262,12 +266,15 @@ TEST(StatGroupTest, DumpJsonIsWellFormedAndComplete)
     StatGroup root("system");
     StatGroup child("cache", &root);
     Counter hits;
-    Distribution lat;
+    Distribution lat, big;
     child.addCounter("hits", &hits);
     child.addDistribution("latency", &lat);
+    child.addDistribution("big", &big);
     hits.inc(7);
     for (int i = 1; i <= 4; i++)
         lat.add(double(i * 10));
+    big.add(1047406);
+    big.add(1047406);
 
     std::ostringstream os;
     root.dumpJson(os);
@@ -276,23 +283,44 @@ TEST(StatGroupTest, DumpJsonIsWellFormedAndComplete)
     EXPECT_NE(json.find("\"name\":\"cache\""), std::string::npos);
     EXPECT_NE(json.find("\"hits\":7"), std::string::npos);
     EXPECT_NE(json.find("\"p50\""), std::string::npos);
+    // Integral values print exactly, not at six significant digits.
+    EXPECT_NE(json.find("\"sum\":2094812,\"mean\":1047406"),
+              std::string::npos)
+        << json;
     // Balanced braces (cheap well-formedness check).
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
 }
 
-TEST(StatGroupTest, DumpCsvRowsCarryFullPath)
+TEST(JsonTest, WritersEscapeCallerStrings)
 {
-    StatGroup root("system");
-    StatGroup child("tlb", &root);
-    Counter misses;
-    child.addCounter("misses", &misses);
-    misses.inc(9);
+    // A quote, a backslash and a newline, and how JSON spells them.
+    const std::string odd = "a\"b\\c\n";
+    const std::string esc = "\"a\\\"b\\\\c\\n\"";
+    EXPECT_EQ(json::str(odd), esc);
 
-    std::ostringstream os;
-    root.dumpCsv(os);
-    EXPECT_NE(os.str().find("system.tlb,counter,misses,9"),
-              std::string::npos);
+    TimeSeries ts(Cycles(100));
+    ts.counterChannel(odd);
+    std::ostringstream series;
+    ts.dumpJson(series);
+    EXPECT_NE(series.str().find(esc + ":[]"), std::string::npos)
+        << series.str();
+
+    slo::SloSpec spec;
+    spec.kneePerMcycle = 100;
+    slo::RegimeTracker tracker(odd, spec, Cycles(100));
+    tracker.mark(odd, 0);
+    std::ostringstream regimes;
+    tracker.dumpJson(regimes);
+    EXPECT_NE(regimes.str().find("{\"label\":" + esc), std::string::npos)
+        << regimes.str();
+    EXPECT_NE(regimes.str().find("{\"name\":" + esc), std::string::npos)
+        << regimes.str();
+
+    sim::ExplorerReport report;
+    report.outcomes.push_back({{1}, 1, false, odd});
+    EXPECT_NE(report.json().find("\"detail\":" + esc), std::string::npos)
+        << report.json();
 }
 
 TEST(StatGroupTest, DetachesFromDyingParentSafely)

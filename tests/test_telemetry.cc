@@ -232,6 +232,23 @@ TEST(LoadGenTest, SameSeedRunsAreByteIdentical)
     EXPECT_NE(run(), a) << "seed is not reaching the schedule";
 }
 
+TEST(LoadGenTest, JsonEscapesMarkNames)
+{
+    const std::string odd = "a\"b\\c\n";
+    apps::LoadGenOptions o;
+    o.phases = {{100, 10, odd}};
+    apps::LoadGenResult res(o);
+    res.marks.push_back({odd, 0});
+    std::ostringstream os;
+    res.dumpJson(os);
+    EXPECT_NE(os.str().find(",\"mark\":\"a\\\"b\\\\c\\n\"}"),
+              std::string::npos)
+        << os.str();
+    EXPECT_NE(os.str().find("{\"name\":\"a\\\"b\\\\c\\n\","),
+              std::string::npos)
+        << os.str();
+}
+
 TEST(LoadGenTest, OutcomesPartitionTheSchedule)
 {
     apps::LoadGenOptions o;

@@ -155,9 +155,11 @@ TEST_F(TraceTest, InstantNowReusesLastTimestampPerTid)
 TEST_F(TraceTest, ChromeJsonRoundTrip)
 {
     trace::Tracer &t = trace::Tracer::global();
+    const std::string odd = "a\"b\\c\n";
+    t.setTrackName(2, odd);
     t.begin("cat", "span", 100, 1);
     t.end("cat", "span", 250, 1);
-    t.instant("cat", "mark", 300, 2, "hello \"world\"\n");
+    t.instant("cat", odd.c_str(), 300, 2, "hello \"world\"\n");
     t.counter("cat", "depth", 7, 400, 1);
 
     std::ostringstream os;
@@ -173,18 +175,25 @@ TEST_F(TraceTest, ChromeJsonRoundTrip)
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
     EXPECT_NE(json.find("\"s\":\"t\""), std::string::npos);
     EXPECT_NE(json.find("\\\"world\\\"\\n"), std::string::npos);
+    // Lane and event names are escaped like the payload.
+    EXPECT_NE(json.find("\"args\":{\"name\":\"a\\\"b\\\\c\\n\"}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("{\"name\":\"a\\\"b\\\\c\\n\",\"cat\""),
+              std::string::npos)
+        << json;
     // Counters export their sampled value.
     EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
     EXPECT_NE(json.find("\"args\":{\"value\":7}"), std::string::npos);
-    // Cheap structural check: the document is brace-balanced and each
-    // of the four events became one object.
+    // Cheap structural check: the document is brace-balanced and the
+    // lane's metadata and each of the four events became one object.
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
     size_t nevents = 0;
     for (size_t at = json.find("\"ph\":"); at != std::string::npos;
          at = json.find("\"ph\":", at + 1))
         nevents++;
-    EXPECT_EQ(nevents, 4u);
+    EXPECT_EQ(nevents, 5u);
 }
 
 TEST_F(TraceTest, LogSinkCapturesRecords)
