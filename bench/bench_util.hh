@@ -25,6 +25,8 @@
 #include <variant>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "core/recording_transport.hh"
 #include "core/system.hh"
 #include "services/block_device.hh"
@@ -362,7 +364,12 @@ class BenchReport
             << ",\n  \"host_ms\": {\n    \"total\": " << json::num(total);
         for (const auto &[k, v] : hostPhases)
             out << ",\n    " << json::str(k) << ": " << json::num(v);
-        out << "\n  }\n}\n";
+        // Host memory, like host time, varies run to run: it goes
+        // here and never into the byte-compared report.
+        struct rusage ru = {};
+        getrusage(RUSAGE_SELF, &ru);
+        out << "\n  },\n  \"peak_rss_mb\": "
+            << json::num(double(ru.ru_maxrss) / 1024.0) << "\n}\n";
     }
 
     std::string name;

@@ -208,10 +208,12 @@ MemSystem::copy(CoreId core, const TransContext &src_ctx, VAddr src,
 {
     AccessResult total;
     total.ok = true;
-    std::vector<uint8_t> buf(std::min<uint64_t>(len, pageSize));
+    // One page on the stack, left uninitialized: a read that returns ok
+    // has filled its chunk, and only that chunk is written on.
+    uint8_t buf[pageSize];
     while (len > 0) {
-        uint64_t chunk = std::min<uint64_t>(len, buf.size());
-        AccessResult r = read(core, src_ctx, src, buf.data(), chunk);
+        uint64_t chunk = std::min<uint64_t>(len, sizeof(buf));
+        AccessResult r = read(core, src_ctx, src, buf, chunk);
         total.cycles += r.cycles;
         if (!r.ok) {
             total.ok = false;
@@ -219,7 +221,7 @@ MemSystem::copy(CoreId core, const TransContext &src_ctx, VAddr src,
             total.faultAddr = r.faultAddr;
             return total;
         }
-        AccessResult w = write(core, dst_ctx, dst, buf.data(), chunk);
+        AccessResult w = write(core, dst_ctx, dst, buf, chunk);
         total.cycles += w.cycles;
         if (!w.ok) {
             total.ok = false;

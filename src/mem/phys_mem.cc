@@ -22,11 +22,13 @@ PhysMem::checkRange(PAddr addr, uint64_t len) const
 }
 
 uint8_t *
-PhysMem::framePtr(PAddr addr) const
+PhysMem::framePtr(PAddr addr)
 {
     auto &frame = frames[addr >> pageShift];
-    if (!frame)
+    if (!frame) {
         frame = std::make_unique<uint8_t[]>(pageSize); // zero-filled
+        resident++;
+    }
     return frame.get();
 }
 
@@ -38,7 +40,11 @@ PhysMem::read(PAddr addr, void *dst, uint64_t len) const
     while (len > 0) {
         uint64_t off = addr & pageMask;
         uint64_t chunk = std::min(len, pageSize - off);
-        std::memcpy(out, framePtr(addr) + off, chunk);
+        // A never-written frame reads as zeros and stays unallocated.
+        if (const auto &frame = frames[addr >> pageShift])
+            std::memcpy(out, frame.get() + off, chunk);
+        else
+            std::memset(out, 0, chunk);
         addr += chunk;
         out += chunk;
         len -= chunk;
@@ -67,8 +73,9 @@ PhysMem::read64(PAddr addr) const
              (unsigned long)addr);
     checkRange(addr, sizeof(uint64_t));
     // Aligned, so the word never straddles a frame.
-    uint64_t value;
-    std::memcpy(&value, framePtr(addr) + (addr & pageMask), sizeof(value));
+    uint64_t value = 0;
+    if (const auto &frame = frames[addr >> pageShift])
+        std::memcpy(&value, frame.get() + (addr & pageMask), sizeof(value));
     return value;
 }
 
@@ -88,7 +95,10 @@ PhysMem::clear(PAddr addr, uint64_t len)
     while (len > 0) {
         uint64_t off = addr & pageMask;
         uint64_t chunk = std::min(len, pageSize - off);
-        std::memset(framePtr(addr) + off, 0, chunk);
+        // A never-written frame already reads as zeros; a written one
+        // (say, recycled from a freed region) is zeroed in place.
+        if (const auto &frame = frames[addr >> pageShift])
+            std::memset(frame.get() + off, 0, chunk);
         addr += chunk;
         len -= chunk;
     }

@@ -24,7 +24,8 @@ namespace xpc::mem {
 /**
  * Functional backing store for simulated DRAM: a flat table of frame
  * pointers indexed by frame number (8 B of host memory per 4 KiB
- * frame), whose frames are allocated and zero-filled on first touch.
+ * frame), whose frames are allocated and zero-filled on first write.
+ * A never-written frame reads as zeros and costs no host memory.
  */
 class PhysMem
 {
@@ -49,12 +50,17 @@ class PhysMem
     /** Zero-fill @p len bytes starting at @p addr. */
     void clear(PAddr addr, uint64_t len);
 
+    /** Frames allocated so far, i.e. ever written. */
+    uint64_t residentFrames() const { return resident; }
+
   private:
     uint64_t memSize;
-    /** Lazily allocated 4 KiB frames indexed by frame number. */
-    mutable std::vector<std::unique_ptr<uint8_t[]>> frames;
+    uint64_t resident = 0;
+    /** 4 KiB frames indexed by frame number; null until written. */
+    std::vector<std::unique_ptr<uint8_t[]>> frames;
 
-    uint8_t *framePtr(PAddr addr) const;
+    /** The frame holding @p addr, allocated (zero-filled) if new. */
+    uint8_t *framePtr(PAddr addr);
     void checkRange(PAddr addr, uint64_t len) const;
 };
 

@@ -18,7 +18,6 @@ Tracer::Tracer()
         if (n > 0)
             cap = size_t(n);
     }
-    ring.resize(cap);
 }
 
 Tracer &
@@ -32,7 +31,7 @@ void
 Tracer::setCapacity(size_t events)
 {
     cap = events > 0 ? events : 1;
-    ring.assign(cap, TraceEvent{});
+    ring = std::vector<TraceEvent>(); // the next event sizes it anew
     nrec = 0;
     texts.clear();
     ntext = 0;
@@ -41,7 +40,7 @@ Tracer::setCapacity(size_t events)
 void
 Tracer::clear()
 {
-    ring.assign(cap, TraceEvent{});
+    // events() reads only [first, nrec), so stale slots are never read.
     nrec = 0;
     texts.clear();
     ntext = 0;
@@ -57,6 +56,8 @@ Tracer::push(TraceEvent &ev)
     ev.phase = ctx.currentPhase();
     if (ev.tid < lastTs.size())
         lastTs[ev.tid] = ev.ts;
+    if (ring.empty())
+        ring.resize(cap); // at the first event: an idle tracer holds none
     ring[nrec % cap] = ev;
     nrec++;
 }

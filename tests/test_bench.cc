@@ -39,11 +39,11 @@ class BenchReportTest : public ::testing::Test
         unsetenv("XPC_BENCH_DIR");
     }
 
-    /** The written BENCH_unit.json, or "" when there is none. */
+    /** The written @p file, or "" when there is none. */
     std::string
-    written() const
+    written(const std::string &file = "BENCH_unit.json") const
     {
-        std::ifstream in(dir + "/BENCH_unit.json");
+        std::ifstream in(dir + "/" + file);
         std::stringstream ss;
         ss << in.rdbuf();
         return ss.str();
@@ -222,6 +222,21 @@ TEST_F(BenchReportTest, APrintedNumberWithoutAKeyIsAnError)
             report.metric("k", 2);
         },
         "records k twice");
+}
+
+TEST_F(BenchReportTest, PeakRssGoesToTheHostSidecarOnly)
+{
+    BenchReport report("unit");
+    report.metric("k", 1);
+    EXPECT_EQ(report.write(), 0u);
+    std::string host = written("HOST_unit.json");
+    const std::string key = "\"peak_rss_mb\": ";
+    size_t at = host.find(key);
+    ASSERT_NE(at, std::string::npos) << host;
+    EXPECT_GT(std::strtod(host.c_str() + at + key.size(), nullptr), 0.0)
+        << host;
+    EXPECT_EQ(written().find("peak_rss_mb"), std::string::npos)
+        << written();
 }
 
 } // namespace

@@ -68,6 +68,52 @@ TEST(PhysMemTest, LastWordOfDram)
     EXPECT_EQ(pm.read64(last), 0u);
 }
 
+TEST(PhysMemTest, NeverWrittenMemoryReadsZerosAndHoldsNoFrame)
+{
+    PhysMem pm(1 << 20);
+    std::vector<uint8_t> out(2 * pageSize + 64, 0xee);
+    pm.read(pageSize - 32, out.data(), out.size());
+    EXPECT_EQ(out, std::vector<uint8_t>(out.size(), 0));
+    EXPECT_EQ(pm.read64(3 * pageSize + 8), 0u);
+    pm.clear(4 * pageSize, 3 * pageSize);
+    EXPECT_EQ(pm.residentFrames(), 0u);
+}
+
+TEST(PhysMemTest, FirstWriteIntoAFrameAllocatesIt)
+{
+    PhysMem pm(1 << 20);
+    EXPECT_EQ(pm.read64(0x5008), 0u);
+    uint8_t b = 7;
+    pm.write(0x2010, &b, 1);
+    EXPECT_EQ(pm.residentFrames(), 1u);
+    pm.write(0x2ff0, &b, 1);
+    EXPECT_EQ(pm.residentFrames(), 1u);
+    // A frame read before is allocated by its first write all the same.
+    pm.write64(0x5008, 1);
+    EXPECT_EQ(pm.residentFrames(), 2u);
+    EXPECT_EQ(pm.read64(0x5008), 1u);
+}
+
+TEST(PhysMemTest, ClearOfAWrittenFrameZeroesExactlyThatPart)
+{
+    PhysMem pm(1 << 20);
+    std::vector<uint8_t> page(pageSize, 0xab);
+    pm.write(pageSize, page.data(), page.size());
+    // The range runs on into the next frame, which was never written.
+    pm.clear(pageSize + 100, pageSize);
+    std::vector<uint8_t> out(pageSize);
+    pm.read(pageSize, out.data(), out.size());
+    for (uint64_t i = 0; i < pageSize; i++)
+        ASSERT_EQ(out[i], i < 100 ? 0xab : 0) << "byte " << i;
+    EXPECT_EQ(pm.residentFrames(), 1u);
+
+    pm.write(pageSize, page.data(), page.size());
+    pm.clear(pageSize + 100, 200);
+    pm.read(pageSize, out.data(), out.size());
+    for (uint64_t i = 0; i < pageSize; i++)
+        ASSERT_EQ(out[i], i >= 100 && i < 300 ? 0 : 0xab) << "byte " << i;
+}
+
 TEST(PhysMemDeathTest, OutOfRangePanics)
 {
     PhysMem pm(1 << 20);

@@ -719,6 +719,15 @@ TEST_P(ServiceStack, BlockDeviceRoundTrips)
     EXPECT_EQ(dev.writes.value(), 1u);
 }
 
+TEST_P(ServiceStack, UnwrittenBlockStoreHoldsNoHostFrames)
+{
+    // The store reads as zeros until written, so a fresh 8,192-block
+    // device costs host memory for none of its 32 MiB.
+    kernel::Thread &dev_t = sys->spawn("blockdev");
+    BlockDeviceServer dev(sys->transport(), dev_t, 8192);
+    EXPECT_LT(sys->machine().phys().residentFrames(), 256u);
+}
+
 TEST_P(ServiceStack, FileSystemOverIpc)
 {
     core::Transport &tr = sys->transport();

@@ -117,6 +117,15 @@ TEST_F(TraceTest, RingWrapsAndCountsDrops)
     EXPECT_EQ(t.size(), 0u);
     EXPECT_EQ(t.droppedCount(), 0u);
     EXPECT_EQ(t.capacity(), 4u);
+
+    // Events recorded after clear() are all that events() returns:
+    // none of the slots left over from before may show through.
+    t.instant("test", "ev", 100, 0);
+    t.instant("test", "ev", 101, 0);
+    evs = t.events();
+    ASSERT_EQ(evs.size(), 2u);
+    EXPECT_EQ(evs[0].ts, 100u);
+    EXPECT_EQ(evs[1].ts, 101u);
 }
 
 TEST_F(TraceTest, DisabledTracerRecordsNothing)
