@@ -63,7 +63,7 @@ measure(uint64_t msg_bytes, BenchReport &report, const char *scope)
     b.transfer = Cycles(ps.last(Phase::Transfer));
     report.phaseStats(scope, ps);
     report.distribution(std::string(scope) + ".round_trip",
-                        ps.dist(Phase::RoundTrip));
+                        ps.histogram(Phase::RoundTrip));
     return b;
 }
 

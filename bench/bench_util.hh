@@ -226,26 +226,15 @@ class BenchReport
     phaseStats(const std::string &scope, const PhaseStats &ps)
     {
         for (uint32_t i = 0; i < phaseCount; i++) {
-            const Distribution &d = ps.dist(Phase(i));
-            if (d.count() == 0)
+            const Histogram &h = ps.histogram(Phase(i));
+            if (h.count() == 0)
                 continue;
-            phases[scope + "." + phaseName(Phase(i))] = d.mean();
+            phases[scope + "." + phaseName(Phase(i))] = h.mean();
         }
     }
 
-    /** p50/p99 summary of @p d under @p key. */
-    void
-    distribution(const std::string &key, const Distribution &d)
-    {
-        if (d.count() == 0)
-            return;
-        dists[key] = "{\"count\": " + json::num(double(d.count())) +
-                     ", \"mean\": " + json::num(d.mean()) +
-                     ", \"p50\": " + json::num(d.quantile(0.5)) +
-                     ", \"p99\": " + json::num(d.quantile(0.99)) + "}";
-    }
-
-    /** Histogram twin: count/mean/min/max/p50/p99/p999 summary. */
+    /** The one-line summary of @p h (Histogram::summaryJson) under
+     *  @p key; an empty histogram adds no key. */
     void
     distribution(const std::string &key, const Histogram &h)
     {
@@ -544,24 +533,21 @@ attachCritPath(BenchReport &report,
     critpath::CritPathStats agg;
     agg.addAll(reports);
     report.distribution(scope + ".total_cycles", agg.total());
-    for (const auto &[span_name, d] : agg.spans())
-        report.distribution(scope + "." + span_name, *d);
+    for (const auto &[span_name, h] : agg.spans())
+        report.distribution(scope + "." + span_name, h);
 }
 
 /**
- * Walk @p group's subtree and attach every non-empty Distribution
- * and Histogram to @p report as "<scope>.<path>.<stat>". This is how
- * the per-span registry stats (the kernel/runtime "phases" groups)
- * reach the BENCH json "distributions" section instead of leaving it
- * `{}`; empty stats are skipped, so rigs that never fire a stat add
- * no keys.
+ * Walk @p group's subtree and attach every non-empty Histogram to
+ * @p report as "<scope>.<path>.<stat>". This is how the per-span
+ * registry stats (the kernel/runtime "phases" groups) reach the BENCH
+ * json "distributions" section instead of leaving it `{}`; empty
+ * stats are skipped, so rigs that never fire a stat add no keys.
  */
 inline void
 attachRegistryDistributions(BenchReport &report, const StatGroup &group,
                             const std::string &scope)
 {
-    for (const auto &[stat_name, d] : group.distributionEntries())
-        report.distribution(scope + "." + stat_name, *d);
     for (const auto &[stat_name, h] : group.histogramEntries())
         report.distribution(scope + "." + stat_name, *h);
     for (const StatGroup *kid : group.children())

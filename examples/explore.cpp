@@ -74,16 +74,10 @@ parsePlan(const std::string &text, std::vector<uint64_t> *plan)
 sim::CrashWorkloadFactory
 factoryFor(const std::string &name)
 {
-    if (name == "minidb") {
-        apps::MiniDbCrashOptions o;
-        o.journal = apps::JournalMode::Wal;
-        return apps::makeMiniDbCrashWorkload(o);
-    }
-    if (name == "minidb-rollback") {
-        apps::MiniDbCrashOptions o;
-        o.journal = apps::JournalMode::Rollback;
-        return apps::makeMiniDbCrashWorkload(o);
-    }
+    if (name == "minidb")
+        return apps::makeMiniDbCrashWorkload(apps::JournalMode::Wal);
+    if (name == "minidb-rollback")
+        return apps::makeMiniDbCrashWorkload(apps::JournalMode::Rollback);
     if (name == "xv6fs")
         return apps::makeXv6FsCrashWorkload();
     if (name == "torn-pair")

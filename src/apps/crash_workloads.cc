@@ -105,8 +105,7 @@ class CrashRig
 class MiniDbCrashWorkload : public sim::CrashWorkload
 {
   public:
-    explicit MiniDbCrashWorkload(const MiniDbCrashOptions &options)
-        : opts(options)
+    explicit MiniDbCrashWorkload(JournalMode mode) : journal(mode)
     {
         rig.sup->setRecovery("fs", [this] { attachDb(); });
     }
@@ -118,8 +117,7 @@ class MiniDbCrashWorkload : public sim::CrashWorkload
         rig.installInjector(inj_);
         rig.tr->connect(*rig.client, rig.fsId());
         MiniDbOptions db_opts;
-        db_opts.cachePages = opts.cachePages;
-        db_opts.journal = opts.journal;
+        db_opts.journal = journal;
         db_opts.createFresh = true;
         db = std::make_unique<MiniDb>(*rig.tr, rig.core0(),
                                       *rig.client, rig.fsId(), "crash",
@@ -172,8 +170,7 @@ class MiniDbCrashWorkload : public sim::CrashWorkload
     {
         rig.tr->connect(*rig.client, rig.fsId());
         MiniDbOptions db_opts;
-        db_opts.cachePages = opts.cachePages;
-        db_opts.journal = opts.journal;
+        db_opts.journal = journal;
         db_opts.createFresh = false;
         db = std::make_unique<MiniDb>(*rig.tr, rig.core0(),
                                       *rig.client, rig.fsId(), "crash",
@@ -184,7 +181,7 @@ class MiniDbCrashWorkload : public sim::CrashWorkload
     runGeneration()
     {
         uint64_t gen = ++generation;
-        for (uint32_t i = 0; i < opts.keys; i++) {
+        for (uint32_t i = 0; i < keys; i++) {
             if (inj->crashed())
                 return;
             std::string key = keyName(i);
@@ -241,7 +238,9 @@ class MiniDbCrashWorkload : public sim::CrashWorkload
         return "";
     }
 
-    MiniDbCrashOptions opts;
+    /** Distinct keys; each generation updates all of them. */
+    static constexpr uint32_t keys = 4;
+    JournalMode journal;
     CrashRig rig;
     FaultInjector *inj = nullptr;
     std::unique_ptr<MiniDb> db;
@@ -553,11 +552,11 @@ class TornPairCrashWorkload : public sim::CrashWorkload
 } // namespace
 
 sim::CrashWorkloadFactory
-makeMiniDbCrashWorkload(const MiniDbCrashOptions &options)
+makeMiniDbCrashWorkload(JournalMode journal)
 {
-    return [options] {
+    return [journal] {
         return std::unique_ptr<sim::CrashWorkload>(
-            new MiniDbCrashWorkload(options));
+            new MiniDbCrashWorkload(journal));
     };
 }
 

@@ -25,26 +25,17 @@
 
 namespace xpc::apps {
 
-/** Knobs for the MiniDb crash workload. */
-struct MiniDbCrashOptions
-{
-    JournalMode journal = JournalMode::Rollback;
-    /** Distinct keys; each run() generation updates all of them. */
-    uint32_t keys = 4;
-    uint32_t cachePages = 64;
-};
-
 /**
- * MiniDb over FS over the block device. The workload pre-populates
- * @p keys records (outside the fault space), then updates every one
- * per generation; the invariant is per-key atomicity: acknowledged
- * puts read back exactly, the single in-flight put reads back as
- * either its old or its new value, never a mix. Crash-safe in
- * Rollback and Wal modes; in None mode the explorer will find
- * torn transactions (which is the point).
+ * MiniDb over FS over the block device, journaled by @p journal. The
+ * workload pre-populates four records (outside the fault space), then
+ * updates every one per generation; the invariant is per-key
+ * atomicity: acknowledged puts read back exactly, the single
+ * in-flight put reads back as either its old or its new value, never
+ * a mix. Crash-safe in Rollback and Wal modes; in None mode the
+ * explorer will find torn transactions (which is the point).
  */
 sim::CrashWorkloadFactory
-makeMiniDbCrashWorkload(const MiniDbCrashOptions &options = {});
+makeMiniDbCrashWorkload(JournalMode journal);
 
 /**
  * Raw FS workload: whole-file generation rewrites, each one xv6fs

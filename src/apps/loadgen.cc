@@ -260,7 +260,7 @@ LoadGen::LoadGen(const LoadGenOptions &options)
         st.telHttp->attachSeries(&res.series);
         st.telFs->attachSeries(&res.series);
         // Make the per-service histograms visible in the system's
-        // stat registry dump, beside the kernel's Distributions.
+        // stat registry dump, beside the kernel's phase histograms.
         st.telKv->stats.setParent(&rig_->system().stats());
         st.telHttp->stats.setParent(&rig_->system().stats());
         st.telFs->stats.setParent(&rig_->system().stats());

@@ -24,11 +24,11 @@ namespace xpc::apps {
 struct MiniDbCosts
 {
     /** Per-point-query compute (sqlite parse + btree walk logic). */
-    Cycles readCompute{14000};
+    static constexpr Cycles readCompute{14000};
     /** Per-update compute on top of the read path. */
-    Cycles writeCompute{140000};
+    static constexpr Cycles writeCompute{140000};
     /** Per-record compute during scans. */
-    Cycles scanPerRecord{2000};
+    static constexpr Cycles scanPerRecord{2000};
 };
 
 /** How mutations are made crash-safe. */

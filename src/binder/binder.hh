@@ -42,16 +42,16 @@ const char *binderModeName(BinderMode mode);
 struct BinderParams
 {
     /** binder_ioctl entry/exit (on top of the trap costs). */
-    Cycles ioctlConst{800};
+    static constexpr Cycles ioctlConst{800};
     /** Driver transaction bookkeeping: node and ref lookups, buffer
      *  allocation in the target's mmap area. */
-    Cycles driverLogic{1600};
+    static constexpr Cycles driverLogic{1600};
     /** Waking the target proc's binder thread (schedule + switch). */
-    Cycles wakeup{5200};
+    static constexpr Cycles wakeup{5200};
     /** libbinder marshal/dispatch overhead per transact(). */
-    Cycles framework{2800};
+    static constexpr Cycles framework{2800};
     /** Binder's per-process transaction buffer limit (1 MiB-ish). */
-    uint64_t maxTransaction = 1 << 20;
+    static constexpr uint64_t maxTransaction = 1 << 20;
 };
 
 /** An ashmem region handle (the "fd"). */

@@ -358,7 +358,7 @@ struct KernelCosts
     Cycles schedule{2600};
     /** Blocking a thread and waking another on a remote core (on top
      *  of the IPI itself). */
-    Cycles remoteWake{1600};
+    static constexpr Cycles remoteWake{1600};
 };
 
 /**

@@ -47,23 +47,24 @@ enum class LongMsgMode
     TwoCopy,
 };
 
-/** Calibrated software-cost constants of the IPC path. */
+/** Calibrated software-cost constants of the IPC path. Only the IPC
+ *  logic is settable: the ARM model of Table 5 recalibrates it. */
 struct Sel4Params
 {
-    Cycles trapConst{38};
+    static constexpr Cycles trapConst{38};
     Cycles logicConst{208};
-    Cycles switchConst{136};
-    Cycles restoreConst{127};
+    static constexpr Cycles switchConst{136};
+    static constexpr Cycles restoreConst{127};
     /** Extra cost of leaving the fast path (scheduling allowed). */
-    Cycles slowpathExtra{1400};
+    static constexpr Cycles slowpathExtra{1400};
     /** Registers saved/restored on the fast path. */
-    uint32_t fastpathRegs = 17;
+    static constexpr uint32_t fastpathRegs = 17;
     /** Bytes that fit in message registers. */
-    uint64_t regMsgMax = 32;
+    static constexpr uint64_t regMsgMax = 32;
     /** IPC buffer size: above regMsgMax and up to this, slow path. */
-    uint64_t ipcBufMax = 120;
+    static constexpr uint64_t ipcBufMax = 120;
     /** Capacity of a client/server shared buffer. */
-    uint64_t sharedBufBytes = 256 * 1024;
+    static constexpr uint64_t sharedBufBytes = 256 * 1024;
 };
 
 class Sel4Kernel;

@@ -24,15 +24,15 @@ namespace xpc::kernel {
 struct ZirconParams
 {
     /** Syscall entry/dispatch logic per zx_channel_* call. */
-    Cycles syscallConst{600};
+    static constexpr Cycles syscallConst{600};
     /** Port/object wait bookkeeping when blocking. */
-    Cycles portWait{1200};
+    static constexpr Cycles portWait{1200};
     /** Scheduler hop between client and server threads. */
-    Cycles schedule{3000};
+    static constexpr Cycles schedule{3000};
     /** Registers saved on a syscall. */
-    uint32_t syscallRegs = 31;
+    static constexpr uint32_t syscallRegs = 31;
     /** Largest single channel message. */
-    uint64_t maxMsgBytes = 64 * 1024;
+    static constexpr uint64_t maxMsgBytes = 64 * 1024;
 };
 
 class ZirconKernel;

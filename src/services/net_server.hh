@@ -46,11 +46,11 @@ class LoopbackDeviceServer
 struct NetStackCosts
 {
     /** Socket-layer entry per send/recv call. */
-    Cycles perCall{1800};
+    static constexpr Cycles perCall{1800};
     /** TCP/IP output path per segment (header build, pcb update). */
-    Cycles perSegment{1500};
+    static constexpr Cycles perSegment{1500};
     /** Checksum cycles per payload byte (computed + charged). */
-    uint32_t checksumPerByte = 2;
+    static constexpr uint32_t checksumPerByte = 2;
 };
 
 /** The network-stack server. */

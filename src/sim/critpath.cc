@@ -342,22 +342,22 @@ std::string
 formatTop(const std::vector<RequestReport> &reports)
 {
     std::ostringstream os;
-    Distribution totals;
+    Histogram totals;
     std::map<std::string, uint64_t> spans;
     // End-to-end cycles per outcome class: sheds are cheap and fast,
     // timeouts pin the tail, so one blended percentile hides exactly
     // the split that matters.
-    std::map<std::string, Distribution> outcomes;
+    std::map<std::string, Histogram> outcomes;
     std::map<uint32_t, std::map<std::string, uint64_t>> perTenant;
     bool tenanted = false;
     uint64_t grand = 0;
     for (const RequestReport &r : reports) {
-        totals.add(double(r.total()));
+        totals.record(r.total());
         grand += r.total();
         for (const auto &[name, cycles] : r.spanCycles)
             spans[name] += cycles;
         std::string cls = outcomeClass(r.outcome);
-        outcomes[cls].add(double(r.total()));
+        outcomes[cls].record(r.total());
         perTenant[r.tenant][cls]++;
         tenanted |= r.tenant != 0;
     }
@@ -382,7 +382,7 @@ formatTop(const std::vector<RequestReport> &reports)
         char line[128];
         std::snprintf(line, sizeof(line),
                       "    %-*s %6zu  p50 %8.0f  p99 %8.0f cyc\n", width,
-                      cls.c_str(), d.count(), d.quantile(0.5),
+                      cls.c_str(), size_t(d.count()), d.quantile(0.5),
                       d.quantile(0.99));
         os << line;
     }
@@ -434,30 +434,26 @@ formatTop(const std::vector<RequestReport> &reports)
 CritPathStats::CritPathStats(StatGroup *parent)
 {
     group.setParent(parent);
-    group.addDistribution("total_cycles", &totalCycles);
+    group.addHistogram("total_cycles", &totalCycles);
 }
 
 void
 CritPathStats::add(const RequestReport &r)
 {
-    totalCycles.add(double(r.total()));
+    totalCycles.record(r.total());
     for (const auto &[name, cycles] : r.spanCycles) {
-        auto it = perSpan.find(name);
-        if (it == perSpan.end()) {
-            it = perSpan.emplace(name,
-                                 std::make_unique<Distribution>())
-                     .first;
-            group.addDistribution(name, it->second.get());
-        }
-        it->second->add(double(cycles));
+        auto [it, fresh] = perSpan.try_emplace(name);
+        if (fresh)
+            group.addHistogram(name, &it->second);
+        it->second.record(cycles);
     }
 }
 
-const Distribution *
+const Histogram *
 CritPathStats::span(const std::string &name) const
 {
     auto it = perSpan.find(name);
-    return it == perSpan.end() ? nullptr : it->second.get();
+    return it == perSpan.end() ? nullptr : &it->second;
 }
 
 } // namespace xpc::critpath

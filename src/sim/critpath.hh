@@ -18,13 +18,16 @@
  * that never Ended (fault-injected kill, trace cut mid-call) is
  * clamped to the request's last event, and the report is marked
  * incomplete instead of lying.
+ *
+ * The aggregates (formatTop, CritPathStats) keep their cycles in
+ * Histograms, so their p50/p99 follow sim/histogram.hh's one quantile
+ * definition.
  */
 
 #ifndef XPC_SIM_CRITPATH_HH
 #define XPC_SIM_CRITPATH_HH
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -104,7 +107,7 @@ std::string formatTop(const std::vector<RequestReport> &reports);
 
 /**
  * Aggregates per-request totals and per-span attributions into
- * Distributions registered under one StatGroup ("critpath"), so
+ * Histograms registered under one StatGroup ("critpath"), so
  * benches export p50/p99 through the registry and BENCH_*.json.
  */
 class CritPathStats
@@ -122,19 +125,19 @@ class CritPathStats
     }
 
     StatGroup &statGroup() { return group; }
-    const Distribution &total() const { return totalCycles; }
-    /** Per-span distribution (nullptr if the span never appeared). */
-    const Distribution *span(const std::string &name) const;
-    const std::map<std::string, std::unique_ptr<Distribution>> &
-    spans() const
+    const Histogram &total() const { return totalCycles; }
+    /** Per-span histogram (nullptr if the span never appeared). */
+    const Histogram *span(const std::string &name) const;
+    const std::map<std::string, Histogram> &spans() const
     {
         return perSpan;
     }
 
   private:
     StatGroup group{"critpath"};
-    Distribution totalCycles;
-    std::map<std::string, std::unique_ptr<Distribution>> perSpan;
+    Histogram totalCycles;
+    /** Map nodes never move, so the registered pointers stay valid. */
+    std::map<std::string, Histogram> perSpan;
 };
 
 } // namespace xpc::critpath

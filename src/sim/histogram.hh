@@ -1,14 +1,17 @@
 /**
  * @file
- * Fixed-memory log-bucketed latency histogram (HDR-histogram style).
+ * Fixed-memory log-bucketed latency histogram (HDR-histogram style):
+ * the simulator's one distribution type. The stat registry
+ * (sim/stats.hh), the per-phase cycle stats (sim/phase.hh), the
+ * critical-path aggregates (sim/critpath.hh) and the benches'
+ * latency tables all record into it.
  *
- * The keep-all-samples Distribution (sim/stats.hh) is exact but
- * unbounded: an open-loop run pushing 100k+ requests through the mesh
- * would allocate per sample and sort per query. Histogram is its
- * always-on sibling: record() is O(1) and allocation-free, memory is
- * a fixed ~15 KB bucket array regardless of sample count, and
- * quantile queries walk the buckets with a bounded relative error of
- * 2^-subBucketBits (~3.1%). min, max, count, sum and mean are exact.
+ * record() is O(1) and allocation-free, and memory is a fixed ~15 KB
+ * bucket array however many samples a run records. min, max, count,
+ * sum and mean are exact. A quantile is the nearest-rank sample's
+ * bucket, reported as that bucket's upper bound clamped into
+ * [min, max], so it is within 2^-subBucketBits (~3.1%) of the exact
+ * sample and quantile(0) and quantile(1) are exactly min and max.
  *
  * Bucketing: values below 2^subBucketBits land in unit-width buckets
  * (exact); above that, each power-of-two range is split into
@@ -20,9 +23,9 @@
  * static, merging is exact and associative - shards can fold their
  * per-core histograms in any order and reach byte-identical state.
  *
- * Empty-histogram queries mirror Distribution: min/max/mean/quantile
- * return NaN, never panic; q outside [0, 1] is a caller bug and
- * panics.
+ * Empty-histogram queries are defined: min/max/mean/quantile return
+ * NaN, never panic, so registry dumps can probe stats that happened
+ * not to fire; q outside [0, 1] is a caller bug and panics.
  */
 
 #ifndef XPC_SIM_HISTOGRAM_HH

@@ -36,7 +36,7 @@ PhaseStats::PhaseStats(const char *name, StatGroup *parent)
     : group(name, parent)
 {
     for (uint32_t i = 0; i < phaseCount; i++)
-        group.addDistribution(phaseName(Phase(i)), &perPhase[i]);
+        group.addHistogram(phaseName(Phase(i)), &perPhase[i]);
 }
 
 void

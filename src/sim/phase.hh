@@ -6,7 +6,7 @@
  * Table 1 decomposes a seL4 one-way IPC into trap / IPC logic /
  * process switch / restore (+ message transfer); Figure 5 decomposes
  * an xcall into trampoline / xcall / TLB-and-other. PhaseStats holds
- * one Distribution per phase inside a StatGroup, so benches read the
+ * one Histogram per phase inside a StatGroup, so benches read the
  * breakdown from the registry instead of private accounting, and
  * PhaseTimer is the scoped probe that times a phase and (when tracing
  * is on) emits its span.
@@ -45,7 +45,7 @@ constexpr uint32_t phaseCount = 11;
 
 const char *phaseName(Phase phase);
 
-/** Per-phase cycle distributions, registered as one StatGroup. */
+/** Per-phase cycle histograms, registered as one StatGroup. */
 class PhaseStats
 {
   public:
@@ -59,7 +59,7 @@ class PhaseStats
     record(Phase phase, Cycles cycles)
     {
         uint32_t i = uint32_t(phase);
-        perPhase[i].add(double(cycles.value()));
+        perPhase[i].record(cycles.value());
         lastVal[i] = cycles.value();
     }
 
@@ -69,7 +69,7 @@ class PhaseStats
         return lastVal[uint32_t(phase)];
     }
 
-    const Distribution &dist(Phase phase) const
+    const Histogram &histogram(Phase phase) const
     {
         return perPhase[uint32_t(phase)];
     }
@@ -78,7 +78,7 @@ class PhaseStats
 
   private:
     StatGroup group;
-    Distribution perPhase[phaseCount];
+    Histogram perPhase[phaseCount];
     uint64_t lastVal[phaseCount] = {};
 };
 

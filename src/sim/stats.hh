@@ -1,6 +1,7 @@
 /**
  * @file
- * Lightweight statistics: scalar counters, distributions and CDFs.
+ * Lightweight statistics: scalar counters, a weighted CDF and the
+ * stat registry.
  *
  * Every architectural component owns its stats; benches read them to
  * regenerate the paper's tables and figures. The design mirrors gem5's
@@ -9,9 +10,10 @@
  *
  * StatGroups form a tree (system -> machine -> mem -> l1d0, ...);
  * each component owns its group and registers its counters and
- * distributions by name in its constructor. The root dumps the whole
- * hierarchy as one JSON document, and resetAll() clears every
- * stat below a node so experiments can measure phases independently.
+ * histograms (sim/histogram.hh, the one distribution type) by name in
+ * its constructor. The root dumps the whole hierarchy as one JSON
+ * document, and resetAll() clears every stat below a node so
+ * experiments can measure phases independently.
  */
 
 #ifndef XPC_SIM_STATS_HH
@@ -42,45 +44,6 @@ class Counter
 };
 
 /**
- * Sample distribution with mean/min/max and quantile queries.
- *
- * Keeps all samples; experiments are short enough that exactness is
- * cheaper than bucketing bugs.
- *
- * Empty-distribution queries are defined: min/max/mean/quantile all
- * return NaN (never panic), so registry dumps and dashboards can
- * probe stats that happened not to fire. quantile(0) is the minimum
- * and quantile(1) the maximum; q outside [0, 1] is a caller bug and
- * panics.
- */
-class Distribution
-{
-  public:
-    void add(double sample);
-    void reset();
-
-    size_t count() const { return samples.size(); }
-    double min() const;
-    double max() const;
-    double mean() const;
-    double sum() const { return runningSum; }
-
-    /**
-     * @return the (linearly interpolated) q-quantile for q in [0, 1]:
-     *         quantile(0) == min(), quantile(1) == max(), NaN when
-     *         the distribution is empty.
-     */
-    double quantile(double q) const;
-
-  private:
-    mutable std::vector<double> samples;
-    mutable bool sorted = false;
-    double runningSum = 0;
-
-    void ensureSorted() const;
-};
-
-/**
  * Weighted CDF over a small set of discrete categories, e.g. "IPC time
  * by message length" in the paper's Figure 1(b).
  */
@@ -106,7 +69,7 @@ class WeightedCdf
  * One node of the hierarchical stat registry.
  *
  * A StatGroup does not own the stats it names: components keep their
- * Counter/Distribution members (the hot-path increment stays a bare
+ * Counter/Histogram members (the hot-path increment stays a bare
  * add) and register pointers here. Groups attach to a parent to form
  * the dump tree; a group detaches itself on destruction, and a dying
  * parent orphans its children, so component destruction order never
@@ -131,7 +94,6 @@ class StatGroup
 
     /** Register @p c under @p name (pointer must outlive the group). */
     void addCounter(const std::string &name, Counter *c);
-    void addDistribution(const std::string &name, Distribution *d);
     void addHistogram(const std::string &name, Histogram *h);
 
     /** Reset every registered stat in this subtree. */
@@ -139,7 +101,6 @@ class StatGroup
 
     /** Find a registered counter by name (this group only). */
     const Counter *counter(const std::string &name) const;
-    const Distribution *distribution(const std::string &name) const;
     /** Find a direct child group by name. */
     const StatGroup *child(const std::string &name) const;
 
@@ -149,27 +110,27 @@ class StatGroup
     {
         return counters;
     }
-    const std::vector<std::pair<std::string, Distribution *>> &
-    distributionEntries() const
-    {
-        return dists;
-    }
     const std::vector<std::pair<std::string, Histogram *>> &
     histogramEntries() const
     {
         return hists;
     }
+    /** Always empty: every distribution is a Histogram. Kept only
+     *  because perfbench/common.cc still walks it. */
+    const std::vector<std::pair<std::string, Histogram *>> &
+    distributionEntries() const
+    {
+        static const std::vector<std::pair<std::string, Histogram *>>
+            none;
+        return none;
+    }
 
     /**
      * Dump this subtree as one JSON object:
-     * {"name": ..., "counters": {...}, "distributions": {...},
-     *  "histograms": {...}, "children": [...]}. Distributions emit
-     *  count, sum, mean, min/max and p50/p95/p99 (moments omitted
-     *  when empty), each number rendered by json::num; histograms
-     *  emit their one-line summary. The
-     *  histograms section appears only when at least one histogram
-     *  is registered, so groups that never use them dump exactly as
-     *  before.
+     * {"name": ..., "counters": {...}, "histograms": {...},
+     *  "children": [...]}, each histogram as its one-line summary
+     *  (Histogram::summaryJson). A section appears only when it has
+     *  an entry.
      */
     void dumpJson(std::ostream &os, int indent = 0) const;
 
@@ -178,7 +139,6 @@ class StatGroup
     StatGroup *parentGroup = nullptr;
     std::vector<StatGroup *> kids;
     std::vector<std::pair<std::string, Counter *>> counters;
-    std::vector<std::pair<std::string, Distribution *>> dists;
     std::vector<std::pair<std::string, Histogram *>> hists;
 };
 

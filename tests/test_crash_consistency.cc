@@ -31,7 +31,6 @@ namespace {
 
 using apps::JournalMode;
 using apps::MiniDb;
-using apps::MiniDbCrashOptions;
 using apps::MiniDbOptions;
 using services::BlockDeviceServer;
 using services::FsServer;
@@ -55,17 +54,14 @@ expectNoFailures(const sim::ExplorerReport &report)
 
 TEST(CrashSweep, MiniDbWalSurvivesEverySingleCrashSite)
 {
-    MiniDbCrashOptions opts;
-    opts.journal = JournalMode::Wal;
-    sim::Explorer ex(apps::makeMiniDbCrashWorkload(opts));
+    sim::Explorer ex(apps::makeMiniDbCrashWorkload(JournalMode::Wal));
     expectNoFailures(ex.exploreSingles());
 }
 
 TEST(CrashSweep, MiniDbRollbackSurvivesEverySingleCrashSite)
 {
-    MiniDbCrashOptions opts;
-    opts.journal = JournalMode::Rollback;
-    sim::Explorer ex(apps::makeMiniDbCrashWorkload(opts));
+    sim::Explorer ex(
+        apps::makeMiniDbCrashWorkload(JournalMode::Rollback));
     expectNoFailures(ex.exploreSingles());
 }
 
@@ -92,11 +88,9 @@ TEST(CrashSweep, Xv6FsSurvivesSampledCrashPairs)
 
 TEST(CrashSweep, MiniDbWalSurvivesSampledCrashPairs)
 {
-    MiniDbCrashOptions opts;
-    opts.journal = JournalMode::Wal;
     sim::ExplorerOptions eo;
     eo.pairSamples = 12;
-    sim::Explorer ex(apps::makeMiniDbCrashWorkload(opts), eo);
+    sim::Explorer ex(apps::makeMiniDbCrashWorkload(JournalMode::Wal), eo);
     expectNoFailures(ex.explore());
 }
 

@@ -744,11 +744,11 @@ TEST_F(CritPathTest, OutcomeClassesAndTenantRows)
     EXPECT_EQ(reports[4].tenant, 2u);
 
     std::string top = critpath::formatTop(reports);
-    EXPECT_TRUE(matches(top, "\n +ok +3 +p50 +110 +p99 +120 cyc\n"))
+    EXPECT_TRUE(matches(top, "\n +ok +3 +p50 +111 +p99 +120 cyc\n"))
         << top;
     EXPECT_TRUE(matches(top, "\n +shed +1 +p50 +50 +p99 +50 cyc\n"))
         << top;
-    EXPECT_TRUE(matches(top, "\n +timeout +2 +p50 +800 +p99 +898 cyc\n"))
+    EXPECT_TRUE(matches(top, "\n +timeout +2 +p50 +703 +p99 +900 cyc\n"))
         << top;
     EXPECT_EQ(top.find("overloaded"), std::string::npos) << top;
     EXPECT_EQ(top.find("deadline-expired"), std::string::npos) << top;

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -95,28 +94,6 @@ TEST(ZipfianTest, HeadIsHot)
     EXPECT_GT(double(head) / double(total), 0.3);
 }
 
-TEST(DistributionTest, MomentsAndQuantiles)
-{
-    Distribution d;
-    for (int i = 1; i <= 100; i++)
-        d.add(double(i));
-    EXPECT_EQ(d.count(), 100u);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 100.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 50.5);
-    EXPECT_NEAR(d.quantile(0.5), 50.5, 0.01);
-    EXPECT_NEAR(d.quantile(0.99), 99.01, 0.01);
-}
-
-TEST(DistributionTest, ResetClears)
-{
-    Distribution d;
-    d.add(1);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.sum(), 0.0);
-}
-
 TEST(WeightedCdfTest, CumulativeFractionMonotone)
 {
     WeightedCdf cdf;
@@ -157,88 +134,22 @@ TEST(CounterTest, IncrementAndReset)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(DistributionTest, EmptyQueriesAreNaN)
-{
-    Distribution d;
-    EXPECT_TRUE(std::isnan(d.min()));
-    EXPECT_TRUE(std::isnan(d.max()));
-    EXPECT_TRUE(std::isnan(d.mean()));
-    EXPECT_TRUE(std::isnan(d.quantile(0.5)));
-    EXPECT_TRUE(std::isnan(d.quantile(0.0)));
-    EXPECT_TRUE(std::isnan(d.quantile(1.0)));
-}
-
-TEST(DistributionTest, QuantileEndpointsAreMinAndMax)
-{
-    Distribution d;
-    for (double v : {7.0, 3.0, 11.0, 5.0})
-        d.add(v);
-    EXPECT_DOUBLE_EQ(d.quantile(0.0), 3.0);
-    EXPECT_DOUBLE_EQ(d.quantile(1.0), 11.0);
-    EXPECT_DOUBLE_EQ(d.quantile(0.0), d.min());
-    EXPECT_DOUBLE_EQ(d.quantile(1.0), d.max());
-}
-
-TEST(DistributionTest, SingleSampleEveryQuantileIsTheSample)
-{
-    Distribution d;
-    d.add(42.0);
-    // pos = q * (n-1) = 0 for every q: lo == hi == 0, no
-    // interpolation partner to index past the end.
-    for (double q : {0.0, 0.25, 0.5, 0.99, 0.999, 1.0})
-        EXPECT_DOUBLE_EQ(d.quantile(q), 42.0) << "q=" << q;
-}
-
-TEST(DistributionTest, DuplicateHeavySamplesInterpolateExactly)
-{
-    // 99 copies of 5 and one 10: every quantile up to p98 sits inside
-    // the run of fives; only the very top interpolates toward 10.
-    Distribution d;
-    for (int i = 0; i < 99; i++)
-        d.add(5.0);
-    d.add(10.0);
-    EXPECT_DOUBLE_EQ(d.quantile(0.0), 5.0);
-    EXPECT_DOUBLE_EQ(d.quantile(0.5), 5.0);
-    EXPECT_DOUBLE_EQ(d.quantile(0.98), 5.0);
-    EXPECT_DOUBLE_EQ(d.quantile(1.0), 10.0);
-    // pos = 0.999 * 99 = 98.901: between the last 5 and the 10.
-    EXPECT_NEAR(d.quantile(0.999), 5.0 + 0.901 * 5.0, 1e-9);
-}
-
-TEST(DistributionTest, QuantileNearOneDoesNotIndexPastEnd)
-{
-    // Regression: q just below 1 can make ceil(q * (n-1)) exceed
-    // n-1 through floating error; the indices must clamp.
-    Distribution d;
-    for (int i = 1; i <= 7; i++)
-        d.add(double(i));
-    double v = d.quantile(0.9999999999999999);
-    EXPECT_GE(v, d.min());
-    EXPECT_LE(v, d.max());
-}
-
-TEST(DistributionTest, QuantileOutOfRangePanics)
-{
-    Distribution d;
-    d.add(1.0);
-    EXPECT_DEATH(d.quantile(-0.1), "quantile");
-    EXPECT_DEATH(d.quantile(1.1), "quantile");
-}
-
 TEST(StatGroupTest, RegistersAndLooksUp)
 {
     StatGroup root("system");
     StatGroup child("engine", &root);
     Counter c;
-    Distribution d;
+    Histogram h;
     child.addCounter("xcalls", &c);
-    child.addDistribution("latency", &d);
+    child.addHistogram("latency", &h);
 
     ASSERT_EQ(root.children().size(), 1u);
     EXPECT_EQ(root.child("engine"), &child);
     EXPECT_EQ(root.child("nope"), nullptr);
     EXPECT_EQ(child.counter("xcalls"), &c);
-    EXPECT_EQ(child.distribution("latency"), &d);
+    ASSERT_EQ(child.histogramEntries().size(), 1u);
+    EXPECT_EQ(child.histogramEntries()[0].first, "latency");
+    EXPECT_EQ(child.histogramEntries()[0].second, &h);
     EXPECT_EQ(child.counter("latency"), nullptr);
 }
 
@@ -247,18 +158,18 @@ TEST(StatGroupTest, ResetAllRecurses)
     StatGroup root("root");
     StatGroup child("child", &root);
     Counter top, bottom;
-    Distribution d;
+    Histogram h;
     root.addCounter("top", &top);
     child.addCounter("bottom", &bottom);
-    child.addDistribution("dist", &d);
+    child.addHistogram("hist", &h);
     top.inc(3);
     bottom.inc(5);
-    d.add(42);
+    h.record(42);
 
     root.resetAll();
     EXPECT_EQ(top.value(), 0u);
     EXPECT_EQ(bottom.value(), 0u);
-    EXPECT_EQ(d.count(), 0u);
+    EXPECT_EQ(h.count(), 0u);
 }
 
 TEST(StatGroupTest, DumpJsonIsWellFormedAndComplete)
@@ -266,15 +177,15 @@ TEST(StatGroupTest, DumpJsonIsWellFormedAndComplete)
     StatGroup root("system");
     StatGroup child("cache", &root);
     Counter hits;
-    Distribution lat, big;
+    Histogram lat, big;
     child.addCounter("hits", &hits);
-    child.addDistribution("latency", &lat);
-    child.addDistribution("big", &big);
+    child.addHistogram("latency", &lat);
+    child.addHistogram("big", &big);
     hits.inc(7);
     for (int i = 1; i <= 4; i++)
-        lat.add(double(i * 10));
-    big.add(1047406);
-    big.add(1047406);
+        lat.record(uint64_t(i * 10));
+    big.record(1047406);
+    big.record(1047406);
 
     std::ostringstream os;
     root.dumpJson(os);
@@ -349,14 +260,14 @@ TEST(PhaseStatsTest, RecordsLastAndDistribution)
     ps.record(Phase::Trap, Cycles(100));
     ps.record(Phase::Trap, Cycles(120));
     EXPECT_EQ(ps.last(Phase::Trap), 120u);
-    EXPECT_EQ(ps.dist(Phase::Trap).count(), 2u);
-    EXPECT_DOUBLE_EQ(ps.dist(Phase::Trap).mean(), 110.0);
+    EXPECT_EQ(ps.histogram(Phase::Trap).count(), 2u);
+    EXPECT_DOUBLE_EQ(ps.histogram(Phase::Trap).mean(), 110.0);
     EXPECT_EQ(ps.last(Phase::Xret), 0u);
-    EXPECT_EQ(ps.dist(Phase::Xret).count(), 0u);
+    EXPECT_EQ(ps.histogram(Phase::Xret).count(), 0u);
 
     ps.reset();
     EXPECT_EQ(ps.last(Phase::Trap), 0u);
-    EXPECT_EQ(ps.dist(Phase::Trap).count(), 0u);
+    EXPECT_EQ(ps.histogram(Phase::Trap).count(), 0u);
 }
 
 TEST(PhaseStatsTest, PhaseNamesCoverTheTaxonomy)

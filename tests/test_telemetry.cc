@@ -79,6 +79,22 @@ TEST(HistogramTest, ExactMomentsAndClampedQuantiles)
     // Interior quantiles carry the ~3.1% bucket error.
     EXPECT_NEAR(h.quantile(0.5), 500.0, 500.0 / 32 + 1);
     EXPECT_NEAR(h.quantile(0.99), 990.0, 990.0 / 32 + 1);
+
+    // One sample answers every quantile, though its bucket is wider
+    // than one cycle: the clamp into [min, max] makes it exact.
+    Histogram one;
+    one.record(4242);
+    for (double q : {0.0, 0.25, 0.5, 0.99, 0.999, 1.0})
+        EXPECT_DOUBLE_EQ(one.quantile(q), 4242.0) << "q=" << q;
+
+    // Nearest rank over duplicates: 99 fives and one ten put every
+    // quantile up to rank 99 on the fives and p999 (rank 100) on 10.
+    Histogram dup;
+    dup.recordN(5, 99);
+    dup.record(10);
+    EXPECT_DOUBLE_EQ(dup.quantile(0.5), 5.0);
+    EXPECT_DOUBLE_EQ(dup.quantile(0.99), 5.0);
+    EXPECT_DOUBLE_EQ(dup.quantile(0.999), 10.0);
 }
 
 TEST(HistogramTest, EmptyQueriesAreNaNAndSummaryIsNull)
@@ -100,6 +116,15 @@ TEST(HistogramTest, QuantileOutOfRangePanics)
     h.record(1);
     EXPECT_DEATH(h.quantile(-0.1), "quantile");
     EXPECT_DEATH(h.quantile(1.1), "quantile");
+
+    // q just below 1 is in range: its rank must not run past the
+    // last sample, and the answer stays inside [min, max].
+    Histogram seven;
+    for (uint64_t v = 1; v <= 7; v++)
+        seven.record(v * 1000);
+    double v = seven.quantile(0.9999999999999999);
+    EXPECT_GE(v, seven.min());
+    EXPECT_LE(v, seven.max());
 }
 
 TEST(HistogramTest, MergeIsExactAndAssociative)

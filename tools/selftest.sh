@@ -1,6 +1,7 @@
 #!/bin/sh
 # Self-test of the report-diff tool on hand-written inputs: it must
-# fail on every kind of drift it exists to catch.
+# fail on every kind of drift it exists to catch, in reports and in
+# bench output pasted into a document.
 #
 # Usage: selftest.sh [PYTHON]
 #
@@ -45,5 +46,45 @@ rc=0
 test "$rc" -eq 1
 grep -q "config.seed: 42 -> 43" whole.out
 grep -q "slo_crash_heal_on.all.regimes:" whole.out
+
+# --doc checks the fenced blocks of the sections naming a bench
+# against its stdout: a changed digit and a swapped pair of lines
+# must fail with exit status 1 and name the line; an elided line
+# passes, and a section naming another bench is not checked.
+printf 'title\nrow a 1\nrow b 2\nrow c 3\n' > stdout.txt
+doc() {
+    fence='```'
+    cat > doc.md <<EOF
+# Doc
+
+## One (\`bench_unit\`)
+
+$fence
+title
+$1
+$2
+$fence
+
+## Other (\`bench_other\`)
+
+$fence
+not in the output
+$fence
+EOF
+}
+doc "row a 1" "row c 3"
+"$py" "$tools/stats_diff.py" --doc doc.md bench_unit stdout.txt
+doc "row a 1" "row b 7"
+rc=0
+"$py" "$tools/stats_diff.py" --doc doc.md bench_unit stdout.txt \
+    > digit.out || rc=$?
+test "$rc" -eq 1
+grep -q "doc.md:8: .*row b 7" digit.out
+doc "row b 2" "row a 1"
+rc=0
+"$py" "$tools/stats_diff.py" --doc doc.md bench_unit stdout.txt \
+    > swap.out || rc=$?
+test "$rc" -eq 1
+grep -q "doc.md:8: .*row a 1" swap.out
 
 echo "selftest: ok"

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_*.json reports and fail on any difference.
+"""Compare two BENCH_*.json reports and fail on any difference, or
+check a document's pasted bench output against the bench's stdout.
 
 Usage:
     stats_diff.py BASELINE CURRENT
+    stats_diff.py --doc EXPERIMENTS.md bench_<name> STDOUT
 
 Both inputs are files written by xpc::bench::BenchReport (or
 directories holding several of them, compared pairwise by file name).
@@ -13,6 +15,11 @@ as the regime timelines of BENCH_metastable.json. A change in either
 direction counts, and a key present on only one side is a difference.
 For directories, a BENCH file present on only one side is a
 difference too. Non-finite values must match as well (NaN equals NaN).
+
+With --doc, every fenced block of each `## ` section whose heading
+names `bench_<name>` (in backquotes) must occur in STDOUT line by line
+and in order. A block may elide lines; it may not change, add or move
+one. Sections that name no bench are skipped.
 
 Exit status: 0 = identical, 1 = any difference, 2 = usage/IO error.
 """
@@ -108,14 +115,72 @@ def report(base_arg, cur_arg):
     return failed
 
 
+def read_lines(path):
+    try:
+        with open(path) as f:
+            return f.read().splitlines()
+    except OSError as e:
+        print(f"stats_diff: cannot read {path}: {e}", file=sys.stderr)
+        sys.exit(2)
+
+
+def doc_blocks(lines, bench):
+    """Fenced blocks of the `## ` sections naming @p bench, each as a
+    list of (line number, text)."""
+    blocks, named, block = [], False, None
+    for no, line in enumerate(lines, 1):
+        if line.startswith("```"):
+            if block is None:
+                block = []
+            else:
+                if named:
+                    blocks.append(block)
+                block = None
+        elif block is not None:
+            block.append((no, line))
+        elif line.startswith("## "):
+            named = f"`{bench}`" in line
+    return blocks
+
+
+def check_doc(doc, bench, stdout):
+    """Print each block line missing from @p stdout (or out of order);
+    @return True when there is any."""
+    out = read_lines(stdout)
+    blocks = doc_blocks(read_lines(doc), bench)
+    failed = False
+    for block in blocks:
+        at = 0
+        for no, line in block:
+            try:
+                at = out.index(line, at) + 1
+            except ValueError:
+                print(f"{doc}:{no}: not in {stdout} in this order: {line}")
+                failed = True
+                break
+    if not failed:
+        print(f"{doc}: {len(blocks)} block(s) under {bench} occur in "
+              f"{stdout}")
+    return failed
+
+
 def main():
     ap = argparse.ArgumentParser(
         description="Fail on any difference between two BenchReport "
-                    "JSON files or directories.")
-    ap.add_argument("baseline")
-    ap.add_argument("current")
+                    "JSON files or directories, or (--doc) on a pasted "
+                    "block of a bench's output that its stdout does not "
+                    "hold.")
+    ap.add_argument("--doc", metavar="DOC",
+                    help="check DOC's blocks for bench A against the "
+                         "stdout file B")
+    ap.add_argument("a", metavar="A", help="BASELINE, or bench_<name>")
+    ap.add_argument("b", metavar="B", help="CURRENT, or STDOUT")
     args = ap.parse_args()
-    sys.exit(1 if report(args.baseline, args.current) else 0)
+    if args.doc:
+        failed = check_doc(args.doc, args.a, args.b)
+    else:
+        failed = report(args.a, args.b)
+    sys.exit(1 if failed else 0)
 
 
 if __name__ == "__main__":
