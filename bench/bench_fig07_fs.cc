@@ -23,9 +23,11 @@ struct Throughputs
     double writeMBps = 0;
 };
 
+/** One run; @p dists and @p critpaths (null = none) take its
+ *  registry distributions and its traced critical paths. */
 Throughputs
-measure(core::SystemFlavor flavor, uint64_t buf_bytes,
-        BenchReport *report = nullptr)
+measure(core::SystemFlavor flavor, uint64_t buf_bytes, BenchReport *dists,
+        BenchReport *critpaths)
 {
     const hw::MachineConfig machine =
         (flavor == core::SystemFlavor::Zircon ||
@@ -69,10 +71,15 @@ measure(core::SystemFlavor flavor, uint64_t buf_bytes,
     // Fold this run's registry distributions (the kernel/runtime
     // per-span "phases" stats) into the report before the rig dies,
     // so "distributions" carries real percentiles per flavor.
-    if (report)
+    if (dists)
         attachRegistryDistributions(
-            *report, rig.sys->stats(),
+            *dists, rig.sys->stats(),
             std::string(core::systemFlavorName(flavor)));
+    // With XPC_TRACE=1 the run's trace ring still holds its tail: fold
+    // its per-request critical paths into the report before the rig
+    // dies (no-op, and byte-identical output, when tracing is off).
+    if (critpaths)
+        attachCritPath(*critpaths, rig.sys->machine().tracer());
     return out;
 }
 
@@ -112,7 +119,10 @@ printTable()
         for (auto f : flavors) {
             // The 8 KiB column doubles as the representative config
             // whose per-span distributions land in the report.
-            t.push_back(measure(f, b, b == 8192 ? &report : nullptr));
+            bool last = b == bufs[std::size(bufs) - 1] &&
+                        f == flavors[std::size(flavors) - 1];
+            t.push_back(measure(f, b, b == 8192 ? &report : nullptr,
+                                last ? &report : nullptr));
             rrow.push_back(t.back().readMBps);
             wrow.push_back(t.back().writeMBps);
         }
@@ -164,11 +174,6 @@ printTable()
         report.metric(std::string("paper.speedup.") + key, paper);
         report.near(std::string("speedup.") + key, 0.15).deviation = why;
     }
-
-    // With XPC_TRACE=1 the trace ring still holds the tail of the
-    // last run: fold the per-request critical paths into the report
-    // (no-op, and byte-identical output, when tracing is off).
-    attachCritPath(report);
 }
 
 } // namespace

@@ -514,17 +514,16 @@ BenchReport::scoreClaims(std::map<std::string, std::string> &verdicts)
 }
 
 /**
- * When tracing is on, reconstruct the per-request critical paths from
- * the trace ring and attach their aggregates - end-to-end p50/p99 and
+ * When @p tracer is on, reconstruct the per-request critical paths
+ * from its ring and attach their aggregates - end-to-end p50/p99 and
  * per-span cycle distributions - to @p report under "<scope>.*". A
  * strict no-op while tracing is off, so BENCH_*.json stays
  * byte-identical with the tracer disabled.
  */
 inline void
-attachCritPath(BenchReport &report,
+attachCritPath(BenchReport &report, const trace::Tracer &tracer,
                const std::string &scope = "critpath")
 {
-    auto &tracer = trace::Tracer::global();
     if (!tracer.enabled())
         return;
     auto reports = critpath::analyze(tracer);

@@ -91,7 +91,7 @@ runWorkload(core::SystemFlavor flavor)
     // the chain (the per-request view of Figure 7's read path).
     // Running it outside the timed window keeps the printed cycle
     // numbers identical whether tracing is on or not.
-    trace::Tracer &tracer = trace::Tracer::global();
+    trace::Tracer &tracer = sys.machine().tracer();
     if (flavor == core::SystemFlavor::Sel4Xpc && tracer.enabled()) {
         int64_t tfd = services::FsServer::clientOpen(
             tr, core, client, fs.id(), "/app.log", false);

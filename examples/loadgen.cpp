@@ -139,7 +139,7 @@ main(int argc, char **argv)
     // the same Perfetto file, and the top view breaks the traced
     // requests down by outcome and tenant. Diagnostics go to stderr
     // so the --json stdout stays byte-comparable.
-    trace::Tracer &tracer = trace::Tracer::global();
+    trace::Tracer &tracer = gen.rig().system().machine().tracer();
     if (tracer.enabled()) {
         res.series.exportCounterTracks(tracer, 999);
         for (const auto &t : res.sloTrackers)

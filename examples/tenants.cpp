@@ -154,7 +154,7 @@ main(int argc, char **argv)
     // per-tenant rows group outcomes by the tenant instants the call
     // bracket emits. Diagnostics go to stderr so the --json stdout
     // line stays byte-comparable.
-    trace::Tracer &tracer = trace::Tracer::global();
+    trace::Tracer &tracer = rig.system().machine().tracer();
     if (tracer.enabled()) {
         const char *path = "tenants_trace.json";
         if (tracer.exportChromeJson(path))

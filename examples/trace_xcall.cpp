@@ -26,14 +26,14 @@ using namespace xpc;
 int
 main()
 {
-    // Normally XPC_TRACE=1 in the environment does this; the example
-    // turns the tracer on explicitly so it always produces a trace.
-    trace::Tracer &tracer = trace::Tracer::global();
-    tracer.setEnabled(true);
-
     core::SystemOptions opts;
     opts.flavor = core::SystemFlavor::Sel4Xpc;
     core::System sys(opts);
+    // Normally XPC_TRACE=1 in the environment does this; the example
+    // turns the system's tracer on explicitly so it always produces a
+    // trace.
+    trace::Tracer &tracer = sys.machine().tracer();
+    tracer.setEnabled(true);
     core::XpcRuntime &rt = sys.runtime();
     hw::Core &core = sys.core(0);
 

@@ -73,7 +73,7 @@ serveOnce(core::SystemFlavor flavor, bool show)
     tr.connect(http_t, crypto.id());
 
     hw::Core &core = sys.core(0);
-    trace::Tracer &tracer = trace::Tracer::global();
+    trace::Tracer &tracer = sys.machine().tracer();
     // Trace just the GET: the preload/connect traffic above is its
     // own set of requests and would clutter the flow view.
     if (tracer.enabled())

@@ -510,8 +510,8 @@ LoadGen::run()
                 // generator from pushing work nobody is waiting for.
                 out = LoadOutcome::Abandoned;
             } else {
-                req::DeadlineScope scope(dl);
-                req::CriticalityScope tscope(tier);
+                req::DeadlineScope scope(core.requests(), dl);
+                req::CriticalityScope tscope(core.requests(), tier);
                 out = issue(tenant, svc, key, is_put);
             }
 

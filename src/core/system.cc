@@ -79,9 +79,8 @@ System::System(const SystemOptions &options) : opts(options)
 
     // Name the core lanes for trace exports; thread lanes get their
     // process names as they spawn.
-    auto &tracer = trace::Tracer::global();
     for (CoreId c = 0; c < mach->coreCount(); c++)
-        tracer.setTrackName(c, "core" + std::to_string(c));
+        mach->tracer().setTrackName(c, "core" + std::to_string(c));
 }
 
 kernel::Thread &
@@ -91,8 +90,7 @@ System::spawn(const std::string &name, CoreId core_id,
     kernel::Process &p = kernelPtr->createProcess(name);
     kernel::Thread &t = kernelPtr->createThread(p, core_id);
     t.tenant = tenant;
-    trace::Tracer::global().setTrackName(
-        req::threadLane(uint32_t(t.id())), name);
+    mach->tracer().setTrackName(req::threadLane(uint32_t(t.id())), name);
     managerPtr->initThread(t);
     if (!kernelPtr->current(core_id))
         managerPtr->installThread(mach->core(core_id), t);

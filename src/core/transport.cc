@@ -321,9 +321,7 @@ Transport::verifySealedReply(hw::Core &core, kernel::Thread &client,
         res.ok = false;
         res.status = TransportStatus::IntegrityViolation;
         res.replyLen = 0;
-        integrityViolations.inc();
-        trace::Tracer::global().instantNow("integrity", "violation", 0,
-                                           name());
+        flagViolation();
         return res;
     }
     res.replyLen = env.len;
@@ -331,12 +329,11 @@ Transport::verifySealedReply(hw::Core &core, kernel::Thread &client,
 }
 
 void
-Transport::flagViolation(ServerApi &api)
+Transport::flagViolation()
 {
     integrityViolations.inc();
-    trace::Tracer::global().instantNow("integrity", "violation", 0,
-                                       name());
-    api.fail(TransportStatus::IntegrityViolation);
+    kernelRef().machine().tracer().instantNow("integrity", "violation",
+                                              0, name());
 }
 
 void
@@ -352,7 +349,8 @@ Transport::dispatchHandler(ServerApi &api, const ServiceHandler &handler)
     // Copy-then-validate: the one and only fetch of the request.
     uint64_t wire = api.requestLen();
     if (wire < Envelope::wireBytes) {
-        flagViolation(api);
+        flagViolation();
+        api.fail(TransportStatus::IntegrityViolation);
         return;
     }
     std::vector<uint8_t> snap(wire);
@@ -364,7 +362,8 @@ Transport::dispatchHandler(ServerApi &api, const ServiceHandler &handler)
     if (!Envelope::decode(&snap[wire - Envelope::wireBytes], &env) ||
         env.len != wire - Envelope::wireBytes ||
         env.crc != crc32(snap.data(), env.len)) {
-        flagViolation(api);
+        flagViolation();
+        api.fail(TransportStatus::IntegrityViolation);
         return;
     }
     uint64_t seq = env.seq;

@@ -443,8 +443,9 @@ class Transport
      */
     void dispatchHandler(ServerApi &api, const ServiceHandler &handler);
 
-    /** One integrity violation: count, trace, fail the invocation. */
-    void flagViolation(ServerApi &api);
+    /** One integrity violation, on either receive path: count and
+     *  trace it. */
+    void flagViolation();
 
     /** Set by sealedCall() just before invoking the kernel so the
      *  handler wrapper knows this invocation is sealed; consumed at

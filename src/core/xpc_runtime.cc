@@ -96,8 +96,7 @@ XpcRuntime::allocRelayMem(hw::Core &core, kernel::Thread &thread,
     auto exc = engine().swapseg(core, slot);
     panic_if(exc != engine::XpcException::None,
              "swapseg failed installing a fresh relay segment");
-    trace::Tracer::global().instantNow("runtime", "alloc_relay_mem",
-                                       core.id());
+    core.tracer().instantNow("runtime", "alloc_relay_mem", core.id());
     return RelaySegHandle{seg.segId, seg.va, seg.len, slot};
 }
 

@@ -83,6 +83,10 @@ class Core
     XpcCsrs csrs;
 
     mem::MemSystem &mem() { return memSys; }
+    /** The machine's request context and tracer (every layer that
+     *  holds a core reaches them here). */
+    req::RequestContext &requests() { return memSys.requests(); }
+    trace::Tracer &tracer() { return memSys.tracer(); }
 
     Counter instructionsRetired;
 

@@ -1,5 +1,6 @@
 #include "machine.hh"
 
+#include "sim/fault_injector.hh"
 #include "sim/logging.hh"
 
 namespace xpc::hw {
@@ -15,13 +16,28 @@ Machine::Machine(const MachineConfig &config, uint64_t dram_bytes)
       frameAlloc(allocBase, dram_bytes - allocBase)
 {
     panic_if(cfg.cores == 0, "machine with zero cores");
-    memSys = std::make_unique<mem::MemSystem>(physMem, cfg.mem,
-                                              cfg.cores);
+    memSys = std::make_unique<mem::MemSystem>(physMem, cfg.mem, cfg.cores,
+                                              requests_, tracer_);
     memSys->stats.setParent(&stats);
     for (CoreId i = 0; i < cfg.cores; i++) {
         coresVec.push_back(std::make_unique<Core>(i, *memSys));
         coresVec.back()->stats.setParent(&stats);
     }
+    attachLogTracer(tracer_);
+}
+
+Machine::~Machine()
+{
+    detachLogTracer(tracer_);
+}
+
+void
+Machine::setFaultInjector(FaultInjector *inj)
+{
+    injector = inj;
+    memSys->setFaultInjector(inj);
+    if (inj)
+        inj->tracer = &tracer_; // fired faults are marked here
 }
 
 void

@@ -9,12 +9,13 @@ namespace xpc::kernel {
 CallBracket::CallBracket(Kernel &kernel, hw::Core &core,
                          CallOutcome &out, Counter &expired)
     : callerCore(core), out(out), expiredCalls(expired),
-      dscope(rscope.topLevel() && kernel.callDeadline.value() != 0
+      ctx(kernel.machine().requests()), rscope(ctx),
+      dscope(ctx,
+             rscope.topLevel() && kernel.callDeadline.value() != 0
                  ? (core.now() + kernel.callDeadline).value()
                  : 0),
-      dl(req::RequestContext::global().currentDeadline()),
-      inj(kernel.machine().faultInjector()),
-      tr(trace::Tracer::global())
+      dl(ctx.currentDeadline()), inj(kernel.machine().faultInjector()),
+      tr(kernel.machine().tracer())
 {
     if (!inj || !inj->enabled)
         return;
@@ -36,7 +37,7 @@ CallBracket::open(const char *span_cat, const char *span_name,
     name = span_name;
     lane = caller_lane;
     tenant = caller_tenant;
-    tier = req::RequestContext::global().currentCriticality();
+    tier = ctx.currentCriticality();
     opened = true;
     active = tr.enabled();
     if (!active)

@@ -206,7 +206,7 @@ class CallBracket
         uint32_t slow = strikeHandler(req_len);
         Cycles h0 = hcore.now();
         {
-            req::PhaseScope phase(uint32_t(Phase::Handler));
+            req::PhaseScope phase(ctx, uint32_t(Phase::Handler));
             if (stall) {
                 // Busy-loop past the deadline; no reply is produced.
                 uint64_t now = hcore.now().value();
@@ -232,6 +232,7 @@ class CallBracket
     hw::Core &callerCore;
     CallOutcome &out;
     Counter &expiredCalls;
+    req::RequestContext &ctx;
     req::RequestScope rscope;
     req::DeadlineScope dscope;
     const uint64_t dl;

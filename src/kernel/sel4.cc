@@ -169,7 +169,7 @@ Sel4Kernel::callPort(hw::Core &core, Thread &client, uint64_t ep_id,
     // One seL4 IPC is one hop of a request chain, bracketed on the
     // client's lane.
     CallBracket bracket(*this, core, out, deadlineExpired);
-    auto &tr = trace::Tracer::global();
+    auto &tr = mach.tracer();
     bracket.open("sel4", "call", req::threadLane(uint32_t(client.id())),
                  client.tenant);
     Cycles start = bracket.start();
@@ -235,7 +235,7 @@ Sel4Kernel::callPort(hw::Core &core, Thread &client, uint64_t ep_id,
     }
     if (large) {
         panic_if(req_len > shared->len, "message exceeds shared buffer");
-        req::PhaseScope phase(uint32_t(Phase::Transfer));
+        req::PhaseScope phase(mach.requests(), uint32_t(Phase::Transfer));
         auto res =
             mach.mem().copy(core.id(), userCtx(*client.process()),
                             req_va, userCtx(*client.process()),
@@ -285,7 +285,7 @@ Sel4Kernel::callPort(hw::Core &core, Thread &client, uint64_t ep_id,
     // while still in the kernel (slow path).
     t0 = core.now();
     if (medium) {
-        req::PhaseScope phase(uint32_t(Phase::Transfer));
+        req::PhaseScope phase(mach.requests(), uint32_t(Phase::Transfer));
         auto res = mach.mem().copy(
             core.id(), userCtx(*client.process()), req_va,
             userCtx(*ep.server->process()), ep.scratchVa, req_len);
@@ -331,7 +331,7 @@ Sel4Kernel::callPort(hw::Core &core, Thread &client, uint64_t ep_id,
         handler_core.syncTo(core.now());
     t0 = handler_core.now();
     if (large && portMode == LongMsgMode::TwoCopy) {
-        req::PhaseScope phase(uint32_t(Phase::Transfer));
+        req::PhaseScope phase(mach.requests(), uint32_t(Phase::Transfer));
         auto res = mach.mem().copy(
             handler_core.id(), userCtx(*ep.server->process()),
             shared->serverVa, userCtx(*ep.server->process()),
@@ -401,7 +401,7 @@ Sel4Kernel::callPort(hw::Core &core, Thread &client, uint64_t ep_id,
     uint64_t reply_len = call_ctx.replyLen;
     panic_if(reply_len > reply_cap, "reply overflows client buffer");
     if (reply_len > 0) {
-        req::PhaseScope phase(uint32_t(Phase::Transfer));
+        req::PhaseScope phase(mach.requests(), uint32_t(Phase::Transfer));
         if (!call_ctx.replyInBuffer) {
             // Reply travelled in registers.
             auto res = userWrite(core, *client.process(), reply_va,

@@ -127,7 +127,7 @@ ZirconKernel::callPort(hw::Core &core, Thread &client, uint64_t ch_id,
     // --- zx_channel_write: copy in (user -> kernel). --------------
     chargeSyscall(core);
     {
-        req::PhaseScope phase(uint32_t(Phase::Transfer));
+        req::PhaseScope phase(mach.requests(), uint32_t(Phase::Transfer));
         std::vector<uint8_t> stage(req_len);
         if (req_len > 0) {
             auto res = userRead(core, *client.process(), req_va,
@@ -142,7 +142,7 @@ ZirconKernel::callPort(hw::Core &core, Thread &client, uint64_t ch_id,
     // --- Wake the server; the client blocks on the reply. ---------
     server_woken = true;
     {
-        req::PhaseScope phase(uint32_t(Phase::ProcessSwitch));
+        req::PhaseScope phase(mach.requests(), uint32_t(Phase::ProcessSwitch));
         if (cross_core) {
             mach.sendIpi(core.id(), scre.id());
             scre.spend(costs.remoteWake);
@@ -159,7 +159,7 @@ ZirconKernel::callPort(hw::Core &core, Thread &client, uint64_t ch_id,
     chargeSyscall(scre);
     scre.spend(params.portWait);
     if (req_len > 0) {
-        req::PhaseScope phase(uint32_t(Phase::Transfer));
+        req::PhaseScope phase(mach.requests(), uint32_t(Phase::Transfer));
         std::vector<uint8_t> stage(req_len);
         scre.spend(mach.mem().readPhys(scre.id(), ch.kernelBuf,
                                        stage.data(), req_len));
@@ -206,7 +206,7 @@ ZirconKernel::callPort(hw::Core &core, Thread &client, uint64_t ch_id,
     uint64_t reply_len = call_ctx.replyLen;
     chargeSyscall(scre);
     if (reply_len > 0) {
-        req::PhaseScope phase(uint32_t(Phase::Transfer));
+        req::PhaseScope phase(mach.requests(), uint32_t(Phase::Transfer));
         std::vector<uint8_t> stage(reply_len);
         auto res = userRead(scre, *ch.server->process(),
                             ch.serverReplyVa, stage.data(), reply_len);
@@ -217,7 +217,7 @@ ZirconKernel::callPort(hw::Core &core, Thread &client, uint64_t ch_id,
     }
 
     {
-        req::PhaseScope phase(uint32_t(Phase::ProcessSwitch));
+        req::PhaseScope phase(mach.requests(), uint32_t(Phase::ProcessSwitch));
         if (cross_core) {
             mach.sendIpi(scre.id(), core.id());
             core.syncTo(scre.now());
@@ -232,7 +232,7 @@ ZirconKernel::callPort(hw::Core &core, Thread &client, uint64_t ch_id,
 
     chargeSyscall(core);
     if (reply_len > 0) {
-        req::PhaseScope phase(uint32_t(Phase::Transfer));
+        req::PhaseScope phase(mach.requests(), uint32_t(Phase::Transfer));
         std::vector<uint8_t> stage(reply_len);
         core.spend(mach.mem().readPhys(core.id(), ch.kernelBuf,
                                        stage.data(), reply_len));

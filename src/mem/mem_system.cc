@@ -27,7 +27,9 @@ injectedFault(VAddr vaddr, Cycles latency)
 
 } // namespace
 
-MemAttribution::MemAttribution(StatGroup *parent)
+MemAttribution::MemAttribution(StatGroup *parent,
+                               const req::RequestContext &requests)
+    : ctx(requests)
 {
     group.setParent(parent);
     auto reg = [&](const std::string &prefix, Row &r) {
@@ -43,8 +45,10 @@ MemAttribution::MemAttribution(StatGroup *parent)
 }
 
 MemSystem::MemSystem(PhysMem &phys, const MemParams &params,
-                     uint32_t ncores)
-    : physMem(phys), memParams(params)
+                     uint32_t ncores, req::RequestContext &requests,
+                     trace::Tracer &tracer)
+    : attr(&stats, requests), requests_(requests), tracer_(tracer),
+      physMem(phys), memParams(params)
 {
     panic_if(ncores == 0, "MemSystem needs at least one core");
     l2 = std::make_unique<Cache>(params.l2, nullptr, params.dramLatency);
@@ -122,10 +126,9 @@ MemSystem::translate(CoreId core, const TransContext &ctx, VAddr vaddr,
     for (int i = 0; i < walk.levels; i++)
         res.cycles += l1(core).access(walk.pteAddrs[i], 8, false);
     attr.walk(res.cycles.value());
-    if (trace::Tracer::global().enabled())
-        trace::Tracer::global().instantNow("mem", "tlb_miss_fill",
-                                           core, {},
-                                           res.cycles.value());
+    if (tracer_.enabled())
+        tracer_.instantNow("mem", "tlb_miss_fill", core, {},
+                           res.cycles.value());
     if (!walk.valid)
         return fault(FaultKind::PageFault);
     if (!walk.perms.allows(req))
@@ -173,9 +176,9 @@ MemSystem::access(CoreId core, const TransContext &ctx, VAddr vaddr,
         bool missed = false;
         Cycles data = charge(core, paddr, chunk, isWrite, missed);
         total.cycles += data;
-        if (missed && trace::Tracer::global().enabled())
-            trace::Tracer::global().instantNow("mem", "l1_miss_fill",
-                                               core, {}, data.value());
+        if (missed && tracer_.enabled())
+            tracer_.instantNow("mem", "l1_miss_fill", core, {},
+                               data.value());
         if constexpr (isWrite)
             physMem.write(paddr, buf, chunk);
         else

@@ -137,11 +137,11 @@ struct TransContext
 
 /**
  * Memory-hierarchy attribution by call phase: every charged access is
- * also credited to whatever Phase was active when it happened (via
- * req::RequestContext), so benches and the critical-path profiler can
- * answer "how many of this phase's cycles were TLB walks?". Accesses
- * outside any phase land in the trailing "unattributed" row. Purely
- * observational - it never adds cycles.
+ * also credited to whatever Phase the machine's req::RequestContext
+ * had bound when it happened, so benches and the critical-path
+ * profiler can answer "how many of this phase's cycles were TLB
+ * walks?". Accesses outside any phase land in the trailing
+ * "unattributed" row. Purely observational - it never adds cycles.
  */
 class MemAttribution
 {
@@ -156,7 +156,8 @@ class MemAttribution
         Counter walkCycles;    ///< cycles spent inside those walks
     };
 
-    explicit MemAttribution(StatGroup *parent);
+    MemAttribution(StatGroup *parent,
+                   const req::RequestContext &requests);
 
     /** Credit a charged data access to the active phase. */
     void
@@ -189,10 +190,11 @@ class MemAttribution
     Row &
     active()
     {
-        uint32_t p = req::RequestContext::global().currentPhase();
+        uint32_t p = ctx.currentPhase();
         return rows[p < phaseCount ? p : phaseCount];
     }
 
+    const req::RequestContext &ctx;
     StatGroup group{"attr"};
     Row rows[phaseCount + 1];
 };
@@ -201,7 +203,10 @@ class MemAttribution
 class MemSystem
 {
   public:
-    MemSystem(PhysMem &phys, const MemParams &params, uint32_t ncores);
+    /** Attribution reads the phase from @p requests; miss fills are
+     *  marked on @p tracer. */
+    MemSystem(PhysMem &phys, const MemParams &params, uint32_t ncores,
+              req::RequestContext &requests, trace::Tracer &tracer);
 
     /** Timed virtual read of @p len bytes into @p dst. */
     AccessResult read(CoreId core, const TransContext &ctx, VAddr vaddr,
@@ -238,6 +243,8 @@ class MemSystem
     Cache &l2Cache() { return *l2; }
     PhysMem &phys() { return physMem; }
     const MemParams &params() const { return memParams; }
+    req::RequestContext &requests() { return requests_; }
+    trace::Tracer &tracer() { return tracer_; }
 
     /** Flush one core's TLB (untagged address-space switch). */
     void flushTlb(CoreId core) { tlbs[core]->flushAll(); }
@@ -253,9 +260,11 @@ class MemSystem
     /** Registry node covering the TLBs and the cache hierarchy. */
     StatGroup stats{"mem"};
     /** Per-phase attribution of the traffic above ("mem.attr"). */
-    MemAttribution attr{&stats};
+    MemAttribution attr;
 
   private:
+    req::RequestContext &requests_;
+    trace::Tracer &tracer_;
     PhysMem &physMem;
     MemParams memParams;
     FaultInjector *injector = nullptr;

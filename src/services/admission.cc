@@ -44,7 +44,8 @@ AdmissionController::growWatermark(uint64_t now)
 }
 
 void
-AdmissionController::shrinkWatermark(uint64_t now)
+AdmissionController::shrinkWatermark(uint64_t now,
+                                     trace::Tracer *tracer)
 {
     // One decrease per drainCycles at most - the classic once-per-
     // congestion-event rule. A burst of sheds at the same depth is
@@ -56,9 +57,9 @@ AdmissionController::shrinkWatermark(uint64_t now)
     wmMilli = std::max(floor_m, next);
     lastShrink = now;
     watermarkDecreases.inc();
-    trace::Tracer::global().instantNow(
-        "admission", "watermark_decrease", 0,
-        name_ + " -> " + std::to_string(wmMilli / 1000));
+    if (tracer)
+        tracer->instantNow("admission", "watermark_decrease", 0,
+                           name_ + " -> " + std::to_string(wmMilli / 1000));
 }
 
 uint32_t
@@ -107,8 +108,16 @@ AdmissionController::drain(Bucket &b, uint64_t now) const
 
 bool
 AdmissionController::admit(Cycles now, uint32_t client_id,
-                           uint32_t tenant, req::Criticality tier)
+                           uint32_t tenant, req::Criticality tier,
+                           trace::Tracer *tracer)
 {
+    auto shedOne = [&](const std::string &why) {
+        shed.inc();
+        shedByTier[size_t(tier)].inc();
+        if (tracer)
+            tracer->instantNow("admission", "shed", 0, name_ + why);
+        return false;
+    };
     uint64_t t = now.value();
     drain(global, t);
     if (opts.adaptive)
@@ -121,11 +130,7 @@ AdmissionController::admit(Cycles now, uint32_t client_id,
         if (client->level >= opts.clientShare) {
             // This client already owns its fair share of the queue.
             shedFairShare.inc();
-            shed.inc();
-            shedByTier[size_t(tier)].inc();
-            trace::Tracer::global().instantNow(
-                "admission", "shed", 0, name_ + " fair-share");
-            return false;
+            return shedOne(" fair-share");
         }
     }
     Bucket *tb = nullptr;
@@ -137,28 +142,20 @@ AdmissionController::admit(Cycles now, uint32_t client_id,
             // queue; shedding here keeps its retry storm from
             // starving other tenants of the shared service.
             shedTenantShare.inc();
-            shed.inc();
-            shedByTier[size_t(tier)].inc();
-            trace::Tracer::global().instantNow(
-                "admission", "shed", 0, name_ + " tenant-share");
-            return false;
+            return shedOne(" tenant-share");
         }
     }
     uint32_t wm = opts.adaptive ? uint32_t(wmMilli / 1000)
                                 : opts.highWatermark;
     if (global.level >= tierThreshold(tier, wm)) {
-        shed.inc();
-        shedByTier[size_t(tier)].inc();
-        trace::Tracer::global().instantNow(
-            "admission", "shed", 0,
-            opts.brownout
-                ? name_ + " brownout " + req::criticalityName(tier)
-                : name_ + " overload");
+        shedOne(opts.brownout
+                    ? std::string(" brownout ") + req::criticalityName(tier)
+                    : " overload");
         if (opts.adaptive)
             // A shed at the (tier-scaled) watermark is the capacity
             // signal AIMD reacts to; fair-share sheds above are
             // isolation, not capacity, and do not shrink anything.
-            shrinkWatermark(t);
+            shrinkWatermark(t, tracer);
         return false;
     }
     global.level++;
@@ -217,10 +214,10 @@ admitOrShed(AdmissionController *adm, core::ServerApi &api)
     // The tier rides the request context across every hop, exactly
     // like the deadline: a nested call inherits the originating
     // caller's criticality without per-transport plumbing.
-    if (adm->admit(api.core().now(),
-                   caller ? uint32_t(caller->id()) : 0,
+    hw::Core &core = api.core();
+    if (adm->admit(core.now(), caller ? uint32_t(caller->id()) : 0,
                    caller ? uint32_t(caller->tenant) : 0,
-                   req::RequestContext::global().currentCriticality()))
+                   core.requests().currentCriticality(), &core.tracer()))
         return true;
     api.fail(core::TransportStatus::Overloaded);
     api.setReplyLen(0);

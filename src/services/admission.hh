@@ -34,6 +34,10 @@ namespace xpc::core {
 class ServerApi;
 }
 
+namespace xpc::trace {
+class Tracer;
+}
+
 namespace xpc::services {
 
 struct AdmissionOptions
@@ -103,9 +107,12 @@ class AdmissionController
      * @p tenant keys the per-tenant bucket when tenantShare is on;
      * @p tier picks the request's brownout threshold (ignored unless
      * options().brownout - every tier then sheds at the watermark).
+     * Sheds and watermark decreases are marked on @p tracer (null =
+     * not traced).
      */
     bool admit(Cycles now, uint32_t client_id, uint32_t tenant = 0,
-               req::Criticality tier = req::Criticality::Default);
+               req::Criticality tier = req::Criticality::Default,
+               trace::Tracer *tracer = nullptr);
 
     /** Modelled global backlog after draining to @p now (tests). */
     uint64_t backlogAt(Cycles now) const;
@@ -174,7 +181,7 @@ class AdmissionController
     void growWatermark(uint64_t now);
     /** One capacity-loss signal: multiplicative decrease, rate-
      *  limited to once per drainCycles. */
-    void shrinkWatermark(uint64_t now);
+    void shrinkWatermark(uint64_t now, trace::Tracer *tracer);
     /** Brownout threshold of @p tier against watermark @p wm. */
     uint32_t tierThreshold(req::Criticality tier, uint32_t wm) const;
 

@@ -30,6 +30,13 @@ traceLabel(const std::pair<kernel::TenantId, std::string> &key)
 } // namespace
 
 void
+Supervisor::mark(const char *what, const Key &key)
+{
+    transport.kernelRef().machine().tracer().instantNow(
+        "supervisor", what, 0, traceLabel(key));
+}
+
+void
 Supervisor::supervise(const std::string &name, kernel::Thread &server,
                       core::ServiceId svc, RestartFn restart)
 {
@@ -95,9 +102,7 @@ Supervisor::healEntry(const Key &key, Entry &entry,
         auto brk = breakers.find(key);
         if (brk != breakers.end())
             brk->second.reset();
-        trace::Tracer::global().instantNow(
-            "supervisor", "integrity_quarantine_cleared", 0,
-            traceLabel(key));
+        mark("integrity_quarantine_cleared", key);
         if (onLifecycle)
             onLifecycle("integrity_clear", key.second, key.first);
         return true;
@@ -109,8 +114,7 @@ Supervisor::healEntry(const Key &key, Entry &entry,
         // its durable state is consistent again.
         entry.recover();
         recoveries.inc();
-        trace::Tracer::global().instantNow("supervisor", "recover", 0,
-                                           traceLabel(key));
+        mark("recover", key);
         if (onLifecycle)
             onLifecycle("recover", key.second, key.first);
     }
@@ -131,8 +135,7 @@ Supervisor::healEntry(const Key &key, Entry &entry,
     if (entry.admission)
         entry.admission->reset();
     restarts.inc();
-    trace::Tracer::global().instantNow("supervisor", "restart", 0,
-                                       traceLabel(key));
+    mark("restart", key);
     if (onLifecycle)
         onLifecycle("restart", key.second, key.first);
     return true;
@@ -215,11 +218,11 @@ Supervisor::callWithRetry(hw::Core &core, kernel::Thread &client,
     // inherit (and enforce) it on every hop, and nested scopes can
     // only tighten it.
     req::DeadlineScope dscope(
+        core.requests(),
         policy.deadlineCycles.value() != 0
             ? (core.now() + policy.deadlineCycles).value()
             : 0);
-    const uint64_t deadline =
-        req::RequestContext::global().currentDeadline();
+    const uint64_t deadline = core.requests().currentDeadline();
     core::CircuitBreaker *brk =
         breakerOpts.enabled ? &breakerFor(name, tenant) : nullptr;
     RetryBudget *budget =
@@ -231,9 +234,7 @@ Supervisor::callWithRetry(hw::Core &core, kernel::Thread &client,
         brk->onFailure(core.now());
         if (brk->trips() != before) {
             breakerTrips.inc();
-            trace::Tracer::global().instantNow(
-                "supervisor", "breaker_trip", 0,
-                traceLabel({tenant, name}));
+            mark("breaker_trip", {tenant, name});
         }
     };
     for (uint32_t attempt = 0; attempt < policy.maxAttempts;
@@ -248,9 +249,7 @@ Supervisor::callWithRetry(hw::Core &core, kernel::Thread &client,
                 lastStatus =
                     core::TransportStatus::RetryBudgetExhausted;
                 retryBudgetExhausted.inc();
-                trace::Tracer::global().instantNow(
-                    "supervisor", "retry_budget_exhausted", 0,
-                    traceLabel({tenant, name}));
+                mark("retry_budget_exhausted", {tenant, name});
                 break;
             }
             retries.inc();
@@ -274,9 +273,7 @@ Supervisor::callWithRetry(hw::Core &core, kernel::Thread &client,
             // Out of budget before this attempt could even start.
             lastStatus = core::TransportStatus::DeadlineExpired;
             deadlineGiveUps.inc();
-            trace::Tracer::global().instantNow(
-                "supervisor", "deadline_give_up", 0,
-                traceLabel({tenant, name}));
+            mark("deadline_give_up", {tenant, name});
             break;
         }
         if (brk && !brk->allow(core.now())) {
@@ -294,7 +291,7 @@ Supervisor::callWithRetry(hw::Core &core, kernel::Thread &client,
         // caller's own tier.
         std::optional<req::CriticalityScope> probeTier;
         if (brk && brk->probing())
-            probeTier.emplace(req::Criticality::Critical);
+            probeTier.emplace(core.requests(), req::Criticality::Critical);
         if (autoHeal)
             heal(tenant);
         core::ServiceId svc = currentId(name, tenant);
@@ -321,9 +318,7 @@ Supervisor::callWithRetry(hw::Core &core, kernel::Thread &client,
                 // quarantine; heal() clears the record.
                 integrityViolations.inc();
                 integrityOffenders[{tenant, name}]++;
-                trace::Tracer::global().instantNow(
-                    "supervisor", "integrity_violation", 0,
-                    traceLabel({tenant, name}));
+                mark("integrity_violation", {tenant, name});
             }
             noteFailure();
             continue;

@@ -270,6 +270,9 @@ class Supervisor
      * explicit heal(), or the breaker would re-open for free.
      */
     bool healEntry(const Key &key, Entry &entry, bool clear_integrity);
+
+    /** Mark @p what for @p key on the machine's tracer. */
+    void mark(const char *what, const Key &key);
 };
 
 } // namespace xpc::services

@@ -90,7 +90,7 @@ struct RequestReport
 std::vector<RequestReport> analyze(const trace::Tracer &tracer);
 
 /** Multi-line human-readable report for one request. Lane names
- *  resolve through @p tracer (pass Tracer::global()). */
+ *  resolve through @p tracer (the one analyze() read). */
 std::string formatReport(const RequestReport &r,
                          const trace::Tracer &tracer);
 

@@ -141,7 +141,8 @@ FaultInjector::recordFired(const FaultEvent &ev)
 {
     log_.push_back(ev);
     firedPerOp_[uint32_t(ev.op)]++;
-    trace::Tracer::global().instantNow("fault", faultOpName(ev.op), 0);
+    if (tracer)
+        tracer->instantNow("fault", faultOpName(ev.op), 0);
 }
 
 uint64_t
@@ -160,8 +161,8 @@ FaultInjector::atCrashSite(const char *kind)
         // again 3 sites into whatever recovery follows this firing.
         siteSeq_ = 0;
         crashLog_.push_back(site);
-        trace::Tracer::global().instantNow("fault", "crash-site", 0,
-                                           kind);
+        if (tracer)
+            tracer->instantNow("fault", "crash-site", 0, kind);
     }
     return site;
 }

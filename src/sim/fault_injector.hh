@@ -24,6 +24,10 @@
 
 #include "sim/types.hh"
 
+namespace xpc::trace {
+class Tracer;
+}
+
 namespace xpc {
 
 /** What to break (the tentpole's fault taxonomy). */
@@ -140,6 +144,9 @@ class FaultInjector
 
     /** Master switch: hooks are inert while false (wiring time). */
     bool enabled = false;
+
+    /** Marks fired faults; set by hw::Machine::setFaultInjector. */
+    trace::Tracer *tracer = nullptr;
 
     /** Advance the global call counter. @return the new sequence. */
     uint64_t beginCall() { return ++seq_; }

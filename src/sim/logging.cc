@@ -1,6 +1,7 @@
 #include "logging.hh"
 
 #include <cstdarg>
+#include <vector>
 
 #include "trace.hh"
 
@@ -10,6 +11,7 @@ namespace {
 
 bool quietFlag = false;
 LogSink sinkFn; // empty = default stdio sink
+std::vector<trace::Tracer *> logTracers; // the last one gets records
 
 /** stdio behaviour when no sink is installed. */
 void
@@ -37,9 +39,8 @@ defaultSink(LogLevel level, const std::string &msg)
 void
 emit(LogLevel level, const std::string &msg)
 {
-    trace::Tracer &t = trace::Tracer::global();
-    if (t.enabled())
-        t.instantNow("log", logLevelName(level), 0, msg);
+    if (!logTracers.empty() && logTracers.back()->enabled())
+        logTracers.back()->instantNow("log", logLevelName(level), 0, msg);
     if (sinkFn)
         sinkFn(level, msg);
     else
@@ -68,6 +69,18 @@ void
 setLogSink(LogSink sink)
 {
     sinkFn = std::move(sink);
+}
+
+void
+attachLogTracer(trace::Tracer &tracer)
+{
+    logTracers.push_back(&tracer);
+}
+
+void
+detachLogTracer(trace::Tracer &tracer)
+{
+    std::erase(logTracers, &tracer);
 }
 
 void

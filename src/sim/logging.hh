@@ -24,10 +24,14 @@ enum class LogLevel { Panic, Fatal, Warn, Inform };
 /** @return a printable name for @p level. */
 const char *logLevelName(LogLevel level);
 
+namespace trace {
+class Tracer;
+}
+
 /**
  * Pluggable destination for log records. Every record flows through
  * the installed sink: the default writes to stdio exactly as before,
- * tests install a capturing sink, and the tracer (when enabled)
+ * tests install a capturing sink, and the log tracer (when enabled)
  * additionally interleaves each record into the event stream as a
  * trace instant. panic/fatal still terminate after the sink runs.
  */
@@ -35,6 +39,15 @@ using LogSink = std::function<void(LogLevel, const std::string &)>;
 
 /** Install @p sink as the log destination; empty restores stdio. */
 void setLogSink(LogSink sink);
+
+/**
+ * Log records also go to the most recently attached tracer. Each
+ * hw::Machine attaches its own for its lifetime, so while several
+ * machines are alive the one built last gets the log lines, and once
+ * it dies the newest one left.
+ */
+void attachLogTracer(trace::Tracer &tracer);
+void detachLogTracer(trace::Tracer &tracer);
 
 namespace detail {
 

@@ -84,9 +84,10 @@ class PhaseStats
 
 /**
  * Scoped phase probe: samples the core clock at construction and
- * binds the phase, so memory traffic inside the probe is attributed
- * to it (sim/request.hh). stop() (or destruction) unbinds the phase,
- * emits the span after the fact - named phaseName(phase), on lane
+ * binds the phase in the core's request context, so memory traffic
+ * inside the probe is attributed to it (sim/request.hh). stop() (or
+ * destruction) unbinds the phase, emits the span to the core's
+ * tracer after the fact - named phaseName(phase), on lane
  * @p lane in category @p cat, from the phase's first cycle to now -
  * and returns the elapsed cycles. Recording the phase into PhaseStats
  * is the caller's business: a call path does it at the call's end,
@@ -101,7 +102,7 @@ class PhaseTimer
         : coreRef(core), phase_(phase), category(cat), laneId(lane),
           startTs(core.now())
     {
-        req::RequestContext::global().pushPhase(uint32_t(phase_));
+        coreRef.requests().pushPhase(uint32_t(phase_));
     }
 
     ~PhaseTimer() { stop(); }
@@ -115,9 +116,9 @@ class PhaseTimer
     {
         if (!stopped) {
             stopped = true;
-            req::RequestContext::global().popPhase();
+            coreRef.requests().popPhase();
             elapsed = coreRef.now() - startTs;
-            trace::Tracer &t = trace::Tracer::global();
+            trace::Tracer &t = coreRef.tracer();
             if (t.enabled()) {
                 t.begin(category, phaseName(phase_), startTs.value(),
                         laneId);

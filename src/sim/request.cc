@@ -2,13 +2,6 @@
 
 namespace xpc::req {
 
-RequestContext &
-RequestContext::global()
-{
-    static RequestContext ctx;
-    return ctx;
-}
-
 const char *
 criticalityName(Criticality c)
 {

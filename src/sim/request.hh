@@ -1,8 +1,10 @@
 /**
  * @file
- * Request-scoped causal context: the process-global cursor that says
- * "which cross-process call chain is executing right now, and in
- * which phase".
+ * Request-scoped causal context: the cursor of one simulated machine
+ * that says "which cross-process call chain is executing right now,
+ * and in which phase". Each hw::Machine owns one, so Systems that
+ * live side by side in one process share no request ids, phases,
+ * deadlines or tiers.
  *
  * Every top-level call (any transport, either kernel, or the raw XPC
  * runtime) mints a RequestId and binds it for the call's dynamic
@@ -52,12 +54,10 @@ enum class Criticality : uint8_t
 constexpr size_t criticalityCount = 3;
 const char *criticalityName(Criticality c);
 
-/** The process-wide request/phase cursor. */
+/** One machine's request/phase cursor. */
 class RequestContext
 {
   public:
-    static RequestContext &global();
-
     /** The request bound to the executing call chain (0 if none). */
     RequestId
     current() const
@@ -114,18 +114,6 @@ class RequestContext
             phases.pop_back();
     }
 
-    /** Drop all bindings and restart id numbering (tests, examples
-     *  that want the traced request to be #1). */
-    void
-    reset()
-    {
-        reqs.clear();
-        phases.clear();
-        deadlines.clear();
-        tiers.clear();
-        lastId = 0;
-    }
-
   private:
     friend class RequestScope;
     friend class DeadlineScope;
@@ -149,15 +137,14 @@ class RequestContext
 class RequestScope
 {
   public:
-    RequestScope()
+    explicit RequestScope(RequestContext &context) : ctx(context)
     {
-        RequestContext &c = RequestContext::global();
-        top = c.reqs.empty();
-        id_ = top ? c.mint() : c.reqs.back();
-        c.reqs.push_back(id_);
+        top = ctx.reqs.empty();
+        id_ = top ? ctx.mint() : ctx.reqs.back();
+        ctx.reqs.push_back(id_);
     }
 
-    ~RequestScope() { RequestContext::global().reqs.pop_back(); }
+    ~RequestScope() { ctx.reqs.pop_back(); }
 
     RequestScope(const RequestScope &) = delete;
     RequestScope &operator=(const RequestScope &) = delete;
@@ -167,6 +154,7 @@ class RequestScope
     bool topLevel() const { return top; }
 
   private:
+    RequestContext &ctx;
     RequestId id_ = 0;
     bool top = false;
 };
@@ -183,20 +171,23 @@ class RequestScope
 class DeadlineScope
 {
   public:
-    explicit DeadlineScope(uint64_t absolute_deadline)
+    DeadlineScope(RequestContext &context, uint64_t absolute_deadline)
+        : ctx(context)
     {
-        RequestContext &c = RequestContext::global();
-        uint64_t outer = c.currentDeadline();
+        uint64_t outer = ctx.currentDeadline();
         uint64_t eff = absolute_deadline;
         if (outer != 0 && (eff == 0 || outer < eff))
             eff = outer;
-        c.deadlines.push_back(eff);
+        ctx.deadlines.push_back(eff);
     }
 
-    ~DeadlineScope() { RequestContext::global().deadlines.pop_back(); }
+    ~DeadlineScope() { ctx.deadlines.pop_back(); }
 
     DeadlineScope(const DeadlineScope &) = delete;
     DeadlineScope &operator=(const DeadlineScope &) = delete;
+
+  private:
+    RequestContext &ctx;
 };
 
 /**
@@ -213,30 +204,38 @@ class DeadlineScope
 class CriticalityScope
 {
   public:
-    explicit CriticalityScope(Criticality tier)
+    CriticalityScope(RequestContext &context, Criticality tier)
+        : ctx(context)
     {
-        RequestContext::global().tiers.push_back(tier);
+        ctx.tiers.push_back(tier);
     }
 
-    ~CriticalityScope() { RequestContext::global().tiers.pop_back(); }
+    ~CriticalityScope() { ctx.tiers.pop_back(); }
 
     CriticalityScope(const CriticalityScope &) = delete;
     CriticalityScope &operator=(const CriticalityScope &) = delete;
+
+  private:
+    RequestContext &ctx;
 };
 
 /** RAII phase binding; memory traffic inside is charged to it. */
 class PhaseScope
 {
   public:
-    explicit PhaseScope(uint32_t phase_index)
+    PhaseScope(RequestContext &context, uint32_t phase_index)
+        : ctx(context)
     {
-        RequestContext::global().pushPhase(phase_index);
+        ctx.pushPhase(phase_index);
     }
 
-    ~PhaseScope() { RequestContext::global().popPhase(); }
+    ~PhaseScope() { ctx.popPhase(); }
 
     PhaseScope(const PhaseScope &) = delete;
     PhaseScope &operator=(const PhaseScope &) = delete;
+
+  private:
+    RequestContext &ctx;
 };
 
 /**

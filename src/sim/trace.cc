@@ -9,7 +9,7 @@
 
 namespace xpc::trace {
 
-Tracer::Tracer()
+Tracer::Tracer(const req::RequestContext &requests) : ctx(requests)
 {
     if (const char *env = std::getenv("XPC_TRACE"))
         on = env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
@@ -18,13 +18,6 @@ Tracer::Tracer()
         if (n > 0)
             cap = size_t(n);
     }
-}
-
-Tracer &
-Tracer::global()
-{
-    static Tracer tracer;
-    return tracer;
 }
 
 void
@@ -51,7 +44,6 @@ void
 Tracer::push(TraceEvent &ev)
 {
     // Stamp the causal context: which request chain, which phase.
-    const req::RequestContext &ctx = req::RequestContext::global();
     ev.req = ctx.current();
     ev.phase = ctx.currentPhase();
     if (ev.tid < lastTs.size())

@@ -21,9 +21,11 @@
  * index, so the span fast path never allocates. The side ring holds
  * as many texts as the event ring holds events, so a retained event
  * never loses its text; it grows with the texts actually recorded.
- * Every event is stamped with the active request id and phase
- * (sim/request.hh), which is what ties a span on the file server's
- * lane to the client request that caused it.
+ * Every event is stamped with the active request id and phase of its
+ * machine's request context (sim/request.hh), which is what ties a
+ * span on the file server's lane to the client request that caused
+ * it. Each hw::Machine owns one tracer beside that context, so a
+ * System's trace, request ids and lane names are its own.
  */
 
 #ifndef XPC_SIM_TRACE_HH
@@ -78,7 +80,7 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>,
               "TraceEvent must stay trivially copyable: the span fast "
               "path may not allocate");
 
-/** Ring-buffer tracer; one global instance per process. */
+/** Ring-buffer tracer; one per simulated machine. */
 class Tracer
 {
   public:
@@ -88,9 +90,10 @@ class Tracer
     static constexpr bool compiledIn = true;
 #endif
 
-    /** The process-wide tracer. First use reads XPC_TRACE ("0" or
-     *  unset = disabled) and XPC_TRACE_BUF (capacity in events). */
-    static Tracer &global();
+    /** A tracer that stamps events from @p requests. Reads XPC_TRACE
+     *  ("0" or unset = disabled) and XPC_TRACE_BUF (capacity in
+     *  events). */
+    explicit Tracer(const req::RequestContext &requests);
 
     bool enabled() const { return compiledIn && on; }
     void setEnabled(bool e) { on = e; }
@@ -165,12 +168,11 @@ class Tracer
     bool exportChromeJson(const std::string &path) const;
 
   private:
-    Tracer();
-
     void push(TraceEvent &ev);
     /** Keep @p text in the side ring. @return its 1-based sequence. */
     uint32_t keepText(std::string text);
 
+    const req::RequestContext &ctx;
     bool on = false;
     size_t cap = 1 << 16;
     std::vector<TraceEvent> ring;
@@ -184,8 +186,9 @@ class Tracer
 };
 
 /**
- * RAII begin/end span charged to a core's simulated clock. CoreT only
- * needs now().value() and id(), so tests can use a stub clock.
+ * RAII begin/end span charged to a core's simulated clock, recorded
+ * by the core's tracer. CoreT only needs now().value(), id() and
+ * tracer(), so tests can use a stub clock.
  */
 template <typename CoreT>
 class Span
@@ -194,7 +197,7 @@ class Span
     Span(CoreT &core, const char *cat, const char *name)
         : coreRef(core), category(cat), label(name)
     {
-        Tracer &t = Tracer::global();
+        Tracer &t = coreRef.tracer();
         if (t.enabled()) {
             active = true;
             t.begin(category, label, coreRef.now().value(),
@@ -205,8 +208,8 @@ class Span
     ~Span()
     {
         if (active)
-            Tracer::global().end(category, label,
-                                 coreRef.now().value(), coreRef.id());
+            coreRef.tracer().end(category, label, coreRef.now().value(),
+                                 coreRef.id());
     }
 
     Span(const Span &) = delete;

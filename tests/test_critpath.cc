@@ -28,26 +28,24 @@ using namespace xpc;
 
 namespace {
 
+/** @return @p sys's tracer, recording from here on. */
+trace::Tracer &
+traceOn(core::System &sys)
+{
+    trace::Tracer &t = sys.machine().tracer();
+    t.setEnabled(true);
+    t.setCapacity(1 << 14);
+    return t;
+}
+
 class CritPathTest : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        trace::Tracer &t = trace::Tracer::global();
-        t.setEnabled(true);
-        t.setCapacity(1 << 14);
-        t.clear();
-        req::RequestContext::global().reset();
-    }
-
-    void
-    TearDown() override
-    {
-        trace::Tracer &t = trace::Tracer::global();
-        t.setEnabled(false);
-        t.clear();
-        req::RequestContext::global().reset();
+        hand.setEnabled(true);
+        hand.setCapacity(1 << 14);
     }
 
     static std::unique_ptr<core::System>
@@ -57,6 +55,31 @@ class CritPathTest : public ::testing::Test
         opts.flavor = flavor;
         return std::make_unique<core::System>(opts);
     }
+
+    /**
+     * Record one hand-written top-level request of @p cycles from
+     * @p t0: a call span on the client lane around a handler span,
+     * then the call bracket's outcome instant and, for a non-default
+     * tenant, its tenant instant.
+     */
+    void
+    recordRequest(uint64_t t0, uint64_t cycles, const char *status,
+                  uint32_t tenant = 0)
+    {
+        req::RequestScope scope(ctx);
+        hand.begin("xpc", "call", t0, 1001);
+        hand.begin("xpc", "handler", t0 + 10, 1002);
+        hand.end("xpc", "handler", t0 + cycles - 10, 1002);
+        hand.instant("xpc", "outcome", t0 + cycles, 1001, status);
+        if (tenant != 0)
+            hand.instant("xpc", "tenant", t0 + cycles, 1001,
+                         std::to_string(tenant));
+        hand.end("xpc", "call", t0 + cycles, 1001);
+    }
+
+    /** The request context and tracer of the hand-written traces. */
+    req::RequestContext ctx;
+    trace::Tracer hand{ctx};
 };
 
 /** The invariant every report must satisfy: nothing vanished. */
@@ -90,9 +113,7 @@ TEST_F(CritPathTest, SingleXcallReconstructs)
     sys->manager().grantXcallCap(server, client, id);
     rt.allocRelayMem(core, client, 4096);
 
-    trace::Tracer &tracer = trace::Tracer::global();
-    tracer.clear();
-    req::RequestContext::global().reset();
+    trace::Tracer &tracer = traceOn(*sys);
     auto out = rt.call(core, client, id, 0, 64);
     ASSERT_TRUE(out.ok);
 
@@ -156,12 +177,10 @@ TEST_F(CritPathTest, NestedChainKeepsOneFlow)
     sys->manager().grantXcallCap(c_t, b_t, c_id);
     rt.allocRelayMem(core, client, 4096);
 
-    trace::Tracer &tracer = trace::Tracer::global();
-    tracer.clear();
-    req::RequestContext::global().reset();
+    trace::Tracer &tracer = traceOn(*sys);
     auto out = rt.call(core, client, a_id, 0, 64);
     ASSERT_TRUE(out.ok);
-    EXPECT_EQ(req::RequestContext::global().minted(), 1u);
+    EXPECT_EQ(sys->machine().requests().minted(), 1u);
 
     auto reports = critpath::analyze(tracer);
     ASSERT_EQ(reports.size(), 1u) << "nested hops minted extra ids";
@@ -199,9 +218,7 @@ TEST_F(CritPathTest, TransportCallsCloseOnEveryKernel)
         core::Transport &tr = sys->transport();
         tr.requestArea(core, client, 4096);
 
-        trace::Tracer &tracer = trace::Tracer::global();
-        tracer.clear();
-        req::RequestContext::global().reset();
+        trace::Tracer &tracer = traceOn(*sys);
         uint8_t payload[64] = {0x5a};
         tr.clientWrite(core, client, 0, payload, sizeof(payload));
         core::CallResult res =
@@ -219,15 +236,14 @@ TEST_F(CritPathTest, TransportCallsCloseOnEveryKernel)
 }
 
 /**
- * The tracer's Chrome export without its thread_name metadata, which
- * comes from the process-wide lane map and so depends on which tests
- * ran earlier in the process.
+ * @p tracer's Chrome export without its thread_name metadata: the
+ * goldens pin the event stream, not the lane names.
  */
 std::string
-exportWithoutLaneNames()
+exportWithoutLaneNames(const trace::Tracer &tracer)
 {
     std::ostringstream os;
-    trace::Tracer::global().exportChromeJson(os);
+    tracer.exportChromeJson(os);
     std::istringstream in(os.str());
     std::string out, line;
     while (std::getline(in, line)) {
@@ -346,11 +362,10 @@ goldenScenarioTrace(core::SystemFlavor flavor)
     for (size_t i = 0; i < msg.size(); i++)
         msg[i] = uint8_t(i * 7);
 
-    trace::Tracer &tracer = trace::Tracer::global();
-    tracer.clear();
-    req::RequestContext::global().reset();
+    trace::Tracer &tracer = traceOn(sys);
     {
-        req::CriticalityScope tier(req::Criticality::Critical);
+        req::CriticalityScope tier(sys.machine().requests(),
+                                   req::Criticality::Critical);
         EXPECT_TRUE(
             tr.clientWrite(core, client, 0, msg.data(), msg.size()));
         core::CallResult r =
@@ -363,7 +378,7 @@ goldenScenarioTrace(core::SystemFlavor flavor)
     core::CallResult late = tr.call(core, client, slow, 0, 16, 64);
     EXPECT_EQ(late.status, core::TransportStatus::DeadlineExpired);
 
-    return exportWithoutLaneNames();
+    return exportWithoutLaneNames(tracer);
 }
 
 TEST_F(CritPathTest, CallSpansMatchGoldenOnEveryFlavor)
@@ -473,9 +488,7 @@ chaosCase(core::SystemFlavor flavor, const ChaosFault &fault,
     sys.machine().setFaultInjector(&inj);
     inj.enabled = true;
 
-    trace::Tracer &tracer = trace::Tracer::global();
-    tracer.clear();
-    req::RequestContext::global().reset();
+    trace::Tracer &tracer = traceOn(sys);
     std::ostringstream os;
     os << "{\"case\":\"" << faultOpName(fault.op) << "\",\"phase\":"
        << uint32_t(fault.phase) << ",\"arg\":" << fault.arg
@@ -500,14 +513,13 @@ chaosCase(core::SystemFlavor flavor, const ChaosFault &fault,
             os << "{\"staged\":false}";
         }
         if (call == 0) {
-            trace = exportWithoutLaneNames();
+            trace = exportWithoutLaneNames(tracer);
             trace.pop_back(); // the trailing newline
             tracer.setEnabled(false);
         }
     }
     inj.enabled = false;
     sys.machine().setFaultInjector(nullptr);
-    tracer.setEnabled(true);
     os << "],\n\"injector\":" << inj.reportJson() << ",\n\"trace\":"
        << trace << "}";
     return os.str();
@@ -559,9 +571,8 @@ TEST_F(CritPathTest, RingWraparoundMidRequestDegradesGracefully)
     sys->manager().grantXcallCap(server, client, id);
     rt.allocRelayMem(core, client, 4096);
 
-    trace::Tracer &tracer = trace::Tracer::global();
+    trace::Tracer &tracer = traceOn(*sys);
     tracer.setCapacity(16);
-    req::RequestContext::global().reset();
     auto out = rt.call(core, client, id, 0, 2048);
     ASSERT_TRUE(out.ok);
     ASSERT_EQ(tracer.size(), 16u) << "call too small to wrap the ring";
@@ -604,9 +615,7 @@ TEST_F(CritPathTest, FaultInjectedServerDeathStillBalancesSpans)
     sys->machine().setFaultInjector(&inj);
     inj.enabled = true;
 
-    trace::Tracer &tracer = trace::Tracer::global();
-    tracer.clear();
-    req::RequestContext::global().reset();
+    trace::Tracer &tracer = traceOn(*sys);
     auto out = rt.call(core, client, id, 0, 64);
     EXPECT_FALSE(out.ok);
     EXPECT_EQ(out.status, kernel::CallStatus::ServiceDead);
@@ -640,9 +649,7 @@ TEST_F(CritPathTest, AggregateStatsAndTopReport)
     sys->manager().grantXcallCap(server, client, id);
     rt.allocRelayMem(core, client, 4096);
 
-    trace::Tracer &tracer = trace::Tracer::global();
-    tracer.clear();
-    req::RequestContext::global().reset();
+    trace::Tracer &tracer = traceOn(*sys);
     constexpr int calls = 5;
     for (int i = 0; i < calls; i++)
         ASSERT_TRUE(rt.call(core, client, id, 0, 64).ok);
@@ -663,28 +670,6 @@ TEST_F(CritPathTest, AggregateStatsAndTopReport)
     EXPECT_NE(top.find("handler"), std::string::npos);
 }
 
-/**
- * Record one hand-written top-level request of @p cycles from @p t0:
- * a call span on the client lane around a handler span, then the
- * call bracket's outcome instant and, for a non-default tenant, its
- * tenant instant.
- */
-void
-recordRequest(uint64_t t0, uint64_t cycles, const char *status,
-              uint32_t tenant = 0)
-{
-    trace::Tracer &tr = trace::Tracer::global();
-    req::RequestScope scope;
-    tr.begin("xpc", "call", t0, 1001);
-    tr.begin("xpc", "handler", t0 + 10, 1002);
-    tr.end("xpc", "handler", t0 + cycles - 10, 1002);
-    tr.instant("xpc", "outcome", t0 + cycles, 1001, status);
-    if (tenant != 0)
-        tr.instant("xpc", "tenant", t0 + cycles, 1001,
-                   std::to_string(tenant));
-    tr.end("xpc", "call", t0 + cycles, 1001);
-}
-
 bool
 matches(const std::string &text, const std::string &pattern)
 {
@@ -695,14 +680,13 @@ TEST_F(CritPathTest, EmptyTracerYieldsNoReport)
 {
     // An empty trace, or one with instants but no span, is nothing
     // to profile, not an error.
-    trace::Tracer &tracer = trace::Tracer::global();
-    EXPECT_TRUE(critpath::analyze(tracer).empty());
-    tracer.instant("log", "warn", 5, 0, "no request bound");
+    EXPECT_TRUE(critpath::analyze(hand).empty());
+    hand.instant("log", "warn", 5, 0, "no request bound");
     {
-        req::RequestScope scope;
-        tracer.instant("xpc", "outcome", 5, 1001, "ok");
+        req::RequestScope scope(ctx);
+        hand.instant("xpc", "outcome", 5, 1001, "ok");
     }
-    auto reports = critpath::analyze(tracer);
+    auto reports = critpath::analyze(hand);
     EXPECT_TRUE(reports.empty());
     EXPECT_EQ(critpath::formatTop(reports), "critpath top: 0 requests\n");
 }
@@ -711,7 +695,7 @@ TEST_F(CritPathTest, IntegrityViolationGetsItsOwnRow)
 {
     // A detected corruption keeps its own outcome class.
     recordRequest(0, 100, "integrity-violation");
-    auto reports = critpath::analyze(trace::Tracer::global());
+    auto reports = critpath::analyze(hand);
     ASSERT_EQ(reports.size(), 1u);
     EXPECT_EQ(reports[0].outcome, "integrity-violation");
     EXPECT_EQ(reports[0].tenant, 0u);
@@ -736,7 +720,7 @@ TEST_F(CritPathTest, OutcomeClassesAndTenantRows)
     recordRequest(1400, 700, "timeout", 2);
     recordRequest(2200, 50, "overloaded", 2);
     recordRequest(2300, 110, "ok", 2);
-    auto reports = critpath::analyze(trace::Tracer::global());
+    auto reports = critpath::analyze(hand);
     ASSERT_EQ(reports.size(), 6u);
     EXPECT_EQ(reports[2].outcome, "deadline-expired");
     EXPECT_EQ(reports[2].tenant, 1u);
@@ -769,12 +753,10 @@ TEST_F(CritPathTest, TraceEventStaysPodWithSideText)
     // text lives in the side ring and survives lookup via textOf.
     static_assert(std::is_trivially_copyable_v<trace::TraceEvent>,
                   "TraceEvent must stay a POD ring slot");
-    trace::Tracer &tracer = trace::Tracer::global();
-    tracer.clear();
-    tracer.instantNow("unit", "note", 7, "hello side ring");
-    auto evs = tracer.events();
+    hand.instantNow("unit", "note", 7, "hello side ring");
+    auto evs = hand.events();
     ASSERT_EQ(evs.size(), 1u);
-    EXPECT_EQ(tracer.textOf(evs[0]), "hello side ring");
+    EXPECT_EQ(hand.textOf(evs[0]), "hello side ring");
 }
 
 } // namespace

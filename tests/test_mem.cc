@@ -416,7 +416,7 @@ class MemSystemTest : public ::testing::Test
         p.taggedTlb = false;
         p.walkOverhead = Cycles(4);
         p.perWordIssue = Cycles(1);
-        ms = std::make_unique<MemSystem>(pm, p, 2);
+        ms = std::make_unique<MemSystem>(pm, p, 2, requests, tracer);
         pt = std::make_unique<PageTable>(pm, alloc);
         pt->map(0x4000, alloc.allocFrames(1), permsRW);
     }
@@ -431,6 +431,8 @@ class MemSystemTest : public ::testing::Test
         return c;
     }
 
+    req::RequestContext requests;
+    trace::Tracer tracer{requests};
     PhysMem pm;
     PhysAllocator alloc;
     std::unique_ptr<MemSystem> ms;

@@ -37,24 +37,24 @@ constexpr uint64_t kCacheGet = uint64_t(services::proto::CacheOp::Get);
 
 TEST(DeadlineScope, NestedScopesOnlyTighten)
 {
-    req::RequestContext &ctx = req::RequestContext::global();
+    req::RequestContext ctx;
     EXPECT_EQ(ctx.currentDeadline(), 0u);
     {
-        req::DeadlineScope outer(100);
+        req::DeadlineScope outer(ctx, 100);
         EXPECT_EQ(ctx.currentDeadline(), 100u);
         {
             // A looser nested budget inherits the tighter outer one.
-            req::DeadlineScope inner(200);
+            req::DeadlineScope inner(ctx, 200);
             EXPECT_EQ(ctx.currentDeadline(), 100u);
         }
         {
             // A tighter nested budget wins.
-            req::DeadlineScope inner(50);
+            req::DeadlineScope inner(ctx, 50);
             EXPECT_EQ(ctx.currentDeadline(), 50u);
         }
         {
             // "No own budget" inherits the outer one.
-            req::DeadlineScope inner(0);
+            req::DeadlineScope inner(ctx, 0);
             EXPECT_EQ(ctx.currentDeadline(), 100u);
         }
         EXPECT_EQ(ctx.currentDeadline(), 100u);

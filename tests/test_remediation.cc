@@ -267,10 +267,10 @@ TEST(Brownout, TierLadderShedsSheddableFirstCriticalLast)
 
 TEST(Criticality, ScopeNestsVerbatimUnlikeDeadlines)
 {
-    req::RequestContext &ctx = req::RequestContext::global();
+    req::RequestContext ctx;
     EXPECT_EQ(ctx.currentCriticality(), req::Criticality::Default);
     {
-        req::CriticalityScope outer(req::Criticality::Sheddable);
+        req::CriticalityScope outer(ctx, req::Criticality::Sheddable);
         EXPECT_EQ(ctx.currentCriticality(),
                   req::Criticality::Sheddable);
         {
@@ -278,7 +278,7 @@ TEST(Criticality, ScopeNestsVerbatimUnlikeDeadlines)
             // innermost tier wins verbatim: that is what lets the
             // supervisor *escalate* a breaker probe to Critical
             // inside a sheddable caller.
-            req::CriticalityScope probe(req::Criticality::Critical);
+            req::CriticalityScope probe(ctx, req::Criticality::Critical);
             EXPECT_EQ(ctx.currentCriticality(),
                       req::Criticality::Critical);
         }

@@ -3,10 +3,8 @@
  * Unit tests for the cycle-keyed event tracer, the RAII span probes
  * and the pluggable log sink.
  *
- * The tracer is process-global, so every test goes through the
- * TraceTest fixture: it saves the enabled flag, resets the buffer,
- * and restores everything on teardown so tests stay independent and
- * order-insensitive.
+ * Every test traces into its own TraceTest fixture: a request context
+ * and an enabled tracer, the pair a hw::Machine owns.
  */
 
 #include <gtest/gtest.h>
@@ -27,14 +25,19 @@
 namespace xpc {
 namespace {
 
-/** Minimal clock for Span/PhaseTimer: now().value() and id() only. */
+/** Minimal core for Span/PhaseTimer: a clock, an id, and the
+ *  machine's request context and tracer. */
 struct StubCore
 {
+    req::RequestContext &ctx;
+    trace::Tracer &tr;
     uint64_t t = 0;
     uint32_t core = 3;
 
     Cycles now() const { return Cycles(t); }
     uint32_t id() const { return core; }
+    req::RequestContext &requests() { return ctx; }
+    trace::Tracer &tracer() { return tr; }
 };
 
 class TraceTest : public ::testing::Test
@@ -45,31 +48,17 @@ class TraceTest : public ::testing::Test
     {
         if (!trace::Tracer::compiledIn)
             GTEST_SKIP() << "built with XPC_TRACING_DISABLED";
-        trace::Tracer &t = trace::Tracer::global();
-        wasEnabled = t.enabled();
-        savedCap = t.capacity();
-        t.setCapacity(1024); // also clears
+        t.setCapacity(1024);
         t.setEnabled(true);
     }
 
-    void
-    TearDown() override
-    {
-        if (!trace::Tracer::compiledIn)
-            return;
-        trace::Tracer &t = trace::Tracer::global();
-        t.setEnabled(wasEnabled);
-        t.setCapacity(savedCap);
-        t.clear();
-    }
-
-    bool wasEnabled = false;
-    size_t savedCap = 0;
+    req::RequestContext ctx;
+    trace::Tracer t{ctx};
 };
 
 TEST_F(TraceTest, SpanNestingEmitsBalancedBeginEnd)
 {
-    StubCore core;
+    StubCore core{ctx, t};
     {
         trace::Span<StubCore> outer(core, "test", "outer");
         core.t = 10;
@@ -79,7 +68,7 @@ TEST_F(TraceTest, SpanNestingEmitsBalancedBeginEnd)
         }
         core.t = 30;
     }
-    auto evs = trace::Tracer::global().events();
+    auto evs = t.events();
     ASSERT_EQ(evs.size(), 4u);
     EXPECT_EQ(evs[0].kind, trace::EventKind::Begin);
     EXPECT_STREQ(evs[0].name, "outer");
@@ -99,7 +88,6 @@ TEST_F(TraceTest, SpanNestingEmitsBalancedBeginEnd)
 
 TEST_F(TraceTest, RingWrapsAndCountsDrops)
 {
-    trace::Tracer &t = trace::Tracer::global();
     t.setCapacity(4);
     for (uint64_t i = 0; i < 10; i++)
         t.instant("test", "ev", i, 0);
@@ -130,7 +118,6 @@ TEST_F(TraceTest, RingWrapsAndCountsDrops)
 
 TEST_F(TraceTest, DisabledTracerRecordsNothing)
 {
-    trace::Tracer &t = trace::Tracer::global();
     t.setEnabled(false);
     // Record methods self-guard: even unguarded probe sites stay
     // silent while tracing is off.
@@ -139,7 +126,7 @@ TEST_F(TraceTest, DisabledTracerRecordsNothing)
     t.instant("test", "i", 3, 0);
     t.counter("test", "c", 4, 5, 0);
     t.instantNow("test", "n", 0);
-    StubCore core;
+    StubCore core{ctx, t};
     { trace::Span<StubCore> span(core, "test", "span"); }
     EXPECT_EQ(t.recordedCount(), 0u);
     EXPECT_EQ(t.size(), 0u);
@@ -148,7 +135,6 @@ TEST_F(TraceTest, DisabledTracerRecordsNothing)
 
 TEST_F(TraceTest, InstantNowReusesLastTimestampPerTid)
 {
-    trace::Tracer &t = trace::Tracer::global();
     t.begin("test", "s", 500, 4);
     t.instant("test", "other", 900, 5);
     EXPECT_EQ(t.lastTime(4), 500u);
@@ -163,7 +149,6 @@ TEST_F(TraceTest, InstantNowReusesLastTimestampPerTid)
 
 TEST_F(TraceTest, ChromeJsonRoundTrip)
 {
-    trace::Tracer &t = trace::Tracer::global();
     const std::string odd = "a\"b\\c\n";
     t.setTrackName(2, odd);
     t.begin("cat", "span", 100, 1);
@@ -224,9 +209,10 @@ TEST_F(TraceTest, LogSinkCapturesRecords)
 
 TEST_F(TraceTest, LogRecordsInterleaveIntoTraceWhenEnabled)
 {
-    trace::Tracer &t = trace::Tracer::global();
     setLogSink([](LogLevel, const std::string &) {}); // mute stdio
+    attachLogTracer(t);
     warn("tlb shootdown fallback");
+    detachLogTracer(t);
     setLogSink(nullptr);
 
     auto evs = t.events();
@@ -240,21 +226,20 @@ TEST_F(TraceTest, LogRecordsInterleaveIntoTraceWhenEnabled)
 
 TEST_F(TraceTest, PhaseTimerEmitsSpanAtStop)
 {
-    req::RequestContext &ctx = req::RequestContext::global();
     uint32_t outer = ctx.currentPhase();
-    StubCore core;
+    StubCore core{ctx, t};
     core.t = 100;
     PhaseTimer<StubCore> timer(core, Phase::Xcall, "xpc", 1007);
     // While open the phase is bound and nothing is recorded yet.
     EXPECT_EQ(ctx.currentPhase(), uint32_t(Phase::Xcall));
-    EXPECT_EQ(trace::Tracer::global().size(), 0u);
+    EXPECT_EQ(t.size(), 0u);
     core.t = 172;
     EXPECT_EQ(timer.stop().value(), 72u);
     EXPECT_EQ(ctx.currentPhase(), outer);
 
     // The span runs from the phase's first cycle to stop(), on the
     // caller's lane and category, recorded after the phase unbound.
-    auto evs = trace::Tracer::global().events();
+    auto evs = t.events();
     ASSERT_EQ(evs.size(), 2u);
     EXPECT_EQ(evs[0].kind, trace::EventKind::Begin);
     EXPECT_EQ(evs[0].ts, 100u);
@@ -270,8 +255,8 @@ TEST_F(TraceTest, PhaseTimerEmitsSpanAtStop)
 
 TEST_F(TraceTest, PhaseTimerStopIsIdempotent)
 {
-    uint32_t outer = req::RequestContext::global().currentPhase();
-    StubCore core;
+    uint32_t outer = ctx.currentPhase();
+    StubCore core{ctx, t};
     {
         PhaseTimer<StubCore> timer(core, Phase::Trap, "sel4", core.id());
         core.t = 40;
@@ -279,17 +264,16 @@ TEST_F(TraceTest, PhaseTimerStopIsIdempotent)
         core.t = 99; // later stops (and the destructor) change nothing
         EXPECT_EQ(timer.stop().value(), 40u);
     }
-    auto evs = trace::Tracer::global().events();
+    auto evs = t.events();
     ASSERT_EQ(evs.size(), 2u);
     EXPECT_EQ(evs[1].ts, 40u);
-    EXPECT_EQ(req::RequestContext::global().currentPhase(), outer);
+    EXPECT_EQ(ctx.currentPhase(), outer);
 }
 
 TEST_F(TraceTest, TextsLiveAsLongAsTheirEvents)
 {
     // Thousands of texts in a ring that retains every event: each
     // keeps its text.
-    trace::Tracer &t = trace::Tracer::global();
     t.setCapacity(4096);
     for (int i = 0; i < 3000; i++)
         t.instant("test", "note", uint64_t(i), 0, std::to_string(i));
@@ -316,7 +300,6 @@ TEST_F(TraceTest, TextsLiveAsLongAsTheirEvents)
 
 TEST_F(TraceTest, SetCapacityDropsOldEvents)
 {
-    trace::Tracer &t = trace::Tracer::global();
     t.instant("test", "a", 1, 0);
     t.instant("test", "b", 2, 0);
     EXPECT_EQ(t.size(), 2u);

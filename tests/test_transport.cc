@@ -203,15 +203,14 @@ enum class OffLayer
 std::string
 offLayerRun(SystemFlavor flavor, OffLayer layer)
 {
-    trace::Tracer &tracer = trace::Tracer::global();
-    bool was_tracing = tracer.enabled();
-    if (layer == OffLayer::Tracer)
-        tracer.setEnabled(true);
     SystemOptions opts;
     opts.flavor = flavor;
     if (layer == OffLayer::Deadline)
         opts.deadlineCycles = Cycles(uint64_t(1) << 40);
     System sys(opts);
+    trace::Tracer &tracer = sys.machine().tracer();
+    if (layer == OffLayer::Tracer)
+        tracer.setEnabled(true);
     FaultInjector inj(FaultPlan{});
     if (layer == OffLayer::Injector) {
         sys.machine().setFaultInjector(&inj);
@@ -263,8 +262,6 @@ offLayerRun(SystemFlavor flavor, OffLayer layer)
     sys.machine().setFaultInjector(nullptr);
     if (layer == OffLayer::Tracer) {
         EXPECT_GT(tracer.size(), 0u) << "the traced run recorded nothing";
-        tracer.setEnabled(was_tracing);
-        tracer.clear();
     }
     return os.str();
 }
