@@ -53,6 +53,7 @@ Histogram::recordN(uint64_t value, uint64_t n)
 {
     if (n == 0)
         return;
+    buckets.resize(bucketCount); // allocates at the first sample only
     buckets[bucketIndex(value)] += n;
     total += n;
     sumValues += value * n;
@@ -65,6 +66,7 @@ Histogram::merge(const Histogram &other)
 {
     if (other.total == 0)
         return;
+    buckets.resize(bucketCount);
     for (size_t i = 0; i < bucketCount; i++)
         buckets[i] += other.buckets[i];
     total += other.total;
@@ -76,7 +78,7 @@ Histogram::merge(const Histogram &other)
 void
 Histogram::reset()
 {
-    buckets.fill(0);
+    buckets.assign(buckets.size(), 0);
     total = 0;
     sumValues = 0;
     minValue = ~uint64_t(0);

@@ -6,8 +6,9 @@
  * critical-path aggregates (sim/critpath.hh) and the benches'
  * latency tables all record into it.
  *
- * record() is O(1) and allocation-free, and memory is a fixed ~15 KB
- * bucket array however many samples a run records. min, max, count,
+ * record() is O(1), and memory is a fixed ~15 KB bucket array however
+ * many samples a run records; it allocates its ~15 KB at the first
+ * sample, so a histogram that never fires holds none. min, max, count,
  * sum and mean are exact. A quantile is the nearest-rank sample's
  * bucket, reported as that bucket's upper bound clamped into
  * [min, max], so it is within 2^-subBucketBits (~3.1%) of the exact
@@ -31,9 +32,9 @@
 #ifndef XPC_SIM_HISTOGRAM_HH
 #define XPC_SIM_HISTOGRAM_HH
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <vector>
 
 namespace xpc {
 
@@ -48,7 +49,7 @@ class Histogram
     static constexpr size_t bucketCount =
         size_t(subBucketCount) * (65 - subBucketBits);
 
-    /** Record one sample of @p value cycles. O(1), allocation-free. */
+    /** Record one sample of @p value cycles. O(1). */
     void record(uint64_t value) { recordN(value, 1); }
 
     /** Record @p n samples of the same @p value. */
@@ -76,7 +77,11 @@ class Histogram
     double quantile(double q) const;
 
     /** Raw bucket count (tests / exporters). */
-    uint64_t bucketValue(size_t index) const { return buckets[index]; }
+    uint64_t
+    bucketValue(size_t index) const
+    {
+        return buckets.empty() ? 0 : buckets[index];
+    }
 
     /** Smallest / largest value mapping to bucket @p index. */
     static uint64_t bucketLow(size_t index);
@@ -93,7 +98,7 @@ class Histogram
     void summaryJson(std::ostream &os) const;
 
   private:
-    std::array<uint64_t, bucketCount> buckets{};
+    std::vector<uint64_t> buckets; ///< empty until the first sample
     uint64_t total = 0;
     uint64_t sumValues = 0;
     uint64_t minValue = ~uint64_t(0);
