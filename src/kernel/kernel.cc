@@ -53,16 +53,16 @@ CallBracket::~CallBracket()
     if (!opened)
         return;
     bool top = rscope.topLevel();
+    uint64_t now = callerCore.now().value();
     if (top) {
-        tr.instantNow(cat, "outcome", lane, callStatusName(out.status));
+        tr.instant(cat, "outcome", now, lane, callStatusName(out.status));
         if (tenant != defaultTenant)
-            tr.instantNow(cat, "tenant", lane, std::to_string(tenant));
+            tr.instant(cat, "tenant", now, lane, std::to_string(tenant));
         if (tier != req::Criticality::Default)
-            tr.instantNow(cat, "tier", lane, req::criticalityName(tier));
+            tr.instant(cat, "tier", now, lane, req::criticalityName(tier));
     }
     if (!active)
         return;
-    uint64_t now = callerCore.now().value();
     if (top) {
         tr.flow(trace::EventKind::FlowEnd, cat, "req", rscope.id(), now,
                 lane);
@@ -85,7 +85,8 @@ CallBracket::expiredAfterHandler(Cycles now, const char *instant_cat)
     if (dl == 0 || now.value() < dl)
         return false;
     expiredCalls.inc();
-    tr.instantNow(instant_cat, "deadline_expired", lane);
+    tr.instant(instant_cat, "deadline_expired", callerCore.now().value(),
+               lane);
     return true;
 }
 

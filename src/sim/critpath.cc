@@ -75,14 +75,13 @@ analyze(const trace::Tracer &tracer)
     using trace::EventKind;
     const std::vector<trace::TraceEvent> events = tracer.events();
 
-    // The earliest timestamp retained: the clamp point for spans
-    // whose Begin fell off the ring.
-    uint64_t window_start = 0;
-    if (!events.empty()) {
-        window_start = events.front().ts;
-        for (const trace::TraceEvent &ev : events)
+    // The earliest timestamp retained of any request: the clamp
+    // point for spans whose Begin fell off the ring. Events outside
+    // every request (counter tracks, log lines) do not move it.
+    uint64_t window_start = UINT64_MAX;
+    for (const trace::TraceEvent &ev : events)
+        if (ev.req != 0)
             window_start = std::min(window_start, ev.ts);
-    }
 
     // Pass 1 - pair spans in record order (emission order is always
     // Begin-before-End for one span, even when timestamps tie or

@@ -37,7 +37,7 @@ Tracer::clear()
     nrec = 0;
     texts.clear();
     ntext = 0;
-    lastTs.fill(0);
+    lastTs.clear();
 }
 
 void
@@ -46,8 +46,9 @@ Tracer::push(TraceEvent &ev)
     // Stamp the causal context: which request chain, which phase.
     ev.req = ctx.current();
     ev.phase = ctx.currentPhase();
-    if (ev.tid < lastTs.size())
-        lastTs[ev.tid] = ev.ts;
+    if (ev.tid >= lastTs.size())
+        lastTs.resize(size_t(ev.tid) + 1);
+    lastTs[ev.tid] = ev.ts;
     if (ring.empty())
         ring.resize(cap); // at the first event: an idle tracer holds none
     ring[nrec % cap] = ev;
@@ -167,7 +168,7 @@ Tracer::instantNow(const char *cat, const char *name, uint32_t tid,
 uint64_t
 Tracer::lastTime(uint32_t tid) const
 {
-    return lastTs[tid % lastTs.size()];
+    return tid < lastTs.size() ? lastTs[tid] : 0;
 }
 
 uint64_t

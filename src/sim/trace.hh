@@ -31,7 +31,6 @@
 #ifndef XPC_SIM_TRACE_HH
 #define XPC_SIM_TRACE_HH
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -177,7 +176,8 @@ class Tracer
     size_t cap = 1 << 16;
     std::vector<TraceEvent> ring;
     uint64_t nrec = 0;
-    std::array<uint64_t, 256> lastTs{};
+    /** Last timestamp per lane, indexed by tid; grows on demand. */
+    std::vector<uint64_t> lastTs;
     /** Side ring for dynamic payloads: text n (1-based) lives in
      *  texts[(n - 1) % cap]; grows up to cap entries. */
     std::vector<std::string> texts;

@@ -573,6 +573,7 @@ TEST_F(CritPathTest, RingWraparoundMidRequestDegradesGracefully)
 
     trace::Tracer &tracer = traceOn(*sys);
     tracer.setCapacity(16);
+    Cycles t0 = core.now();
     auto out = rt.call(core, client, id, 0, 2048);
     ASSERT_TRUE(out.ok);
     ASSERT_EQ(tracer.size(), 16u) << "call too small to wrap the ring";
@@ -580,6 +581,9 @@ TEST_F(CritPathTest, RingWraparoundMidRequestDegradesGracefully)
     auto reports = critpath::analyze(tracer);
     for (const critpath::RequestReport &r : reports) {
         expectExact(r); // holds even for a clamped window
+        // The clamp point is a retained event of the call, never
+        // earlier than the call itself.
+        EXPECT_GE(r.startTs, t0.value());
         EXPECT_FALSE(r.complete && r.flowClosed)
             << "a wrapped request cannot be fully reconstructed";
     }

@@ -137,14 +137,21 @@ TEST_F(TraceTest, InstantNowReusesLastTimestampPerTid)
 {
     t.begin("test", "s", 500, 4);
     t.instant("test", "other", 900, 5);
+    // A thread lane (req::threadLane) keeps its own clock too.
+    t.begin("test", "call", 700, 1004);
     EXPECT_EQ(t.lastTime(4), 500u);
     EXPECT_EQ(t.lastTime(5), 900u);
+    EXPECT_EQ(t.lastTime(1004), 700u);
     EXPECT_EQ(t.lastTime(42), 0u);
+    EXPECT_EQ(t.lastTime(1004 % 256), 0u);
     t.instantNow("test", "obs", 4);
+    t.instantNow("test", "obs", 1004);
     auto evs = t.events();
-    ASSERT_FALSE(evs.empty());
-    EXPECT_EQ(evs.back().ts, 500u);
-    EXPECT_EQ(evs.back().tid, 4u);
+    ASSERT_EQ(evs.size(), 5u);
+    EXPECT_EQ(evs[3].ts, 500u);
+    EXPECT_EQ(evs[3].tid, 4u);
+    EXPECT_EQ(evs[4].ts, 700u);
+    EXPECT_EQ(evs[4].tid, 1004u);
 }
 
 TEST_F(TraceTest, ChromeJsonRoundTrip)
