@@ -210,8 +210,6 @@ Tracer::textOf(const TraceEvent &ev) const
 void
 Tracer::setTrackName(uint32_t tid, std::string name)
 {
-    if (!compiledIn)
-        return;
     laneNames[tid] = std::move(name);
 }
 

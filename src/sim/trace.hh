@@ -9,8 +9,7 @@
  * time. Every record call is guarded by a single inline enabled()
  * check, so the tracer costs one predictable branch when off; it is
  * off by default and turned on either programmatically or by setting
- * XPC_TRACE=1 in the environment. Building with -DXPC_TRACING_DISABLED
- * compiles the guard to a constant false and dead-codes every probe.
+ * XPC_TRACE=1 in the environment.
  *
  * Timestamps are *simulated* cycles supplied by the caller (usually
  * hw::Core::now()), so tracing never perturbs measured latencies:
@@ -83,18 +82,12 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>,
 class Tracer
 {
   public:
-#ifdef XPC_TRACING_DISABLED
-    static constexpr bool compiledIn = false;
-#else
-    static constexpr bool compiledIn = true;
-#endif
-
     /** A tracer that stamps events from @p requests. Reads XPC_TRACE
      *  ("0" or unset = disabled) and XPC_TRACE_BUF (capacity in
      *  events). */
     explicit Tracer(const req::RequestContext &requests);
 
-    bool enabled() const { return compiledIn && on; }
+    bool enabled() const { return on; }
     void setEnabled(bool e) { on = e; }
 
     /** Resize the ring buffer; drops everything recorded so far. */

@@ -46,8 +46,6 @@ class TraceTest : public ::testing::Test
     void
     SetUp() override
     {
-        if (!trace::Tracer::compiledIn)
-            GTEST_SKIP() << "built with XPC_TRACING_DISABLED";
         t.setCapacity(1024);
         t.setEnabled(true);
     }

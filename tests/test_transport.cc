@@ -275,9 +275,7 @@ TEST_P(TransportAllFlavors, OffLayersChangeNothing)
     std::string plain = offLayerRun(GetParam(), OffLayer::None);
     EXPECT_EQ(offLayerRun(GetParam(), OffLayer::Deadline), plain);
     EXPECT_EQ(offLayerRun(GetParam(), OffLayer::Injector), plain);
-    if (trace::Tracer::compiledIn) {
-        EXPECT_EQ(offLayerRun(GetParam(), OffLayer::Tracer), plain);
-    }
+    EXPECT_EQ(offLayerRun(GetParam(), OffLayer::Tracer), plain);
 }
 
 INSTANTIATE_TEST_SUITE_P(
