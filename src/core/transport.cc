@@ -231,7 +231,8 @@ Transport::tenantOf(ServiceId svc) const
 }
 
 bool
-Transport::gateGrant(const kernel::Thread &client, ServiceId svc)
+Transport::gate(const kernel::Thread &client, ServiceId svc,
+                Counter &crossed)
 {
     if (client.tenant == tenantOf(svc) ||
         describe(svc).sharedAcrossTenants)
@@ -240,23 +241,9 @@ Transport::gateGrant(const kernel::Thread &client, ServiceId svc)
         crossTenantDenied.inc();
         return false;
     }
-    // Enforcement off: the grant proceeds, but leave the audit trail
-    // the containment suite checks against.
-    crossTenantGrants.inc();
-    return true;
-}
-
-bool
-Transport::gateCall(const kernel::Thread &client, ServiceId svc)
-{
-    if (client.tenant == tenantOf(svc) ||
-        describe(svc).sharedAcrossTenants)
-        return true;
-    if (enforceTenancy) {
-        crossTenantDenied.inc();
-        return false;
-    }
-    crossTenantCalls.inc();
+    // Enforcement off: the grant or call proceeds, but leave the
+    // audit trail the containment suite checks against.
+    crossed.inc();
     return true;
 }
 

@@ -368,17 +368,15 @@ class Transport
     }
 
     /**
-     * Gate a capability grant: true when connect() may proceed.
-     * Counts refusals and (with enforcement off) grants that crossed
-     * a tenant boundary anyway. Concrete connect() implementations
-     * return early on false.
+     * The tenancy gate of connect() (@p crossed = crossTenantGrants)
+     * and call() (crossTenantCalls): true when @p client may proceed
+     * to @p svc. Counts refusals and, with enforcement off, each
+     * crossing of a tenant boundary in @p crossed.
      */
-    bool gateGrant(const kernel::Thread &client, ServiceId svc);
+    bool gate(const kernel::Thread &client, ServiceId svc,
+              Counter &crossed);
 
-    /** Same gate for the invocation path; used by concrete call(). */
-    bool gateCall(const kernel::Thread &client, ServiceId svc);
-
-    /** A gateCall refusal as a CallResult (through countCall). */
+    /** A call() refusal as a CallResult (through countCall). */
     CallResult deniedCall();
 
     /// @name Envelope plumbing shared by the three transports.

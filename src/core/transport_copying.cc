@@ -175,7 +175,7 @@ CopyingTransport::connect(kernel::Thread &client, ServiceId svc)
     // grant is a no-op there and the call-side gate is the real
     // barrier; the grant gate still counts (and under enforcement
     // refuses) cross-tenant handouts.
-    if (gateGrant(client, svc))
+    if (gate(client, svc, crossTenantGrants))
         kern.grantPort(client, ports.at(svc));
 }
 
@@ -257,7 +257,7 @@ CopyingTransport::call(hw::Core &core, kernel::Thread &client,
                        ServiceId svc, uint64_t opcode, uint64_t req_len,
                        uint64_t reply_cap)
 {
-    if (!gateCall(client, svc))
+    if (!gate(client, svc, crossTenantCalls))
         return deniedCall();
     // Size the buffers for the sealed wire lengths *before* sealing:
     // a growth-by-replacement after the trailer is staged would drop

@@ -141,7 +141,7 @@ XpcTransport::registerService(const ServiceDesc &desc,
 void
 XpcTransport::connect(kernel::Thread &client, ServiceId svc)
 {
-    if (!gateGrant(client, svc))
+    if (!gate(client, svc, crossTenantGrants))
         return;
     if (client.linkStack == 0)
         rt.manager().initThread(client);
@@ -290,7 +290,7 @@ XpcTransport::call(hw::Core &core, kernel::Thread &client,
                    uint64_t reply_cap)
 {
     (void)reply_cap; // replies are in-place; capacity is the segment
-    if (!gateCall(client, svc))
+    if (!gate(client, svc, crossTenantCalls))
         return deniedCall();
     return sealedCall(core, client, req_len, [&](uint64_t wire_len) {
         return rt.call(core, client, entryIds.at(svc), opcode, wire_len);
