@@ -235,6 +235,62 @@ TEST_F(CritPathTest, TransportCallsCloseOnEveryKernel)
     }
 }
 
+TEST_F(CritPathTest, TwoSystemsInOneProcessShareNoState)
+{
+    // Two machines side by side, calls interleaved, only the first
+    // traced: request ids, trace, lane names and scopes are each
+    // machine's own.
+    auto a = makeSystem(core::SystemFlavor::Sel4Xpc);
+    auto b = makeSystem(core::SystemFlavor::Zircon);
+    struct Echo
+    {
+        kernel::Thread *server, *client;
+        core::ServiceId svc;
+    };
+    auto wire = [](core::System &sys, const char *server_name) {
+        Echo e{&sys.spawn(server_name), &sys.spawn("client"), 0};
+        core::ServiceDesc desc;
+        desc.name = "echo";
+        desc.handlerThread = e.server;
+        e.svc = sys.transport().registerService(
+            desc, [](core::ServerApi &api) {
+                api.replyFromRequest(0, api.requestLen());
+            });
+        sys.transport().connect(*e.client, e.svc);
+        sys.transport().requestArea(sys.core(0), *e.client, 4096);
+        return e;
+    };
+    Echo ea = wire(*a, "echo-a");
+    Echo eb = wire(*b, "echo-b");
+    auto call = [](core::System &sys, const Echo &e) {
+        return sys.transport().call(sys.core(0), *e.client, e.svc, 0, 64,
+                                    4096);
+    };
+    trace::Tracer &traced = traceOn(*a);
+    for (uint64_t i = 1; i <= 3; i++) {
+        EXPECT_TRUE(call(*a, ea).ok);
+        EXPECT_TRUE(call(*b, eb).ok);
+        EXPECT_EQ(a->machine().requests().minted(), i);
+        EXPECT_EQ(b->machine().requests().minted(), i);
+    }
+    auto reports = critpath::analyze(traced);
+    ASSERT_EQ(reports.size(), 3u);
+    EXPECT_EQ(reports[0].id, 1u);
+    EXPECT_EQ(b->machine().tracer().recordedCount(), 0u);
+
+    // The same thread id names a lane of each machine's own.
+    ASSERT_EQ(ea.server->id(), eb.server->id());
+    uint32_t lane = req::threadLane(uint32_t(ea.server->id()));
+    EXPECT_EQ(traced.trackNames().at(lane), "echo-a");
+    EXPECT_EQ(b->machine().tracer().trackNames().at(lane), "echo-b");
+
+    // A deadline bound on b's context expires b's calls only.
+    req::DeadlineScope expired(b->machine().requests(), 1);
+    EXPECT_EQ(a->machine().requests().currentDeadline(), 0u);
+    EXPECT_TRUE(call(*a, ea).ok);
+    EXPECT_EQ(call(*b, eb).status, core::TransportStatus::DeadlineExpired);
+}
+
 /**
  * @p tracer's Chrome export without its thread_name metadata: the
  * goldens pin the event stream, not the lane names.
