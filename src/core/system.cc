@@ -76,11 +76,6 @@ System::System(const SystemOptions &options) : opts(options)
     enginePtr->stats.setParent(&statsRoot);
     runtimePtr->stats.setParent(&statsRoot);
     transportPtr->stats.setParent(&statsRoot);
-
-    // Name the core lanes for trace exports; thread lanes get their
-    // process names as they spawn.
-    for (CoreId c = 0; c < mach->coreCount(); c++)
-        mach->tracer().setTrackName(c, "core" + std::to_string(c));
 }
 
 kernel::Thread &

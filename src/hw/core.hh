@@ -83,8 +83,7 @@ class Core
     XpcCsrs csrs;
 
     mem::MemSystem &mem() { return memSys; }
-    /** The machine's request context and tracer (every layer that
-     *  holds a core reaches them here). */
+    /** The request context and tracer of the core's machine. */
     req::RequestContext &requests() { return memSys.requests(); }
     trace::Tracer &tracer() { return memSys.tracer(); }
 

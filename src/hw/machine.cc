@@ -22,6 +22,8 @@ Machine::Machine(const MachineConfig &config, uint64_t dram_bytes)
     for (CoreId i = 0; i < cfg.cores; i++) {
         coresVec.push_back(std::make_unique<Core>(i, *memSys));
         coresVec.back()->stats.setParent(&stats);
+        // Core lanes are named here; thread lanes as they spawn.
+        tracer_.setTrackName(i, "core" + std::to_string(i));
     }
     attachLogTracer(tracer_);
 }

@@ -28,14 +28,11 @@
 
 #include "sim/request.hh"
 #include "sim/stats.hh"
+#include "sim/trace.hh"
 #include "sim/types.hh"
 
 namespace xpc::core {
 class ServerApi;
-}
-
-namespace xpc::trace {
-class Tracer;
 }
 
 namespace xpc::services {

@@ -17,23 +17,18 @@ namespace {
 constexpr Cycles backoffBase{2000};
 constexpr Cycles backoffCap{64000};
 
-/** Trace label for a supervised service: tenant-qualified only in
- *  multi-tenant rigs so single-tenant traces are byte-identical. */
-std::string
-traceLabel(const std::pair<kernel::TenantId, std::string> &key)
-{
-    if (key.first == kernel::defaultTenant)
-        return key.second;
-    return key.second + "@t" + std::to_string(key.first);
-}
-
 } // namespace
 
 void
 Supervisor::mark(const char *what, const Key &key)
 {
-    transport.kernelRef().machine().tracer().instantNow(
-        "supervisor", what, 0, traceLabel(key));
+    // Tenant-qualified only in multi-tenant rigs: a single-tenant
+    // trace names the service alone.
+    std::string label = key.second;
+    if (key.first != kernel::defaultTenant)
+        label += "@t" + std::to_string(key.first);
+    transport.kernelRef().machine().tracer().instantNow("supervisor", what,
+                                                        0, label);
 }
 
 void

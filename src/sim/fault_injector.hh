@@ -22,11 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/trace.hh"
 #include "sim/types.hh"
-
-namespace xpc::trace {
-class Tracer;
-}
 
 namespace xpc {
 

@@ -75,9 +75,6 @@ class RequestContext
     /** Requests minted so far (ids are 1..minted()). */
     uint64_t minted() const { return lastId; }
 
-    /** Nesting depth of the active call chain (0 = idle). */
-    size_t depth() const { return reqs.size(); }
-
     /**
      * Absolute-cycle deadline of the executing call chain (0 = no
      * deadline). Deadlines are absolute against the monotonic cycle

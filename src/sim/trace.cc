@@ -25,9 +25,7 @@ Tracer::setCapacity(size_t events)
 {
     cap = events > 0 ? events : 1;
     ring = std::vector<TraceEvent>(); // the next event sizes it anew
-    nrec = 0;
-    texts.clear();
-    ntext = 0;
+    clear();
 }
 
 void
@@ -41,14 +39,23 @@ Tracer::clear()
 }
 
 void
-Tracer::push(TraceEvent &ev)
+Tracer::push(EventKind kind, const char *cat, const char *name,
+             uint64_t ts, uint32_t tid, uint64_t arg, uint32_t text_ref)
 {
+    TraceEvent ev;
+    ev.ts = ts;
+    ev.arg = arg;
+    ev.cat = cat;
+    ev.name = name;
     // Stamp the causal context: which request chain, which phase.
     ev.req = ctx.current();
+    ev.tid = tid;
     ev.phase = ctx.currentPhase();
-    if (ev.tid >= lastTs.size())
-        lastTs.resize(size_t(ev.tid) + 1);
-    lastTs[ev.tid] = ev.ts;
+    ev.textRef = text_ref;
+    ev.kind = kind;
+    if (tid >= lastTs.size())
+        lastTs.resize(size_t(tid) + 1);
+    lastTs[tid] = ts;
     if (ring.empty())
         ring.resize(cap); // at the first event: an idle tracer holds none
     ring[nrec % cap] = ev;
@@ -58,6 +65,8 @@ Tracer::push(TraceEvent &ev)
 uint32_t
 Tracer::keepText(std::string text)
 {
+    if (text.empty())
+        return 0;
     // At most cap events are retained, so the last cap texts cover
     // every retained event that carries one.
     if (texts.size() < cap)
@@ -72,97 +81,50 @@ void
 Tracer::begin(const char *cat, const char *name, uint64_t ts,
               uint32_t tid)
 {
-    if (!enabled())
-        return;
-    TraceEvent ev;
-    ev.ts = ts;
-    ev.tid = tid;
-    ev.cat = cat;
-    ev.name = name;
-    ev.kind = EventKind::Begin;
-    push(ev);
+    if (enabled())
+        push(EventKind::Begin, cat, name, ts, tid);
 }
 
 void
 Tracer::end(const char *cat, const char *name, uint64_t ts,
             uint32_t tid)
 {
-    if (!enabled())
-        return;
-    TraceEvent ev;
-    ev.ts = ts;
-    ev.tid = tid;
-    ev.cat = cat;
-    ev.name = name;
-    ev.kind = EventKind::End;
-    push(ev);
+    if (enabled())
+        push(EventKind::End, cat, name, ts, tid);
 }
 
 void
 Tracer::instant(const char *cat, const char *name, uint64_t ts,
                 uint32_t tid, std::string text)
 {
-    if (!enabled())
-        return;
-    TraceEvent ev;
-    ev.ts = ts;
-    ev.tid = tid;
-    ev.cat = cat;
-    ev.name = name;
-    ev.kind = EventKind::Instant;
-    if (!text.empty())
-        ev.textRef = keepText(std::move(text));
-    push(ev);
+    if (enabled())
+        push(EventKind::Instant, cat, name, ts, tid, 0,
+             keepText(std::move(text)));
 }
 
 void
 Tracer::counter(const char *cat, const char *name, uint64_t value,
                 uint64_t ts, uint32_t tid)
 {
-    if (!enabled())
-        return;
-    TraceEvent ev;
-    ev.ts = ts;
-    ev.tid = tid;
-    ev.cat = cat;
-    ev.name = name;
-    ev.arg = value;
-    ev.kind = EventKind::Counter;
-    push(ev);
+    if (enabled())
+        push(EventKind::Counter, cat, name, ts, tid, value);
 }
 
 void
 Tracer::flow(EventKind kind, const char *cat, const char *name,
              uint64_t flow_id, uint64_t ts, uint32_t tid)
 {
-    if (!enabled())
-        return;
-    TraceEvent ev;
-    ev.ts = ts;
-    ev.tid = tid;
-    ev.cat = cat;
-    ev.name = name;
-    ev.arg = flow_id;
-    ev.kind = kind;
-    push(ev);
+    if (enabled())
+        push(kind, cat, name, ts, tid, flow_id);
 }
 
 void
 Tracer::instantNow(const char *cat, const char *name, uint32_t tid,
                    std::string text, uint64_t arg)
 {
-    if (!enabled())
-        return;
-    TraceEvent ev;
-    ev.ts = lastTime(tid);
-    ev.tid = tid;
-    ev.cat = cat;
-    ev.name = name;
-    ev.arg = arg;
-    ev.kind = EventKind::Instant;
-    if (!text.empty())
-        ev.textRef = keepText(std::move(text));
-    push(ev);
+    if (enabled())
+        push(EventKind::Instant, cat, name, lastTime(tid), tid, arg,
+             keepText(std::move(text)));
 }
 
 uint64_t

@@ -160,8 +160,13 @@ class Tracer
     bool exportChromeJson(const std::string &path) const;
 
   private:
-    void push(TraceEvent &ev);
-    /** Keep @p text in the side ring. @return its 1-based sequence. */
+    /** Record one event, stamped with the active request and phase
+     *  (callers check enabled()). */
+    void push(EventKind kind, const char *cat, const char *name,
+              uint64_t ts, uint32_t tid, uint64_t arg = 0,
+              uint32_t text_ref = 0);
+    /** Keep @p text in the side ring. @return its 1-based sequence,
+     *  or 0 for an empty text (none kept). */
     uint32_t keepText(std::string text);
 
     const req::RequestContext &ctx;
