@@ -112,7 +112,6 @@ runWorkload(core::SystemFlavor flavor)
                     "%s\n",
                     critpath::formatReport(rep, tracer).c_str());
             std::printf("%s\n", critpath::formatTop(reports).c_str());
-            tracer.clear();
             services::FsServer::clientClose(tr, core, client, fs.id(),
                                             tfd);
         }

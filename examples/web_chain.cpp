@@ -76,8 +76,7 @@ serveOnce(core::SystemFlavor flavor, bool show)
     trace::Tracer &tracer = sys.machine().tracer();
     // Trace just the GET: the preload/connect traffic above is its
     // own set of requests and would clutter the flow view.
-    if (tracer.enabled())
-        tracer.clear();
+    tracer.clear();
     std::vector<uint8_t> response;
     Cycles t0 = core.now();
     int64_t n = services::HttpServer::clientGet(
@@ -95,7 +94,6 @@ serveOnce(core::SystemFlavor flavor, bool show)
             std::printf("%s\n",
                         critpath::formatReport(r, tracer).c_str());
         std::printf("%s\n", critpath::formatTop(reports).c_str());
-        tracer.clear();
     }
 
     if (show && n > 0) {
