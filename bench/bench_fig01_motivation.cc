@@ -51,20 +51,9 @@ measure(YcsbWorkload w)
 
     // Per-call fixed overhead: the cheapest call observed stands in
     // for the no-payload path; everything above it is transfer.
-    uint64_t fixed = UINT64_MAX;
-    for (const auto &r : rig.rec->records) {
-        uint64_t ov = r.roundTrip - r.handlerCycles;
-        fixed = std::min(fixed, ov);
-    }
-    uint64_t transfer = 0, overhead_sum = 0;
-    for (const auto &r : rig.rec->records) {
-        uint64_t ov = r.roundTrip - r.handlerCycles;
-        overhead_sum += ov;
-        transfer += ov - fixed;
-        m.cdf.add(r.bytes, double(ov));
-    }
     m.transferShare =
-        overhead_sum ? double(transfer) / double(overhead_sum) : 0;
+        ipc ? double(rig.rec->transferCycles()) / double(ipc) : 0;
+    m.cdf = rig.rec->overheadByBytes;
     return m;
 }
 

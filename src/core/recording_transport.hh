@@ -1,25 +1,22 @@
 /**
  * @file
  * A decorator that forwards to an underlying transport while
- * recording every call's latency, handler time and message size -
+ * accounting every call's latency, handler time and message size -
  * the instrumentation behind the paper's Figure 1 (share of CPU time
- * spent in IPC, and the CDF of IPC time by message length).
+ * spent in IPC, and the CDF of IPC time by message length). It keeps
+ * aggregates only, never one record per call, so its memory does not
+ * grow with the number of calls.
  */
 
 #ifndef XPC_CORE_RECORDING_TRANSPORT_HH
 #define XPC_CORE_RECORDING_TRANSPORT_HH
 
+#include <algorithm>
+
 #include "core/transport.hh"
+#include "sim/stats.hh"
 
 namespace xpc::core {
-
-/** Per-call record. */
-struct CallRecord
-{
-    uint64_t bytes = 0;        ///< request + reply payload
-    uint64_t roundTrip = 0;    ///< total cycles
-    uint64_t handlerCycles = 0;///< server compute inside the call
-};
 
 /** Recording pass-through transport. */
 class RecordingTransport : public Transport
@@ -112,13 +109,23 @@ class RecordingTransport : public Transport
     uint64_t totalBytes = 0;
     uint64_t totalRoundTrip = 0;
     uint64_t totalHandler = 0;
-    std::vector<CallRecord> records;
+    /** The cheapest call's IPC overhead (0 before any call). */
+    uint64_t minOverhead = 0;
+    /** IPC overhead cycles keyed by request + reply payload bytes. */
+    WeightedCdf overheadByBytes;
 
     /** Cycles of pure IPC overhead (round trips minus handlers). */
     uint64_t
     ipcOverheadCycles() const
     {
         return totalRoundTrip - totalHandler;
+    }
+
+    /** IPC overhead above the cheapest call's, summed over calls. */
+    uint64_t
+    transferCycles() const
+    {
+        return ipcOverheadCycles() - calls * minOverhead;
     }
 
     void
@@ -128,7 +135,8 @@ class RecordingTransport : public Transport
         totalBytes = 0;
         totalRoundTrip = 0;
         totalHandler = 0;
-        records.clear();
+        minOverhead = 0;
+        overheadByBytes.reset();
     }
     /// @}
 
@@ -138,12 +146,13 @@ class RecordingTransport : public Transport
     void
     note(uint64_t bytes, const CallResult &r)
     {
+        uint64_t overhead = r.roundTrip.value() - r.handlerCycles.value();
+        minOverhead = calls ? std::min(minOverhead, overhead) : overhead;
         calls++;
         totalBytes += bytes;
         totalRoundTrip += r.roundTrip.value();
         totalHandler += r.handlerCycles.value();
-        records.push_back(CallRecord{bytes, r.roundTrip.value(),
-                                     r.handlerCycles.value()});
+        overheadByBytes.add(bytes, double(overhead));
     }
 };
 

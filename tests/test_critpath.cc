@@ -292,24 +292,6 @@ TEST_F(CritPathTest, TwoSystemsInOneProcessShareNoState)
 }
 
 /**
- * @p tracer's Chrome export without its thread_name metadata: the
- * goldens pin the event stream, not the lane names.
- */
-std::string
-exportWithoutLaneNames(const trace::Tracer &tracer)
-{
-    std::ostringstream os;
-    tracer.exportChromeJson(os);
-    std::istringstream in(os.str());
-    std::string out, line;
-    while (std::getline(in, line)) {
-        if (line.find("\"name\":\"thread_name\"") == std::string::npos)
-            out += line + "\n";
-    }
-    return out;
-}
-
-/**
  * Compare @p actual with tests/golden/<stem>.json byte for byte. A
  * mismatch reports the first differing line and writes the new
  * output next to the test binary as <stem>.actual.json; copy it over
@@ -356,7 +338,7 @@ const core::SystemFlavor goldenFlavors[] = {
  *      front hands bytes [64, 128) of the request over to "back";
  *   2. tenancy enforcement refuses the client's call into tenant 2;
  *   3. a call to "slow" overruns the system's deadline budget.
- * @return the Chrome-trace export without its thread_name metadata.
+ * @return the Chrome-trace export, lane names included.
  */
 std::string
 goldenScenarioTrace(core::SystemFlavor flavor)
@@ -434,13 +416,16 @@ goldenScenarioTrace(core::SystemFlavor flavor)
     core::CallResult late = tr.call(core, client, slow, 0, 16, 64);
     EXPECT_EQ(late.status, core::TransportStatus::DeadlineExpired);
 
-    return exportWithoutLaneNames(tracer);
+    std::ostringstream os;
+    tracer.exportChromeJson(os);
+    return os.str();
 }
 
 TEST_F(CritPathTest, CallSpansMatchGoldenOnEveryFlavor)
 {
-    // Byte-for-byte span, flow and instant stream of the scenario
-    // above, pinned per flavor as tests/golden/callspan_<flavor>.json.
+    // Byte-for-byte lane names and span, flow and instant stream of
+    // the scenario above, pinned per flavor as
+    // tests/golden/callspan_<flavor>.json.
     for (auto flavor : goldenFlavors) {
         std::string name = core::systemFlavorName(flavor);
         SCOPED_TRACE(name);
@@ -493,8 +478,7 @@ const ChaosFault chaosFaults[] = {
  * what the fault left behind.
  * @return one JSON object: the case, each top-level call's status,
  *         reply length and reply crc32, the injector's report, and
- *         the first call's Chrome export without its thread_name
- *         metadata.
+ *         the first call's Chrome export, lane names included.
  */
 std::string
 chaosCase(core::SystemFlavor flavor, const ChaosFault &fault,
@@ -569,7 +553,9 @@ chaosCase(core::SystemFlavor flavor, const ChaosFault &fault,
             os << "{\"staged\":false}";
         }
         if (call == 0) {
-            trace = exportWithoutLaneNames(tracer);
+            std::ostringstream first;
+            tracer.exportChromeJson(first);
+            trace = first.str();
             trace.pop_back(); // the trailing newline
             tracer.setEnabled(false);
         }

@@ -418,7 +418,73 @@ TEST(RecordingEdge, ResetClearsAndLookupWorksThroughDecorator)
     EXPECT_EQ(rec.calls, 1u);
     rec.reset();
     EXPECT_EQ(rec.calls, 0u);
-    EXPECT_TRUE(rec.records.empty());
+}
+
+TEST(RecordingEdge, AggregatesEqualTheirPerCallSums)
+{
+    core::SystemOptions opts;
+    opts.flavor = core::SystemFlavor::Sel4Xpc;
+    core::System sys(opts);
+    core::RecordingTransport rec(sys.transport());
+    kernel::Thread &server = sys.spawn("server");
+    kernel::Thread &client = sys.spawn("client");
+    core::ServiceDesc desc;
+    desc.name = "echo";
+    desc.handlerThread = &server;
+    core::ServiceId svc =
+        rec.registerService(desc, [](core::ServerApi &api) {
+            api.core().spend(Cycles(api.requestLen()));
+            api.replyFromRequest(0, api.requestLen());
+        });
+    rec.connect(client, svc);
+    hw::Core &core = sys.core(0);
+    rec.requestArea(core, client, 4096);
+    rec.prepareScratch(core, client, 4096);
+    EXPECT_EQ(rec.transferCycles(), 0u);
+
+    // Each call's payload bytes and IPC overhead, from what the
+    // caller sees: two calls at each of three sizes, then one scratch
+    // call, whose whole round trip is booked as overhead.
+    std::vector<std::pair<uint64_t, uint64_t>> seen;
+    for (uint64_t len : {16, 256, 2048, 16, 256, 2048}) {
+        core::CallResult r = rec.call(core, client, svc, 0, len, 4096);
+        ASSERT_TRUE(r.ok);
+        seen.emplace_back(len + r.replyLen,
+                          (r.roundTrip - r.handlerCycles).value());
+    }
+    std::vector<uint8_t> req(256, 0x5a), reply(256);
+    Cycles t0 = core.now();
+    ASSERT_EQ(rec.scratchCall(core, client, false, svc, 0, req.data(),
+                              req.size(), reply.data(), reply.size()),
+              256u);
+    seen.emplace_back(512, (core.now() - t0).value());
+
+    uint64_t sum = 0, cheapest = UINT64_MAX;
+    for (const auto &[bytes, overhead] : seen) {
+        sum += overhead;
+        cheapest = std::min(cheapest, overhead);
+    }
+    EXPECT_EQ(rec.calls, 7u);
+    EXPECT_EQ(rec.ipcOverheadCycles(), sum);
+    EXPECT_EQ(rec.minOverhead, cheapest);
+    EXPECT_EQ(rec.transferCycles(), sum - 7 * cheapest);
+    // Whole cycle counts sum exactly in a double, in any order.
+    for (uint64_t size : {32, 512, 4096}) {
+        uint64_t below = 0;
+        for (const auto &[bytes, overhead] : seen)
+            below += bytes <= size ? overhead : 0;
+        EXPECT_EQ(rec.overheadByBytes.cumulativeAt(size),
+                  double(below) / double(sum))
+            << size << " B";
+    }
+
+    rec.reset();
+    EXPECT_EQ(rec.calls, 0u);
+    EXPECT_EQ(rec.totalBytes, 0u);
+    EXPECT_EQ(rec.ipcOverheadCycles(), 0u);
+    EXPECT_EQ(rec.minOverhead, 0u);
+    EXPECT_EQ(rec.transferCycles(), 0u);
+    EXPECT_EQ(rec.overheadByBytes.totalWeight(), 0.0);
 }
 
 // --------------------------------------------------------------------

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Self-test of the report-diff tool on hand-written inputs: it must
-# fail on every kind of drift it exists to catch, in reports and in
-# bench output pasted into a document.
+# Self-test of the report tools on hand-written inputs: the report
+# diff must fail on every kind of drift it exists to catch, in reports
+# and in bench output pasted into a document, and the bench sweep must
+# print each bench's peak memory from the sidecar it wrote.
 #
 # Usage: selftest.sh [PYTHON]
 #
@@ -86,5 +87,30 @@ rc=0
     > swap.out || rc=$?
 test "$rc" -eq 1
 grep -q "doc.md:8: .*row a 1" swap.out
+
+# bench_all.sh prints each bench's peak_rss_mb from the HOST_ sidecar
+# it just wrote beside its seconds, and the largest (here the first
+# bench's, not the last's) on the total line. A bench that writes no
+# sidecar fails the sweep, even where an older sidecar of the same
+# name is left in the directory.
+mkdir -p fake/bench sweep
+cat > fake/bench/bench_stub <<'EOF'
+#!/bin/sh
+echo '{"bench": "stub", "peak_rss_mb": 31.4}' > "$XPC_BENCH_DIR/HOST_stub.json"
+EOF
+sed 's/stub/stub_small/g; s/31\.4/9.5/' fake/bench/bench_stub \
+    > fake/bench/bench_stub_small
+chmod +x fake/bench/bench_stub fake/bench/bench_stub_small
+sh "$tools/bench_all.sh" sweep fake > sweep.out
+grep -Eq '^bench_stub +[0-9.]+ s +31\.4 MB$' sweep.out
+grep -Eq '^bench_stub_small +[0-9.]+ s +9\.5 MB$' sweep.out
+grep -Eq '^total +[0-9.]+ s +31\.4 MB$' sweep.out
+printf '#!/bin/sh\n' > fake/bench/bench_silent
+chmod +x fake/bench/bench_silent
+echo '{"peak_rss_mb": 99}' > sweep/HOST_silent.json
+rc=0
+sh "$tools/bench_all.sh" sweep fake > /dev/null 2> silent.err || rc=$?
+test "$rc" -eq 1
+grep -q "bench_silent wrote no peak_rss_mb" silent.err
 
 echo "selftest: ok"
