@@ -22,6 +22,16 @@ constexpr uint32_t intSlotBytes = btreeKeyBytes + 4;
 static_assert(8 + leafCap * leafSlotBytes <= dbPageBytes);
 static_assert(8 + internalCap * intSlotBytes <= dbPageBytes);
 
+/** Read a @p T stored at @p p in a page's bytes. */
+template <typename T>
+T
+load(const uint8_t *p)
+{
+    T v;
+    std::memcpy(&v, p, sizeof(T));
+    return v;
+}
+
 /** Host-side decoded node. */
 struct Node
 {
@@ -286,17 +296,30 @@ BTree::put(const BtKey &key, const void *value, uint32_t len)
 uint32_t
 BTree::findLeaf(uint32_t page_no, const BtKey &key)
 {
+    // Read each node in place: a lookup needs one child pointer per
+    // internal node, not a decoded copy of it.
     for (;;) {
-        Node node = decode(file.get(page_no));
-        if (node.leaf)
+        const uint8_t *d = file.get(page_no).data.data();
+        uint16_t nkeys = load<uint16_t>(d + 2);
+        if (d[0] != nodeInternal) {
+            // The same check decode() makes on every slot of a leaf.
+            for (uint16_t i = 0; i < nkeys; i++) {
+                const uint8_t *slot = d + 8 + i * leafSlotBytes;
+                panic_if(load<uint32_t>(slot + btreeKeyBytes) >
+                             btreeValueMax,
+                         "corrupt leaf slot");
+            }
             return page_no;
-        size_t idx = 0;
-        while (idx < node.intEntries.size() &&
-               !(key < node.intEntries[idx].key)) {
-            idx++;
         }
-        page_no = idx == 0 ? node.next
-                           : node.intEntries[idx - 1].child;
+        // Descend left of the first key above @p key.
+        const uint8_t *child = d + 4;
+        for (uint16_t i = 0; i < nkeys; i++) {
+            const uint8_t *slot = d + 8 + i * intSlotBytes;
+            if (std::memcmp(key.bytes, slot, btreeKeyBytes) < 0)
+                break;
+            child = slot + btreeKeyBytes;
+        }
+        page_no = load<uint32_t>(child);
     }
 }
 
@@ -304,10 +327,15 @@ std::optional<std::vector<uint8_t>>
 BTree::get(const BtKey &key)
 {
     uint32_t leaf = findLeaf(rootPage(), key);
-    Node node = decode(file.get(leaf));
-    for (const auto &e : node.leafEntries) {
-        if (e.key == key)
-            return e.value;
+    const uint8_t *d = file.get(leaf).data.data();
+    uint16_t nkeys = load<uint16_t>(d + 2);
+    for (uint16_t i = 0; i < nkeys; i++) {
+        const uint8_t *slot = d + 8 + i * leafSlotBytes;
+        if (std::memcmp(slot, key.bytes, btreeKeyBytes) == 0) {
+            const uint8_t *value = slot + btreeKeyBytes + 4;
+            return std::vector<uint8_t>(
+                value, value + load<uint32_t>(slot + btreeKeyBytes));
+        }
     }
     return std::nullopt;
 }

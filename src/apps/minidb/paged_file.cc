@@ -1,5 +1,6 @@
 #include "paged_file.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "services/fs_server.hh"
@@ -38,13 +39,22 @@ PagedFile::adoptExisting()
 DbPage *
 PagedFile::find(uint32_t page_no)
 {
-    for (auto &p : pages) {
-        if (p.valid && p.pageNo == page_no) {
-            p.lru = ++clock;
-            return &p;
-        }
-    }
-    return nullptr;
+    auto it = index.find(page_no);
+    if (it == index.end())
+        return nullptr;
+    pages.splice(pages.end(), pages, it->second);
+    return &*it->second;
+}
+
+DbPage &
+PagedFile::insert(uint32_t page_no)
+{
+    if (pages.size() >= capacity)
+        evictOne();
+    DbPage &p = pages.emplace_back();
+    index.emplace(page_no, std::prev(pages.end()));
+    p.pageNo = page_no;
+    return p;
 }
 
 void
@@ -66,23 +76,15 @@ PagedFile::evictOne()
     if (preferCleanEviction) {
         // WAL discipline: pick the LRU *clean* page when one exists;
         // only write a dirty page home early if everything is dirty.
-        auto clean = pages.end();
-        for (auto it = pages.begin(); it != pages.end(); ++it) {
-            if (!it->dirty &&
-                (clean == pages.end() || it->lru < clean->lru))
-                clean = it;
-        }
-        if (clean != pages.end()) {
-            pages.erase(clean);
-            return;
-        }
-    }
-    for (auto it = pages.begin(); it != pages.end(); ++it) {
-        if (it->lru < victim->lru)
-            victim = it;
+        auto clean = std::find_if(
+            pages.begin(), pages.end(),
+            [](const DbPage &p) { return !p.dirty; });
+        if (clean != pages.end())
+            victim = clean;
     }
     if (victim->dirty)
         writeThrough(*victim);
+    index.erase(victim->pageNo);
     pages.erase(victim);
 }
 
@@ -96,15 +98,7 @@ PagedFile::get(uint32_t page_no)
     }
     cacheMisses.inc();
 
-    if (pages.size() >= capacity)
-        evictOne();
-
-    pages.emplace_back();
-    DbPage &p = pages.back();
-    p.pageNo = page_no;
-    p.valid = true;
-    p.dirty = false;
-    p.lru = ++clock;
+    DbPage &p = insert(page_no);
     pageReads.inc();
     int64_t r = FsServer::clientRead(
         transport, core, client, fsSvc, fd,
@@ -150,15 +144,7 @@ PagedFile::appendPage()
 {
     uint32_t page_no = numPages++;
     // Materialize it in the cache as a zeroed page.
-    if (pages.size() >= capacity)
-        evictOne();
-    pages.emplace_back();
-    DbPage &p = pages.back();
-    p.pageNo = page_no;
-    p.valid = true;
-    p.dirty = false;
-    p.lru = ++clock;
-    p.data.fill(0);
+    insert(page_no).data.fill(0);
     return page_no;
 }
 

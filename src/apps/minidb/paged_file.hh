@@ -14,6 +14,7 @@
 #include <functional>
 #include <list>
 #include <string>
+#include <unordered_map>
 
 #include "core/transport.hh"
 #include "sim/stats.hh"
@@ -26,9 +27,7 @@ constexpr uint64_t dbPageBytes = 4096;
 struct DbPage
 {
     uint32_t pageNo = 0;
-    bool valid = false;
     bool dirty = false;
-    uint64_t lru = 0;
     std::array<uint8_t, dbPageBytes> data;
 };
 
@@ -100,11 +99,16 @@ class PagedFile
     int64_t fd = -1;
     uint32_t numPages = 0;
     uint32_t capacity;
-    uint64_t clock = 0;
+    /** Cached pages, least recently used first. */
     std::list<DbPage> pages;
+    /** Page number -> its node in pages; looked up, never iterated. */
+    std::unordered_map<uint32_t, std::list<DbPage>::iterator> index;
     std::vector<uint32_t> dirtyList;
 
+    /** The cached page @p page_no, moved to most recently used. */
     DbPage *find(uint32_t page_no);
+    /** Cache a new page @p page_no as the most recently used. */
+    DbPage &insert(uint32_t page_no);
     void writeThrough(DbPage &page);
     void evictOne();
 };

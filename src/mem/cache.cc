@@ -43,32 +43,47 @@ Cache::Cache(const CacheParams &p, Cache *n, Cycles mem_latency)
     stats.addCounter("writebacks", &writebacks);
 }
 
-Cycles
-Cache::accessLine(uint64_t line_num, bool is_write)
+inline bool
+Cache::probe(uint64_t line_num, uint64_t dirty)
 {
-    uint64_t set_idx = line_num & (numSets - 1);
     uint64_t key = (line_num >> setShift) << 2 | validBit;
-    uint64_t dirty = is_write ? dirtyBit : 0;
-    uint64_t *set = &ways[set_idx * params.assoc];
-
+    uint64_t *set = &ways[(line_num & (numSets - 1)) * params.assoc];
     for (uint32_t i = 0; i < params.assoc; i++) {
         if ((set[i] & ~dirtyBit) == key) {
-            hits.inc();
             moveToFront(set, i, set[i] | dirty);
-            return params.hitLatency;
+            return true;
         }
     }
+    return false;
+}
 
-    // Miss: write back the last way if dirty, then fill over it.
+inline Cycles
+Cache::lineFromAbove(uint64_t line_num, uint64_t dirty)
+{
+    if (probe(line_num, dirty)) {
+        hits.inc();
+        return params.hitLatency;
+    }
+    return miss(line_num, dirty);
+}
+
+Cycles
+Cache::miss(uint64_t line_num, uint64_t dirty)
+{
+    // Write back the last way if dirty, then fill over it.
     misses.inc();
+    uint64_t set_idx = line_num & (numSets - 1);
+    uint64_t *set = &ways[set_idx * params.assoc];
     uint64_t victim = set[params.assoc - 1];
     Cycles cost = params.hitLatency;
     if (victim & dirtyBit) {
         writebacks.inc();
         uint64_t victim_line = (victim >> 2) << setShift | set_idx;
-        cost += next ? next->accessLine(victim_line, true) : memLatency;
+        cost += next ? next->lineFromAbove(victim_line, dirtyBit)
+                     : memLatency;
     }
-    cost += next ? next->accessLine(line_num, false) : memLatency;
+    cost += next ? next->lineFromAbove(line_num, 0) : memLatency;
+    uint64_t key = (line_num >> setShift) << 2 | validBit;
     moveToFront(set, params.assoc - 1, key | dirty);
     return cost;
 }
@@ -80,9 +95,18 @@ Cache::access(PAddr paddr, uint64_t len, bool is_write)
         return Cycles(0);
     uint64_t first = paddr >> lineShift;
     uint64_t last = (paddr + len - 1) >> lineShift;
+    uint64_t dirty = is_write ? dirtyBit : 0;
+    uint64_t line_hits = 0;
     Cycles total(0);
-    for (uint64_t line = first; line <= last; line++)
-        total += accessLine(line, is_write);
+    for (uint64_t line = first; line <= last; line++) {
+        if (probe(line, dirty)) {
+            line_hits++;
+            total += params.hitLatency;
+        } else {
+            total += miss(line, dirty);
+        }
+    }
+    hits.inc(line_hits);
     return total;
 }
 

@@ -48,7 +48,8 @@ class Cache
      * Access [@p paddr, @p paddr + @p len). Touches every line in the
      * range; each line hit charges the hit latency, each miss
      * additionally charges the fill from below plus any dirty
-     * writeback.
+     * writeback. The per-line probe runs inline; only a miss calls
+     * out, once per level it reaches.
      * @return total cycles for the access.
      */
     Cycles access(PAddr paddr, uint64_t len, bool is_write);
@@ -82,7 +83,22 @@ class Cache
      */
     std::vector<uint64_t> ways;
 
-    Cycles accessLine(uint64_t line_num, bool is_write);
+    /**
+     * Look @p line_num up in its set. On a hit, move its way to the
+     * front with @p dirty ORed in and return true; count nothing.
+     */
+    bool probe(uint64_t line_num, uint64_t dirty);
+
+    /** One line from the level above: a counted probe, else miss(). */
+    Cycles lineFromAbove(uint64_t line_num, uint64_t dirty);
+
+    /**
+     * Service a miss on @p line_num: count it, write a dirty victim
+     * back to the next level, fetch the line from it, and install the
+     * line first in its set with @p dirty. @return the miss's cycles,
+     * hit latency included.
+     */
+    Cycles miss(uint64_t line_num, uint64_t dirty);
 };
 
 } // namespace xpc::mem

@@ -34,15 +34,20 @@ BufCache::BufCache(uint32_t nbufs) : capacity(nbufs)
     panic_if(nbufs == 0, "buffer cache needs at least one buffer");
 }
 
+BufCache::Buf *
+BufCache::find(uint32_t block_no)
+{
+    auto it = index.find(block_no);
+    return it == index.end() ? nullptr : &*it->second;
+}
+
 BufCache::Buf &
 BufCache::get(BlockIo &io, uint32_t block_no)
 {
-    for (auto &b : bufs) {
-        if (b.valid && b.blockNo == block_no) {
-            hits.inc();
-            b.lru = ++clock;
-            return b;
-        }
+    if (Buf *b = find(block_no)) {
+        hits.inc();
+        b->lru = ++clock;
+        return *b;
     }
     misses.inc();
 
@@ -57,18 +62,17 @@ BufCache::get(BlockIo &io, uint32_t block_no)
                 victim = it;
         }
         if (victim != bufs.end()) {
-            if (victim->valid && victim->dirty)
+            if (victim->dirty)
                 io.write(victim->blockNo, victim->data.data());
+            index.erase(victim->blockNo);
             bufs.erase(victim);
         }
         // All pinned: allow temporary growth past capacity.
     }
 
-    bufs.emplace_back();
-    Buf &b = bufs.back();
+    Buf &b = bufs.emplace_back();
+    index.emplace(block_no, std::prev(bufs.end()));
     b.blockNo = block_no;
-    b.valid = true;
-    b.dirty = false;
     b.lru = ++clock;
     io.read(block_no, b.data.data());
     return b;
@@ -77,19 +81,15 @@ BufCache::get(BlockIo &io, uint32_t block_no)
 void
 BufCache::pin(uint32_t block_no, bool pinned)
 {
-    for (auto &b : bufs) {
-        if (b.valid && b.blockNo == block_no) {
-            b.pinned = pinned;
-            return;
-        }
-    }
+    if (Buf *b = find(block_no))
+        b->pinned = pinned;
 }
 
 void
 BufCache::flushAll(BlockIo &io)
 {
     for (auto &b : bufs) {
-        if (b.valid && b.dirty) {
+        if (b.dirty) {
             io.write(b.blockNo, b.data.data());
             b.dirty = false;
         }
@@ -100,6 +100,7 @@ void
 BufCache::invalidateAll()
 {
     bufs.clear();
+    index.clear();
 }
 
 // --------------------------------------------------------------------

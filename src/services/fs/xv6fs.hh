@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -92,7 +93,6 @@ class BufCache
     struct Buf
     {
         uint32_t blockNo = 0;
-        bool valid = false;
         bool dirty = false;
         /** Pinned buffers (in-transaction) are never evicted, so no
          *  home-location write can precede the log commit. */
@@ -120,7 +120,12 @@ class BufCache
   private:
     uint32_t capacity;
     uint64_t clock = 0;
+    /** Buffers in insertion order, which is flushAll's write order. */
     std::list<Buf> bufs;
+    /** Block number -> its buffer in bufs; looked up, never iterated. */
+    std::unordered_map<uint32_t, std::list<Buf>::iterator> index;
+
+    Buf *find(uint32_t block_no);
 };
 
 /** Result codes (negative errno-style values). */

@@ -45,16 +45,14 @@ FsServer::IpcBlockIo::write(uint32_t block_no, const void *src)
     panic_if(!core, "block IO without a core context");
     if (ioFailed)
         return;
-    std::vector<uint8_t> req(blockDataOffset +
-                             BlockDeviceServer::blockBytes);
-    packInto(req.data(), BlockReq{block_no, 1});
-    std::memcpy(req.data() + blockDataOffset, src,
+    packInto(writeReq.data(), BlockReq{block_no, 1});
+    std::memcpy(writeReq.data() + blockDataOffset, src,
                 BlockDeviceServer::blockBytes);
     for (int attempt = 0; attempt < 3; attempt++) {
         uint64_t got = transport.scratchCall(
             *core, fsThread, inHandler, diskSvc,
-            uint64_t(BlockOp::Write), req.data(), req.size(), nullptr,
-            0);
+            uint64_t(BlockOp::Write), writeReq.data(), writeReq.size(),
+            nullptr, 0);
         if (got != core::Transport::scratchFailed)
             return;
     }

@@ -8,6 +8,7 @@
 #ifndef XPC_SERVICES_FS_SERVER_HH
 #define XPC_SERVICES_FS_SERVER_HH
 
+#include <array>
 #include <string>
 
 #include "core/transport.hh"
@@ -104,6 +105,11 @@ class FsServer
         core::Transport &transport;
         kernel::Thread &fsThread;
         core::ServiceId diskSvc;
+        /** The block-write request, reused: the FS thread issues one
+         *  block write at a time, and the device never calls back. */
+        std::array<uint8_t, proto::blockDataOffset +
+                                BlockDeviceServer::blockBytes>
+            writeReq{};
     };
 
     core::Transport &transport;

@@ -112,6 +112,43 @@ TEST_F(MiniDbTest, ManyRecordsSplitTheTree)
     }
 }
 
+TEST_F(MiniDbTest, GetsEveryKeyOfAThreeLevelTree)
+{
+    MiniDb db = makeDb("t3b.db");
+    auto key = [](int n) {
+        char buf[16];
+        std::snprintf(buf, sizeof(buf), "key%05d", n);
+        return std::string(buf);
+    };
+    auto value = [](int i) {
+        std::vector<uint8_t> v(1 + uint32_t(i) * 37 % btreeValueMax);
+        for (size_t j = 0; j < v.size(); j++)
+            v[j] = uint8_t(i * 7 + int(j));
+        return v;
+    };
+    // Records at the even numbers 10, 12, ..., inserted out of order
+    // (151 is coprime to n, so i runs over every record once).
+    const int n = 400;
+    for (int k = 0; k < n; k++) {
+        int i = k * 151 % n;
+        auto v = value(i);
+        db.put(key(10 + 2 * i), v.data(), uint32_t(v.size()));
+    }
+    ASSERT_GE(db.tree().height(), 3u);
+    db.tree().checkInvariants();
+
+    for (int i = 0; i < n; i++) {
+        auto got = db.get(key(10 + 2 * i));
+        ASSERT_TRUE(got.has_value()) << i;
+        EXPECT_EQ(*got, value(i)) << i;
+        // Between a record and the next one up.
+        EXPECT_FALSE(db.get(key(11 + 2 * i)).has_value()) << i;
+    }
+    for (const char *absent : {"", "a", "key00009", "key00010\x01",
+                               "key99999", "z"})
+        EXPECT_FALSE(db.get(absent).has_value()) << absent;
+}
+
 TEST_F(MiniDbTest, ScanVisitsInOrder)
 {
     MiniDb db = makeDb("t4.db");
@@ -261,6 +298,30 @@ TEST(MiniDbFlavors, WriteHeavyRunsFasterOnXpc)
     uint64_t zircon = measure(core::SystemFlavor::Zircon);
     EXPECT_GT(sel4, xpc);
     EXPECT_GT(zircon, sel4);
+}
+
+class BTreeDeathTest : public ::testing::Test, public DbFixtureBase
+{
+  protected:
+    BTreeDeathTest() : DbFixtureBase(core::SystemFlavor::Sel4Xpc) {}
+};
+
+TEST_F(BTreeDeathTest, OversizedLeafSlotPanicsOnGet)
+{
+    MiniDb db = makeDb("corrupt.db");
+    uint32_t v = 5;
+    db.put("only", &v, sizeof(v));
+    ASSERT_TRUE(db.get("only").has_value());
+
+    // Page 0 holds {magic, root}; the root is the one leaf. Its first
+    // slot is {24-byte key, uint32 length, value} after an 8-byte
+    // header.
+    uint32_t root;
+    std::memcpy(&root, db.pager().get(0).data.data() + 4, 4);
+    uint32_t len = btreeValueMax + 1;
+    std::memcpy(db.pager().get(root).data.data() + 8 + btreeKeyBytes,
+                &len, 4);
+    EXPECT_DEATH(db.get("only"), "corrupt leaf slot");
 }
 
 } // namespace

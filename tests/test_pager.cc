@@ -1,13 +1,18 @@
 /**
  * @file
  * Tests for MiniDb's storage internals: the FS-backed paged file
- * (cache hits, eviction write-back, pre-image hook ordering) and the
- * xv6fs buffer cache's pinning discipline.
+ * (cache hits, eviction order and write-back, pre-image hook
+ * ordering) and the xv6fs buffer cache (pinning discipline, and every
+ * disk access against a list-scan reference model).
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <list>
+#include <utility>
+#include <vector>
 
 #include "apps/minidb/paged_file.hh"
 #include "core/recording_transport.hh"
@@ -15,6 +20,7 @@
 #include "services/block_device.hh"
 #include "services/fs_server.hh"
 #include "services/fs/xv6fs.hh"
+#include "sim/random.hh"
 
 namespace xpc::apps {
 namespace {
@@ -122,7 +128,93 @@ TEST_F(PagerTest, SecondDirtyInSameEpochSkipsTheHook)
 }
 
 // --------------------------------------------------------------------
-// xv6fs buffer cache pinning.
+// Which page the paged file evicts: the least recently used, where a
+// get() and a markDirty() both count as a use.
+// --------------------------------------------------------------------
+
+class PagerRecencyTest : public PagerTest
+{
+  protected:
+    PagerRecencyTest()
+        : pf(sys->transport(), sys->core(0), *client, fsrv->id(),
+             "/recency.db", 3)
+    {
+        // Six pages, then pages 0, 1, 2 cached in that order (2 the
+        // most recently used).
+        for (int i = 0; i < 6; i++)
+            pf.appendPage();
+        for (uint32_t p = 0; p < 3; p++)
+            pf.get(p);
+    }
+
+    /** get(@p p) and report whether it had to read the page. */
+    bool
+    missed(uint32_t p)
+    {
+        uint64_t misses = pf.cacheMisses.value();
+        uint64_t reads = pf.pageReads.value();
+        pf.get(p);
+        EXPECT_EQ(pf.cacheMisses.value() - misses,
+                  pf.pageReads.value() - reads);
+        return pf.cacheMisses.value() != misses;
+    }
+
+    PagedFile pf;
+};
+
+TEST_F(PagerRecencyTest, GetRefreshesAPageAgainstEviction)
+{
+    EXPECT_FALSE(missed(0)); // 0 is now the most recently used
+    EXPECT_TRUE(missed(3));  // evicts 1, not 0
+    EXPECT_FALSE(missed(0));
+    EXPECT_TRUE(missed(1));
+}
+
+TEST_F(PagerRecencyTest, MarkDirtyRefreshesAPageAgainstEviction)
+{
+    pf.markDirty(0);        // 0 is now the most recently used
+    EXPECT_TRUE(missed(3)); // evicts 1, not 0
+    EXPECT_FALSE(missed(0));
+    EXPECT_TRUE(missed(1));
+    EXPECT_EQ(pf.pageWrites.value(), 0u);
+}
+
+TEST_F(PagerRecencyTest, PreferCleanEvictsTheLeastRecentlyUsedCleanPage)
+{
+    pf.preferCleanEviction = true;
+    pf.markDirty(1); // order 0, 2, 1(dirty)
+    pf.get(2);
+    pf.get(0);       // order 1(dirty), 2, 0: 1 is older than 2
+    EXPECT_TRUE(missed(3)); // evicts 2, not the dirty 1
+    EXPECT_EQ(pf.pageWrites.value(), 0u);
+    EXPECT_FALSE(missed(1));
+    EXPECT_FALSE(missed(0));
+    EXPECT_TRUE(missed(2));
+    EXPECT_EQ(pf.pageWrites.value(), 0u);
+}
+
+TEST_F(PagerRecencyTest, PreferCleanWritesHomeOnlyWhenAllAreDirty)
+{
+    pf.preferCleanEviction = true;
+    pf.markDirty(0);
+    pf.get(0).data[0] = 0xd0;
+    pf.markDirty(1);
+    pf.get(1).data[0] = 0xd1;
+    EXPECT_TRUE(missed(3)); // evicts the clean 2
+    EXPECT_EQ(pf.pageWrites.value(), 0u);
+    pf.markDirty(3);        // order 0, 1, 3, all dirty
+    EXPECT_TRUE(missed(4)); // writes 0 home and evicts it
+    EXPECT_EQ(pf.pageWrites.value(), 1u);
+    EXPECT_FALSE(missed(1));
+    EXPECT_FALSE(missed(3));
+    EXPECT_TRUE(missed(0)); // evicts the clean 4
+    EXPECT_EQ(pf.get(0).data[0], 0xd0);
+    EXPECT_EQ(pf.pageWrites.value(), 1u);
+}
+
+// --------------------------------------------------------------------
+// xv6fs buffer cache: pinning, and every disk access against the
+// list-scan reference.
 // --------------------------------------------------------------------
 
 class CountingDisk : public services::fs::BlockIo
@@ -137,6 +229,7 @@ class CountingDisk : public services::fs::BlockIo
     read(uint32_t b, void *dst) override
     {
         reads++;
+        log.emplace_back('r', b);
         std::memcpy(dst, blocks.at(b).data(),
                     services::fs::fsBlockBytes);
     }
@@ -145,6 +238,7 @@ class CountingDisk : public services::fs::BlockIo
     write(uint32_t b, const void *src) override
     {
         writes++;
+        log.emplace_back('w', b);
         std::memcpy(blocks.at(b).data(), src,
                     services::fs::fsBlockBytes);
     }
@@ -152,6 +246,100 @@ class CountingDisk : public services::fs::BlockIo
     std::vector<std::vector<uint8_t>> blocks;
     uint64_t reads = 0;
     uint64_t writes = 0;
+    /** Every access in order: ('r' or 'w', block). */
+    std::vector<std::pair<char, uint32_t>> log;
+};
+
+/**
+ * Reference buffer cache: the list-scan BufCache that an indexed one
+ * must match access for access (a lookup scans every buffer; the
+ * victim is the unpinned buffer with the oldest stamp). Never edit it
+ * to match a new cache; if the differential test fails, the cache is
+ * wrong.
+ */
+class RefBufCache
+{
+  public:
+    explicit RefBufCache(uint32_t nbufs) : capacity(nbufs) {}
+
+    struct Buf
+    {
+        uint32_t blockNo = 0;
+        bool valid = false;
+        bool dirty = false;
+        bool pinned = false;
+        uint64_t lru = 0;
+        std::array<uint8_t, services::fs::fsBlockBytes> data;
+    };
+
+    void
+    pin(uint32_t block_no, bool pinned)
+    {
+        for (auto &b : bufs) {
+            if (b.valid && b.blockNo == block_no) {
+                b.pinned = pinned;
+                return;
+            }
+        }
+    }
+
+    Buf &
+    get(services::fs::BlockIo &io, uint32_t block_no)
+    {
+        for (auto &b : bufs) {
+            if (b.valid && b.blockNo == block_no) {
+                hits++;
+                b.lru = ++clock;
+                return b;
+            }
+        }
+        misses++;
+
+        if (bufs.size() >= capacity) {
+            auto victim = bufs.end();
+            for (auto it = bufs.begin(); it != bufs.end(); ++it) {
+                if (it->pinned)
+                    continue;
+                if (victim == bufs.end() || it->lru < victim->lru)
+                    victim = it;
+            }
+            if (victim != bufs.end()) {
+                if (victim->valid && victim->dirty)
+                    io.write(victim->blockNo, victim->data.data());
+                bufs.erase(victim);
+            }
+        }
+
+        bufs.emplace_back();
+        Buf &b = bufs.back();
+        b.blockNo = block_no;
+        b.valid = true;
+        b.dirty = false;
+        b.lru = ++clock;
+        io.read(block_no, b.data.data());
+        return b;
+    }
+
+    void
+    flushAll(services::fs::BlockIo &io)
+    {
+        for (auto &b : bufs) {
+            if (b.valid && b.dirty) {
+                io.write(b.blockNo, b.data.data());
+                b.dirty = false;
+            }
+        }
+    }
+
+    void invalidateAll() { bufs.clear(); }
+
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+
+  private:
+    uint32_t capacity;
+    uint64_t clock = 0;
+    std::list<Buf> bufs;
 };
 
 TEST(BufCachePin, PinnedBuffersSurviveCachePressure)
@@ -194,6 +382,94 @@ TEST(BufCachePin, HitCountersTrackLocality)
     EXPECT_EQ(cache.hits.value(), 36u);
     EXPECT_EQ(disk.reads, 4u);
 }
+
+class BufCacheSweep : public ::testing::TestWithParam<uint32_t>
+{};
+
+/**
+ * The buffer cache against RefBufCache, each over its own disk: a
+ * seeded stream of gets (some dirtying the buffer), pins, unpins,
+ * flushes and invalidations over 4x more blocks than buffers, with an
+ * all-pinned stretch that grows the cache past its capacity. After
+ * every step both disks must have seen the same accesses in the same
+ * order, and both caches the same hits and misses.
+ */
+TEST_P(BufCacheSweep, MatchesListScanReference)
+{
+    const uint32_t cap = GetParam();
+    const uint32_t nblocks = 4 * cap;
+    CountingDisk disk(nblocks), ref_disk(nblocks);
+    services::fs::BufCache cache(cap);
+    RefBufCache ref(cap);
+    Rng rng(cap);
+
+    auto get = [&](uint32_t b, bool dirty) {
+        auto &buf = cache.get(disk, b);
+        auto &ref_buf = ref.get(ref_disk, b);
+        ASSERT_EQ(buf.blockNo, b);
+        ASSERT_EQ(buf.dirty, ref_buf.dirty);
+        ASSERT_EQ(buf.data, ref_buf.data);
+        if (dirty) {
+            uint8_t v = uint8_t(rng.next());
+            buf.data[b % services::fs::fsBlockBytes] = v;
+            ref_buf.data[b % services::fs::fsBlockBytes] = v;
+            buf.dirty = ref_buf.dirty = true;
+        }
+    };
+    auto pin = [&](uint32_t b, bool pinned) {
+        cache.pin(b, pinned);
+        ref.pin(b, pinned);
+    };
+    auto step = [&](int i) {
+        ASSERT_EQ(disk.log, ref_disk.log) << "step " << i;
+        ASSERT_EQ(cache.hits.value(), ref.hits) << "step " << i;
+        ASSERT_EQ(cache.misses.value(), ref.misses) << "step " << i;
+    };
+
+    for (int i = 0; i < 3000; i++) {
+        uint32_t b = uint32_t(rng.nextBounded(nblocks));
+        uint64_t op = rng.nextBounded(100);
+        if (op < 60) {
+            ASSERT_NO_FATAL_FAILURE(get(b, rng.nextBounded(3) == 0));
+        } else if (op < 75) {
+            pin(b, true);
+        } else if (op < 95) {
+            pin(b, false);
+        } else if (op < 99) {
+            cache.flushAll(disk);
+            ref.flushAll(ref_disk);
+        } else {
+            cache.invalidateAll();
+            ref.invalidateAll();
+        }
+        ASSERT_NO_FATAL_FAILURE(step(i));
+
+        if (i == 1500) {
+            // All pinned: 2x capacity distinct blocks, each pinned
+            // once read (and half of them dirtied), then released.
+            for (uint32_t k = 0; k < 2 * cap; k++) {
+                ASSERT_NO_FATAL_FAILURE(get(k, k % 2 == 0));
+                pin(k, true);
+                ASSERT_NO_FATAL_FAILURE(step(i));
+            }
+            for (uint32_t k = 0; k < nblocks; k++) {
+                ASSERT_NO_FATAL_FAILURE(get(k, false));
+                ASSERT_NO_FATAL_FAILURE(step(i));
+            }
+            for (uint32_t k = 0; k < 2 * cap; k++)
+                pin(k, false);
+        }
+    }
+    cache.flushAll(disk);
+    ref.flushAll(ref_disk);
+    ASSERT_NO_FATAL_FAILURE(step(-1));
+    EXPECT_EQ(disk.blocks, ref_disk.blocks);
+    EXPECT_GT(ref.hits, 0u);
+    EXPECT_GT(disk.writes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, BufCacheSweep,
+                         ::testing::Values(4u, 64u));
 
 } // namespace
 } // namespace xpc::apps

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Self-test of the report tools on hand-written inputs: the report
 # diff must fail on every kind of drift it exists to catch, in reports
-# and in bench output pasted into a document, and the bench sweep must
-# print each bench's peak memory from the sidecar it wrote.
+# and in bench output pasted into a document, the bench sweep must
+# print each bench's peak memory from the sidecar it wrote, and the
+# benchmark pair runner must judge canned runs as the benchmark does.
 #
 # Usage: selftest.sh [PYTHON]
 #
@@ -112,5 +113,69 @@ rc=0
 sh "$tools/bench_all.sh" sweep fake > /dev/null 2> silent.err || rc=$?
 test "$rc" -eq 1
 grep -q "bench_silent wrote no peak_rss_mb" silent.err
+
+# perf_pairs.py runs the benchmark's pair protocol over two checkouts.
+# Each stub checkout's perfbench/run.py logs its side and arguments
+# and prints the next of its canned result lines. The parent must run
+# first in odd pairs and second in even ones. A met claim passes; a
+# claim won in only 8 of 10 pairs, a sim_* value that differs between
+# runs and a metric past its bound each fail with exit status 1.
+mkstub() {
+    mkdir -p "$1/perfbench"
+    cat > "$1/perfbench/run.py" <<'EOF'
+import pathlib, sys
+root = pathlib.Path(__file__).resolve().parent.parent
+log = root.parent / "calls.log"
+with open(log, "a") as f:
+    f.write(root.name + " " + " ".join(sys.argv[1:]) + "\n")
+n = [l.split()[0] for l in log.read_text().splitlines()].count(root.name)
+print("# stub run")
+print((root / "runs.txt").read_text().splitlines()[n - 1])
+EOF
+    cat > "$1/BENCHMARK.json" <<'EOF'
+{"end_to_end": [
+ {"name": "host_ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+ {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+ {"name": "sim_ops_per_mcycle", "unit": "1/Mcycle", "better": "higher",
+  "bound": 0.1}]}
+EOF
+}
+result() {
+    printf '{"correct": true, "attempted": 100, "failed": 0, "metrics": {"host_ops_per_s": {"value": %s, "unit": "1/s"}, "peak_rss_mb": {"value": %s, "unit": "MB"}, "sim_ops_per_mcycle": {"value": %s, "unit": "1/Mcycle"}}}\n' \
+        "$1" "$2" "$3"
+}
+for s in met eight sim bound; do
+    mkstub "pairs_$s/parent"
+    mkstub "pairs_$s/change"
+    for i in 0 1 2 3 4 5 6 7 8 9; do
+        result $((100 + i)) 20 5 >> "pairs_$s/parent/runs.txt"
+        ops=$((120 + i)) rss=20 sim=5
+        case "$s.$i" in
+            eight.8|eight.9) ops=$((99 + i)) ;;
+            sim.3) sim=5.5 ;;
+            bound.*) rss=23 ;;
+        esac
+        result "$ops" "$rss" "$sim" >> "pairs_$s/change/runs.txt"
+    done
+done
+pairs() {
+    rc=0
+    "$py" "$tools/perf_pairs.py" "pairs_$1/parent" "pairs_$1/change" \
+        --workload unit --seconds 1 --claim host_ops_per_s \
+        > "pairs_$1.out" || rc=$?
+    test "$rc" -eq "$2"
+}
+pairs met 0
+grep -q "won 10/10 pairs, at least 90%: yes; .*: yes$" pairs_met.out
+test "$(cut -d' ' -f1 pairs_met/calls.log | tr '\n' ' ')" = \
+    "$(printf 'parent change change parent %.0s' 1 2 3 4 5)"
+test "$(grep -c -- '--workload unit --seed 1 --seconds 1 --trace 0$' \
+    pairs_met/calls.log)" -eq 20
+pairs eight 1
+grep -q "won 8/10 pairs, at least 90%: NO" pairs_eight.out
+pairs sim 1
+grep -q "FAIL: sim_ops_per_mcycle differs between runs" pairs_sim.out
+pairs bound 1
+grep -q "^peak_rss_mb: .* worse than its 10% bound: YES" pairs_bound.out
 
 echo "selftest: ok"
