@@ -12,6 +12,15 @@ constexpr uint32_t btreeMagic = 0xb7ee0001;
 constexpr uint8_t nodeLeaf = 1;
 constexpr uint8_t nodeInternal = 2;
 
+/**
+ * A node page is an 8 B header (type byte at 0, 2 B key count at
+ * nodeKeysAt, 4 B next page at nodeNextAt) and its slots: a leaf's
+ * are key, 4 B value length and value, an internal node's key and
+ * 4 B child page.
+ */
+constexpr uint32_t nodeKeysAt = 2;
+constexpr uint32_t nodeNextAt = 4;
+constexpr uint32_t nodeHeaderBytes = 8;
 /** Slots per leaf: 8B header + n * (24 key + 4 len + 1000 value). */
 constexpr uint32_t leafCap = 3;
 /** Entries per internal node (kept modest so splits get exercised). */
@@ -19,8 +28,9 @@ constexpr uint32_t internalCap = 64;
 constexpr uint32_t leafSlotBytes = btreeKeyBytes + 4 + btreeValueMax;
 constexpr uint32_t intSlotBytes = btreeKeyBytes + 4;
 
-static_assert(8 + leafCap * leafSlotBytes <= dbPageBytes);
-static_assert(8 + internalCap * intSlotBytes <= dbPageBytes);
+static_assert(nodeHeaderBytes + leafCap * leafSlotBytes <= dbPageBytes);
+static_assert(nodeHeaderBytes + internalCap * intSlotBytes <=
+              dbPageBytes);
 
 /** Read a @p T stored at @p p in a page's bytes. */
 template <typename T>
@@ -30,6 +40,36 @@ load(const uint8_t *p)
     T v;
     std::memcpy(&v, p, sizeof(T));
     return v;
+}
+
+/** The key count in the header of the node page @p node. */
+uint16_t
+keyCount(const uint8_t *node)
+{
+    return load<uint16_t>(node + nodeKeysAt);
+}
+
+/** Byte offset of slot @p i in a leaf. */
+constexpr uint32_t
+leafSlot(uint32_t i)
+{
+    return nodeHeaderBytes + i * leafSlotBytes;
+}
+
+/** Byte offset of slot @p i in an internal node. */
+constexpr uint32_t
+intSlot(uint32_t i)
+{
+    return nodeHeaderBytes + i * intSlotBytes;
+}
+
+/** The value length of the leaf slot at @p slot; panics if corrupt. */
+uint32_t
+valueLen(const uint8_t *slot)
+{
+    uint32_t len = load<uint32_t>(slot + btreeKeyBytes);
+    panic_if(len > btreeValueMax, "corrupt leaf slot");
+    return len;
 }
 
 /** Host-side decoded node. */
@@ -59,29 +99,24 @@ decode(const DbPage &page)
 {
     Node n;
     const uint8_t *d = page.data.data();
-    uint8_t type = d[0];
-    uint16_t nkeys;
-    std::memcpy(&nkeys, d + 2, 2);
-    std::memcpy(&n.next, d + 4, 4);
-    n.leaf = type != nodeInternal;
+    uint16_t nkeys = keyCount(d);
+    n.next = load<uint32_t>(d + nodeNextAt);
+    n.leaf = d[0] != nodeInternal;
     if (n.leaf) {
         for (uint16_t i = 0; i < nkeys; i++) {
-            const uint8_t *slot = d + 8 + i * leafSlotBytes;
+            const uint8_t *slot = d + leafSlot(i);
             Node::LeafEntry e;
             std::memcpy(e.key.bytes, slot, btreeKeyBytes);
-            uint32_t len;
-            std::memcpy(&len, slot + btreeKeyBytes, 4);
-            panic_if(len > btreeValueMax, "corrupt leaf slot");
-            e.value.assign(slot + btreeKeyBytes + 4,
-                           slot + btreeKeyBytes + 4 + len);
+            const uint8_t *value = slot + btreeKeyBytes + 4;
+            e.value.assign(value, value + valueLen(slot));
             n.leafEntries.push_back(std::move(e));
         }
     } else {
         for (uint16_t i = 0; i < nkeys; i++) {
-            const uint8_t *slot = d + 8 + i * intSlotBytes;
+            const uint8_t *slot = d + intSlot(i);
             Node::IntEntry e;
             std::memcpy(e.key.bytes, slot, btreeKeyBytes);
-            std::memcpy(&e.child, slot + btreeKeyBytes, 4);
+            e.child = load<uint32_t>(slot + btreeKeyBytes);
             n.intEntries.push_back(e);
         }
     }
@@ -96,12 +131,12 @@ encode(const Node &n, DbPage &page)
     d[0] = n.leaf ? nodeLeaf : nodeInternal;
     uint16_t nkeys = uint16_t(n.leaf ? n.leafEntries.size()
                                      : n.intEntries.size());
-    std::memcpy(d + 2, &nkeys, 2);
-    std::memcpy(d + 4, &n.next, 4);
+    std::memcpy(d + nodeKeysAt, &nkeys, 2);
+    std::memcpy(d + nodeNextAt, &n.next, 4);
     if (n.leaf) {
         panic_if(n.leafEntries.size() > leafCap, "leaf overflow");
         for (uint16_t i = 0; i < nkeys; i++) {
-            uint8_t *slot = d + 8 + i * leafSlotBytes;
+            uint8_t *slot = d + leafSlot(i);
             const auto &e = n.leafEntries[i];
             std::memcpy(slot, e.key.bytes, btreeKeyBytes);
             uint32_t len = uint32_t(e.value.size());
@@ -112,7 +147,7 @@ encode(const Node &n, DbPage &page)
         panic_if(n.intEntries.size() > internalCap,
                  "internal overflow");
         for (uint16_t i = 0; i < nkeys; i++) {
-            uint8_t *slot = d + 8 + i * intSlotBytes;
+            uint8_t *slot = d + intSlot(i);
             const auto &e = n.intEntries[i];
             std::memcpy(slot, e.key.bytes, btreeKeyBytes);
             std::memcpy(slot + btreeKeyBytes, &e.child, 4);
@@ -300,21 +335,17 @@ BTree::findLeaf(uint32_t page_no, const BtKey &key)
     // internal node, not a decoded copy of it.
     for (;;) {
         const uint8_t *d = file.get(page_no).data.data();
-        uint16_t nkeys = load<uint16_t>(d + 2);
+        uint16_t nkeys = keyCount(d);
         if (d[0] != nodeInternal) {
-            // The same check decode() makes on every slot of a leaf.
-            for (uint16_t i = 0; i < nkeys; i++) {
-                const uint8_t *slot = d + 8 + i * leafSlotBytes;
-                panic_if(load<uint32_t>(slot + btreeKeyBytes) >
-                             btreeValueMax,
-                         "corrupt leaf slot");
-            }
+            // Check every slot's length, as decode() does.
+            for (uint16_t i = 0; i < nkeys; i++)
+                valueLen(d + leafSlot(i));
             return page_no;
         }
         // Descend left of the first key above @p key.
-        const uint8_t *child = d + 4;
+        const uint8_t *child = d + nodeNextAt;
         for (uint16_t i = 0; i < nkeys; i++) {
-            const uint8_t *slot = d + 8 + i * intSlotBytes;
+            const uint8_t *slot = d + intSlot(i);
             if (std::memcmp(key.bytes, slot, btreeKeyBytes) < 0)
                 break;
             child = slot + btreeKeyBytes;
@@ -328,13 +359,12 @@ BTree::get(const BtKey &key)
 {
     uint32_t leaf = findLeaf(rootPage(), key);
     const uint8_t *d = file.get(leaf).data.data();
-    uint16_t nkeys = load<uint16_t>(d + 2);
+    uint16_t nkeys = keyCount(d);
     for (uint16_t i = 0; i < nkeys; i++) {
-        const uint8_t *slot = d + 8 + i * leafSlotBytes;
+        const uint8_t *slot = d + leafSlot(i);
         if (std::memcmp(slot, key.bytes, btreeKeyBytes) == 0) {
             const uint8_t *value = slot + btreeKeyBytes + 4;
-            return std::vector<uint8_t>(
-                value, value + load<uint32_t>(slot + btreeKeyBytes));
+            return std::vector<uint8_t>(value, value + valueLen(slot));
         }
     }
     return std::nullopt;

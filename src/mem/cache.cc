@@ -96,17 +96,9 @@ Cache::access(PAddr paddr, uint64_t len, bool is_write)
     uint64_t first = paddr >> lineShift;
     uint64_t last = (paddr + len - 1) >> lineShift;
     uint64_t dirty = is_write ? dirtyBit : 0;
-    uint64_t line_hits = 0;
     Cycles total(0);
-    for (uint64_t line = first; line <= last; line++) {
-        if (probe(line, dirty)) {
-            line_hits++;
-            total += params.hitLatency;
-        } else {
-            total += miss(line, dirty);
-        }
-    }
-    hits.inc(line_hits);
+    for (uint64_t line = first; line <= last; line++)
+        total += lineFromAbove(line, dirty);
     return total;
 }
 

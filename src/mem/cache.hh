@@ -89,7 +89,10 @@ class Cache
      */
     bool probe(uint64_t line_num, uint64_t dirty);
 
-    /** One line from the level above: a counted probe, else miss(). */
+    /**
+     * One line from the level above, the core's access() or the
+     * miss() of the level above: a counted probe, else miss().
+     */
     Cycles lineFromAbove(uint64_t line_num, uint64_t dirty);
 
     /**

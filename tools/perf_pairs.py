@@ -3,20 +3,22 @@
 
 Usage:
     perf_pairs.py PARENT_ROOT CHANGE_ROOT --workload W [--pairs 10]
-                  [--seconds 20] [--seed 1] [--claim METRIC]
+                  [--seed 1] [--claim METRIC]
 
 Each pair runs `python3 <root>/perfbench/run.py --workload W --seed S
---seconds N --trace 0` once per checkout: the parent first in odd
-pairs, the change first in even ones, so a drift of the host's speed
-favours neither side. For every end-to-end metric of the parent's
-BENCHMARK.json it then prints each side's median and quartiles, how
-many pairs the change won (a tie counts for neither side), and whether
-the change's median is worse than the parent's by more than the
-metric's bound (a fraction of the parent's median).
+--seconds N --trace 0` once per checkout, N being the parent's
+BENCHMARK.json `run_seconds`: the parent first in odd pairs, the
+change first in even ones, so a drift of the host's speed favours
+neither side. For every end-to-end metric of that BENCHMARK.json it
+then prints each side's median and quartiles, how many pairs the
+change won (a tie counts for neither side), and whether the change's
+median is worse than the parent's by more than the metric's bound (a
+fraction of the parent's median).
 
-With --claim METRIC it also prints whether the change won at least
-9/10 of the pairs on METRIC and whether the gap between the medians,
-in the better direction, exceeds the parent's quartile spread.
+With --claim METRIC it also prints whether the change won at least 90%
+of at least 10 pairs on METRIC (fewer pairs never meet a claim) and
+whether the gap between the medians, in the better direction, exceeds
+the parent's quartile spread.
 
 Exit status 1 when a run exits non-zero or reports `correct: false`
 (at once), when a larger share of all operations failed on the
@@ -33,13 +35,14 @@ import sys
 from pathlib import Path
 
 CLAIM_SHARE = 0.9
+CLAIM_PAIRS = 10
 
 
-def run_once(root, args):
+def run_once(root, args, seconds):
     """One benchmark run in @p root: (exit code, result dict or None)."""
     cmd = [sys.executable, str(Path(root) / "perfbench" / "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "0"]
     res = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
     lines = res.stdout.splitlines()
     try:
@@ -62,14 +65,13 @@ def main():
     ap.add_argument("change_root")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--claim", metavar="METRIC")
     args = ap.parse_args()
 
     spec = json.loads(
         (Path(args.parent_root) / "BENCHMARK.json").read_text())
-    metrics = spec["end_to_end"]
+    metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     if args.claim and args.claim not in [m["name"] for m in metrics]:
         ap.error(f"--claim {args.claim} is no end-to-end metric")
     if args.pairs < 1:
@@ -80,7 +82,7 @@ def main():
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            code, result = run_once(roots[side], args)
+            code, result = run_once(roots[side], args, seconds)
             correct = result.get("correct") if result else None
             if code != 0 or correct is not True:
                 print(f"pair {pair} {side}: run failed (exit {code}, "
@@ -94,7 +96,7 @@ def main():
                 if not k.startswith("sim_")), flush=True)
 
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds} s")
+          f"{seconds} s")
     failures = []
 
     # The simulated metrics must not move between any two runs.
@@ -136,11 +138,13 @@ def main():
         if past_bound:
             failures.append(f"{name} is worse than its bound")
         if name == args.claim:
-            enough = wins >= CLAIM_SHARE * len(par)
+            enough = (len(par) >= CLAIM_PAIRS and
+                      wins >= CLAIM_SHARE * len(par))
             gap = (cq[1] - pq[1]) * sign
             spread = pq[2] - pq[0]
             print(f"claim {name}: won {wins}/{len(par)} pairs, at least "
-                  f"{CLAIM_SHARE:.0%}: {'yes' if enough else 'NO'}; "
+                  f"{CLAIM_SHARE:.0%} of {CLAIM_PAIRS} or more: "
+                  f"{'yes' if enough else 'NO'}; "
                   f"median gap {gap:.6g} exceeds the parent's quartile "
                   f"spread {spread:.6g}: "
                   f"{'yes' if gap > spread else 'NO'}")

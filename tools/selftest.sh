@@ -117,9 +117,11 @@ grep -q "bench_silent wrote no peak_rss_mb" silent.err
 # perf_pairs.py runs the benchmark's pair protocol over two checkouts.
 # Each stub checkout's perfbench/run.py logs its side and arguments
 # and prints the next of its canned result lines. The parent must run
-# first in odd pairs and second in even ones. A met claim passes; a
-# claim won in only 8 of 10 pairs, a sim_* value that differs between
-# runs and a metric past its bound each fail with exit status 1.
+# first in odd pairs and second in even ones, each run as long as the
+# parent's BENCHMARK.json says. A met claim passes; the same claim
+# over 6 pairs, a claim won in only 8 of 10 pairs, a sim_* value that
+# differs between runs and a metric past its bound each fail with
+# exit status 1.
 mkstub() {
     mkdir -p "$1/perfbench"
     cat > "$1/perfbench/run.py" <<'EOF'
@@ -133,7 +135,7 @@ print("# stub run")
 print((root / "runs.txt").read_text().splitlines()[n - 1])
 EOF
     cat > "$1/BENCHMARK.json" <<'EOF'
-{"end_to_end": [
+{"run_seconds": 3, "end_to_end": [
  {"name": "host_ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
  {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
  {"name": "sim_ops_per_mcycle", "unit": "1/Mcycle", "better": "higher",
@@ -144,7 +146,7 @@ result() {
     printf '{"correct": true, "attempted": 100, "failed": 0, "metrics": {"host_ops_per_s": {"value": %s, "unit": "1/s"}, "peak_rss_mb": {"value": %s, "unit": "MB"}, "sim_ops_per_mcycle": {"value": %s, "unit": "1/Mcycle"}}}\n' \
         "$1" "$2" "$3"
 }
-for s in met eight sim bound; do
+for s in met few eight sim bound; do
     mkstub "pairs_$s/parent"
     mkstub "pairs_$s/change"
     for i in 0 1 2 3 4 5 6 7 8 9; do
@@ -159,20 +161,26 @@ for s in met eight sim bound; do
     done
 done
 pairs() {
+    s=$1 want=$2
+    shift 2
     rc=0
-    "$py" "$tools/perf_pairs.py" "pairs_$1/parent" "pairs_$1/change" \
-        --workload unit --seconds 1 --claim host_ops_per_s \
-        > "pairs_$1.out" || rc=$?
-    test "$rc" -eq "$2"
+    "$py" "$tools/perf_pairs.py" "pairs_$s/parent" "pairs_$s/change" \
+        --workload unit --claim host_ops_per_s "$@" \
+        > "pairs_$s.out" || rc=$?
+    test "$rc" -eq "$want"
 }
 pairs met 0
-grep -q "won 10/10 pairs, at least 90%: yes; .*: yes$" pairs_met.out
+grep -q "won 10/10 pairs, at least 90% of 10 or more: yes; .*: yes$" \
+    pairs_met.out
 test "$(cut -d' ' -f1 pairs_met/calls.log | tr '\n' ' ')" = \
     "$(printf 'parent change change parent %.0s' 1 2 3 4 5)"
-test "$(grep -c -- '--workload unit --seed 1 --seconds 1 --trace 0$' \
+test "$(grep -c -- '--workload unit --seed 1 --seconds 3 --trace 0$' \
     pairs_met/calls.log)" -eq 20
+pairs few 1 --pairs 6
+grep -q "won 6/6 pairs, at least 90% of 10 or more: NO" pairs_few.out
+test "$(wc -l < pairs_few/calls.log)" -eq 12
 pairs eight 1
-grep -q "won 8/10 pairs, at least 90%: NO" pairs_eight.out
+grep -q "won 8/10 pairs, at least 90% of 10 or more: NO" pairs_eight.out
 pairs sim 1
 grep -q "FAIL: sim_ops_per_mcycle differs between runs" pairs_sim.out
 pairs bound 1
