@@ -49,12 +49,12 @@ PagedFile::find(uint32_t page_no)
 DbPage &
 PagedFile::insert(uint32_t page_no)
 {
-    if (pages.size() >= capacity)
-        evictOne();
-    DbPage &p = pages.emplace_back();
-    index.emplace(page_no, std::prev(pages.end()));
-    p.pageNo = page_no;
-    return p;
+    auto node = pages.size() >= capacity ? evictOne()
+                                         : pages.emplace(pages.end());
+    index.emplace(page_no, node);
+    node->pageNo = page_no;
+    node->dirty = false;
+    return *node;
 }
 
 void
@@ -69,7 +69,7 @@ PagedFile::writeThrough(DbPage &page)
     page.dirty = false;
 }
 
-void
+std::list<DbPage>::iterator
 PagedFile::evictOne()
 {
     auto victim = pages.begin();
@@ -85,7 +85,10 @@ PagedFile::evictOne()
     if (victim->dirty)
         writeThrough(*victim);
     index.erase(victim->pageNo);
-    pages.erase(victim);
+    // The node goes on as the most recently used page: insert()
+    // refills it.
+    pages.splice(pages.end(), pages, victim);
+    return victim;
 }
 
 DbPage &

@@ -107,10 +107,14 @@ class PagedFile
 
     /** The cached page @p page_no, moved to most recently used. */
     DbPage *find(uint32_t page_no);
-    /** Cache a new page @p page_no as the most recently used. */
+    /** Cache a new page @p page_no as the most recently used, in
+     *  the victim's node when the cache is full: the caller fills
+     *  every byte of its data. */
     DbPage &insert(uint32_t page_no);
     void writeThrough(DbPage &page);
-    void evictOne();
+    /** Write the victim home if dirty, unindex it, and return its
+     *  node, moved to most recently used. */
+    std::list<DbPage>::iterator evictOne();
 };
 
 } // namespace xpc::apps

@@ -65,6 +65,10 @@ class SnapshotServerApi : public ServerApi
     }
 
     void setReplyLen(uint64_t len) override { inner.setReplyLen(len); }
+    uint64_t replyCapacity() const override
+    {
+        return inner.replyCapacity();
+    }
 
     uint64_t
     callService(ServiceId svc, uint64_t opcode, uint64_t off,

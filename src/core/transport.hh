@@ -76,6 +76,15 @@ class ServerApi
     virtual void setReplyLen(uint64_t len) = 0;
 
     /**
+     * Bytes the caller's reply area holds (message-area-absolute, as
+     * writeReply's offsets are). A handler that sizes a reply from
+     * request fields checks it against this before writing, since a
+     * write past the area panics. The default means no limit, for
+     * ServerApi implementations outside the three transports.
+     */
+    virtual uint64_t replyCapacity() const { return UINT64_MAX; }
+
+    /**
      * Forward [@p off, @p off + @p len) of this request to @p svc.
      * On return the same range holds the nested reply.
      * @param req_len meaningful request bytes within the window (the

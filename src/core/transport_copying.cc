@@ -48,6 +48,12 @@ class CopyingServerApi : public ServerApi
     }
 
     uint64_t
+    replyCapacity() const override
+    {
+        return call.replyCapacity();
+    }
+
+    uint64_t
     callService(ServiceId svc, uint64_t op, uint64_t off,
                 uint64_t len, uint64_t req_len) override
     {

@@ -46,6 +46,14 @@ class XpcServerApi : public ServerApi
     }
 
     uint64_t
+    replyCapacity() const override
+    {
+        // The reply is written in place: its room is the message
+        // window the handler holds.
+        return engine::XpcEngine::effectiveSeg(call.core().csrs).len;
+    }
+
+    uint64_t
     callService(ServiceId svc, uint64_t op, uint64_t off,
                 uint64_t len, uint64_t req_len) override
     {

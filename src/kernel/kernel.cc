@@ -138,7 +138,7 @@ CallBracket::endHandler(hw::Core &hcore, Cycles h0, uint32_t server_lane)
 void
 ServerCall::setReplyLen(uint64_t len)
 {
-    panic_if(len > replyCapacity, "reply longer than client buffer");
+    panic_if(len > replyCap, "reply longer than client buffer");
     replyLen = len;
 }
 

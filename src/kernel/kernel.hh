@@ -283,6 +283,9 @@ class ServerCall
     void setReplyLen(uint64_t len);
     /** Reply bytes staged so far (envelope sealing reads them back). */
     uint64_t replyBytes() const { return replyLen; }
+    /** Bytes the caller's reply area holds: a reply or a reply write
+     *  past it panics. */
+    uint64_t replyCapacity() const { return replyCap; }
 
     hw::Core &core() { return coreRef; }
     Thread &serverThread() { return server; }
@@ -325,7 +328,7 @@ class ServerCall
      *  build forwarded messages beyond reqLen, up to here). */
     uint64_t reqCapacity = 0;
     uint64_t replyLen = 0;
-    uint64_t replyCapacity = 0;
+    uint64_t replyCap = 0;
 };
 
 /** A process: one address space plus one or more threads. */

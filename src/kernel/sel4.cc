@@ -117,7 +117,7 @@ Sel4ServerCall::writeRequest(uint64_t off, const void *src,
 void
 Sel4ServerCall::writeReply(uint64_t off, const void *src, uint64_t len)
 {
-    panic_if(off + len > replyCapacity, "reply write out of bounds");
+    panic_if(off + len > replyCap, "reply write out of bounds");
     if (len == 0)
         return;
     uint64_t prev = replyLen;
@@ -140,7 +140,7 @@ Sel4ServerCall::writeReply(uint64_t off, const void *src, uint64_t len)
 void
 Sel4ServerCall::readReply(uint64_t off, void *dst, uint64_t len)
 {
-    panic_if(off + len > replyCapacity, "reply read out of bounds");
+    panic_if(off + len > replyCap, "reply read out of bounds");
     if (len == 0)
         return;
     if (!replyInBuffer) {
@@ -222,7 +222,7 @@ Sel4Kernel::callPort(hw::Core &core, Thread &client, uint64_t ep_id,
     call_ctx.op = opcode;
     call_ctx.reqLen = req_len;
     call_ctx.reqCapacity = params.regMsgMax;
-    call_ctx.replyCapacity = reply_cap;
+    call_ctx.replyCap = reply_cap;
     call_ctx.longMode = portMode;
     call_ctx.serverBufVa = ep.scratchVa;
 

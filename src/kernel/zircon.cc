@@ -60,7 +60,7 @@ ZirconServerCall::writeRequest(uint64_t off, const void *src,
 void
 ZirconServerCall::writeReply(uint64_t off, const void *src, uint64_t len)
 {
-    panic_if(off + len > replyCapacity, "reply write out of bounds");
+    panic_if(off + len > replyCap, "reply write out of bounds");
     if (replyLen < off + len)
         replyLen = off + len;
     writeServer(replyVa + off, src, len);
@@ -69,7 +69,7 @@ ZirconServerCall::writeReply(uint64_t off, const void *src, uint64_t len)
 void
 ZirconServerCall::readReply(uint64_t off, void *dst, uint64_t len)
 {
-    panic_if(off + len > replyCapacity, "reply read out of bounds");
+    panic_if(off + len > replyCap, "reply read out of bounds");
     if (len == 0)
         return;
     readServer(replyVa + off, dst, len);
@@ -184,7 +184,7 @@ ZirconKernel::callPort(hw::Core &core, Thread &client, uint64_t ch_id,
     call_ctx.op = opcode;
     call_ctx.reqLen = req_len;
     call_ctx.reqCapacity = params.maxMsgBytes;
-    call_ctx.replyCapacity = std::min(reply_cap, params.maxMsgBytes);
+    call_ctx.replyCap = std::min(reply_cap, params.maxMsgBytes);
     call_ctx.reqVa = ch.serverReqVa;
     call_ctx.replyVa = ch.serverReplyVa;
     bracket.runHandler(scre, req::threadLane(uint32_t(ch.server->id())),

@@ -1,7 +1,5 @@
 #include "block_device.hh"
 
-#include <vector>
-
 #include "hw/machine.hh"
 #include "services/proto.hh"
 #include "sim/fault_injector.hh"
@@ -19,7 +17,7 @@ BlockDeviceServer::BlockDeviceServer(core::Transport &tr,
     core::ServiceDesc desc;
     desc.name = "blockdev";
     desc.handlerThread = &handler_thread;
-    desc.maxMsgBytes = 64 * 1024;
+    desc.maxMsgBytes = maxMsgBytes;
     svcId = transport.registerService(
         desc, [this](core::ServerApi &api) { handle(api); });
 }
@@ -31,7 +29,7 @@ BlockDeviceServer::handle(core::ServerApi &api)
     uint8_t hdr[sizeof(BlockReq)];
     api.readRequest(0, hdr, sizeof(hdr));
     BlockReq req = unpackFrom<BlockReq>(hdr);
-    if (req.blockNo + req.count > nblocks) {
+    if (req.count > nblocks || req.blockNo > nblocks - req.count) {
         // A corrupted request (e.g. a faulted copy read as zeros or
         // garbage) must not take the device down with it.
         api.fail(core::TransportStatus::CopyFault);
@@ -39,12 +37,30 @@ BlockDeviceServer::handle(core::ServerApi &api)
         return;
     }
 
+    BlockOp op = BlockOp(api.opcode());
+    uint64_t bytes = req.count * blockBytes;
+    if (op == BlockOp::Read || op == BlockOp::Write) {
+        // A hostile size fails before it sizes the buffer: more
+        // blocks than one message holds, a write whose blocks run
+        // past the request, or a read whose reply runs past the
+        // caller's area.
+        bool fits = bytes <= maxMsgBytes &&
+                    (op == BlockOp::Read
+                         ? bytes <= api.replyCapacity()
+                         : blockDataOffset + bytes <= api.requestLen());
+        if (!fits) {
+            api.fail(core::TransportStatus::IntegrityViolation);
+            api.setReplyLen(0);
+            return;
+        }
+        if (buf.size() < bytes)
+            buf.resize(bytes);
+    }
+
     kernel::Kernel &kern = transport.kernelRef();
     kernel::Process &proc = *serverThread.process();
-    uint64_t bytes = req.count * blockBytes;
-    std::vector<uint8_t> buf(bytes);
 
-    switch (BlockOp(api.opcode())) {
+    switch (op) {
       case BlockOp::Read: {
         reads.inc(req.count);
         auto res = kern.userRead(api.core(), proc,

@@ -8,6 +8,8 @@
 #ifndef XPC_SERVICES_BLOCK_DEVICE_HH
 #define XPC_SERVICES_BLOCK_DEVICE_HH
 
+#include <vector>
+
 #include "core/transport.hh"
 #include "sim/stats.hh"
 
@@ -18,6 +20,9 @@ class BlockDeviceServer
 {
   public:
     static constexpr uint64_t blockBytes = 4096;
+    /** The most block bytes one read or write may move (16 blocks),
+     *  and the service's message size. */
+    static constexpr uint64_t maxMsgBytes = 64 * 1024;
 
     /**
      * Create and register the service.
@@ -42,6 +47,10 @@ class BlockDeviceServer
     uint64_t nblocks;
     VAddr store = 0;
     core::ServiceId svcId = 0;
+    /** The blocks of the call being served, reused from call to call
+     *  and grown to at most maxMsgBytes: every byte a call reads is
+     *  one it wrote first. */
+    std::vector<uint8_t> buf;
 
     void handle(core::ServerApi &api);
 };

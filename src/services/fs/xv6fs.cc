@@ -51,6 +51,7 @@ BufCache::get(BlockIo &io, uint32_t block_no)
     }
     misses.inc();
 
+    auto node = bufs.end();
     if (bufs.size() >= capacity) {
         // Evict the least recently used unpinned buffer, writing it
         // back if dirty.
@@ -65,14 +66,20 @@ BufCache::get(BlockIo &io, uint32_t block_no)
             if (victim->dirty)
                 io.write(victim->blockNo, victim->data.data());
             index.erase(victim->blockNo);
-            bufs.erase(victim);
+            // Its node becomes the new buffer, at the back: the list
+            // stays in insertion order, flushAll's write order.
+            bufs.splice(bufs.end(), bufs, victim);
+            node = victim;
         }
         // All pinned: allow temporary growth past capacity.
     }
+    if (node == bufs.end())
+        node = bufs.emplace(bufs.end());
 
-    Buf &b = bufs.emplace_back();
-    index.emplace(block_no, std::prev(bufs.end()));
+    Buf &b = *node;
+    index.emplace(block_no, node);
     b.blockNo = block_no;
+    b.dirty = false;
     b.lru = ++clock;
     io.read(block_no, b.data.data());
     return b;

@@ -80,6 +80,9 @@ class BlockIo
 {
   public:
     virtual ~BlockIo() = default;
+    /** Fill all fsBlockBytes at @p dst, zeros where the block cannot
+     *  be read: BufCache reuses an evicted buffer without clearing
+     *  it first. */
     virtual void read(uint32_t block_no, void *dst) = 0;
     virtual void write(uint32_t block_no, const void *src) = 0;
 };

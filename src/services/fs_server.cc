@@ -103,12 +103,14 @@ FsServer::handle(core::ServerApi &api)
         probe.shed();
         return;
     }
-    // Copy-then-validate: the header must actually be present, every
-    // field is fetched exactly once into a private copy, and all
-    // derived lengths are validated against that copy before any
-    // allocation or file-system mutation. Hostile input gets a typed
+    // Copy-then-validate: the header must actually be present (and
+    // the reply area hold one), every field is fetched exactly once
+    // into a private copy, and all derived lengths are validated
+    // against that copy and the reply area before any allocation or
+    // file-system mutation. Hostile input gets a typed
     // IntegrityViolation, never a panic.
-    if (api.requestLen() < sizeof(FsMsg)) {
+    if (api.requestLen() < sizeof(FsMsg) ||
+        api.replyCapacity() < sizeof(FsMsg)) {
         malformedRequests.inc();
         api.fail(core::TransportStatus::IntegrityViolation);
         return;
@@ -146,6 +148,12 @@ FsServer::handle(core::ServerApi &api)
         }
         return true;
     };
+    // The server's IO buffer, grown to at least @p len bytes.
+    auto io_buf = [&](int64_t len) {
+        if (ioBuf.size() < uint64_t(len))
+            ioBuf.resize(uint64_t(len));
+        return ioBuf.data();
+    };
 
     switch (FsOp(api.opcode())) {
       case FsOp::Open: {
@@ -156,14 +164,19 @@ FsServer::handle(core::ServerApi &api)
         break;
       }
       case FsOp::Read: {
-        if (!io_len_ok(req.c))
+        // c bytes may follow the reply header: they must fit in the
+        // caller's reply area.
+        if (!io_len_ok(req.c) ||
+            fsDataOffset + uint64_t(req.c) > api.replyCapacity()) {
+            malformed = true;
             break;
-        std::vector<uint8_t> buf(req.c);
-        int64_t r = filesystem.pread(req.a, uint64_t(req.b),
-                                     buf.data(), uint64_t(req.c));
+        }
+        uint8_t *buf = io_buf(req.c);
+        int64_t r = filesystem.pread(req.a, uint64_t(req.b), buf,
+                                     uint64_t(req.c));
         reply.a = r;
         if (r > 0)
-            api.writeReply(fsDataOffset, buf.data(), uint64_t(r));
+            api.writeReply(fsDataOffset, buf, uint64_t(r));
         break;
       }
       case FsOp::Write: {
@@ -174,10 +187,10 @@ FsServer::handle(core::ServerApi &api)
             malformed = true;
             break;
         }
-        std::vector<uint8_t> buf(req.c);
+        uint8_t *buf = io_buf(req.c);
         if (req.c > 0)
-            api.readRequest(fsDataOffset, buf.data(), uint64_t(req.c));
-        reply.a = filesystem.pwrite(req.a, uint64_t(req.b), buf.data(),
+            api.readRequest(fsDataOffset, buf, uint64_t(req.c));
+        reply.a = filesystem.pwrite(req.a, uint64_t(req.b), buf,
                                     uint64_t(req.c));
         break;
       }

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <string>
+#include <vector>
 
 #include "core/transport.hh"
 #include "services/block_device.hh"
@@ -117,6 +118,11 @@ class FsServer
     core::ServiceId svcId = 0;
     IpcBlockIo blockIo;
     fs::Xv6Fs filesystem;
+    /** The bytes of a Read or Write being served, reused from call to
+     *  call and grown to at most fsMaxIoBytes: a Read sends only the
+     *  bytes pread filled, a Write stores only the bytes it
+     *  fetched. */
+    std::vector<uint8_t> ioBuf;
     AdmissionController *admission = nullptr;
     ServiceTelemetry *telemetry = nullptr;
 

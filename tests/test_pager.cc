@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <list>
@@ -210,6 +211,41 @@ TEST_F(PagerRecencyTest, PreferCleanWritesHomeOnlyWhenAllAreDirty)
     EXPECT_TRUE(missed(0)); // evicts the clean 4
     EXPECT_EQ(pf.get(0).data[0], 0xd0);
     EXPECT_EQ(pf.pageWrites.value(), 1u);
+}
+
+TEST_F(PagerRecencyTest, ReusedNodeHoldsOnlyThePageReadIntoIt)
+{
+    // An evicted page's node is reused for the page read in its
+    // place: after the read it must hold that page's bytes only.
+    auto filled = [this](uint32_t p, uint8_t v) {
+        const DbPage &page = pf.get(p);
+        return page.pageNo == p && !page.dirty &&
+               std::all_of(page.data.begin(), page.data.end(),
+                           [v](uint8_t b) { return b == v; });
+    };
+    pf.markDirty(0);
+    pf.get(0).data.fill(0xd0);
+    pf.flushDirty();        // page 0 is home: the file is one page
+    pf.markDirty(1);        // order 2, 0, 1(dirty)
+    pf.get(1).data.fill(0xd1);
+    EXPECT_TRUE(missed(3)); // evicts 2
+    EXPECT_TRUE(missed(4)); // evicts 0: order 1(dirty), 3, 4
+    EXPECT_EQ(pf.pageWrites.value(), 1u);
+    EXPECT_TRUE(missed(0)); // writes 1 home, reads 0 into its node
+    EXPECT_EQ(pf.pageWrites.value(), 2u);
+    EXPECT_TRUE(filled(0, 0xd0));
+    EXPECT_TRUE(missed(1)); // evicts 3; 1 went home whole
+    EXPECT_TRUE(filled(1, 0xd1));
+
+    // A page past the end of the file reads as zeros, also into the
+    // node of a dirty page.
+    pf.markDirty(4);        // order 0, 1, 4(dirty)
+    pf.get(4).data.fill(0x44);
+    pf.get(0);
+    pf.get(1);              // order 4(dirty), 0, 1
+    EXPECT_TRUE(missed(5)); // writes 4 home, reads 5 into its node
+    EXPECT_EQ(pf.pageWrites.value(), 3u);
+    EXPECT_TRUE(filled(5, 0));
 }
 
 // --------------------------------------------------------------------

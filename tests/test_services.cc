@@ -708,14 +708,20 @@ TEST_P(ServiceStack, BlockDeviceRoundTrips)
                    req.size(), nullptr, 0);
 
     std::vector<uint8_t> got(block.size());
-    uint8_t hdr[16];
-    proto::packInto(hdr, proto::BlockReq{7, 1});
-    uint64_t n = tr.scratchCall(sys->core(0), client, false, dev.id(),
-                                uint64_t(proto::BlockOp::Read), hdr,
-                                sizeof(hdr), got.data(), got.size());
-    EXPECT_EQ(n, got.size());
+    auto read = [&](uint64_t block_no) {
+        uint8_t hdr[16];
+        proto::packInto(hdr, proto::BlockReq{block_no, 1});
+        return tr.scratchCall(sys->core(0), client, false, dev.id(),
+                              uint64_t(proto::BlockOp::Read), hdr,
+                              sizeof(hdr), got.data(), got.size());
+    };
+    EXPECT_EQ(read(7), got.size());
     EXPECT_EQ(got, block);
-    EXPECT_EQ(dev.reads.value(), 1u);
+    // The device reuses one buffer for every call: a block never
+    // written reads as zeros, not as the block it served last.
+    EXPECT_EQ(read(8), got.size());
+    EXPECT_EQ(got, std::vector<uint8_t>(block.size(), 0));
+    EXPECT_EQ(dev.reads.value(), 2u);
     EXPECT_EQ(dev.writes.value(), 1u);
 }
 
@@ -761,6 +767,163 @@ TEST_P(ServiceStack, FileSystemOverIpc)
     EXPECT_GT(dev.writes.value(), 0u);
     EXPECT_EQ(FsServer::clientClose(tr, core, client, fsrv.id(), fd),
               0);
+}
+
+/**
+ * Requests sized past the device's 64 KiB message, past their own
+ * payload or past the caller's reply area fail with
+ * IntegrityViolation before the server sizes a buffer off them. None
+ * aborts the simulator, each leaves the store, the file and the
+ * device's counters as they were, and the next well-formed call
+ * succeeds. An XPC reply is written in place, so its room is the
+ * caller's message window, not the reply length the caller names:
+ * the requests whose reply fits the window but not that length are
+ * pinned as they behave there.
+ */
+TEST_P(ServiceStack, OversizedRequestsFailCleanly)
+{
+    using proto::blockDataOffset;
+    constexpr uint64_t blk = BlockDeviceServer::blockBytes;
+    core::Transport &tr = sys->transport();
+    kernel::Thread &dev_t = sys->spawn("blockdev");
+    kernel::Thread &fs_t = sys->spawn("fs");
+    kernel::Thread &client = sys->spawn("client");
+    BlockDeviceServer dev(tr, dev_t, 2048);
+    tr.connect(fs_t, dev.id());
+    FsServer fsrv(tr, fs_t, dev.id(), 2048);
+    tr.connect(client, dev.id());
+    tr.connect(client, fsrv.id());
+    hw::Core &core = sys->core(0);
+    bool xpc = GetParam() == core::SystemFlavor::Sel4Xpc ||
+               GetParam() == core::SystemFlavor::ZirconXpc;
+
+    // One call with a request of its own and a reply area of
+    // @p reply_cap bytes.
+    auto call = [&](core::ServiceId svc, uint64_t op,
+                    const std::vector<uint8_t> &req, uint64_t reply_cap) {
+        tr.requestArea(core, client,
+                       std::max<uint64_t>(req.size(), reply_cap));
+        EXPECT_TRUE(
+            tr.clientWrite(core, client, 0, req.data(), req.size()));
+        return tr.call(core, client, svc, op, req.size(), reply_cap);
+    };
+    std::vector<uint8_t> block(blk);
+    Rng rng(13);
+    for (auto &b : block)
+        b = uint8_t(rng.next());
+    // A request for @p count blocks from @p no, carrying @p carried
+    // copies of block.
+    auto block_req = [&](uint64_t no, uint64_t count, uint64_t carried) {
+        std::vector<uint8_t> req(blockDataOffset + carried * blk);
+        proto::packInto(req.data(), proto::BlockReq{no, count});
+        for (uint64_t i = 0; i < carried; i++)
+            std::memcpy(req.data() + blockDataOffset + i * blk,
+                        block.data(), blk);
+        return req;
+    };
+    auto fs_req = [](int64_t fd, int64_t len) {
+        std::vector<uint8_t> req(proto::fsDataOffset);
+        proto::FsMsg m;
+        m.a = fd;
+        m.c = len;
+        proto::packInto(req.data(), m);
+        return req;
+    };
+
+    // The store: block 2000 holds block and 2001 was never written,
+    // far past what the small file system below allocates.
+    const uint64_t read_op = uint64_t(proto::BlockOp::Read);
+    const uint64_t write_op = uint64_t(proto::BlockOp::Write);
+    ASSERT_TRUE(call(dev.id(), write_op, block_req(2000, 1, 1), 0).ok);
+    std::vector<uint8_t> text(100);
+    for (size_t i = 0; i < text.size(); i++)
+        text[i] = uint8_t('a' + i % 26);
+    int64_t fd = FsServer::clientOpen(tr, core, client, fsrv.id(),
+                                      "/kept", true);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(FsServer::clientWrite(tr, core, client, fsrv.id(), fd, 0,
+                                    text.data(), text.size()),
+              int64_t(text.size()));
+
+    // Well-formed calls see the store and the file unchanged.
+    auto expect_intact = [&](const char *what) {
+        std::vector<uint8_t> got(blk);
+        for (uint64_t no : {2000, 2001}) {
+            core::CallResult r =
+                call(dev.id(), read_op, block_req(no, 1, 0), blk);
+            ASSERT_TRUE(r.ok) << what;
+            ASSERT_EQ(r.replyLen, blk) << what;
+            tr.clientRead(core, client, 0, got.data(), blk);
+            EXPECT_EQ(got, no == 2000 ? block
+                                      : std::vector<uint8_t>(blk, 0))
+                << what << ": block " << no;
+        }
+        std::vector<uint8_t> back(text.size());
+        EXPECT_EQ(FsServer::clientRead(tr, core, client, fsrv.id(), fd,
+                                       0, back.data(), back.size()),
+                  int64_t(back.size()))
+            << what;
+        EXPECT_EQ(back, text) << what;
+    };
+    // @p req fails with IntegrityViolation and moves no counter.
+    auto expect_rejected = [&](const char *what, core::ServiceId svc,
+                               uint64_t op,
+                               const std::vector<uint8_t> &req,
+                               uint64_t reply_cap) {
+        uint64_t reads = dev.reads.value(), writes = dev.writes.value();
+        core::CallResult r = call(svc, op, req, reply_cap);
+        EXPECT_FALSE(r.ok) << what;
+        EXPECT_EQ(r.status, core::TransportStatus::IntegrityViolation)
+            << what;
+        EXPECT_EQ(dev.reads.value(), reads) << what;
+        EXPECT_EQ(dev.writes.value(), writes) << what;
+        expect_intact(what);
+    };
+
+    // A request whose reply the caller's named area cannot hold:
+    // rejected on seL4 and Zircon, served into the message window on
+    // XPC, with @p xpc_reply bytes and @p xpc_reads blocks read.
+    auto expect_small_area = [&](const char *what, core::ServiceId svc,
+                                 uint64_t op,
+                                 const std::vector<uint8_t> &req,
+                                 uint64_t reply_cap, uint64_t xpc_reply,
+                                 uint64_t xpc_reads) {
+        if (!xpc) {
+            expect_rejected(what, svc, op, req, reply_cap);
+            return;
+        }
+        uint64_t reads = dev.reads.value();
+        core::CallResult r = call(svc, op, req, reply_cap);
+        EXPECT_TRUE(r.ok) << what;
+        EXPECT_EQ(r.replyLen, xpc_reply) << what;
+        EXPECT_EQ(dev.reads.value(), reads + xpc_reads) << what;
+        expect_intact(what);
+    };
+    const uint64_t fs_read = uint64_t(proto::FsOp::Read);
+    const uint64_t hdr = proto::fsDataOffset;
+    expect_small_area("2 blocks into 1", dev.id(), read_op,
+                      block_req(2000, 2, 0), blk, 2 * blk, 2);
+    expect_small_area("fs read into 16 bytes", fsrv.id(), fs_read,
+                      fs_req(fd, 4096), 16, hdr + text.size(), 0);
+    // The reply header fits, half of the file does not.
+    expect_small_area("fs read into half", fsrv.id(), fs_read,
+                      fs_req(fd, int64_t(text.size())),
+                      hdr + text.size() / 2, hdr + text.size(), 0);
+    // A Stat's reply is the header alone.
+    expect_small_area("fs stat into 16 bytes", fsrv.id(),
+                      uint64_t(proto::FsOp::Stat), fs_req(fd, 0), 16,
+                      hdr, 0);
+
+    expect_rejected("2-block write of 1", dev.id(), write_op,
+                    block_req(2000, 2, 1), 0);
+    // 17 blocks, more than one message holds, with room for all of
+    // them; a Zircon channel carries at most 64 KiB, so there the
+    // write carries 15.
+    expect_rejected("17-block read", dev.id(), read_op,
+                    block_req(0, 17, 0), 17 * blk);
+    bool channel = GetParam() == core::SystemFlavor::Zircon;
+    expect_rejected("17-block write", dev.id(), write_op,
+                    block_req(0, 17, channel ? 15 : 17), 0);
 }
 
 TEST_P(ServiceStack, TcpThroughNetstackAndLoopback)

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "sim/crc.hh"
@@ -305,24 +306,42 @@ randomBytes(size_t n, uint64_t seed)
     return buf;
 }
 
+/** Both kernels: crc32 (carry-less multiply where the host has it)
+ *  and its portable twin, which every host runs. */
+using CrcKernel = uint32_t (*)(const void *, size_t, uint32_t);
+const std::pair<const char *, CrcKernel> crcKernels[] = {
+    {"crc32", crc32}, {"crc32Tables", crc32Tables}};
+
 TEST(Crc32Test, KnownAnswer)
 {
-    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
-    EXPECT_EQ(crc32("", 0), 0u);
+    for (auto [name, crc] : crcKernels) {
+        EXPECT_EQ(crc("123456789", 9, 0), 0xCBF43926u) << name;
+        EXPECT_EQ(crc("", 0, 0), 0u) << name;
+    }
 }
 
 TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset)
 {
-    std::vector<uint8_t> buf = randomBytes(4096 + 8, 11);
+    // Every length up to 300 crosses the carry-less kernel's 64-byte
+    // minimum, its 64-byte lane step and its 16-byte tail; the lengths
+    // around 4096 are the journal's blocks and pages.
+    std::vector<uint8_t> buf = randomBytes(4112 + 16, 11);
     std::vector<size_t> lengths;
-    for (size_t n = 0; n <= 72; n++)
+    for (size_t n = 0; n <= 300; n++)
         lengths.push_back(n);
-    lengths.push_back(4096);
-    for (size_t off = 0; off < 8; off++) {
-        for (size_t n : lengths) {
-            const uint8_t *p = buf.data() + off;
-            ASSERT_EQ(crc32(p, n), referenceCrc32(p, n, 0))
-                << "offset " << off << " length " << n;
+    for (size_t n = 4080; n <= 4112; n++)
+        lengths.push_back(n);
+    for (uint32_t seed : {0u, 1u, 0xdeadbeefu, 0xffffffffu}) {
+        for (size_t off = 0; off < 16; off++) {
+            for (size_t n : lengths) {
+                const uint8_t *p = buf.data() + off;
+                uint32_t want = referenceCrc32(p, n, seed);
+                for (auto [name, crc] : crcKernels) {
+                    ASSERT_EQ(crc(p, n, seed), want)
+                        << name << " seed " << seed << " offset " << off
+                        << " length " << n;
+                }
+            }
         }
     }
 }
@@ -333,23 +352,32 @@ TEST(Crc32Test, ChainedNonZeroSeedsMatchReference)
     for (uint32_t seed : {1u, 0xdeadbeefu, 0xffffffffu}) {
         for (size_t n : {size_t(1), size_t(7), size_t(8), size_t(9),
                          size_t(64), size_t(4096)}) {
-            ASSERT_EQ(crc32(buf.data() + 3, n, seed),
-                      referenceCrc32(buf.data() + 3, n, seed))
-                << "seed " << seed << " length " << n;
+            for (auto [name, crc] : crcKernels) {
+                ASSERT_EQ(crc(buf.data() + 3, n, seed),
+                          referenceCrc32(buf.data() + 3, n, seed))
+                    << name << " seed " << seed << " length " << n;
+            }
         }
     }
     // Chaining chunk by chunk, each chunk seeded with the running crc,
-    // equals one pass over the whole buffer.
-    uint32_t chained = 0, ref = 0;
-    size_t pos = 0;
-    for (size_t n : {size_t(5), size_t(8), size_t(13), size_t(64),
-                     size_t(4096), size_t(3)}) {
-        chained = crc32(buf.data() + pos, n, chained);
-        ref = referenceCrc32(buf.data() + pos, n, ref);
-        ASSERT_EQ(chained, ref) << "after " << pos + n << " bytes";
-        pos += n;
+    // equals one pass over the whole buffer. The chunks sit on both
+    // sides of 16 and 64 bytes, so the carry-less kernel hands on its
+    // register to the tables, and to itself, at every kind of seam.
+    for (auto [name, crc] : crcKernels) {
+        uint32_t chained = 0, ref = 0;
+        size_t pos = 0;
+        for (size_t n : {size_t(5), size_t(8), size_t(13), size_t(15),
+                         size_t(16), size_t(17), size_t(63), size_t(64),
+                         size_t(65), size_t(64), size_t(4096), size_t(79),
+                         size_t(3)}) {
+            chained = crc(buf.data() + pos, n, chained);
+            ref = referenceCrc32(buf.data() + pos, n, ref);
+            ASSERT_EQ(chained, ref) << name << " after " << pos + n
+                                    << " bytes";
+            pos += n;
+        }
+        EXPECT_EQ(chained, crc(buf.data(), pos, 0)) << name;
     }
-    EXPECT_EQ(chained, crc32(buf.data(), pos));
 }
 
 } // namespace

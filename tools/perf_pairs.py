@@ -15,6 +15,12 @@ change won (a tie counts for neither side), and whether the change's
 median is worse than the parent's by more than the metric's bound (a
 fraction of the parent's median).
 
+Beside the medians it prints, for each side, the medians of the two
+values on run.py's `# unscaled host_ops_per_s U, host speed scale S`
+line: host_ops_per_s is U times S, so a move of the program shows in
+U and a move of the reference loop only in S. A side whose runs print
+no such line reads "n/a"; the line changes no exit rule.
+
 With --claim METRIC it also prints whether the change won at least 90%
 of at least 10 pairs on METRIC (fewer pairs never meet a claim) and
 whether the gap between the medians, in the better direction, exceeds
@@ -29,6 +35,7 @@ usage error; else 0.
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -36,19 +43,27 @@ from pathlib import Path
 
 CLAIM_SHARE = 0.9
 CLAIM_PAIRS = 10
+UNSCALED = re.compile(r"^# unscaled host_ops_per_s ([0-9.eE+-]+), "
+                      r"host speed scale ([0-9.eE+-]+)")
 
 
 def run_once(root, args, seconds):
-    """One benchmark run in @p root: (exit code, result dict or None)."""
+    """One benchmark run in @p root: (exit code, result dict or None,
+    (unscaled host_ops_per_s, host speed scale) or None)."""
     cmd = [sys.executable, str(Path(root) / "perfbench" / "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(seconds), "--trace", "0"]
     res = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
     lines = res.stdout.splitlines()
+    unscaled = None
+    for line in lines[:-1]:
+        m = UNSCALED.match(line)
+        if m:
+            unscaled = (float(m.group(1)), float(m.group(2)))
     try:
-        return res.returncode, json.loads(lines[-1])
+        return res.returncode, json.loads(lines[-1]), unscaled
     except (IndexError, ValueError):
-        return res.returncode, None
+        return res.returncode, None, unscaled
 
 
 def quartiles(vals):
@@ -79,10 +94,11 @@ def main():
 
     roots = {"parent": args.parent_root, "change": args.change_root}
     results = {"parent": [], "change": []}
+    unscaled = {"parent": [], "change": []}
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            code, result = run_once(roots[side], args, seconds)
+            code, result, raw = run_once(roots[side], args, seconds)
             correct = result.get("correct") if result else None
             if code != 0 or correct is not True:
                 print(f"pair {pair} {side}: run failed (exit {code}, "
@@ -90,6 +106,8 @@ def main():
                 print("perf_pairs: fail")
                 return 1
             results[side].append(result)
+            if raw:
+                unscaled[side].append(raw)
             m = result["metrics"]
             print(f"pair {pair} {side}: " + ", ".join(
                 f"{k}={m[k]['value']:.6g}" for k in m
@@ -114,6 +132,13 @@ def main():
           f"{failed_share['change']:.6g}")
     if failed_share["change"] > failed_share["parent"]:
         failures.append("a larger share of operations failed")
+    for side in results:
+        # Medians over the runs that printed the line, or n/a.
+        raw = unscaled[side]
+        med = [f"{statistics.median(v[i] for v in raw):.6g}" if raw
+               else "n/a" for i in (0, 1)]
+        print(f"{side}: unscaled host_ops_per_s median {med[0]}, "
+              f"host speed scale median {med[1]}")
 
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"

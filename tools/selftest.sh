@@ -116,12 +116,15 @@ grep -q "bench_silent wrote no peak_rss_mb" silent.err
 
 # perf_pairs.py runs the benchmark's pair protocol over two checkouts.
 # Each stub checkout's perfbench/run.py logs its side and arguments
-# and prints the next of its canned result lines. The parent must run
+# and prints the next of its canned result lines, after the next of
+# its canned `# unscaled` lines where it has them. The parent must run
 # first in odd pairs and second in even ones, each run as long as the
-# parent's BENCHMARK.json says. A met claim passes; the same claim
-# over 6 pairs, a claim won in only 8 of 10 pairs, a sim_* value that
-# differs between runs and a metric past its bound each fail with
-# exit status 1.
+# parent's BENCHMARK.json says. A met claim passes and prints each
+# side's medians of the unscaled rate and the host speed scale; the
+# same claim over 6 pairs, whose runs print no such line, reads "n/a"
+# there. That claim, a claim won in only 8 of 10 pairs, a sim_* value
+# that differs between runs and a metric past its bound each fail
+# with exit status 1.
 mkstub() {
     mkdir -p "$1/perfbench"
     cat > "$1/perfbench/run.py" <<'EOF'
@@ -132,6 +135,8 @@ with open(log, "a") as f:
     f.write(root.name + " " + " ".join(sys.argv[1:]) + "\n")
 n = [l.split()[0] for l in log.read_text().splitlines()].count(root.name)
 print("# stub run")
+if (root / "unscaled.txt").exists():
+    print((root / "unscaled.txt").read_text().splitlines()[n - 1])
 print((root / "runs.txt").read_text().splitlines()[n - 1])
 EOF
     cat > "$1/BENCHMARK.json" <<'EOF'
@@ -160,6 +165,12 @@ for s in met few eight sim bound; do
         result "$ops" "$rss" "$sim" >> "pairs_$s/change/runs.txt"
     done
 done
+for i in 0 1 2 3 4 5 6 7 8 9; do
+    for side in parent:4 change:5; do
+        printf '# unscaled host_ops_per_s %s.0, host speed scale 2.%s00 (median over repeats)\n' \
+            "${side#*:}$i" "$i" >> "pairs_met/${side%:*}/unscaled.txt"
+    done
+done
 pairs() {
     s=$1 want=$2
     shift 2
@@ -176,8 +187,14 @@ test "$(cut -d' ' -f1 pairs_met/calls.log | tr '\n' ' ')" = \
     "$(printf 'parent change change parent %.0s' 1 2 3 4 5)"
 test "$(grep -c -- '--workload unit --seed 1 --seconds 3 --trace 0$' \
     pairs_met/calls.log)" -eq 20
+grep -q "^parent: unscaled host_ops_per_s median 44.5, host speed scale median 2.45$" \
+    pairs_met.out
+grep -q "^change: unscaled host_ops_per_s median 54.5, host speed scale median 2.45$" \
+    pairs_met.out
 pairs few 1 --pairs 6
 grep -q "won 6/6 pairs, at least 90% of 10 or more: NO" pairs_few.out
+grep -q "^parent: unscaled host_ops_per_s median n/a, host speed scale median n/a$" \
+    pairs_few.out
 test "$(wc -l < pairs_few/calls.log)" -eq 12
 pairs eight 1
 grep -q "won 8/10 pairs, at least 90% of 10 or more: NO" pairs_eight.out
