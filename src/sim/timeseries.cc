@@ -1,5 +1,8 @@
 #include "timeseries.hh"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <ostream>
 
@@ -13,7 +16,88 @@ namespace {
 
 constexpr double tsNaN = std::numeric_limits<double>::quiet_NaN();
 
+/** Narrowest width that stores @p v exactly: 1, 2 or 4 bytes for a
+ *  whole number below 2^32 (not -0.0), else 8 (a double). */
+size_t
+widthFor(double v)
+{
+    // The range test comes first: the cast is defined on [0, 2^32).
+    if (!(v >= 0) || std::signbit(v) || v >= 0x1p32 ||
+        double(uint32_t(v)) != v)
+        return 8;
+    return v < 0x1p8 ? 1 : v < 0x1p16 ? 2 : 4;
+}
+
+double
+decode(const uint8_t *p, size_t width)
+{
+    switch (width) {
+      case 1:
+        return p[0];
+      case 2: {
+        uint16_t u;
+        std::memcpy(&u, p, sizeof(u));
+        return u;
+      }
+      case 4: {
+        uint32_t u;
+        std::memcpy(&u, p, sizeof(u));
+        return u;
+      }
+      default: {
+        double d;
+        std::memcpy(&d, p, sizeof(d));
+        return d;
+      }
+    }
+}
+
+/** Store @p v, which widthFor() says fits @p width, at @p p. */
+void
+encode(uint8_t *p, size_t width, double v)
+{
+    switch (width) {
+      case 1:
+        p[0] = uint8_t(v);
+        break;
+      case 2: {
+        uint16_t u = uint16_t(v);
+        std::memcpy(p, &u, sizeof(u));
+        break;
+      }
+      case 4: {
+        uint32_t u = uint32_t(v);
+        std::memcpy(p, &u, sizeof(u));
+        break;
+      }
+      default:
+        std::memcpy(p, &v, sizeof(v));
+        break;
+    }
+}
+
 } // namespace
+
+double
+TimeSeries::Channel::get(size_t w) const
+{
+    return decode(&bytes[w * width], width);
+}
+
+void
+TimeSeries::Channel::put(size_t w, double v)
+{
+    size_t need = widthFor(v);
+    if (need > width) {
+        // Re-encode every window at the new width, once.
+        std::vector<uint8_t> wide(windows * need);
+        for (size_t i = 0; i < windows; i++)
+            encode(&wide[i * need], need, get(i));
+        bytes = std::move(wide);
+        width = need;
+    }
+    encode(&bytes[w * width], width, v);
+}
 
 TimeSeries::TimeSeries(Cycles window_cycles)
     : window(window_cycles.value())
@@ -66,11 +150,18 @@ TimeSeries::gaugeChannel(const std::string &name)
 void
 TimeSeries::ensureWindow(Channel &ch, size_t w)
 {
-    if (ch.vals.size() <= w) {
-        ch.vals.resize(w + 1, 0);
-        if (ch.isGauge)
-            ch.seen.resize(w + 1, 0);
+    size_t n = ch.windows;
+    if (w < n)
+        return;
+    ch.windows = w + 1;
+    ch.bytes.resize(ch.windows * ch.width, 0);
+    if (ch.isGauge) {
+        ch.sampled.resize(w + 1, false);
+        // Carry the last value forward into the new windows.
+        for (size_t i = n; n > 0 && i <= w; i++)
+            encode(&ch.bytes[i * ch.width], ch.width, ch.get(n - 1));
     }
+    materialized = std::max(materialized, w + 1);
 }
 
 void
@@ -81,7 +172,7 @@ TimeSeries::add(ChannelId ch, uint64_t t, double n)
     panic_if(c.isGauge, "add() on gauge channel '%s'", c.name.c_str());
     size_t w = size_t(t / window);
     ensureWindow(c, w);
-    c.vals[w] += n;
+    c.put(w, c.get(w) + n);
 }
 
 void
@@ -93,17 +184,19 @@ TimeSeries::sample(ChannelId ch, uint64_t t, double v)
              c.name.c_str());
     size_t w = size_t(t / window);
     ensureWindow(c, w);
-    c.vals[w] = v;
-    c.seen[w] = 1;
+    c.put(w, v);
+    c.sampled[w] = true;
+    c.firstSampled = std::min(c.firstSampled, w);
+    // A sample before the gauge's last window carries up to the next
+    // sampled window (the last one always is).
+    for (size_t i = w + 1; i < c.windows && !c.sampled[i]; i++)
+        encode(&c.bytes[i * c.width], c.width, v);
 }
 
 size_t
 TimeSeries::windowCount() const
 {
-    size_t n = 0;
-    for (const Channel &c : channels)
-        n = std::max(n, c.vals.size());
-    return n;
+    return materialized;
 }
 
 double
@@ -111,23 +204,27 @@ TimeSeries::at(ChannelId ch, size_t w) const
 {
     panic_if(ch >= channels.size(), "bad channel id %zu", ch);
     const Channel &c = channels[ch];
+    size_t n = c.windows;
     if (!c.isGauge)
-        return w < c.vals.size() ? c.vals[w] : 0;
-    // Gauge: last sample at or before window w carries forward.
-    size_t lim = std::min(w + 1, c.vals.size());
-    for (size_t i = lim; i-- > 0;)
-        if (c.seen[i])
-            return c.vals[i];
-    return tsNaN;
+        return w < n ? c.get(w) : 0;
+    // Gauge: windows hold their carried value; past the last one the
+    // last value carries on.
+    if (n == 0 || w < c.firstSampled)
+        return tsNaN;
+    return c.get(std::min(w, n - 1));
 }
 
 void
 TimeSeries::reset()
 {
     for (Channel &c : channels) {
-        c.vals.clear();
-        c.seen.clear();
+        c.width = 1;
+        c.windows = 0;
+        c.bytes.clear();
+        c.sampled.clear();
+        c.firstSampled = SIZE_MAX;
     }
+    materialized = 0;
 }
 
 void
@@ -144,22 +241,10 @@ TimeSeries::dumpJson(std::ostream &os, int indent) const
             os << ",";
         first_ch = false;
         os << "\n" << pad << "  " << json::str(channels[ch].name) << ":[";
-        double carry = tsNaN; // gauges fill forward inline
         for (size_t w = 0; w < n; w++) {
             if (w > 0)
                 os << ",";
-            double v;
-            if (channels[ch].isGauge) {
-                if (w < channels[ch].vals.size() &&
-                    channels[ch].seen[w])
-                    carry = channels[ch].vals[w];
-                v = carry;
-            } else {
-                v = w < channels[ch].vals.size()
-                        ? channels[ch].vals[w]
-                        : 0;
-            }
-            os << json::num(v);
+            os << json::num(at(ch, w));
         }
         os << "]";
     }
@@ -175,19 +260,18 @@ TimeSeries::exportCounterTracks(trace::Tracer &tracer,
     if (!tracer.enabled())
         return;
     size_t n = windowCount();
-    for (const Channel &c : channels) {
-        double carry = 0;
+    for (size_t ch = 0; ch < channels.size(); ch++) {
         for (size_t w = 0; w < n; w++) {
-            double v;
-            if (c.isGauge) {
-                if (w < c.vals.size() && c.seen[w])
-                    carry = c.vals[w];
-                v = carry;
-            } else {
-                v = w < c.vals.size() ? c.vals[w] : 0;
-            }
-            tracer.counter("load", c.name.c_str(),
-                           uint64_t(v < 0 ? 0 : v), w * window, tid);
+            double v = at(ch, w);
+            // NaN and v <= 0 stay 0: casting NaN or a value past
+            // UINT64_MAX would be undefined.
+            uint64_t u = 0;
+            if (v >= 0x1p64)
+                u = std::numeric_limits<uint64_t>::max();
+            else if (v > 0)
+                u = uint64_t(v);
+            tracer.counter("load", channels[ch].name.c_str(), u,
+                           w * window, tid);
         }
     }
 }

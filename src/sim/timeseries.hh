@@ -19,6 +19,23 @@
  * array per channel, window order) for the BENCH/loadgen reports,
  * and Perfetto counter tracks (one "C" event per window) so the
  * curves land beside the causal trace in the same UI.
+ *
+ * Storage is exact at the narrowest width: a channel keeps one byte
+ * vector whose windows are 1, 2 or 4-byte unsigned integers while
+ * every value it has held is a whole number that fits, and 8-byte
+ * doubles from the first value that is a fraction, negative, -0.0,
+ * NaN, infinite or at least 2^32. Widening re-encodes the channel
+ * once; a channel never narrows again until reset(). Every value
+ * read back is therefore bit-identical to what a plain vector of
+ * doubles would hold. A gauge copies its last value into each window
+ * as the window is created and remembers its first sampled window,
+ * so at() is O(1); one bit per window marks the windows sampled
+ * themselves, which an out-of-order sample (one before the gauge's
+ * last window) needs to re-carry its value up to the next sample.
+ * What still grows: every window from the first to the last is kept
+ * for the export, so a channel costs one byte (one bit more for a
+ * gauge) per window of simulated time while its counts stay below
+ * 256 (the loadgen mesh's do at its default 100k-cycle window).
  */
 
 #ifndef XPC_SIM_TIMESERIES_HH
@@ -83,7 +100,9 @@ class TimeSeries
 
     /**
      * Emit one Perfetto counter sample per channel per window at the
-     * window-start timestamp onto lane @p tid. No-op while the
+     * window-start timestamp onto lane @p tid, each value truncated
+     * and clamped into [0, UINT64_MAX]; NaN (an unsampled gauge
+     * window, or a NaN sample) exports as 0. No-op while the
      * tracer is disabled. The channel names are handed to the tracer
      * by pointer, so this TimeSeries must outlive the trace export
      * (the same static-lifetime rule every probe site follows).
@@ -96,14 +115,24 @@ class TimeSeries
     {
         std::string name;
         bool isGauge = false;
-        std::vector<double> vals;
-        std::vector<uint8_t> seen; ///< gauge: window has a sample
+        /** Bytes per window: 1, 2 or 4 (unsigned integer) or 8
+         *  (double). */
+        size_t width = 1;
+        size_t windows = 0;         ///< held: bytes.size() / width
+        std::vector<uint8_t> bytes; ///< windows, `width` bytes each
+        size_t firstSampled = SIZE_MAX; ///< gauge: first sampled window
+        std::vector<bool> sampled; ///< gauge: window has a sample
+
+        double get(size_t w) const;
+        /** Store @p v, widening the channel first if it must. */
+        void put(size_t w, double v);
     };
 
     ChannelId makeChannel(const std::string &name, bool gauge);
     void ensureWindow(Channel &ch, size_t w);
 
     uint64_t window;
+    size_t materialized = 0; ///< windowCount()
     /** deque: stable element addresses for the exported name ptrs. */
     std::deque<Channel> channels;
 };

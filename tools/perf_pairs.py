@@ -18,8 +18,12 @@ fraction of the parent's median).
 Beside the medians it prints, for each side, the medians of the two
 values on run.py's `# unscaled host_ops_per_s U, host speed scale S`
 line: host_ops_per_s is U times S, so a move of the program shows in
-U and a move of the reference loop only in S. A side whose runs print
-no such line reads "n/a"; the line changes no exit rule.
+U and a move of the reference loop only in S. It also prints the
+median over runs of setup_s times S, the set-up time before scaling.
+That one is approximate: setup_s and S are each a median over the
+repeats of a run, and setup_s is the median of per-repeat ratios. A
+side whose runs print no such line reads "n/a"; neither line changes
+an exit rule.
 
 With --claim METRIC it also prints whether the change won at least 90%
 of at least 10 pairs on METRIC (fewer pairs never meet a claim) and
@@ -95,6 +99,7 @@ def main():
     roots = {"parent": args.parent_root, "change": args.change_root}
     results = {"parent": [], "change": []}
     unscaled = {"parent": [], "change": []}
+    setup_raw = {"parent": [], "change": []}
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
@@ -106,9 +111,11 @@ def main():
                 print("perf_pairs: fail")
                 return 1
             results[side].append(result)
+            m = result["metrics"]
             if raw:
                 unscaled[side].append(raw)
-            m = result["metrics"]
+                if "setup_s" in m:
+                    setup_raw[side].append(m["setup_s"]["value"] * raw[1])
             print(f"pair {pair} {side}: " + ", ".join(
                 f"{k}={m[k]['value']:.6g}" for k in m
                 if not k.startswith("sim_")), flush=True)
@@ -139,6 +146,10 @@ def main():
                else "n/a" for i in (0, 1)]
         print(f"{side}: unscaled host_ops_per_s median {med[0]}, "
               f"host speed scale median {med[1]}")
+        setup = setup_raw[side]
+        med = f"{statistics.median(setup):.6g}" if setup else "n/a"
+        print(f"{side}: setup_s x host speed scale (set-up before "
+              f"scaling, approximate) median {med}")
 
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"

@@ -120,11 +120,12 @@ grep -q "bench_silent wrote no peak_rss_mb" silent.err
 # its canned `# unscaled` lines where it has them. The parent must run
 # first in odd pairs and second in even ones, each run as long as the
 # parent's BENCHMARK.json says. A met claim passes and prints each
-# side's medians of the unscaled rate and the host speed scale; the
-# same claim over 6 pairs, whose runs print no such line, reads "n/a"
-# there. That claim, a claim won in only 8 of 10 pairs, a sim_* value
-# that differs between runs and a metric past its bound each fail
-# with exit status 1.
+# side's medians of the unscaled rate and the host speed scale, and
+# the median over runs of setup_s times the scale (not the product of
+# the two medians); the same claim over 6 pairs, whose runs print no
+# such line, reads "n/a" there. That claim, a claim won in only 8 of
+# 10 pairs, a sim_* value that differs between runs and a metric past
+# its bound each fail with exit status 1.
 mkstub() {
     mkdir -p "$1/perfbench"
     cat > "$1/perfbench/run.py" <<'EOF'
@@ -148,21 +149,22 @@ EOF
 EOF
 }
 result() {
-    printf '{"correct": true, "attempted": 100, "failed": 0, "metrics": {"host_ops_per_s": {"value": %s, "unit": "1/s"}, "peak_rss_mb": {"value": %s, "unit": "MB"}, "sim_ops_per_mcycle": {"value": %s, "unit": "1/Mcycle"}}}\n' \
-        "$1" "$2" "$3"
+    printf '{"correct": true, "attempted": 100, "failed": 0, "metrics": {"host_ops_per_s": {"value": %s, "unit": "1/s"}, "peak_rss_mb": {"value": %s, "unit": "MB"}, "sim_ops_per_mcycle": {"value": %s, "unit": "1/Mcycle"}, "setup_s": {"value": %s, "unit": "s"}}}\n' \
+        "$1" "$2" "$3" "$4"
 }
 for s in met few eight sim bound; do
     mkstub "pairs_$s/parent"
     mkstub "pairs_$s/change"
     for i in 0 1 2 3 4 5 6 7 8 9; do
-        result $((100 + i)) 20 5 >> "pairs_$s/parent/runs.txt"
+        result $((100 + i)) 20 5 $((10 - i)) >> "pairs_$s/parent/runs.txt"
         ops=$((120 + i)) rss=20 sim=5
         case "$s.$i" in
             eight.8|eight.9) ops=$((99 + i)) ;;
             sim.3) sim=5.5 ;;
             bound.*) rss=23 ;;
         esac
-        result "$ops" "$rss" "$sim" >> "pairs_$s/change/runs.txt"
+        result "$ops" "$rss" "$sim" $((20 - i)) \
+            >> "pairs_$s/change/runs.txt"
     done
 done
 for i in 0 1 2 3 4 5 6 7 8 9; do
@@ -191,9 +193,15 @@ grep -q "^parent: unscaled host_ops_per_s median 44.5, host speed scale median 2
     pairs_met.out
 grep -q "^change: unscaled host_ops_per_s median 54.5, host speed scale median 2.45$" \
     pairs_met.out
+grep -q "^parent: setup_s x host speed scale (set-up before scaling, approximate) median 13.45$" \
+    pairs_met.out
+grep -q "^change: setup_s x host speed scale (set-up before scaling, approximate) median 37.95$" \
+    pairs_met.out
 pairs few 1 --pairs 6
 grep -q "won 6/6 pairs, at least 90% of 10 or more: NO" pairs_few.out
 grep -q "^parent: unscaled host_ops_per_s median n/a, host speed scale median n/a$" \
+    pairs_few.out
+grep -q "^parent: setup_s x host speed scale (set-up before scaling, approximate) median n/a$" \
     pairs_few.out
 test "$(wc -l < pairs_few/calls.log)" -eq 12
 pairs eight 1
