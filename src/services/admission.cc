@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/transport.hh"
 #include "sim/trace.hh"
 
 namespace xpc::services {
@@ -203,25 +202,6 @@ AdmissionController::backlogAt(Cycles now) const
     Bucket b = global;
     drain(b, now.value());
     return b.level;
-}
-
-bool
-admitOrShed(AdmissionController *adm, core::ServerApi &api)
-{
-    if (!adm)
-        return true;
-    kernel::Thread *caller = api.callerThread();
-    // The tier rides the request context across every hop, exactly
-    // like the deadline: a nested call inherits the originating
-    // caller's criticality without per-transport plumbing.
-    hw::Core &core = api.core();
-    if (adm->admit(core.now(), caller ? uint32_t(caller->id()) : 0,
-                   caller ? uint32_t(caller->tenant) : 0,
-                   core.requests().currentCriticality(), &core.tracer()))
-        return true;
-    api.fail(core::TransportStatus::Overloaded);
-    api.setReplyLen(0);
-    return false;
 }
 
 } // namespace xpc::services

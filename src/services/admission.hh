@@ -3,15 +3,15 @@
  * Server-side admission control: a bounded pending-work queue with
  * deterministic load shedding and per-client fair-share accounting.
  *
- * Each server owns (or shares) an AdmissionController and consults
- * it at the top of its handler; a request refused admission is
- * answered with CallStatus::Overloaded instead of being queued
- * behind work the server cannot absorb. The queue is modelled as a
- * leaky bucket drained by the simulated cycle clock: every admitted
- * request adds one unit of backlog, and one unit drains every
- * `drainCycles`. Because the drain is a pure function of the cycle
- * clock, two same-seed runs shed exactly the same requests - the
- * determinism the chaos soak asserts.
+ * A Service (services/service) attached to an AdmissionController
+ * consults it at its door, before the handler runs; a request
+ * refused admission is answered with CallStatus::Overloaded instead
+ * of being queued behind work the server cannot absorb. The queue is
+ * modelled as a leaky bucket drained by the simulated cycle clock:
+ * every admitted request adds one unit of backlog, and one unit
+ * drains every `drainCycles`. Because the drain is a pure function
+ * of the cycle clock, two same-seed runs shed exactly the same
+ * requests - the determinism the chaos soak asserts.
  *
  * Fair share: each client (keyed by its calling thread id) also has
  * its own bucket; a client whose private backlog reaches
@@ -30,10 +30,6 @@
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
-
-namespace xpc::core {
-class ServerApi;
-}
 
 namespace xpc::services {
 
@@ -194,14 +190,6 @@ class AdmissionController
     uint64_t lastGrow = 0;
     uint64_t lastShrink = 0;
 };
-
-/**
- * Shared handler prologue: consult @p adm (null = admission off,
- * always admitted); a shed request fails the invocation with
- * CallStatus::Overloaded and an empty reply. Servers call this first
- * thing in their handler and return immediately on false.
- */
-bool admitOrShed(AdmissionController *adm, core::ServerApi &api);
 
 } // namespace xpc::services
 

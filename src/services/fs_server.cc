@@ -3,8 +3,6 @@
 #include <cstring>
 #include <vector>
 
-#include "services/admission.hh"
-#include "services/telemetry.hh"
 #include "services/proto.hh"
 #include "sim/logging.hh"
 
@@ -62,16 +60,14 @@ FsServer::IpcBlockIo::write(uint32_t block_no, const void *src)
 FsServer::FsServer(core::Transport &tr, kernel::Thread &fs_thread,
                    core::ServiceId block_svc, uint64_t disk_blocks,
                    bool format)
-    : transport(tr), fsThread(fs_thread),
-      blockIo(tr, fs_thread, block_svc)
+    : blockIo(tr, fs_thread, block_svc)
 {
     // The FS thread needs a scratch message area big enough for one
     // block write plus headers.
-    hw::Core &boot_core = transport.kernelRef().machine().core(
-        fs_thread.sched.homeCore);
-    transport.prepareScratch(boot_core, fs_thread,
-                             blockDataOffset +
-                                 BlockDeviceServer::blockBytes + 256);
+    hw::Core &boot_core =
+        tr.kernelRef().machine().core(fs_thread.sched.homeCore);
+    tr.prepareScratch(boot_core, fs_thread,
+                      blockDataOffset + BlockDeviceServer::blockBytes + 256);
 
     // Mount (formatting first unless attaching), as the FS thread,
     // at wiring time. On the attach path mount() replays a committed
@@ -91,18 +87,12 @@ FsServer::FsServer(core::Transport &tr, kernel::Thread &fs_thread,
     desc.maxMsgBytes = 256 * 1024;
     desc.selfAppendBytes = fsDataOffset;
     desc.callees = {block_svc};
-    svcId = transport.registerService(
-        desc, [this](core::ServerApi &api) { handle(api); });
+    serve(tr, desc, [this](core::ServerApi &api) { handle(api); });
 }
 
 void
 FsServer::handle(core::ServerApi &api)
 {
-    HandlerScope probe(telemetry, api);
-    if (!admitOrShed(admission, api)) {
-        probe.shed();
-        return;
-    }
     // Copy-then-validate: the header must actually be present (and
     // the reply area hold one), every field is fetched exactly once
     // into a private copy, and all derived lengths are validated

@@ -12,18 +12,15 @@
 #include <string>
 #include <vector>
 
-#include "core/transport.hh"
 #include "services/block_device.hh"
 #include "services/fs/xv6fs.hh"
 #include "services/proto.hh"
+#include "services/service.hh"
 
 namespace xpc::services {
 
-class AdmissionController;
-class ServiceTelemetry;
-
 /** xv6fs served over IPC. */
-class FsServer
+class FsServer : public Service
 {
   public:
     /**
@@ -39,14 +36,7 @@ class FsServer
              core::ServiceId block_svc, uint64_t disk_blocks,
              bool format = true);
 
-    core::ServiceId id() const { return svcId; }
     fs::Xv6Fs &fsImpl() { return filesystem; }
-
-    /** Attach admission control (null = off, the default). */
-    void setAdmission(AdmissionController *adm) { admission = adm; }
-
-    /** Attach telemetry (null = off, the default). */
-    void setTelemetry(ServiceTelemetry *t) { telemetry = t; }
 
     /** Client-wrapper return value when the IPC itself failed (as
      *  opposed to an FS-level error like fsNoEnt). */
@@ -113,9 +103,6 @@ class FsServer
             writeReq{};
     };
 
-    core::Transport &transport;
-    kernel::Thread &fsThread;
-    core::ServiceId svcId = 0;
     IpcBlockIo blockIo;
     fs::Xv6Fs filesystem;
     /** The bytes of a Read or Write being served, reused from call to
@@ -123,8 +110,6 @@ class FsServer
      *  bytes pread filled, a Write stores only the bytes it
      *  fetched. */
     std::vector<uint8_t> ioBuf;
-    AdmissionController *admission = nullptr;
-    ServiceTelemetry *telemetry = nullptr;
 
     void handle(core::ServerApi &api);
 };

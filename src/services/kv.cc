@@ -2,9 +2,6 @@
 
 #include <cstring>
 
-#include "services/admission.hh"
-#include "services/telemetry.hh"
-
 namespace xpc::services {
 
 KvServer::KvServer(core::Transport &tr, kernel::Thread &t)
@@ -13,18 +10,12 @@ KvServer::KvServer(core::Transport &tr, kernel::Thread &t)
     desc.name = "kv";
     desc.handlerThread = &t;
     desc.maxMsgBytes = 4096;
-    svcId = tr.registerService(
-        desc, [this](core::ServerApi &api) { handle(api); });
+    serve(tr, desc, [this](core::ServerApi &api) { handle(api); });
 }
 
 void
 KvServer::handle(core::ServerApi &api)
 {
-    HandlerScope probe(telemetry, api);
-    if (!admitOrShed(admission, api)) {
-        probe.shed();
-        return;
-    }
     // Copy-then-validate: every field is fetched exactly once into a
     // private copy, and the message must actually carry the bytes the
     // opcode implies - a hostile peer shrinking the frame after the

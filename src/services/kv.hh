@@ -14,28 +14,18 @@
 #include <array>
 #include <map>
 
-#include "core/transport.hh"
+#include "services/service.hh"
 
 namespace xpc::services {
 
-class AdmissionController;
-class ServiceTelemetry;
-
 /** YCSB-flavored KV server: u64 keys, fixed 64-byte values. */
-class KvServer
+class KvServer : public Service
 {
   public:
     static constexpr uint64_t valueBytes = 64;
     enum : uint64_t { opGet = 1, opPut = 2 };
 
     KvServer(core::Transport &tr, kernel::Thread &t);
-
-    core::ServiceId id() const { return svcId; }
-
-    void setAdmission(AdmissionController *adm) { admission = adm; }
-
-    /** Attach telemetry (null = off, the default). */
-    void setTelemetry(ServiceTelemetry *t) { telemetry = t; }
 
     /** Requests rejected because the frame was too short for the
      *  opcode (hostile truncation or corrupted length). */
@@ -52,10 +42,7 @@ class KvServer
     }
 
   private:
-    core::ServiceId svcId = 0;
     std::map<uint64_t, std::array<uint8_t, valueBytes>> store;
-    AdmissionController *admission = nullptr;
-    ServiceTelemetry *telemetry = nullptr;
 
     void handle(core::ServerApi &api);
 };

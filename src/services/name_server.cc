@@ -3,7 +3,6 @@
 #include <cstring>
 #include <vector>
 
-#include "services/admission.hh"
 #include "services/proto.hh"
 #include "sim/logging.hh"
 
@@ -13,7 +12,7 @@ using namespace proto;
 
 NameServer::NameServer(core::Transport &tr,
                        kernel::Thread &handler_thread)
-    : transport(tr), serverThread(handler_thread)
+    : transport(tr)
 {
     core::ServiceDesc desc;
     desc.name = "nameserver";
@@ -64,8 +63,6 @@ NameServer::publish(const std::string &name, core::ServiceId svc,
 void
 NameServer::handle(core::ServerApi &api)
 {
-    if (!admitOrShed(admission, api))
-        return;
     lookups.inc();
     kernel::Thread *caller = api.callerThread();
     kernel::TenantId tenant =

@@ -29,8 +29,6 @@
 
 namespace xpc::services {
 
-class AdmissionController;
-
 /** The name-server service. */
 class NameServer
 {
@@ -99,9 +97,6 @@ class NameServer
                            kernel::Thread &client, core::ServiceId ns,
                            const std::string &name);
 
-    /** Attach admission control (null = off, the default). */
-    void setAdmission(AdmissionController *adm) { admission = adm; }
-
     Counter lookups;
     Counter misses;
     /** Requests rejected by the name-parsing hardening. */
@@ -115,12 +110,10 @@ class NameServer
 
   private:
     core::Transport &transport;
-    kernel::Thread &serverThread;
     core::ServiceId svcId = 0;
     /** One namespace per tenant. */
     std::map<kernel::TenantId,
              std::map<std::string, core::ServiceId>> spaces;
-    AdmissionController *admission = nullptr;
 
     void handle(core::ServerApi &api);
 };

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <vector>
 
-#include "services/admission.hh"
 #include "services/proto.hh"
 #include "sim/logging.hh"
 
@@ -14,13 +13,13 @@ using namespace proto;
 LoopbackDeviceServer::LoopbackDeviceServer(
     core::Transport &tr, kernel::Thread &handler_thread,
     uint32_t drop_every_nth)
-    : transport(tr), dropEveryNth(drop_every_nth)
+    : dropEveryNth(drop_every_nth)
 {
     core::ServiceDesc desc;
     desc.name = "loopback";
     desc.handlerThread = &handler_thread;
     desc.maxMsgBytes = 4096;
-    svcId = transport.registerService(
+    svcId = tr.registerService(
         desc, [this](core::ServerApi &api) {
             panic_if(api.opcode() != uint64_t(DevOp::Xmit),
                      "unknown device opcode");
@@ -81,8 +80,6 @@ NetStackServer::xmitFrame(hw::Core &core, bool in_handler,
 void
 NetStackServer::handle(core::ServerApi &api)
 {
-    if (!admitOrShed(admission, api))
-        return;
     uint8_t hdr_raw[sizeof(FsMsg)];
     api.readRequest(0, hdr_raw, sizeof(hdr_raw));
     FsMsg req = unpackFrom<FsMsg>(hdr_raw);

@@ -15,8 +15,6 @@
 
 namespace xpc::services {
 
-class AdmissionController;
-
 /** The loopback device server: reflects every frame. */
 class LoopbackDeviceServer
 {
@@ -36,7 +34,6 @@ class LoopbackDeviceServer
     Counter framesDropped;
 
   private:
-    core::Transport &transport;
     core::ServiceId svcId = 0;
     uint32_t dropEveryNth;
     uint64_t frameCounter = 0;
@@ -68,9 +65,6 @@ class NetStackServer
     /** Returned by client wrappers when the call itself failed. */
     static constexpr int64_t callFailed = proto::fsMsgCallFailed;
 
-    /** Attach admission control (null = off, the default). */
-    void setAdmission(AdmissionController *adm) { admission = adm; }
-
     /// @name Typed client wrappers.
     /// @{
     static int64_t clientSocket(core::Transport &tr, hw::Core &core,
@@ -100,7 +94,6 @@ class NetStackServer
     core::ServiceId svcId = 0;
     core::ServiceId loopbackSvc;
     net::TcpStack tcp;
-    AdmissionController *admission = nullptr;
 
     void handle(core::ServerApi &api);
 

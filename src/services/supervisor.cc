@@ -1,7 +1,6 @@
 #include "supervisor.hh"
 
 #include <algorithm>
-#include <optional>
 
 #include "services/admission.hh"
 #include "sim/logging.hh"
@@ -36,11 +35,10 @@ Supervisor::supervise(const std::string &name, kernel::Thread &server,
                       core::ServiceId svc, RestartFn restart)
 {
     panic_if(!restart, "supervised service needs a restart function");
-    Entry entry;
+    Entry &entry = entries[{server.tenant, name}];
     entry.server = &server;
     entry.svc = svc;
     entry.restart = std::move(restart);
-    supervised[{server.tenant, name}] = std::move(entry);
 }
 
 void
@@ -48,8 +46,8 @@ Supervisor::setRecovery(const std::string &name,
                         std::function<void()> recover,
                         kernel::TenantId tenant)
 {
-    auto it = supervised.find({tenant, name});
-    panic_if(it == supervised.end(),
+    auto it = entries.find({tenant, name});
+    panic_if(it == entries.end() || !it->second.restart,
              "setRecovery on an unsupervised service '%s'",
              name.c_str());
     it->second.recover = std::move(recover);
@@ -60,8 +58,8 @@ Supervisor::setAdmission(const std::string &name,
                          AdmissionController *admission,
                          kernel::TenantId tenant)
 {
-    auto it = supervised.find({tenant, name});
-    panic_if(it == supervised.end(),
+    auto it = entries.find({tenant, name});
+    panic_if(it == entries.end() || !it->second.restart,
              "setAdmission on an unsupervised service '%s'",
              name.c_str());
     it->second.admission = admission;
@@ -71,8 +69,8 @@ bool
 Supervisor::isDown(const std::string &name,
                    kernel::TenantId tenant) const
 {
-    auto it = supervised.find({tenant, name});
-    if (it == supervised.end())
+    auto it = entries.find({tenant, name});
+    if (it == entries.end() || !it->second.restart)
         return false;
     const kernel::Thread *srv = it->second.server;
     return !srv || !srv->process() || srv->process()->dead;
@@ -88,15 +86,11 @@ Supervisor::healEntry(const Key &key, Entry &entry,
         // have tripped its breaker into quarantine. The operator
         // sweep is the reset for that too: clear the offense record
         // and the breaker so the next call probes the service again.
-        if (!clear_integrity)
+        if (!clear_integrity || entry.integrityOffenses == 0)
             return false;
-        auto off = integrityOffenders.find(key);
-        if (off == integrityOffenders.end() || off->second == 0)
-            return false;
-        integrityOffenders.erase(off);
-        auto brk = breakers.find(key);
-        if (brk != breakers.end())
-            brk->second.reset();
+        entry.integrityOffenses = 0;
+        if (entry.breaker)
+            entry.breaker->reset();
         mark("integrity_quarantine_cleared", key);
         if (onLifecycle)
             onLifecycle("integrity_clear", key.second, key.first);
@@ -120,13 +114,11 @@ Supervisor::healEntry(const Key &key, Entry &entry,
     // that tripped admission control - died with the old
     // instance. A restarted service starts with a clean slate;
     // stale quarantine would shed the first calls to it.
-    auto brk = breakers.find(key);
-    if (brk != breakers.end())
-        brk->second.reset();
-    auto bud = budgets.find(key);
-    if (bud != budgets.end())
-        bud->second.reset();
-    integrityOffenders.erase(key);
+    if (entry.breaker)
+        entry.breaker->reset();
+    if (entry.budget)
+        entry.budget->reset();
+    entry.integrityOffenses = 0;
     if (entry.admission)
         entry.admission->reset();
     restarts.inc();
@@ -140,8 +132,9 @@ uint64_t
 Supervisor::heal()
 {
     uint64_t healed = 0;
-    for (auto &[key, entry] : supervised)
-        healed += healEntry(key, entry, /*clear_integrity=*/true) ? 1 : 0;
+    for (auto &[key, entry] : entries)
+        if (entry.restart)
+            healed += healEntry(key, entry, /*clear_integrity=*/true);
     return healed;
 }
 
@@ -149,10 +142,11 @@ uint64_t
 Supervisor::heal(kernel::TenantId tenant)
 {
     uint64_t healed = 0;
-    auto it = supervised.lower_bound({tenant, std::string()});
-    for (; it != supervised.end() && it->first.first == tenant; ++it)
-        healed += healEntry(it->first, it->second,
-                            /*clear_integrity=*/false) ? 1 : 0;
+    auto it = entries.lower_bound({tenant, std::string()});
+    for (; it != entries.end() && it->first.first == tenant; ++it)
+        if (it->second.restart)
+            healed += healEntry(it->first, it->second,
+                                /*clear_integrity=*/false);
     return healed;
 }
 
@@ -160,8 +154,8 @@ core::ServiceId
 Supervisor::currentId(const std::string &name,
                       kernel::TenantId tenant) const
 {
-    auto it = supervised.find({tenant, name});
-    if (it != supervised.end())
+    auto it = entries.find({tenant, name});
+    if (it != entries.end() && it->second.restart)
         return it->second.svc;
     return transport.lookup(name, tenant);
 }
@@ -170,30 +164,27 @@ uint64_t
 Supervisor::integrityOffenseCount(const std::string &name,
                                   kernel::TenantId tenant) const
 {
-    auto it = integrityOffenders.find({tenant, name});
-    return it == integrityOffenders.end() ? 0 : it->second;
+    auto it = entries.find({tenant, name});
+    return it == entries.end() ? 0 : it->second.integrityOffenses;
 }
 
 core::CircuitBreaker &
 Supervisor::breakerFor(const std::string &name,
                        kernel::TenantId tenant)
 {
-    Key key{tenant, name};
-    auto it = breakers.find(key);
-    if (it == breakers.end())
-        it = breakers.emplace(key, core::CircuitBreaker(breakerOpts))
-                 .first;
-    return it->second;
+    Entry &entry = entries[{tenant, name}];
+    if (!entry.breaker)
+        entry.breaker.emplace(breakerOpts);
+    return *entry.breaker;
 }
 
 RetryBudget &
 Supervisor::budgetFor(const std::string &name, kernel::TenantId tenant)
 {
-    Key key{tenant, name};
-    auto it = budgets.find(key);
-    if (it == budgets.end())
-        it = budgets.emplace(key, RetryBudget(retryBudgetOpts)).first;
-    return it->second;
+    Entry &entry = entries[{tenant, name}];
+    if (!entry.budget)
+        entry.budget.emplace(retryBudgetOpts);
+    return *entry.budget;
 }
 
 int64_t
@@ -312,7 +303,7 @@ Supervisor::callWithRetry(hw::Core &core, kernel::Thread &client,
                 // the breaker, so a repeat offender trips into
                 // quarantine; heal() clears the record.
                 integrityViolations.inc();
-                integrityOffenders[{tenant, name}]++;
+                entries[{tenant, name}].integrityOffenses++;
                 mark("integrity_violation", {tenant, name});
             }
             noteFailure();

@@ -21,6 +21,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "core/breaker.hh"
@@ -235,6 +236,9 @@ class Supervisor
     StatGroup stats{"supervisor"};
 
   private:
+    /** Everything kept for one (tenant, name). Without a restart
+     *  function it is a name reached without supervision: heal()
+     *  skips it, it is never down, and its id is the transport's. */
     struct Entry
     {
         kernel::Thread *server = nullptr;
@@ -243,6 +247,12 @@ class Supervisor
         /** Journal replay etc., run between restart and re-bind. */
         std::function<void()> recover;
         AdmissionController *admission = nullptr;
+        /** Made at first use from the options of that moment. */
+        std::optional<core::CircuitBreaker> breaker;
+        std::optional<RetryBudget> budget;
+        /** Integrity violations since the last heal()/restart: the
+         *  offense record behind integrity quarantine. */
+        uint64_t integrityOffenses = 0;
     };
 
     /** Supervision key: (tenant, name). Ordered by tenant first, so
@@ -253,12 +263,7 @@ class Supervisor
 
     core::Transport &transport;
     NameServer &nameServer;
-    std::map<Key, Entry> supervised;
-    std::map<Key, core::CircuitBreaker> breakers;
-    std::map<Key, RetryBudget> budgets;
-    /** Integrity violations per (tenant, name): the offense record
-     *  behind integrity quarantine. Cleared by heal() and restarts. */
-    std::map<Key, uint64_t> integrityOffenders;
+    std::map<Key, Entry> entries;
     Rng rng{0xb4c0ffULL};
 
     /**

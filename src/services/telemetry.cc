@@ -1,8 +1,5 @@
 #include "telemetry.hh"
 
-#include "core/transport.hh"
-#include "hw/core.hh"
-
 namespace xpc::services {
 
 ServiceTelemetry::ServiceTelemetry(std::string service_name)
@@ -22,38 +19,6 @@ ServiceTelemetry::attachSeries(TimeSeries *ts)
     chDone = series->counterChannel(serviceName + ".done");
     chShed = series->counterChannel(serviceName + ".shed");
     chInflight = series->gaugeChannel(serviceName + ".inflight");
-}
-
-HandlerScope::HandlerScope(ServiceTelemetry *t, core::ServerApi &api)
-    : tel(t)
-{
-    if (!tel)
-        return;
-    core = &api.core();
-    start = core->now().value();
-    tel->inflight++;
-    if (tel->series)
-        tel->series->sample(tel->chInflight, start, tel->inflight);
-}
-
-HandlerScope::~HandlerScope()
-{
-    if (!tel)
-        return;
-    uint64_t end = core->now().value();
-    if (wasShed) {
-        tel->shedCount.inc();
-        if (tel->series)
-            tel->series->add(tel->chShed, end);
-    } else {
-        tel->handled.inc();
-        tel->serviceCycles.record(end - start);
-        if (tel->series)
-            tel->series->add(tel->chDone, end);
-    }
-    tel->inflight--;
-    if (tel->series)
-        tel->series->sample(tel->chInflight, end, tel->inflight);
 }
 
 } // namespace xpc::services

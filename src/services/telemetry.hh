@@ -12,13 +12,13 @@
  * perturbs it, so fig05/fig06 cycle tables stay byte-identical with
  * the layer compiled in.
  *
- * Servers opt in with setTelemetry() (null = off, the default - the
- * same pattern as setAdmission) and wrap their handler body in a
- * HandlerScope, which times the invocation and classifies it on
- * destruction. Because TenantRig rebuilds service instances on crash
- * restart, the ServiceTelemetry lives with the *stack*, not the
- * instance: a restarted server re-attaches to the same telemetry and
- * the histograms span incarnations.
+ * A Service (services/service) opts in with setTelemetry() (null =
+ * off, the default - the same pattern as setAdmission), and its door
+ * times each invocation and classifies it as handled or shed.
+ * Because TenantRig rebuilds service instances on crash restart, the
+ * ServiceTelemetry lives with the *stack*, not the instance: a
+ * restarted server re-attaches to the same telemetry and the
+ * histograms span incarnations.
  */
 
 #ifndef XPC_SERVICES_TELEMETRY_HH
@@ -30,13 +30,6 @@
 #include "sim/histogram.hh"
 #include "sim/stats.hh"
 #include "sim/timeseries.hh"
-
-namespace xpc::core {
-class ServerApi;
-}
-namespace xpc::hw {
-class Core;
-}
 
 namespace xpc::services {
 
@@ -65,7 +58,7 @@ class ServiceTelemetry
     StatGroup stats;
 
   private:
-    friend class HandlerScope;
+    friend class Service;
 
     std::string serviceName;
     TimeSeries *series = nullptr;
@@ -73,32 +66,6 @@ class ServiceTelemetry
     TimeSeries::ChannelId chShed = 0;
     TimeSeries::ChannelId chInflight = 0;
     uint32_t inflight = 0;
-};
-
-/**
- * RAII handler probe: construct first thing in the handler, call
- * shed() when admission refuses the request. The destructor records
- * service time (or the shed) and updates the in-flight gauge. A null
- * telemetry pointer makes every operation a no-op, so un-instrumented
- * rigs pay nothing.
- */
-class HandlerScope
-{
-  public:
-    HandlerScope(ServiceTelemetry *t, core::ServerApi &api);
-    ~HandlerScope();
-
-    HandlerScope(const HandlerScope &) = delete;
-    HandlerScope &operator=(const HandlerScope &) = delete;
-
-    /** Mark this invocation as refused admission. */
-    void shed() { wasShed = true; }
-
-  private:
-    ServiceTelemetry *tel;
-    hw::Core *core = nullptr;
-    uint64_t start = 0;
-    bool wasShed = false;
 };
 
 } // namespace xpc::services

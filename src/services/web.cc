@@ -3,9 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "services/admission.hh"
 #include "services/proto.hh"
-#include "services/telemetry.hh"
 #include "sim/logging.hh"
 
 namespace xpc::services {
@@ -18,14 +16,12 @@ using namespace proto;
 
 FileCacheServer::FileCacheServer(core::Transport &tr,
                                  kernel::Thread &handler_thread)
-    : transport(tr)
 {
     core::ServiceDesc desc;
     desc.name = "filecache";
     desc.handlerThread = &handler_thread;
     desc.maxMsgBytes = 256 * 1024;
-    svcId = transport.registerService(
-        desc, [this](core::ServerApi &api) { handle(api); });
+    serve(tr, desc, [this](core::ServerApi &api) { handle(api); });
 }
 
 void
@@ -38,9 +34,6 @@ FileCacheServer::preload(const std::string &path,
 void
 FileCacheServer::handle(core::ServerApi &api)
 {
-    if (!admitOrShed(admission, api)) {
-        return;
-    }
     if (api.opcode() != uint64_t(CacheOp::Get)) {
         // Unknown opcodes are hostile or corrupted input, not a
         // programming error in this process - reject, don't panic.
@@ -88,21 +81,19 @@ FileCacheServer::handle(core::ServerApi &api)
 CryptoServer::CryptoServer(core::Transport &tr,
                            kernel::Thread &handler_thread,
                            const uint8_t key[crypto::Aes128::keyBytes])
-    : transport(tr), aes(key)
+    : aes(key)
 {
     core::ServiceDesc desc;
     desc.name = "crypto";
     desc.handlerThread = &handler_thread;
     desc.maxMsgBytes = 256 * 1024;
-    svcId = transport.registerService(
+    svcId = tr.registerService(
         desc, [this](core::ServerApi &api) { handle(api); });
 }
 
 void
 CryptoServer::handle(core::ServerApi &api)
 {
-    if (!admitOrShed(admission, api))
-        return;
     requests.inc();
     uint64_t len = api.requestLen();
     if (len % crypto::Aes128::blockBytes != 0) {
@@ -144,8 +135,8 @@ HttpServer::HttpServer(core::Transport &tr,
                        core::ServiceId cache_svc,
                        core::ServiceId crypto_svc, bool encrypt_on,
                        uint64_t max_body)
-    : transport(tr), cacheSvc(cache_svc), cryptoSvc(crypto_svc),
-      encrypt(encrypt_on), maxBody(max_body)
+    : cacheSvc(cache_svc), cryptoSvc(crypto_svc), encrypt(encrypt_on),
+      maxBody(max_body)
 {
     core::ServiceDesc desc;
     desc.name = "http";
@@ -155,18 +146,12 @@ HttpServer::HttpServer(core::Transport &tr,
     desc.callees = {cache_svc};
     if (encrypt_on)
         desc.callees.push_back(crypto_svc);
-    svcId = transport.registerService(
-        desc, [this](core::ServerApi &api) { handle(api); });
+    serve(tr, desc, [this](core::ServerApi &api) { handle(api); });
 }
 
 void
 HttpServer::handle(core::ServerApi &api)
 {
-    HandlerScope probe(telemetry, api);
-    if (!admitOrShed(admission, api)) {
-        probe.shed();
-        return;
-    }
     requests.inc();
 
     // A frame shorter than the reply preamble would underflow the

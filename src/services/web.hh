@@ -15,28 +15,20 @@
 #include <string>
 #include <vector>
 
-#include "core/transport.hh"
 #include "services/crypto/aes.hh"
+#include "services/service.hh"
 
 namespace xpc::services {
 
-class AdmissionController;
-class ServiceTelemetry;
-
 /** In-memory file cache server. */
-class FileCacheServer
+class FileCacheServer : public Service
 {
   public:
     FileCacheServer(core::Transport &transport,
                     kernel::Thread &handler_thread);
 
-    core::ServiceId id() const { return svcId; }
-
     /** Preload a file (wiring-time, not charged). */
     void preload(const std::string &path, std::vector<uint8_t> data);
-
-    /** Attach admission control (null = off, the default). */
-    void setAdmission(AdmissionController *adm) { admission = adm; }
 
     Counter gets;
     Counter misses;
@@ -45,10 +37,7 @@ class FileCacheServer
     Counter badRequests;
 
   private:
-    core::Transport &transport;
-    core::ServiceId svcId = 0;
     std::map<std::string, std::vector<uint8_t>> files;
-    AdmissionController *admission = nullptr;
 
     void handle(core::ServerApi &api);
 };
@@ -63,19 +52,14 @@ class CryptoServer
 
     core::ServiceId id() const { return svcId; }
 
-    /** Attach admission control (null = off, the default). */
-    void setAdmission(AdmissionController *adm) { admission = adm; }
-
     Counter requests;
     /** Hostile/corrupted requests rejected with a typed status
      *  (unaligned payload, unknown opcode). */
     Counter badRequests;
 
   private:
-    core::Transport &transport;
     core::ServiceId svcId = 0;
     crypto::Aes128 aes;
-    AdmissionController *admission = nullptr;
 
     void handle(core::ServerApi &api);
 };
@@ -86,7 +70,7 @@ class CryptoServer
  *   [16, bodyOff)      request line / response headers
  *   [bodyOff, ...)     body window handed to cache / crypto
  */
-class HttpServer
+class HttpServer : public Service
 {
   public:
     /** Offset of the body window inside the message. */
@@ -96,8 +80,6 @@ class HttpServer
                kernel::Thread &handler_thread,
                core::ServiceId cache_svc, core::ServiceId crypto_svc,
                bool encrypt, uint64_t max_body);
-
-    core::ServiceId id() const { return svcId; }
 
     /**
      * Client helper: perform one GET and return the response bytes.
@@ -110,12 +92,6 @@ class HttpServer
                              std::vector<uint8_t> *response,
                              uint64_t max_body);
 
-    /** Attach admission control (null = off, the default). */
-    void setAdmission(AdmissionController *adm) { admission = adm; }
-
-    /** Attach telemetry (null = off, the default). */
-    void setTelemetry(ServiceTelemetry *t) { telemetry = t; }
-
     Counter requests;
     Counter notFound;
     /** Hostile/corrupted requests rejected with a typed status
@@ -123,14 +99,10 @@ class HttpServer
     Counter badRequests;
 
   private:
-    core::Transport &transport;
-    core::ServiceId svcId = 0;
     core::ServiceId cacheSvc;
     core::ServiceId cryptoSvc;
     bool encrypt;
     uint64_t maxBody;
-    AdmissionController *admission = nullptr;
-    ServiceTelemetry *telemetry = nullptr;
 
     void handle(core::ServerApi &api);
 };

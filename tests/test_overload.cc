@@ -4,13 +4,18 @@
  * (DESIGN.md §4e): per-request cycle deadlines enforced on all three
  * transports, the paper-faithful cleanup on the XPC path (link-stack
  * unwind + relay-seg revocation so a stalled server can never write
- * a reclaimed segment), deterministic load shedding, and the
- * closed -> open -> half-open -> closed breaker state machine.
+ * a reclaimed segment), deterministic load shedding, the
+ * closed -> open -> half-open -> closed breaker state machine, and
+ * the one door through which admission and telemetry guard a service
+ * (services/service.hh).
  */
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,12 +24,17 @@
 #include "kernel/sel4.hh"
 #include "kernel/zircon.hh"
 #include "services/admission.hh"
+#include "services/block_device.hh"
+#include "services/fs_server.hh"
+#include "services/kv.hh"
 #include "services/name_server.hh"
 #include "services/proto.hh"
 #include "services/supervisor.hh"
+#include "services/telemetry.hh"
 #include "services/web.hh"
 #include "sim/fault_injector.hh"
 #include "sim/request.hh"
+#include "sim/timeseries.hh"
 
 namespace xpc {
 namespace {
@@ -581,6 +591,55 @@ TEST(Breaker, SupervisorRestartResetsBreakerAndAdmission)
     EXPECT_EQ(sup.breakerFor("cache").trips(), 1u);
 }
 
+TEST(Breaker, UnsupervisedNameKeepsItsOwnRecord)
+{
+    // callWithRetry gives a breaker, a retry budget and an offense
+    // record to any name it reaches, supervised or not. A name that
+    // was never supervised has nothing to restart: heal() must leave
+    // its record alone, it is never down, and its id is whatever the
+    // transport resolves.
+    core::SystemOptions opts;
+    opts.flavor = core::SystemFlavor::Sel4Xpc;
+    core::System sys(opts);
+    core::Transport &tr = sys.transport();
+    kernel::Thread &ns_t = sys.spawn("nameserver");
+    services::NameServer ns(tr, ns_t);
+    services::Supervisor sup(tr, ns);
+    sup.breakerOpts.enabled = true;
+    sup.breakerOpts.failureThreshold = 2;
+    sup.breakerOpts.cooldownCycles = Cycles(1000000000);
+    sup.retryBudgetOpts.enabled = true;
+    kernel::Thread &client = sys.spawn("client");
+    kernel::Thread &kv_t = sys.spawn("kv");
+    services::KvServer kv(tr, kv_t);
+
+    // A 4-byte get is too short for its key: both attempts come back
+    // IntegrityViolation, which trips the two-failure breaker.
+    hw::Core &core = sys.core(0);
+    uint32_t short_key = 7;
+    EXPECT_LT(sup.callWithRetry(core, client, "kv", services::KvServer::opGet,
+                                &short_key, sizeof(short_key), nullptr, 0,
+                                {.maxAttempts = 2}),
+              0);
+    EXPECT_EQ(sup.lastStatus, core::TransportStatus::IntegrityViolation);
+    EXPECT_EQ(sup.integrityOffenseCount("kv"), 2u);
+    EXPECT_EQ(sup.breakerFor("kv").state(core.now()),
+              core::CircuitBreaker::State::Open);
+    const uint64_t tokens = sup.budgetFor("kv").tokens();
+    EXPECT_LT(tokens, uint64_t(sup.retryBudgetOpts.initialTokens));
+
+    EXPECT_EQ(sup.heal(), 0u);
+    EXPECT_EQ(sup.heal(kernel::defaultTenant), 0u);
+    EXPECT_EQ(sup.restarts.value(), 0u);
+    EXPECT_EQ(sup.integrityOffenseCount("kv"), 2u);
+    EXPECT_EQ(sup.breakerFor("kv").state(core.now()),
+              core::CircuitBreaker::State::Open);
+    EXPECT_EQ(sup.budgetFor("kv").tokens(), tokens);
+    EXPECT_FALSE(sup.isDown("kv"));
+    EXPECT_EQ(sup.currentId("kv"), kv.id());
+    EXPECT_EQ(sup.currentId("kv"), tr.lookup("kv", kernel::defaultTenant));
+}
+
 // --------------------------------------------------------------------
 // Jittered backoff determinism
 // --------------------------------------------------------------------
@@ -624,6 +683,248 @@ TEST(Backoff, JitterIsSeededAndDeterministic)
     EXPECT_EQ(spent[0], spent[1]);
     EXPECT_GT(spent[0], 0u);
 }
+
+// --------------------------------------------------------------------
+// The door: admission and telemetry in front of every guarded service
+// --------------------------------------------------------------------
+
+/** The four guarded services on one System: kv, fs over a ramdisk,
+ *  and httpd in front of the file cache and the AES server. */
+struct GuardedMesh
+{
+    static constexpr uint64_t area = 8192;
+
+    explicit GuardedMesh(core::SystemFlavor flavor)
+    {
+        core::SystemOptions opts;
+        opts.flavor = flavor;
+        sys = std::make_unique<core::System>(opts);
+        core::Transport &tr = sys->transport();
+        client = &sys->spawn("client");
+        kv = std::make_unique<services::KvServer>(tr, sys->spawn("kv"));
+        kernel::Thread &dev_t = sys->spawn("blockdev");
+        dev = std::make_unique<services::BlockDeviceServer>(tr, dev_t, 2048);
+        kernel::Thread &fs_t = sys->spawn("fs");
+        tr.connect(fs_t, dev->id());
+        fs = std::make_unique<services::FsServer>(tr, fs_t, dev->id(), 2048);
+        cache = std::make_unique<services::FileCacheServer>(
+            tr, sys->spawn("cache"));
+        cache->preload("/a", std::vector<uint8_t>(64, 'x'));
+        static const uint8_t key[services::crypto::Aes128::keyBytes] = {
+            1, 2, 3};
+        crypto = std::make_unique<services::CryptoServer>(
+            tr, sys->spawn("crypto"), key);
+        kernel::Thread &http_t = sys->spawn("httpd");
+        tr.connect(http_t, cache->id());
+        tr.connect(http_t, crypto->id());
+        http = std::make_unique<services::HttpServer>(
+            tr, http_t, cache->id(), crypto->id(), true, 1024);
+        for (core::ServiceId svc :
+             {kv->id(), fs->id(), cache->id(), http->id()})
+            tr.connect(*client, svc);
+        tr.requestArea(sys->core(0), *client, area);
+    }
+
+    /** Stage @p req at offset 0, call @p svc, and log the call's
+     *  cycles to @p log. */
+    core::CallResult
+    call(core::ServiceId svc, uint64_t opcode, const std::vector<uint8_t> &req,
+         std::ostream &log)
+    {
+        hw::Core &core = sys->core(0);
+        core::Transport &tr = sys->transport();
+        EXPECT_TRUE(tr.clientWrite(core, *client, 0, req.data(), req.size()));
+        core::CallResult r = tr.call(core, *client, svc, opcode, req.size(),
+                                     area);
+        log << r.oneWay.value() << " " << r.roundTrip.value() << " "
+            << r.handlerCycles.value() << "\n";
+        return r;
+    }
+
+    std::unique_ptr<core::System> sys;
+    kernel::Thread *client = nullptr;
+    std::unique_ptr<services::KvServer> kv;
+    std::unique_ptr<services::BlockDeviceServer> dev;
+    std::unique_ptr<services::FsServer> fs;
+    std::unique_ptr<services::FileCacheServer> cache;
+    std::unique_ptr<services::CryptoServer> crypto;
+    std::unique_ptr<services::HttpServer> http;
+};
+
+/** An FsMsg request: the header, then @p payload at fsDataOffset. */
+std::vector<uint8_t>
+fsRequest(const services::proto::FsMsg &msg, const void *payload,
+          uint64_t len)
+{
+    std::vector<uint8_t> req(services::proto::fsDataOffset + len);
+    services::proto::packInto(req.data(), msg);
+    if (len > 0)
+        std::memcpy(req.data() + services::proto::fsDataOffset, payload, len);
+    return req;
+}
+
+std::string
+doorFlavorName(const ::testing::TestParamInfo<core::SystemFlavor> &info)
+{
+    std::string n = core::systemFlavorName(info.param);
+    for (auto &c : n)
+        if (!isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return n;
+}
+
+class Door : public ::testing::TestWithParam<core::SystemFlavor>
+{
+};
+
+TEST_P(Door, EveryDoorSheds)
+{
+    // A controller whose watermark is 0 refuses every request. Each
+    // of the four services must answer Overloaded with an empty reply
+    // from its door: the handler never runs (its own request counter
+    // stays 0), and the telemetry counts one shed and no service time.
+    GuardedMesh mesh(GetParam());
+    struct Case
+    {
+        const char *name;
+        services::Service &svc;
+        uint64_t opcode;
+        std::vector<uint8_t> req;
+        const Counter &ran;
+    };
+    std::vector<uint8_t> path = {'/', 'a', 0};
+    Case cases[] = {
+        {"kv", *mesh.kv, services::KvServer::opGet, {1, 2, 3, 4},
+         mesh.kv->shortRequests},
+        {"fs", *mesh.fs, uint64_t(services::proto::FsOp::Open), {1, 2, 3, 4},
+         mesh.fs->malformedRequests},
+        {"cache", *mesh.cache, kCacheGet, path, mesh.cache->gets},
+        {"http", *mesh.http, uint64_t(services::proto::HttpOp::Request),
+         {1, 2, 3, 4}, mesh.http->requests},
+    };
+    services::AdmissionOptions refuse;
+    refuse.highWatermark = 0;
+    for (Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        services::AdmissionController adm(c.name, refuse);
+        services::ServiceTelemetry tel(c.name);
+        c.svc.setAdmission(&adm);
+        c.svc.setTelemetry(&tel);
+        std::ostringstream log;
+        core::CallResult r = mesh.call(c.svc.id(), c.opcode, c.req, log);
+        c.svc.setAdmission(nullptr);
+        c.svc.setTelemetry(nullptr);
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.status, core::TransportStatus::Overloaded);
+        EXPECT_EQ(r.replyLen, 0u);
+        EXPECT_EQ(adm.shed.value(), 1u);
+        EXPECT_EQ(adm.admitted.value(), 0u);
+        EXPECT_EQ(tel.shedCount.value(), 1u);
+        EXPECT_EQ(tel.handled.value(), 0u);
+        EXPECT_EQ(tel.serviceCycles.count(), 0u);
+        EXPECT_EQ(c.ran.value(), 0u);
+    }
+}
+
+/**
+ * A fixed kv put/get and fs open/write/read sequence on @p flavor.
+ * With @p idle_door, kv and fs run behind a controller whose
+ * watermark no backlog reaches and a telemetry block feeding a
+ * TimeSeries. @return each call's oneWay, roundTrip and
+ * handlerCycles, then the system's stat dump.
+ */
+std::string
+doorRun(core::SystemFlavor flavor, bool idle_door)
+{
+    GuardedMesh mesh(flavor);
+    services::AdmissionOptions idle;
+    idle.highWatermark = 1000000;
+    idle.clientShare = 1000000;
+    services::AdmissionController adm_kv("kv", idle);
+    services::AdmissionController adm_fs("fs", idle);
+    services::ServiceTelemetry tel_kv("kv");
+    services::ServiceTelemetry tel_fs("fs");
+    TimeSeries series(Cycles(1000));
+    tel_kv.attachSeries(&series);
+    tel_fs.attachSeries(&series);
+    if (idle_door) {
+        mesh.kv->setAdmission(&adm_kv);
+        mesh.kv->setTelemetry(&tel_kv);
+        mesh.fs->setAdmission(&adm_fs);
+        mesh.fs->setTelemetry(&tel_fs);
+    }
+
+    using services::proto::FsMsg;
+    using services::proto::FsOp;
+    std::ostringstream os;
+    const uint64_t key = 42;
+    std::vector<uint8_t> put(8 + services::KvServer::valueBytes);
+    std::memcpy(put.data(), &key, 8);
+    auto val = services::KvServer::valueFor(key);
+    std::memcpy(put.data() + 8, val.data(), val.size());
+    EXPECT_TRUE(
+        mesh.call(mesh.kv->id(), services::KvServer::opPut, put, os).ok);
+    std::vector<uint8_t> get(put.begin(), put.begin() + 8);
+    core::CallResult r =
+        mesh.call(mesh.kv->id(), services::KvServer::opGet, get, os);
+    EXPECT_EQ(r.replyLen, services::KvServer::valueBytes);
+
+    const std::string file = "/door";
+    FsMsg open;
+    open.a = services::proto::fsOpenCreate;
+    open.c = int64_t(file.size());
+    EXPECT_TRUE(mesh.call(mesh.fs->id(), uint64_t(FsOp::Open),
+                          fsRequest(open, file.data(), file.size()), os)
+                    .ok);
+    uint8_t reply_raw[sizeof(FsMsg)];
+    mesh.sys->transport().clientRead(mesh.sys->core(0), *mesh.client, 0,
+                                     reply_raw, sizeof(reply_raw));
+    const int64_t fd = services::proto::unpackFrom<FsMsg>(reply_raw).a;
+    EXPECT_GE(fd, 0);
+    std::vector<uint8_t> data(1024, 0xd5);
+    FsMsg io;
+    io.a = fd;
+    io.c = int64_t(data.size());
+    EXPECT_TRUE(mesh.call(mesh.fs->id(), uint64_t(FsOp::Write),
+                          fsRequest(io, data.data(), data.size()), os)
+                    .ok);
+    r = mesh.call(mesh.fs->id(), uint64_t(FsOp::Read),
+                  fsRequest(io, nullptr, 0), os);
+    EXPECT_EQ(r.replyLen, services::proto::fsDataOffset + data.size());
+    mesh.sys->stats().dumpJson(os);
+
+    if (idle_door) {
+        // The idle door admitted and timed every call, and shed none.
+        for (const services::AdmissionController *adm : {&adm_kv, &adm_fs}) {
+            EXPECT_EQ(adm->shed.value(), 0u);
+            EXPECT_EQ(adm->shedFairShare.value(), 0u);
+            EXPECT_EQ(adm->shedTenantShare.value(), 0u);
+        }
+        EXPECT_EQ(adm_kv.admitted.value(), 2u);
+        EXPECT_EQ(adm_fs.admitted.value(), 3u);
+        EXPECT_EQ(tel_kv.handled.value(), 2u);
+        EXPECT_EQ(tel_fs.handled.value(), 3u);
+        EXPECT_EQ(tel_kv.shedCount.value() + tel_fs.shedCount.value(), 0u);
+        EXPECT_EQ(tel_fs.serviceCycles.count(), 3u);
+    }
+    return os.str();
+}
+
+TEST_P(Door, IdleDoorChangesNothing)
+{
+    // Admission and telemetry observe; they never spend a cycle. An
+    // attached but idle door must leave every call's cycles and the
+    // whole stat dump as they are without one.
+    EXPECT_EQ(doorRun(GetParam(), true), doorRun(GetParam(), false));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFlavors, Door,
+    ::testing::Values(core::SystemFlavor::Sel4TwoCopy,
+                      core::SystemFlavor::Sel4OneCopy,
+                      core::SystemFlavor::Sel4Xpc, core::SystemFlavor::Zircon,
+                      core::SystemFlavor::ZirconXpc),
+    doorFlavorName);
 
 } // namespace
 } // namespace xpc

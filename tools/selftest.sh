@@ -52,7 +52,8 @@ grep -q "slo_crash_heal_on.all.regimes:" whole.out
 # --doc checks the fenced blocks of the sections naming a bench
 # against its stdout: a changed digit and a swapped pair of lines
 # must fail with exit status 1 and name the line; an elided line
-# passes, and a section naming another bench is not checked.
+# passes, and neither a section naming another bench nor a fence with
+# an info string (```sh, commands, not output) is checked.
 printf 'title\nrow a 1\nrow b 2\nrow c 3\n' > stdout.txt
 doc() {
     fence='```'
@@ -67,6 +68,10 @@ $1
 $2
 $fence
 
+${fence}sh
+bench_unit --a-command-not-in-the-output
+$fence
+
 ## Other (\`bench_other\`)
 
 $fence
@@ -75,7 +80,8 @@ $fence
 EOF
 }
 doc "row a 1" "row c 3"
-"$py" "$tools/stats_diff.py" --doc doc.md bench_unit stdout.txt
+"$py" "$tools/stats_diff.py" --doc doc.md bench_unit stdout.txt > sh.out
+grep -q "doc.md: 1 block(s) under bench_unit occur" sh.out
 doc "row a 1" "row b 7"
 rc=0
 "$py" "$tools/stats_diff.py" --doc doc.md bench_unit stdout.txt \

@@ -19,7 +19,10 @@ difference too. Non-finite values must match as well (NaN equals NaN).
 With --doc, every fenced block of each `## ` section whose heading
 names `bench_<name>` (in backquotes) must occur in STDOUT line by line
 and in order. A block may elide lines; it may not change, add or move
-one. Sections that name no bench are skipped.
+one. Sections that name no bench are skipped, and so are fences with
+an info string (```sh), which hold commands, not output. The name may
+be any program's: README.md's sample report is checked under
+`file_service`.
 
 Exit status: 0 = identical, 1 = any difference, 2 = usage/IO error.
 """
@@ -126,14 +129,15 @@ def read_lines(path):
 
 def doc_blocks(lines, bench):
     """Fenced blocks of the `## ` sections naming @p bench, each as a
-    list of (line number, text)."""
-    blocks, named, block = [], False, None
+    list of (line number, text). A fence with an info string, such as
+    ```sh, holds commands, not output, and is skipped."""
+    blocks, named, block, skip = [], False, None, False
     for no, line in enumerate(lines, 1):
         if line.startswith("```"):
             if block is None:
-                block = []
+                block, skip = [], bool(line[3:].strip())
             else:
-                if named:
+                if named and not skip:
                     blocks.append(block)
                 block = None
         elif block is not None:
